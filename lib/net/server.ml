@@ -5,14 +5,19 @@
     handler must never ride a barrier.
 
     Reads ([Lookup], [Snapshot]) are served from a per-view snapshot
-    cache keyed by the registry's generation counter: the snapshot is
+    cache keyed by the view's own change stamp
+    ({!Ivm_stream.Registry.stamp}), so an epoch that touches other
+    views leaves a view's cached answer in place: the snapshot is
     materialized under {!Ivm_stream.Registry.read} — the shared side of
     the registry's writer-preferring lock — so it is exactly one epoch
-    boundary's state, never a half-applied batch, and point lookups
-    answer from a hash index on the view's first output field. Under a
-    live producer the semantics are latest-completed-epoch with
-    stale-while-revalidate: one request per view pays the refresh,
-    concurrent ones serve the previous epoch. [Health] and
+    boundary's state, never a half-applied batch. Point lookups answer
+    from a hash index on the view's first output field, built on the
+    snapshot's first keyed lookup. Under a live producer the semantics
+    are latest-completed-epoch with stale-while-revalidate: one request
+    per view pays the refresh, concurrent ones serve the previous
+    epoch. A read-your-writes [Lookup_at] whose token is ahead of an
+    unchanged view's cached watermark re-stamps that watermark in O(1)
+    instead of rebuilding. [Health] and
     [Fingerprints] still read the registry directly under the shared
     lock. Writes go through the [ingest] callback
     into the scheduler's bounded queue, whose policy (block / drop) is
@@ -37,28 +42,42 @@ let () = try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument 
 
 type conn = { fd : Unix.file_descr; write_mutex : Mutex.t }
 
-(* One materialized view enumeration: the full entry list for snapshot
-   requests, plus the same entries grouped by first output field — the
-   access-pattern index that makes a bound-variable lookup O(answer)
-   instead of a scan of the whole output.
+(* One materialized view enumeration. [frames] is the full enumeration
+   already sliced into complete length-prefixed, CRC-stamped chunk
+   frames, built at cache-fill time: serving a cache hit is a single
+   write of prebuilt bytes per chunk — zero per-request encoding or
+   checksums.
 
-   Both access paths are also preserialized at cache-fill time:
-   [frames] is the full enumeration already sliced into complete
-   length-prefixed, CRC-stamped chunk frames, and [key_frames] the same
-   per first-field group. Serving a cache hit is then a single write of
-   prebuilt bytes per chunk — zero per-request encoding or checksums.
-   Only multi-field prefix lookups (rare: they need filtering) still
-   encode per request. *)
-type snapshot = {
-  gen : int;
-  watermark : int;
-      (* the served watermark (queue items applied) this snapshot was
-         materialized at — what a [Lookup_at] compares its token to *)
-  entries : (Tuple.t * int) list;
+   The snapshot holds its view's live stamp handle and the value it
+   had at materialization ([at]): the snapshot is current exactly while
+   the two agree, a lock-free O(1) check. [watermark] only rises — an
+   unchanged view's snapshot is re-stamped to the served watermark
+   instead of rebuilt.
+
+   The access-pattern index for bound-first-variable lookups ([keyed]:
+   the entries grouped by first output field, each group preserialized
+   too) is built on the first keyed lookup, under [key_mutex] — a
+   [Lazy] would be unsafe to force from two domains — so whole-view
+   readers never pay for it. Only multi-field prefix lookups (rare:
+   they need filtering) still encode per request. *)
+type keyed = {
   by_key : (Value.t, (Tuple.t * int) list) Hashtbl.t;
-  frames : Bytes.t list;
   key_frames : (Value.t, Bytes.t list) Hashtbl.t;
 }
+
+type snapshot = {
+  stamp : Registry.stamp;
+  at : int;
+  watermark : int Atomic.t;
+      (* the served watermark (queue items applied) this snapshot is
+         known to reflect — what a [Lookup_at] compares its token to *)
+  entries : (Tuple.t * int) list;
+  frames : Bytes.t list;
+  keyed : keyed option Atomic.t;
+  key_mutex : Mutex.t;
+}
+
+let current snap = Registry.stamp_value snap.stamp = snap.at
 
 (* Slice an enumeration into prebuilt [Chunk] frames; the empty answer
    is still one (empty, last) chunk so the client always sees a
@@ -82,7 +101,7 @@ let build_frames ~chunk_size entries =
 let empty_answer : Bytes.t list =
   [ Wire.frame_bytes (Wire.encode_response (Wire.Chunk { last = true; entries = [] })) ]
 
-let make_snapshot ~gen ~watermark ~chunk_size entries =
+let make_keyed ~chunk_size entries =
   let by_key = Hashtbl.create 64 in
   List.iter
     (fun ((tp, _) as e) ->
@@ -96,7 +115,12 @@ let make_snapshot ~gen ~watermark ~chunk_size entries =
   Hashtbl.iter
     (fun k group -> Hashtbl.replace key_frames k (build_frames ~chunk_size group))
     by_key;
-  { gen; watermark; entries; by_key; frames = build_frames ~chunk_size entries; key_frames }
+  { by_key; key_frames }
+
+(* How a read was answered — one count per answered read in
+   {!Metrics}: from the cache as it stood, after an O(1) watermark
+   re-stamp, or from a snapshot this read materialized. *)
+type source = Cached | Revalidated | Rebuilt
 
 type t = {
   listen_fd : Unix.file_descr;
@@ -119,13 +143,13 @@ type t = {
   on_shutdown : (unit -> unit) option;
   pool : Domain_pool.t;
   (* Snapshot cache: view name -> materialized enumeration stamped with
-     the registry generation it was taken at (exact: the enumeration
-     runs under the shared lock) and indexed by first output field for
-     point lookups. A generation bump (any registry mutation) marks it
-     stale. Reads are stale-while-revalidate: at most one request per
-     view pays the re-materialization (tracked in [refreshing]);
-     concurrent reads serve the previous epoch's snapshot instead of
-     piling up behind a full enumeration per request. *)
+     the view's change stamp at materialization (exact: the enumeration
+     runs under the shared lock). A bump of that view's stamp marks it
+     stale; epochs touching other views do not. Reads are
+     stale-while-revalidate: at most one request per view pays the
+     re-materialization (tracked in [refreshing]); concurrent reads
+     serve the previous epoch's snapshot instead of piling up behind a
+     full enumeration per request. *)
   cache_mutex : Mutex.t;
   cache : (string, snapshot) Hashtbl.t;
   refreshing : (string, unit) Hashtbl.t;
@@ -190,8 +214,16 @@ let matches_prefix prefix tp =
    (multi-field prefix filters): encode and frame each chunk now. *)
 let send_chunks t conn entries = send_frames conn (build_frames ~chunk_size:t.chunk_size entries)
 
-let snapshot t view =
-  (* Lock-free hit check: [generation] is read racily, but it is a
+let note t source =
+  let m = t.metrics in
+  Atomic.incr
+    (match source with
+    | Cached -> m.Metrics.cache_hits
+    | Revalidated -> m.Metrics.cache_revalidations
+    | Rebuilt -> m.Metrics.cache_rebuilds)
+
+let snapshot t view : (snapshot * source, string) result =
+  (* Lock-free hit check: the view's stamp is read racily, but it is a
      monotonic counter bumped under the exclusive lock, so any observed
      value at worst declares a still-warm snapshot stale or serves one
      that a concurrent epoch is just now superseding — both fine under
@@ -199,11 +231,10 @@ let snapshot t view =
      stale serves never touch the registry lock: under a continuous
      producer the writer-preferring lock would otherwise queue every
      read behind a full epoch apply. *)
-  let gen = Registry.generation t.registry in
   let fresh, stale, owner =
     Mutex.protect t.cache_mutex (fun () ->
         match Hashtbl.find_opt t.cache view with
-        | Some snap when snap.gen = gen -> (Some snap, None, false)
+        | Some snap when current snap -> (Some snap, None, false)
         | stale ->
             if Hashtbl.mem t.refreshing view then (None, stale, false)
             else (
@@ -211,12 +242,12 @@ let snapshot t view =
               (None, stale, true)))
   in
   match (fresh, stale, owner) with
-  | Some snap, _, _ -> Ok snap
-  | None, Some snap, false -> Ok snap
+  | Some snap, _, _ -> Ok (snap, Cached)
+  | None, Some snap, false -> Ok (snap, Cached)
   | None, _, _ ->
       (* Owner of the refresh, or first-ever enumeration racing one
          (nothing stale to serve): materialize under the shared lock,
-         where the re-read generation is exact for the enumeration. *)
+         where the stamp read is exact for the enumeration. *)
       Fun.protect
         ~finally:(fun () ->
           if owner then
@@ -227,7 +258,7 @@ let snapshot t view =
               match Registry.find t.registry view with
               | exception Invalid_argument msg -> Error msg
               | m ->
-                  let gen = Registry.generation t.registry in
+                  let stamp = Registry.stamp t.registry view in
                   (* Read the watermark before enumerating, inside the
                      shared lock: [apply_front] needs the exclusive
                      side, so no batch lands mid-enumeration and the
@@ -236,23 +267,73 @@ let snapshot t view =
                   let watermark =
                     match t.served with Some f -> f () | None -> 0
                   in
+                  let entries = m.M.enumerate () in
                   let snap =
-                    make_snapshot ~gen ~watermark ~chunk_size:t.chunk_size
-                      (m.M.enumerate ())
+                    {
+                      stamp;
+                      at = Registry.stamp_value stamp;
+                      watermark = Atomic.make watermark;
+                      entries;
+                      frames = build_frames ~chunk_size:t.chunk_size entries;
+                      keyed = Atomic.make None;
+                      key_mutex = Mutex.create ();
+                    }
                   in
                   Mutex.protect t.cache_mutex (fun () ->
                       Hashtbl.replace t.cache view snap);
-                  Ok snap))
+                  Ok (snap, Rebuilt)))
+
+(* The read-your-writes fast path: a snapshot whose view has not
+   changed since it was materialized reflects every update applied so
+   far, so under the shared lock (no epoch mid-apply) its watermark can
+   be raised to the served watermark in O(1) — without this, gated
+   reads of an unchanged view would spin until their deadline. False
+   when the view changed; the caller then rebuilds. *)
+let revalidate snap served =
+  current snap
+  &&
+  let w = served () in
+  let rec raise_to () =
+    let cur = Atomic.get snap.watermark in
+    if w > cur && not (Atomic.compare_and_set snap.watermark cur w) then raise_to ()
+  in
+  raise_to ();
+  true
+
+(* The key index of a snapshot, built by whichever keyed lookup gets
+   there first; racing lookups wait on [key_mutex] and share it. *)
+let keyed t snap =
+  match Atomic.get snap.keyed with
+  | Some k -> k
+  | None ->
+      Mutex.protect snap.key_mutex (fun () ->
+          match Atomic.get snap.keyed with
+          | Some k -> k
+          | None ->
+              let k = make_keyed ~chunk_size:t.chunk_size snap.entries in
+              Atomic.set snap.keyed (Some k);
+              Atomic.incr t.metrics.Metrics.cache_index_builds;
+              k)
+
+let key_frames t snap key =
+  Option.value (Hashtbl.find_opt (keyed t snap).key_frames key) ~default:empty_answer
 
 (* Test seam for the zero-copy property: the exact prebuilt buffers a
    cache-hit answer writes. Physical identity of these across requests
-   at an unchanged generation is what "zero per-request encoding"
+   while the view is unchanged is what "zero per-request encoding"
    means, and what [test_net] asserts. *)
-let snapshot_frames t view = Result.map (fun snap -> snap.frames) (snapshot t view)
+let snapshot_frames t view =
+  Result.map
+    (fun (snap, source) ->
+      note t source;
+      snap.frames)
+    (snapshot t view)
 
 let lookup_frames t view key =
   Result.map
-    (fun snap -> Option.value (Hashtbl.find_opt snap.key_frames key) ~default:empty_answer)
+    (fun (snap, source) ->
+      note t source;
+      key_frames t snap key)
     (snapshot t view)
 
 type outcome = Continue | Close | Shutdown_server
@@ -276,26 +357,20 @@ let readable_now fd =
   | _ -> true
   | exception Unix.Unix_error _ -> true
 
-(* Handle one decoded request. Answers that need registry state are
-   materialized under the shared lock and sent after it is released
-   ([send_chunks] runs outside [Registry.read]). *)
 (* One snapshot answer for a given prefix: the shared tail of [Lookup]
-   and [Lookup_at]. *)
+   and [Lookup_at]. Answers are sent outside [Registry.read]. *)
 let answer_prefix t conn snap prefix =
   if Tuple.arity prefix = 0 then send_frames conn snap.frames
   else if Tuple.arity prefix = 1 then
     (* Bound first variable: the whole answer is already framed per
        key — serve the prebuilt bytes (or the shared empty
        terminator). *)
-    send_frames conn
-      (Option.value
-         (Hashtbl.find_opt snap.key_frames (Tuple.get prefix 0))
-         ~default:empty_answer)
+    send_frames conn (key_frames t snap (Tuple.get prefix 0))
   else
     (* Longer prefixes need filtering — the one per-request encoding
        path left. *)
     let group =
-      Option.value (Hashtbl.find_opt snap.by_key (Tuple.get prefix 0)) ~default:[]
+      Option.value (Hashtbl.find_opt (keyed t snap).by_key (Tuple.get prefix 0)) ~default:[]
     in
     send_chunks t conn (List.filter (fun (tp, _) -> matches_prefix prefix tp) group)
 
@@ -313,14 +388,16 @@ let handle t conn (req : Wire.request) : outcome =
   | Wire.Lookup { view; prefix } -> (
       match snapshot t view with
       | Error msg -> respond (Wire.Err msg)
-      | Ok snap ->
+      | Ok (snap, source) ->
+          note t source;
           (match answer_prefix t conn snap prefix with
           | Ok () -> Continue
           | Error _ -> Close))
   | Wire.Snapshot { view } -> (
       match snapshot t view with
       | Error msg -> respond (Wire.Err msg)
-      | Ok snap -> (
+      | Ok (snap, source) -> (
+          note t source;
           match send_frames conn snap.frames with
           | Ok () -> Continue
           | Error _ -> Close))
@@ -342,8 +419,9 @@ let handle t conn (req : Wire.request) : outcome =
             respond (Wire.Ack_token { admitted; dropped; token }))
   | Wire.Lookup_at { view; prefix; token; timeout_ms } -> (
       let deadline = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.) in
-      let serve snap =
-        match send conn (Wire.Token { watermark = snap.watermark }) with
+      let serve snap source =
+        note t source;
+        match send conn (Wire.Token { watermark = Atomic.get snap.watermark }) with
         | Error _ -> Close
         | Ok () -> (
             match answer_prefix t conn snap prefix with
@@ -353,7 +431,7 @@ let handle t conn (req : Wire.request) : outcome =
       let ungated () =
         match snapshot t view with
         | Error msg -> respond (Wire.Err msg)
-        | Ok snap -> serve snap
+        | Ok (snap, source) -> serve snap source
       in
       if token <= 0 || Failpoint.hit stale_read_fp <> None then ungated ()
       else
@@ -361,9 +439,11 @@ let handle t conn (req : Wire.request) : outcome =
         | None -> respond (Wire.Err "server has no served-epoch source")
         | Some served ->
             (* Two-stage gate. First wait for the scheduler to apply
-               past the token; then re-materialize until the snapshot
-               itself carries that watermark — a stale-while-revalidate
-               cache may briefly keep serving the previous epoch. *)
+               past the token; then fetch until the snapshot itself
+               carries that watermark — re-stamped in O(1) when the
+               view is unchanged, re-materialized when it changed; a
+               stale-while-revalidate cache may briefly keep serving
+               the previous epoch. *)
             let rec wait () =
               if served () >= token then Ok ()
               else if Unix.gettimeofday () >= deadline then Error ()
@@ -375,7 +455,11 @@ let handle t conn (req : Wire.request) : outcome =
             let rec fetch () =
               match snapshot t view with
               | Error msg -> respond (Wire.Err msg)
-              | Ok snap when snap.watermark >= token -> serve snap
+              | Ok (snap, source) when Atomic.get snap.watermark >= token -> serve snap source
+              | Ok (snap, _)
+                when Registry.read t.registry (fun () -> revalidate snap served)
+                     && Atomic.get snap.watermark >= token ->
+                  serve snap Revalidated
               | Ok _ ->
                   if Unix.gettimeofday () >= deadline then
                     respond (Wire.Err "read-your-writes deadline: snapshot behind token")

@@ -3,14 +3,20 @@
     {!Ivm_stream.Registry}.
 
     Lookups and snapshots serve the latest completed materialization of
-    the view: a per-view snapshot cache keyed by the registry's
-    generation counter, refreshed stale-while-revalidate (one request
-    pays the re-enumeration under {!Ivm_stream.Registry.read}, the
-    shared side of the registry's writer-preferring lock; concurrent
-    ones serve the previous epoch's snapshot). Every answer is an
-    epoch-consistent snapshot — taken at an epoch boundary, never a
-    half-applied batch — and point lookups with a bound first variable
-    answer from a hash index on that field in O(answer). Bytes go out
+    the view: a per-view snapshot cache keyed by the view's own change
+    stamp ({!Ivm_stream.Registry.stamp}), so epochs that touch only
+    other views never invalidate it. A stale entry is refreshed
+    stale-while-revalidate (one request pays the re-enumeration under
+    {!Ivm_stream.Registry.read}, the shared side of the registry's
+    writer-preferring lock; concurrent ones serve the previous epoch's
+    snapshot). Every answer is an epoch-consistent snapshot — taken at
+    an epoch boundary, never a half-applied batch. Point lookups with a
+    bound first variable answer in O(answer) from a hash index on that
+    field, built once per snapshot on its first keyed lookup; whole-view
+    reads never build it. A [Lookup_at] whose token is ahead of an
+    unchanged view's cached watermark re-stamps the watermark in O(1)
+    rather than rebuilding. Cache hits, revalidations, rebuilds and
+    index builds are counted in {!Ivm_stream.Metrics}. Bytes go out
     after the lock is released. Ingested updates flow through the [ingest] callback into
     the scheduler's bounded queue — the queue policy is the server's
     backpressure. Delta subscribers are pushed one frame per applied
@@ -83,14 +89,16 @@ val stopping : t -> bool
 
 val snapshot_frames : t -> string -> (Bytes.t list, string) result
 (** The preserialized chunk frames a cache-hit [Snapshot] answer
-    writes, refreshing the cache exactly as a request would. While the
-    registry generation is unchanged, repeated calls return the {e
-    physically} same buffers — the zero-copy property; exposed so tests
-    can assert it. *)
+    writes, refreshing the cache (and counting the read) exactly as a
+    request would. While the view's stamp is unchanged, repeated calls
+    return the {e physically} same buffers — the zero-copy property;
+    exposed so tests can assert it. *)
 
 val lookup_frames : t -> string -> Ivm_data.Value.t -> (Bytes.t list, string) result
-(** Same, for a [Lookup] with bound first field [key]; a key with no
-    group returns the server-lifetime shared empty terminator frame. *)
+(** Same, for a [Lookup] with bound first field [key] (building the
+    snapshot's key index if this is its first keyed lookup); a key with
+    no group returns the server-lifetime shared empty terminator
+    frame. *)
 
 val publish_delta : t -> epoch:int -> (string * int Ivm_data.Update.t list) list -> unit
 (** Push one [Delta] frame (the front flattened into the wire's flat

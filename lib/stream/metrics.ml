@@ -104,6 +104,12 @@ type t = {
          server exposes so one tenant's tail is not averaged away in
          the per-process histogram *)
   ops_mutex : Mutex.t; (* ops are recorded from concurrent handler domains *)
+  (* Network snapshot-cache outcomes, counted from concurrent handler
+     domains, hence atomic. *)
+  cache_hits : int Atomic.t;
+  cache_revalidations : int Atomic.t;
+  cache_rebuilds : int Atomic.t;
+  cache_index_builds : int Atomic.t;
 }
 
 let create () =
@@ -116,6 +122,10 @@ let create () =
     ops = Hashtbl.create 8;
     view_ops = Hashtbl.create 16;
     ops_mutex = Mutex.create ();
+    cache_hits = Atomic.make 0;
+    cache_revalidations = Atomic.make 0;
+    cache_rebuilds = Atomic.make 0;
+    cache_index_builds = Atomic.make 0;
   }
 
 let view t name =
@@ -258,6 +268,12 @@ let render t =
   add_counter seen buf "ivm_ingested_total" [] t.ingested;
   add_counter seen buf "ivm_coalesced_total" [] t.coalesced;
   add_histogram seen buf "ivm_update_latency_seconds" [] t.latency;
+  add_counter seen buf "ivm_snapshot_cache_hits_total" [] (Atomic.get t.cache_hits);
+  add_counter seen buf "ivm_snapshot_cache_revalidations_total" []
+    (Atomic.get t.cache_revalidations);
+  add_counter seen buf "ivm_snapshot_cache_rebuilds_total" [] (Atomic.get t.cache_rebuilds);
+  add_counter seen buf "ivm_snapshot_cache_index_builds_total" []
+    (Atomic.get t.cache_index_builds);
   List.iter
     (fun name ->
       let v = view t name in

@@ -48,6 +48,17 @@ type t = {
           of a multi-view server, so one tenant's tail latency is not
           averaged away in the per-process histogram *)
   ops_mutex : Mutex.t;
+  cache_hits : int Atomic.t;
+      (** network reads answered from the snapshot cache as it stood
+          (the view unchanged, or stale-while-revalidate) *)
+  cache_revalidations : int Atomic.t;
+      (** read-your-writes reads answered by re-stamping the watermark
+          of an unchanged view's cached snapshot — O(1), no rebuild *)
+  cache_rebuilds : int Atomic.t;
+      (** snapshot re-materialisations (first read, or the view changed) *)
+  cache_index_builds : int Atomic.t;
+      (** per-first-field key indexes built — once per snapshot, on its
+          first keyed lookup *)
 }
 
 val create : unit -> t

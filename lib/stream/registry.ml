@@ -52,6 +52,7 @@ let health_name = function
   | Quarantined -> "quarantined"
 
 type entry = {
+  name : string;
   build : Db.t -> M.t;
   mutable view : M.t;
   mutable health : health;
@@ -60,13 +61,29 @@ type entry = {
   mutable suspects : int Update.t list; (* the batch in flight when it failed *)
   mutable dead : (string * Tuple.t) list; (* dead-lettered (relation, tuple) *)
   mutable last_error : string option;
+  stamp : int Atomic.t;
+      (* bumped whenever the view's state may have changed: handed a
+         non-empty sub-front, or (re)installed *)
+  (* Per-epoch slots, reused across epochs: the relation groups routed
+     to the view this epoch (newest first; [] = untouched), the
+     sub-front in flight, and what its apply task measured or caught. *)
+  mutable groups : int Update.t list list;
+  mutable sub : int Update.t list;
+  mutable elapsed : float;
+  mutable error : string option;
 }
+
+type stamp = int Atomic.t
 
 type t = {
   db : Db.t;
   pool : Ivm_par.Domain_pool.t option;
   metrics : Metrics.t option;
-  mutable entries : (string * entry) list; (* registration order, reversed *)
+  mutable entries : entry list; (* registration order, reversed *)
+  routes : (string, entry list) Hashtbl.t;
+      (* relation -> the entries whose current view consumes it; kept
+         current by every view install *)
+  mutable unhealthy : int; (* entries not [Healthy]: 0 skips every supervision walk *)
   (* supervision knobs *)
   backoff_base : float;
   max_failures : int;
@@ -77,29 +94,30 @@ type t = {
      exclusive side; [read] exposes the shared side. The read accessors
      below do NOT lock — a concurrent reader wraps them in [read]. *)
   lock : Rwlock.t;
-  (* Bumped under the exclusive lock by every mutating entry point, so
-     a reader holding the shared lock sees a stamp that exactly
-     identifies the state — the invalidation key for snapshot caches. *)
-  mutable generation : int;
 }
 
-let create ?pool ?metrics ?(backoff_base = 0.01) ?(max_failures = 5) ?(seed = 0) ?dead_wal db =
+let make ?pool ?metrics ~backoff_base ~max_failures ~rng ?dead_wal db =
   {
     db;
     pool;
     metrics;
     entries = [];
+    routes = Hashtbl.create 16;
+    unhealthy = 0;
     backoff_base;
     max_failures;
-    rng = Random.State.make [| 0x51e9; seed |];
+    rng;
     dead_wal;
     lock = Rwlock.create ();
-    generation = 0;
   }
+
+let create ?pool ?metrics ?(backoff_base = 0.01) ?(max_failures = 5) ?(seed = 0) ?dead_wal db =
+  make ?pool ?metrics ~backoff_base ~max_failures
+    ~rng:(Random.State.make [| 0x51e9; seed |])
+    ?dead_wal db
 
 let db t = t.db
 let read t f = Rwlock.read t.lock f
-let generation t = t.generation
 let now () = Unix.gettimeofday ()
 
 (* A placeholder installed when even the initial build fails: consumes
@@ -118,6 +136,32 @@ let metrics_view t name = Option.map (fun m -> Metrics.view m name) t.metrics
 
 let count_failure t name =
   Option.iter (fun v -> v.Metrics.failures <- v.Metrics.failures + 1) (metrics_view t name)
+
+let set_health t e h =
+  if e.health = Healthy && h <> Healthy then t.unhealthy <- t.unhealthy + 1
+  else if e.health <> Healthy && h = Healthy then t.unhealthy <- t.unhealthy - 1;
+  e.health <- h
+
+(* The relation index: [set_view] is the only way a view is put in
+   place, so the routes always match the installed views' relations
+   (a failed initial build's stub consumes nothing and is routed
+   nothing). *)
+let consumed (m : M.t) = List.sort_uniq String.compare m.M.relations
+
+let set_view t e view =
+  List.iter
+    (fun rel ->
+      match List.filter (fun e' -> e' != e) (Hashtbl.find t.routes rel) with
+      | [] -> Hashtbl.remove t.routes rel
+      | rest -> Hashtbl.replace t.routes rel rest
+      | exception Not_found -> ())
+    (consumed e.view);
+  e.view <- view;
+  List.iter
+    (fun rel ->
+      let consumers = Option.value (Hashtbl.find_opt t.routes rel) ~default:[] in
+      Hashtbl.replace t.routes rel (e :: consumers))
+    (consumed view)
 
 (* The base database minus a view's dead-lettered tuples: what its
    factory rebuilds from. With no dead letters this is the live
@@ -138,17 +182,17 @@ let backoff t failures =
 
 (* Record one more failure for [e]: schedule the next retry, or
    quarantine past the threshold. *)
-let note_failure t name e detail =
+let note_failure t e detail =
   e.failures <- e.failures + 1;
   e.last_error <- Some detail;
-  count_failure t name;
-  if e.failures >= t.max_failures then e.health <- Quarantined
+  count_failure t e.name;
+  if e.failures >= t.max_failures then set_health t e Quarantined
   else begin
-    e.health <- Degraded;
+    set_health t e Degraded;
     e.retry_at <- now () +. backoff t e.failures
   end
 
-let dead_letter t name e (updates : int Update.t list) =
+let dead_letter t e (updates : int Update.t list) =
   List.iter
     (fun (u : int Update.t) ->
       e.dead <- (u.Update.rel, u.Update.tuple) :: e.dead;
@@ -157,13 +201,14 @@ let dead_letter t name e (updates : int Update.t list) =
   Option.iter (fun w -> ignore (Wal.Z.sync w)) t.dead_wal;
   Option.iter
     (fun v -> v.Metrics.dead_letters <- v.Metrics.dead_letters + List.length updates)
-    (metrics_view t name)
+    (metrics_view t e.name)
 
-let install t name e view =
-  e.view <- view;
-  e.health <- Healthy;
+let install t e view =
+  set_view t e view;
+  set_health t e Healthy;
   e.suspects <- [];
-  Option.iter (fun v -> v.Metrics.rebuilds <- v.Metrics.rebuilds + 1) (metrics_view t name)
+  Atomic.incr e.stamp;
+  Option.iter (fun v -> v.Metrics.rebuilds <- v.Metrics.rebuilds + 1) (metrics_view t e.name)
 
 let try_build e db = match e.build db with v -> Some v | exception _ -> None
 
@@ -188,9 +233,9 @@ let as_dead (us : int Update.t list) = List.map (fun (u : int Update.t) -> (u.Up
    on failure, isolate poison by retrying with each single suspect
    excluded, then with all of them. The smallest exclusion that works
    is dead-lettered. On total failure, back off again. *)
-let attempt_recovery t name e =
+let attempt_recovery t e =
   match try_build e (filtered_db t e.dead) with
-  | Some v -> install t name e v
+  | Some v -> install t e v
   | None -> begin
       let suspects = distinct_suspects e in
       let single =
@@ -212,9 +257,9 @@ let attempt_recovery t name e =
       in
       match outcome with
       | Some (v, poison) ->
-          dead_letter t name e poison;
-          install t name e v
-      | None -> note_failure t name e "rebuild failed"
+          dead_letter t e poison;
+          install t e v
+      | None -> note_failure t e "rebuild failed"
     end
 
 (* Retry every degraded view whose backoff has elapsed. Quarantined
@@ -222,17 +267,17 @@ let attempt_recovery t name e =
 let maybe_recover t =
   let clock = now () in
   List.iter
-    (fun (name, e) ->
-      if e.health = Degraded && clock >= e.retry_at then attempt_recovery t name e)
+    (fun e -> if e.health = Degraded && clock >= e.retry_at then attempt_recovery t e)
     t.entries
 
+let find_entry t name = List.find_opt (fun e -> String.equal e.name name) t.entries
+
 let register t ~name build =
-  if List.mem_assoc name t.entries then
-    invalid_arg ("Registry.register: duplicate view " ^ name);
+  if find_entry t name <> None then invalid_arg ("Registry.register: duplicate view " ^ name);
   Rwlock.write t.lock (fun () ->
-      t.generation <- t.generation + 1;
       let e =
         {
+          name;
           build;
           view = stub name;
           health = Healthy;
@@ -241,142 +286,166 @@ let register t ~name build =
           suspects = [];
           dead = [];
           last_error = None;
+          stamp = Atomic.make 0;
+          groups = [];
+          sub = [];
+          elapsed = 0.;
+          error = None;
         }
       in
       (match try_build e t.db with
-      | Some v -> e.view <- v
-      | None -> note_failure t name e "initial build failed");
-      t.entries <- (name, e) :: t.entries)
+      | Some v -> set_view t e v
+      | None -> note_failure t e "initial build failed");
+      t.entries <- e :: t.entries)
 
 (* Declare a new empty base relation under the exclusive lock — the
    seam the SQL front end's CREATE TABLE goes through: the registry owns
    the authoritative base database, so table DDL must take the same lock
-   (and bump the same generation stamp) as every other mutation. *)
+   as every other mutation. *)
 let declare_table t name schema =
   Rwlock.write t.lock (fun () ->
       if Db.mem t.db name then
         Error (Printf.sprintf "relation %s already exists" name)
       else begin
-        t.generation <- t.generation + 1;
         ignore (Db.declare t.db name schema);
         Ok ()
       end)
 
-let views t = List.rev_map (fun (name, e) -> (name, e.view)) t.entries
+let views t = List.rev_map (fun e -> (e.name, e.view)) t.entries
 let view_count t = List.length t.entries
 
-let find t name =
-  match List.assoc_opt name t.entries with
-  | Some e -> e.view
-  | None -> invalid_arg ("Registry.find: no view " ^ name)
+let entry t fn name =
+  match find_entry t name with
+  | Some e -> e
+  | None -> invalid_arg (Printf.sprintf "Registry.%s: no view %s" fn name)
 
+let find t name = (entry t "find" name).view
+let stamp t name = (entry t "stamp" name).stamp
+let stamp_value = Atomic.get
 let counts t = List.map (fun (name, m) -> (name, m.M.output_count ())) (views t)
 let fingerprints t = List.map (fun (name, m) -> (name, m.M.fingerprint ())) (views t)
-
-let health t name =
-  match List.assoc_opt name t.entries with
-  | Some e -> e.health
-  | None -> invalid_arg ("Registry.health: no view " ^ name)
-
-let statuses t = List.rev_map (fun (name, e) -> (name, e.health)) t.entries
+let health t name = (entry t "health" name).health
+let statuses t = List.rev_map (fun e -> (e.name, e.health)) t.entries
 
 let last_error t name =
-  match List.assoc_opt name t.entries with
+  match find_entry t name with
   | Some e -> e.last_error
   | None -> None
 
-let dead_letters t = List.rev_map (fun (name, e) -> (name, List.rev e.dead)) t.entries
+let dead_letters t = List.rev_map (fun e -> (e.name, List.rev e.dead)) t.entries
 
-(* Route the epoch's per-relation front: per view, the concatenation of
-   the relation groups it consumes. Group-level routing (the scheduler
-   already holds the front grouped) replaces the old per-update filter
-   of the whole flat batch for every view; a single-group front for a
-   single-relation view is shared physically. Within one epoch the ring
-   payloads make updates commute, so regrouping by relation is sound. *)
-let sub_front (m : M.t) (front : (string * int Update.t list) list) =
-  match m.M.relations with
-  | [] -> []
-  | rels -> (
-      match List.filter (fun (rel, _) -> List.mem rel rels) front with
-      | [] -> []
-      | [ (_, ups) ] -> ups
-      | groups -> List.concat_map snd groups)
+(* Dead-lettered tuples stay quarantined out of the view — also on WAL
+   replay after a restore. *)
+let without_dead e (sub : int Update.t list) =
+  if e.dead = [] then sub
+  else
+    List.filter
+      (fun (u : int Update.t) ->
+        not
+          (List.exists
+             (fun (rel, tu) -> rel = u.Update.rel && Tuple.equal tu u.Update.tuple)
+             e.dead))
+      sub
 
+(* The [skipped] charge of a view that is not healthy: the updates on
+   the relations it consumes — or, for the relation-less stub a failed
+   initial build leaves behind, the whole epoch, since which relations
+   the real view will consume is unknown. *)
+let charge_skipped t front =
+  List.iter
+    (fun e ->
+      if e.health <> Healthy then begin
+        let missed =
+          match e.view.M.relations with
+          | [] -> List.fold_left (fun n (_, ups) -> n + List.length ups) 0 front
+          | rels ->
+              List.fold_left
+                (fun n (rel, ups) -> if List.mem rel rels then n + List.length ups else n)
+                0 front
+        in
+        if missed > 0 then
+          Option.iter
+            (fun v -> v.Metrics.skipped <- v.Metrics.skipped + missed)
+            (metrics_view t e.name)
+      end)
+    t.entries
+
+(* Route the epoch's per-relation front through the relation index:
+   each group goes only to the healthy views consuming its relation,
+   and each touched view gets the concatenation of its groups (a
+   single group is shared physically). Untouched views cost nothing —
+   the epoch is O(relations and views it touches), not O(registered
+   views) — and with every view healthy the supervision walks are
+   skipped too. Within one epoch the ring payloads make updates
+   commute, so regrouping by relation is sound. *)
 let apply_front_locked t (front : (string * int Update.t list) list) =
-  let batch = match front with [ (_, ups) ] -> ups | _ -> List.concat_map snd front in
-      t.generation <- t.generation + 1;
-      maybe_recover t;
-      let entries = List.rev t.entries in
-      (* Per-task elapsed times and caught exceptions land in
-         preallocated slots; entry state and the metrics tables are only
-         touched after the barrier, on this domain. *)
-      let n_entries = List.length entries in
-      let timings = Array.make n_entries 0. in
-      let errors : string option array = Array.make n_entries None in
-      let sized =
-        List.mapi
-          (fun i (name, e) ->
-            let sub = if e.health = Healthy then sub_front e.view front else [] in
-            (* Dead-lettered tuples stay quarantined out of the view —
-               also on WAL replay after a restore. *)
-            let sub =
-              if e.dead = [] then sub
-              else
-                List.filter
-                  (fun (u : int Update.t) ->
-                    not
-                      (List.exists
-                         (fun (rel, tu) -> rel = u.Update.rel && Tuple.equal tu u.Update.tuple)
-                         e.dead))
-                  sub
-            in
-            (i, name, e, sub, List.length sub))
-          entries
-      in
-      let tasks =
-        (fun () -> Db.apply_batch t.db batch)
-        :: List.filter_map
-             (fun (i, _, e, sub, n) ->
-               if n = 0 then None
-               else
-                 Some
-                   (fun () ->
-                     let t0 = now () in
-                     match e.view.M.apply_batch sub with
-                     | () -> timings.(i) <- now () -. t0
-                     | exception exn -> errors.(i) <- Some (Printexc.to_string exn)))
-             sized
-      in
-      (match t.pool with
-      | Some pool -> Ivm_par.Domain_pool.run pool tasks
-      | None -> List.iter (fun task -> task ()) tasks);
-      List.iter
-        (fun (i, name, e, sub, n) ->
-          match errors.(i) with
+  if t.unhealthy > 0 then begin
+    maybe_recover t;
+    charge_skipped t front
+  end;
+  let touched = ref [] in
+  List.iter
+    (fun (rel, ups) ->
+      match Hashtbl.find t.routes rel with
+      | exception Not_found -> ()
+      | consumers ->
+          List.iter
+            (fun e ->
+              if e.health = Healthy then begin
+                if e.groups = [] then touched := e :: !touched;
+                e.groups <- ups :: e.groups
+              end)
+            consumers)
+    front;
+  (* Per-task elapsed times and caught exceptions land in the entries'
+     slots; entry state and the metrics tables are only touched after
+     the barrier, on this domain. *)
+  let tasks =
+    List.fold_left
+      (fun tasks e ->
+        let sub = match e.groups with [ ups ] -> ups | groups -> List.concat (List.rev groups) in
+        e.groups <- [];
+        let sub = without_dead e sub in
+        e.sub <- sub;
+        if sub = [] then tasks
+        else begin
+          Atomic.incr e.stamp;
+          (fun () ->
+            let t0 = now () in
+            match e.view.M.apply_batch sub with
+            | () -> e.elapsed <- now () -. t0
+            | exception exn -> e.error <- Some (Printexc.to_string exn))
+          :: tasks
+        end)
+      [] !touched
+  in
+  let tasks = (fun () -> List.iter (fun (_, ups) -> Db.apply_batch t.db ups) front) :: tasks in
+  (match t.pool with
+  | Some pool -> Ivm_par.Domain_pool.run pool tasks
+  | None -> List.iter (fun task -> task ()) tasks);
+  List.iter
+    (fun e ->
+      match e.sub with
+      | [] -> ()
+      | sub -> (
+          e.sub <- [];
+          match e.error with
           | Some detail ->
               (* The view's in-memory state is now suspect; recovery
                  will rebuild it from the base database, which did
                  absorb this batch. *)
+              e.error <- None;
               e.suspects <- List.rev_append sub e.suspects;
-              note_failure t name e detail
+              note_failure t e detail
           | None ->
-              if n > 0 then begin
-                e.failures <- 0;
-                Option.iter
-                  (fun v ->
-                    v.Metrics.updates <- v.Metrics.updates + n;
-                    v.Metrics.batches <- v.Metrics.batches + 1;
-                    Metrics.Hist.add v.Metrics.apply timings.(i))
-                  (metrics_view t name)
-              end
-              else if e.health <> Healthy then begin
-                let missed = List.length (sub_front e.view front) in
-                let missed = if missed = 0 then List.length batch else missed in
-                Option.iter
-                  (fun v -> v.Metrics.skipped <- v.Metrics.skipped + missed)
-                  (metrics_view t name)
-              end)
-        sized
+              e.failures <- 0;
+              Option.iter
+                (fun v ->
+                  v.Metrics.updates <- v.Metrics.updates + List.length sub;
+                  v.Metrics.batches <- v.Metrics.batches + 1;
+                  Metrics.Hist.add v.Metrics.apply e.elapsed)
+                (metrics_view t e.name)))
+    !touched
 
 let apply_front t (front : (string * int Update.t list) list) =
   match List.filter (fun (_, ups) -> ups <> []) front with
@@ -408,13 +477,8 @@ let apply_batch t (batch : int Update.t list) =
     Returns the names still not healthy afterwards. *)
 let heal t =
   Rwlock.write t.lock (fun () ->
-      t.generation <- t.generation + 1;
-      List.iter
-        (fun (name, e) -> if e.health <> Healthy then attempt_recovery t name e)
-        (List.rev t.entries);
-      List.filter_map
-        (fun (name, e) -> if e.health <> Healthy then Some name else None)
-        t.entries
+      List.iter (fun e -> if e.health <> Healthy then attempt_recovery t e) (List.rev t.entries);
+      List.filter_map (fun e -> if e.health <> Healthy then Some e.name else None) t.entries
       |> List.rev)
 
 (** Verify every healthy view's fingerprint against a fresh rebuild
@@ -423,21 +487,20 @@ let heal t =
     epochs. *)
 let self_check t =
   Rwlock.write t.lock (fun () ->
-      t.generation <- t.generation + 1;
       List.filter_map
-        (fun (name, e) ->
+        (fun e ->
           if e.health <> Healthy then None
           else
             match try_build e (filtered_db t e.dead) with
             | None ->
-                note_failure t name e "self-check rebuild failed";
-                Some name
+                note_failure t e "self-check rebuild failed";
+                Some e.name
             | Some fresh ->
                 if fresh.M.fingerprint () = e.view.M.fingerprint () then None
                 else begin
-                  count_failure t name;
-                  install t name e fresh;
-                  Some name
+                  count_failure t e.name;
+                  install t e fresh;
+                  Some e.name
                 end)
         (List.rev t.entries))
 
@@ -449,31 +512,21 @@ let self_check t =
     pool/metrics. *)
 let restore ?pool ?metrics t db =
   let fresh =
-    {
-      db;
-      pool;
-      metrics;
-      entries = [];
-      backoff_base = t.backoff_base;
-      max_failures = t.max_failures;
-      rng = Random.State.copy t.rng;
-      dead_wal = t.dead_wal;
-      lock = Rwlock.create ();
-      generation = 0;
-    }
+    make ?pool ?metrics ~backoff_base:t.backoff_base ~max_failures:t.max_failures
+      ~rng:(Random.State.copy t.rng) ?dead_wal:t.dead_wal db
   in
   List.iter
-    (fun (name, e) ->
-      register fresh ~name e.build;
-      match List.assoc_opt name fresh.entries with
+    (fun e ->
+      register fresh ~name:e.name e.build;
+      match find_entry fresh e.name with
       | Some e' ->
           e'.dead <- e.dead;
           if e.dead <> [] || e'.health <> Healthy then begin
             (* Rebuild with the inherited filter (register built from
                the raw db, which may still contain the poison). *)
             match try_build e' (filtered_db fresh e'.dead) with
-            | Some v -> install fresh name e' v
-            | None -> note_failure fresh name e' "restore rebuild failed"
+            | Some v -> install fresh e' v
+            | None -> note_failure fresh e' "restore rebuild failed"
           end
       | None -> ())
     (List.rev t.entries);

@@ -34,12 +34,6 @@ val create :
 
 val db : t -> Db.t
 
-val generation : t -> int
-(** Bumped under the exclusive lock by every mutating entry point
-    (apply, heal, self-check, register). Read it under {!read}: equal
-    stamps guarantee identical state — the invalidation key the network
-    server uses for its snapshot cache. *)
-
 val read : t -> (unit -> 'a) -> 'a
 (** Run [f] under the registry's shared (read) lock: no epoch apply,
     heal, self-check or registration runs concurrently, so [f] sees an
@@ -58,8 +52,8 @@ val register : t -> name:string -> (Db.t -> M.t) -> unit
 
 val declare_table : t -> string -> Ivm_data.Schema.t -> (unit, string) result
 (** Declare a new empty base relation in the authoritative database,
-    under the exclusive lock with a generation bump — what the SQL front
-    end's [CREATE TABLE] goes through. [Error] on a duplicate name. *)
+    under the exclusive lock — what the SQL front end's [CREATE TABLE]
+    goes through. [Error] on a duplicate name. *)
 
 val views : t -> (string * M.t) list
 (** In registration order. *)
@@ -68,6 +62,23 @@ val view_count : t -> int
 
 val find : t -> string -> M.t
 (** @raise Invalid_argument when absent. *)
+
+type stamp
+(** A view's change stamp: a counter bumped (under the exclusive lock)
+    whenever the view's state may have changed — when an epoch hands it
+    a non-empty sub-front, and when it is (re)installed by recovery,
+    {!heal}, a {!self_check} reinstall or a dead-letter rebuild. Epochs
+    that touch only other views leave it alone, so it is the per-view
+    invalidation key of the network server's snapshot cache. *)
+
+val stamp : t -> string -> stamp
+(** The named view's stamp handle, stable for the registry's lifetime.
+    @raise Invalid_argument when absent. *)
+
+val stamp_value : stamp -> int
+(** The current value; lock-free. Read under {!read}, equal values
+    before and after guarantee the view's state did not change in
+    between. *)
 
 val counts : t -> (string * int) list
 val fingerprints : t -> (string * int) list
@@ -85,12 +96,17 @@ val dead_letters : t -> (string * (string * Ivm_data.Tuple.t) list) list
 val apply_front : t -> (string * int Ivm_data.Update.t list) list -> unit
 (** Apply one epoch's per-relation delta front (the shape
     {!Scheduler.delta_front} serves) to the base database and to every
-    healthy registered view — each view gets the concatenation of the
-    relation groups it consumes, routed at group granularity rather
-    than by filtering the flat batch per view — concurrently across the
-    pool when one was given. A view whose engine raises is degraded and
-    scheduled for recovery; this call itself never raises on view
-    failure. *)
+    healthy registered view consuming one of its relations — each such
+    view gets the concatenation of the relation groups it consumes —
+    concurrently across the pool when one was given. Groups are routed
+    through a relation → views index kept current on every register
+    and install, so views the epoch does not touch cost nothing: the
+    work is O(relations and views touched), not O(views registered).
+    A view whose engine raises is degraded and scheduled for recovery;
+    this call itself never raises on view failure. A view that is not
+    healthy is charged, in its [skipped] metric, the updates on its own
+    relations (the whole epoch only while it is the relation-less stub
+    of a failed initial build). *)
 
 val apply_batch : t -> int Ivm_data.Update.t list -> unit
 (** {!apply_front} of a flat batch, grouped per relation (order

@@ -24,6 +24,10 @@ let ( let* ) = Result.bind
 
 type item = { update : int Update.t; enqueued_at : float }
 
+(* One relation's coalescing accumulator; [listed] is true while it
+   sits in the scheduler's dirty list. *)
+type acc = { rel : string; sums : int Flat_tbl.t; mutable listed : bool }
+
 let item u = { update = u; enqueued_at = Unix.gettimeofday () }
 
 type t = {
@@ -38,11 +42,17 @@ type t = {
   self_check_every : int option; (* epochs between fingerprint self-checks *)
   on_apply : (epoch:int -> (string * int Update.t list) list -> unit) option;
       (* delta-subscription fan-out: the coalesced front just applied *)
-  coalescer : (string, int Flat_tbl.t) Hashtbl.t;
+  coalescer : (string, acc) Hashtbl.t;
       (* per-relation coalescing accumulators, reused across epochs: a
          capacity-preserving [Flat_tbl.clear] after each emit keeps the
          tables' arrays alive, so steady-state epochs allocate no fresh
          buffers for coalescing *)
+  mutable dirty : acc array;
+      (* the accumulators the current epoch wrote, in first-touch order
+         ([n_dirty] of them): the emit folds and clears only these, so
+         an epoch costs O(relations it touched), not O(relations ever
+         seen) *)
+  mutable n_dirty : int;
   mutable limit : int; (* the adaptive batch cap *)
   mutable applied : int; (* updates applied so far (pre-coalescing) *)
   mutable front : (string * int Update.t list) list;
@@ -75,6 +85,8 @@ let create ?wal ?(target_latency = 0.002) ?(min_batch = 16) ?(max_batch = 65_536
     self_check_every;
     on_apply;
     coalescer = Hashtbl.create 4;
+    dirty = [||];
+    n_dirty = 0;
     limit;
     applied = 0;
     front = [];
@@ -94,35 +106,53 @@ let delta_front t = t.front
    memoized-hash field breaks structural hashing). Zero sums are elided
    incrementally — an insert/delete pair inside one epoch vanishes
    entirely, and because stored sums are never zero the default-0 probe
-   is unambiguous. The accumulators live in [t] and are cleared
-   (capacity preserved) after the emit, so an epoch at steady state
-   reuses last epoch's buffers instead of reallocating them. *)
+   is unambiguous. The accumulators live in [t]; the first write of an
+   epoch to a relation lists its accumulator as dirty, and the emit
+   folds and clears (capacity preserved) only the dirty ones, so a
+   one-update epoch costs the same whether the scheduler has seen ten
+   relations or a thousand. *)
+let accumulator t rel =
+  match Hashtbl.find t.coalescer rel with
+  | a -> a
+  | exception Not_found ->
+      let a = { rel; sums = Flat_tbl.create ~size:64 0; listed = false } in
+      Hashtbl.add t.coalescer rel a;
+      a
+
+let mark_dirty t a =
+  if not a.listed then begin
+    a.listed <- true;
+    if t.n_dirty = Array.length t.dirty then begin
+      let grown = Array.make (max 8 (2 * t.n_dirty)) a in
+      Array.blit t.dirty 0 grown 0 t.n_dirty;
+      t.dirty <- grown
+    end;
+    t.dirty.(t.n_dirty) <- a;
+    t.n_dirty <- t.n_dirty + 1
+  end
+
 let coalesce_front t (items : item list) : (string * int Update.t list) list =
-  let per_rel = t.coalescer in
   List.iter
     (fun { update = u; _ } ->
-      let table =
-        match Hashtbl.find_opt per_rel u.Update.rel with
-        | Some tbl -> tbl
-        | None ->
-            let tbl = Flat_tbl.create ~size:64 0 in
-            Hashtbl.add per_rel u.Update.rel tbl;
-            tbl
-      in
+      let a = accumulator t u.Update.rel in
+      mark_dirty t a;
       let tuple = u.Update.tuple in
-      let s = Flat_tbl.find_default table tuple 0 + u.Update.payload in
-      if s = 0 then Flat_tbl.remove table tuple else Flat_tbl.set table tuple s)
+      let s = Flat_tbl.find_default a.sums tuple 0 + u.Update.payload in
+      if s = 0 then Flat_tbl.remove a.sums tuple else Flat_tbl.set a.sums tuple s)
     items;
-  Hashtbl.fold
-    (fun rel table acc ->
-      let ups =
-        Flat_tbl.fold
-          (fun tuple p acc -> Update.make ~rel ~tuple ~payload:p :: acc)
-          table []
-      in
-      Flat_tbl.clear table;
-      if ups = [] then acc else (rel, ups) :: acc)
-    per_rel []
+  let front = ref [] in
+  for i = t.n_dirty - 1 downto 0 do
+    let a = t.dirty.(i) in
+    let rel = a.rel in
+    let ups =
+      Flat_tbl.fold (fun tuple p acc -> Update.make ~rel ~tuple ~payload:p :: acc) a.sums []
+    in
+    Flat_tbl.clear a.sums;
+    a.listed <- false;
+    if ups <> [] then front := (rel, ups) :: !front
+  done;
+  t.n_dirty <- 0;
+  !front
 
 let coalesce t items = List.concat_map snd (coalesce_front t items)
 

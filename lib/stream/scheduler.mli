@@ -58,9 +58,12 @@ val delta_front : t -> (string * int Ivm_data.Update.t list) list
 
 val coalesce_front : t -> item list -> (string * int Ivm_data.Update.t list) list
 (** Per-(relation, tuple) ring-add coalescing with zero elision,
-    grouped per relation. The accumulators are owned by the scheduler
-    and reused across epochs (capacity-preserving clear after each
-    emit); exposed for tests. *)
+    grouped per relation, relations in the order the epoch first
+    touched them. The accumulators are owned by the scheduler and
+    reused across epochs; only the ones the epoch wrote are folded and
+    cleared (capacity preserved), so the cost is O(items + relations
+    touched), independent of how many relations the stream has ever
+    carried. Exposed for tests. *)
 
 val coalesce : t -> item list -> int Ivm_data.Update.t list
 (** {!coalesce_front} flattened — relations concatenated. *)

@@ -290,6 +290,9 @@ let metrics_render () =
   List.iter (fun v -> Metrics.record_op m "lookup" v) [ 0.001; 0.002; 0.25 ];
   Metrics.record_op m "ingest" 0.01;
   ignore (Metrics.view m "tri");
+  Atomic.incr m.Metrics.cache_hits;
+  Atomic.incr m.Metrics.cache_hits;
+  Atomic.incr m.Metrics.cache_rebuilds;
   let text = Metrics.render m in
   let contains needle =
     let nl = String.length needle and hl = String.length text in
@@ -310,6 +313,11 @@ let metrics_render () =
       "ivm_op_seconds_count{op=\"ingest\"} 1";
       "le=\"+Inf\"";
       "ivm_view_updates_total{view=\"tri\"} 0";
+      "# TYPE ivm_snapshot_cache_hits_total counter";
+      "ivm_snapshot_cache_hits_total 2";
+      "ivm_snapshot_cache_revalidations_total 0";
+      "ivm_snapshot_cache_rebuilds_total 1";
+      "ivm_snapshot_cache_index_builds_total 0";
     ];
   (* One # TYPE header per metric name, even with several op labels. *)
   let count_type =
@@ -433,7 +441,9 @@ let e2e_concurrent_clients () =
   with_server ~total (fun srv reg await_applied ->
       let port = Server.port srv in
       (* Four ingesting clients, each feeding a partition — sound
-         because ring updates commute across batches. *)
+         because ring updates commute across batches. Each returns its
+         (admitted, dropped) totals for the main domain to check:
+         Alcotest's state is not safe to touch from several domains. *)
       let parts = List.init 4 (fun k -> List.filteri (fun i _ -> i mod 4 = k) stream) in
       let writers =
         List.map
@@ -443,8 +453,8 @@ let e2e_concurrent_clients () =
                 Fun.protect
                   ~finally:(fun () -> Client.close c)
                   (fun () ->
-                    let rec feed = function
-                      | [] -> ()
+                    let rec feed (a, d) = function
+                      | [] -> (a, d)
                       | us ->
                           let batch, rest =
                             let rec take k acc = function
@@ -455,11 +465,9 @@ let e2e_concurrent_clients () =
                             take 100 [] us
                           in
                           let admitted, dropped = ok_wire (Client.ingest c batch) in
-                          Alcotest.(check int) "all admitted" (List.length batch) admitted;
-                          Alcotest.(check int) "none dropped" 0 dropped;
-                          feed rest
+                          feed (a + admitted, d + dropped) rest
                     in
-                    feed part)))
+                    (List.length part, feed (0, 0) part))))
           parts
       in
       (* Readers hammer lookups and snapshots while the writers run:
@@ -476,7 +484,12 @@ let e2e_concurrent_clients () =
                       ignore (ok_wire (Client.snapshot c ~view:"tri"))
                     done)))
       in
-      List.iter Domain.join writers;
+      List.iter
+        (fun w ->
+          let sent, (admitted, dropped) = Domain.join w in
+          Alcotest.(check int) "all admitted" sent admitted;
+          Alcotest.(check int) "none dropped" 0 dropped)
+        writers;
       List.iter Domain.join readers;
       await_applied total;
       let c = ok_wire (Client.connect ~port ()) in
@@ -1216,6 +1229,133 @@ let session_stale_read_caught () =
 
 let qt t = QCheck_alcotest.to_alcotest ~long:false t
 
+
+(* --- per-view snapshot stamps ----------------------------------------- *)
+
+let ok_msg = function Ok v -> v | Error msg -> Alcotest.fail msg
+let same_frames a b = List.length a = List.length b && List.for_all2 ( == ) a b
+
+(* The zero-copy contract holds per view: an epoch that touches only
+   another view (a T update reaches tri, not paths-rs over R and S)
+   leaves paths-rs's cached frames physically in place, and an epoch on
+   one of its own relations rebuilds them. *)
+let e2e_zero_copy_per_view () =
+  with_server ~total:0 (fun srv _reg await_applied ->
+      let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          ignore (ok_wire (Client.ingest c (edge_stream 300)));
+          await_applied 300;
+          let frames () = ok_msg (Server.snapshot_frames srv "paths-rs") in
+          let f1 = frames () in
+          ignore (ok_wire (Client.ingest c [ U.make ~rel:"T" ~tuple:(tup [ 1; 2 ]) ~payload:1 ]));
+          await_applied 301;
+          Alcotest.(check bool) "frames survive an epoch on another view" true
+            (same_frames f1 (frames ()));
+          ignore (ok_wire (Client.ingest c [ U.make ~rel:"R" ~tuple:(tup [ 1; 2 ]) ~payload:1 ]));
+          await_applied 302;
+          Alcotest.(check bool) "frames rebuilt after an epoch on the view" false
+            (same_frames f1 (frames ()))))
+
+(* A gated read whose token is ahead of an unchanged view's cached
+   watermark is answered by re-stamping that watermark, well before its
+   deadline, without rebuilding the snapshot. *)
+let e2e_gated_read_revalidates () =
+  let reg, metrics = rw_registry () in
+  with_rw_server (reg, metrics) (fun srv await_applied ->
+      let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          ignore (ok_wire (Client.ingest c (edge_stream 200)));
+          await_applied 200;
+          let f1 = ok_msg (Server.snapshot_frames srv "paths-rs") in
+          let _, _, token =
+            ok_wire (Client.ingest_rw c [ U.make ~rel:"T" ~tuple:(tup [ 3; 4 ]) ~payload:1 ])
+          in
+          let revalidations () = Atomic.get metrics.Metrics.cache_revalidations in
+          let r0 = revalidations () in
+          let t0 = Unix.gettimeofday () in
+          let watermark, entries =
+            ok_wire
+              (Client.lookup_at ~timeout_ms:2000 c ~view:"paths-rs" ~prefix:(tup []) ~token)
+          in
+          Alcotest.(check bool) "answered well before the deadline" true
+            (Unix.gettimeofday () -. t0 < 1.);
+          Alcotest.(check bool) "watermark reaches the token" true (watermark >= token);
+          Alcotest.(check int) "one O(1) revalidation" (r0 + 1) (revalidations ());
+          Alcotest.(check bool) "frames not rebuilt" true
+            (same_frames f1 (ok_msg (Server.snapshot_frames srv "paths-rs")));
+          Alcotest.(check int) "whole answer served" (List.length (ok_wire (Client.snapshot c ~view:"paths-rs")))
+            (List.length entries)))
+
+(* The key index is built lazily, by whichever keyed lookup gets there
+   first: two domains racing the first keyed lookup of a fresh snapshot
+   get the same (physically shared) answer, and the index is built
+   once. *)
+let e2e_racing_first_keyed_lookup () =
+  let reg, metrics = rw_registry () in
+  with_rw_server (reg, metrics) (fun srv await_applied ->
+      let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          ignore (ok_wire (Client.ingest c (edge_stream 400)));
+          await_applied 400;
+          let builds () = Atomic.get metrics.Metrics.cache_index_builds in
+          ignore (ok_msg (Server.snapshot_frames srv "paths-rs"));
+          let b0 = builds () in
+          let key =
+            match ok_wire (Client.snapshot c ~view:"paths-rs") with
+            | (tp, _) :: _ -> D.Tuple.get tp 0
+            | [] -> Alcotest.fail "paths-rs is empty"
+          in
+          Alcotest.(check int) "whole-view reads build no index" b0 (builds ());
+          let go = Atomic.make false in
+          let racer () =
+            Domain.spawn (fun () ->
+                while not (Atomic.get go) do
+                  Domain.cpu_relax ()
+                done;
+                ok_msg (Server.lookup_frames srv "paths-rs" key))
+          in
+          let d1 = racer () and d2 = racer () in
+          Atomic.set go true;
+          let a = Domain.join d1 and b = Domain.join d2 in
+          Alcotest.(check bool) "racers share one answer" true (same_frames a b);
+          Alcotest.(check int) "index built once" (b0 + 1) (builds ())))
+
+(* Prefix lookups against a whole-view filter, for every first field
+   present: arity 1 through the prebuilt per-key frames, arity 2
+   through the lazily built index's filtered path. *)
+let e2e_prefix_lookups_match_filter () =
+  with_server ~total:0 (fun srv _reg await_applied ->
+      let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          ignore (ok_wire (Client.ingest c (edge_stream 500)));
+          await_applied 500;
+          let all = ok_wire (Client.snapshot c ~view:"paths-rs") in
+          let norm l = List.sort compare (List.map (fun (tp, p) -> (D.Tuple.to_string tp, p)) l) in
+          let prefix_of k tp = D.Tuple.of_list (List.filteri (fun i _ -> i < k) (D.Tuple.to_list tp)) in
+          let check k tp =
+            let prefix = prefix_of k tp in
+            let expected =
+              List.filter (fun (tp', _) -> D.Tuple.equal (prefix_of k tp') prefix) all
+            in
+            Alcotest.(check bool)
+              (Printf.sprintf "arity-%d lookup %s = filter" k (D.Tuple.to_string prefix))
+              true
+              (norm (ok_wire (Client.lookup c ~view:"paths-rs" ~prefix)) = norm expected)
+          in
+          Alcotest.(check bool) "paths-rs is not empty" true (all <> []);
+          List.iter (fun (tp, _) -> check 1 tp; check 2 tp) all;
+          Alcotest.(check int) "a missing key answers empty" 0
+            (List.length
+               (ok_wire (Client.lookup c ~view:"paths-rs" ~prefix:(tup [ -999 ]))))))
+
 let () =
   Alcotest.run ~and_exit:false "net"
     [
@@ -1247,6 +1387,14 @@ let () =
           Alcotest.test_case "subscribe receives deltas" `Quick e2e_subscribe;
           Alcotest.test_case "kill and restart" `Quick e2e_kill_restart;
           Alcotest.test_case "zero-copy snapshot serving" `Quick e2e_zero_copy_snapshot;
+          Alcotest.test_case "zero-copy survives other views' epochs" `Quick
+            e2e_zero_copy_per_view;
+          Alcotest.test_case "gated read of unchanged view revalidates" `Quick
+            e2e_gated_read_revalidates;
+          Alcotest.test_case "racing first keyed lookup builds once" `Quick
+            e2e_racing_first_keyed_lookup;
+          Alcotest.test_case "prefix lookups = whole-view filter" `Quick
+            e2e_prefix_lookups_match_filter;
           Alcotest.test_case "SQL view over TCP = direct build" `Quick e2e_sql_over_tcp;
           Alcotest.test_case "MIN/MAX over TCP = from-scratch rebuild" `Quick
             e2e_minmax_over_tcp;

@@ -496,6 +496,122 @@ let coalesce_cancels () =
   check_once ();
   check_once ()
 
+(* The coalescer against the fold-all-relations algorithm it replaced:
+   over random multi-epoch streams through one scheduler (accumulators
+   reused across epochs), every epoch's front must equal — as a
+   multiset of (relation, tuple, payload) — a from-scratch per-(relation,
+   tuple) sum with zeros dropped, groups must be non-empty with distinct
+   relations, and a group whose updates all cancel must vanish. *)
+let coalesce_matches_fold_all =
+  let upd =
+    QCheck.Gen.(
+      map3
+        (fun rel (a, b) payload -> U.make ~rel ~tuple:(tup [ a; b ]) ~payload)
+        (oneofl [ "R"; "S"; "T"; "U" ])
+        (pair (int_range 0 2) (int_range 0 2))
+        (int_range (-2) 2))
+  in
+  QCheck.Test.make ~name:"coalesce_front = fold over all relations (multiset)" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 6) (list_size (int_range 0 30) upd)))
+    (fun epochs ->
+      let metrics = Metrics.create () in
+      let reg = Registry.create ~metrics (make_triangle_db ()) in
+      let queue = Squeue.create ~capacity:4 Squeue.Block in
+      let sched = Scheduler.create ~queue ~registry:reg ~metrics () in
+      let key rel tuple = (rel, D.Tuple.to_string tuple) in
+      List.for_all
+        (fun ups ->
+          let sums = Hashtbl.create 16 in
+          List.iter
+            (fun (u : int U.t) ->
+              let k = key u.U.rel u.U.tuple in
+              Hashtbl.replace sums k
+                (Option.value (Hashtbl.find_opt sums k) ~default:0 + u.U.payload))
+            ups;
+          let expected =
+            Hashtbl.fold (fun (rel, tu) p acc -> if p = 0 then acc else (rel, tu, p) :: acc) sums []
+            |> List.sort compare
+          in
+          let front = Scheduler.coalesce_front sched (List.map Scheduler.item ups) in
+          let got =
+            List.concat_map
+              (fun (rel, group) ->
+                List.map
+                  (fun (u : int U.t) ->
+                    if u.U.rel <> rel then Alcotest.failf "update of %s in group %s" u.U.rel rel;
+                    (rel, D.Tuple.to_string u.U.tuple, u.U.payload))
+                  group)
+              front
+            |> List.sort compare
+          in
+          let rels = List.map fst front in
+          got = expected
+          && List.for_all (fun (_, group) -> group <> []) front
+          && List.length (List.sort_uniq compare rels) = List.length rels)
+        epochs)
+
+(* A one-update view over its own relation whose apply allocates
+   nothing: what the per-epoch cost test registers by the hundred. *)
+let counter_view rel name : D.Database.Z.t -> M.t =
+ fun _ ->
+  let n = ref 0 in
+  {
+    M.name;
+    relations = [ rel ];
+    apply_batch = List.iter (fun (u : int U.t) -> n := !n + u.U.payload);
+    output_count = (fun () -> !n);
+    fingerprint = (fun () -> !n);
+    enumerate = (fun () -> []);
+  }
+
+(* Minor words one scheduler epoch of a single update costs, at steady
+   state, on a registry of [views] single-relation views. Every
+   relation has been seen by the coalescer and every view applied
+   once first, so the measured epochs pay only for what they touch. *)
+let epoch_words ~views =
+  let db = D.Database.Z.create () in
+  let rel i = Printf.sprintf "r%d" i in
+  for i = 0 to views - 1 do
+    ignore (D.Database.Z.declare db (rel i) (S.of_list [ "A" ]))
+  done;
+  let metrics = Metrics.create () in
+  let reg = Registry.create ~metrics db in
+  for i = 0 to views - 1 do
+    Registry.register reg ~name:(Printf.sprintf "v%d" i) (counter_view (rel i) (rel i))
+  done;
+  let queue = Squeue.create ~capacity:(views + 1) Squeue.Block in
+  let sched = Scheduler.create ~min_batch:1 ~initial_batch:views ~queue ~registry:reg ~metrics () in
+  let step () = Alcotest.(check bool) "epoch ran" true (ok (Scheduler.step sched)) in
+  for i = 0 to views - 1 do
+    ignore (Squeue.push queue (Scheduler.item (U.make ~rel:(rel i) ~tuple:(tup [ 1 ]) ~payload:1)))
+  done;
+  step ();
+  let epochs = 16 in
+  let items =
+    Array.init epochs (fun k ->
+        Scheduler.item
+          (U.make ~rel:"r0" ~tuple:(tup [ 2 ]) ~payload:(if k mod 2 = 0 then 1 else -1)))
+  in
+  (* One unmeasured epoch grows the relation's storage for tuple 2. *)
+  ignore (Squeue.push queue items.(0));
+  step ();
+  ignore (Squeue.push queue items.(1));
+  step ();
+  let total = ref 0. in
+  Array.iter
+    (fun item ->
+      ignore (Squeue.push queue item);
+      let w0 = Gc.minor_words () in
+      step ();
+      total := !total +. (Gc.minor_words () -. w0))
+    items;
+  !total /. float_of_int epochs
+
+let epoch_cost_flat_in_views () =
+  let small = epoch_words ~views:10 and large = epoch_words ~views:200 in
+  if Float.abs (large -. small) > 16. then
+    Alcotest.failf "1-update epoch: %.1f words at 10 views, %.1f at 200" small large
+
 (* An epoch whose payloads cancel to zero entirely must still count as
    an epoch (durably logged, applied-counter advanced, adaptive limit
    intact) while handing the registry an empty batch — and the views
@@ -650,6 +766,88 @@ let self_check_repairs () =
     (Registry.self_check reg);
   Alcotest.(check (list string)) "second pass clean" [] (Registry.self_check reg)
 
+(* [skipped] charges a view that is not healthy only the updates on its
+   own relations; only the relation-less stub of a failed initial build
+   is charged the whole epoch. *)
+let skipped_counts_own_relations () =
+  let metrics = Metrics.create () in
+  let reg = Registry.create ~metrics ~backoff_base:1e3 (make_triangle_db ()) in
+  Registry.register reg ~name:"flaky" (flaky_view "flaky");
+  Registry.register reg ~name:"paths-st" (strategy_factory q_st "paths-st");
+  Registry.register reg ~name:"broken" (fun _ -> failwith "initial build fails");
+  let skipped name = (Metrics.view metrics name).Metrics.skipped in
+  Registry.apply_batch reg [ U.make ~rel:"R" ~tuple:(tup [ 1; 2 ]) ~payload:1 ];
+  Alcotest.(check bool) "flaky degraded" true (Registry.health reg "flaky" = Registry.Degraded);
+  Alcotest.(check int) "stub charged the first epoch" 1 (skipped "broken");
+  Registry.apply_batch reg
+    (List.init 3 (fun i -> U.make ~rel:"S" ~tuple:(tup [ i; i ]) ~payload:1));
+  Alcotest.(check int) "no charge for an epoch off its relations" 0 (skipped "flaky");
+  Alcotest.(check int) "stub charged the whole epoch" 4 (skipped "broken");
+  Registry.apply_batch reg
+    [
+      U.make ~rel:"R" ~tuple:(tup [ 5; 6 ]) ~payload:1;
+      U.make ~rel:"R" ~tuple:(tup [ 6; 7 ]) ~payload:1;
+      U.make ~rel:"T" ~tuple:(tup [ 7; 5 ]) ~payload:1;
+    ];
+  Alcotest.(check int) "charged only its own relation's updates" 2 (skipped "flaky");
+  Alcotest.(check int) "stub charged the whole epoch again" 7 (skipped "broken");
+  Alcotest.(check int) "healthy view never charged" 0 (skipped "paths-st")
+
+(* Per-view stamps: an epoch leaves the stamps of views it does not
+   touch alone, and bumps the ones it hands updates to. *)
+let untouched_stamp_stable () =
+  let reg = Registry.create (make_triangle_db ()) in
+  register_standard_views reg;
+  Registry.register reg ~name:"r-only" (counter_view "R" "r-only");
+  let stamps () =
+    List.map (fun name -> (name, Registry.stamp_value (Registry.stamp reg name)))
+      [ "tri"; "paths-rs"; "paths-st"; "r-only" ]
+  in
+  let before = stamps () in
+  Registry.apply_batch reg [ U.make ~rel:"T" ~tuple:(tup [ 1; 2 ]) ~payload:1 ];
+  let after = stamps () in
+  let moved name = List.assoc name before <> List.assoc name after in
+  Alcotest.(check bool) "tri (on T) moved" true (moved "tri");
+  Alcotest.(check bool) "paths-st (on T) moved" true (moved "paths-st");
+  Alcotest.(check bool) "paths-rs (R, S) untouched" false (moved "paths-rs");
+  Alcotest.(check bool) "r-only untouched" false (moved "r-only");
+  Registry.apply_front reg [ ("R", []) ];
+  Alcotest.(check bool) "an empty front moves nothing" true (stamps () = after)
+
+(* Every (re)install bumps the view's stamp: heal of a degraded view, a
+   self-check reinstall, and the rebuild that dead-letters a poison
+   update. *)
+let reinstall_bumps_stamp () =
+  let value reg name = Registry.stamp_value (Registry.stamp reg name) in
+  (* heal *)
+  let reg = Registry.create ~backoff_base:1e3 (make_triangle_db ()) in
+  Registry.register reg ~name:"flaky" (flaky_view "flaky");
+  Registry.apply_batch reg [ U.make ~rel:"R" ~tuple:(tup [ 1; 2 ]) ~payload:1 ];
+  let s0 = value reg "flaky" in
+  Alcotest.(check (list string)) "heal recovers" [] (Registry.heal reg);
+  Alcotest.(check bool) "heal bumps" true (value reg "flaky" > s0);
+  (* self-check reinstall, and no bump on a clean check *)
+  let reg = Registry.create (make_triangle_db ()) in
+  register_standard_views reg;
+  Registry.apply_batch reg (edge_stream 500);
+  let s0 = value reg "tri" in
+  Alcotest.(check (list string)) "clean check" [] (Registry.self_check reg);
+  Alcotest.(check int) "clean check leaves the stamp" s0 (value reg "tri");
+  (Registry.find reg "tri").M.apply_batch [ U.make ~rel:"R" ~tuple:(tup [ 3; 4 ]) ~payload:5 ];
+  Alcotest.(check (list string)) "reinstalled" [ "tri" ] (Registry.self_check reg);
+  Alcotest.(check bool) "self-check reinstall bumps" true (value reg "tri" > s0);
+  (* dead-letter rebuild *)
+  let reg = Registry.create ~backoff_base:1e3 (make_triangle_db ()) in
+  register_standard_views reg;
+  let poison =
+    U.make ~rel:"R" ~tuple:(D.Tuple.of_list [ D.Value.Str "bad"; D.Value.Int 7 ]) ~payload:1
+  in
+  Registry.apply_batch reg [ poison ];
+  let s0 = value reg "tri" in
+  Alcotest.(check (list string)) "dead-letter rebuild heals" [] (Registry.heal reg);
+  Alcotest.(check int) "poison dead-lettered" 1 (List.length (List.assoc "tri" (Registry.dead_letters reg)));
+  Alcotest.(check bool) "dead-letter rebuild bumps" true (value reg "tri" > s0)
+
 (* The acceptance criterion: a served run with a WAL and a mid-stream
    checkpoint, then kill-and-restart — restore the checkpoint, rebuild
    the views, replay the WAL suffix — must yield state identical to the
@@ -747,10 +945,16 @@ let () =
         ] );
       ("crash recovery", [ qt crash_recovery_z; qt crash_recovery_float ]);
       ( "registry",
-        [ Alcotest.test_case "multi-view = direct" `Quick registry_matches_direct ] );
+        [
+          Alcotest.test_case "multi-view = direct" `Quick registry_matches_direct;
+          Alcotest.test_case "untouched view keeps its stamp" `Quick untouched_stamp_stable;
+          Alcotest.test_case "reinstall bumps the stamp" `Quick reinstall_bumps_stamp;
+        ] );
       ( "scheduler",
         [
           Alcotest.test_case "coalesce" `Quick coalesce_cancels;
+          qt coalesce_matches_fold_all;
+          Alcotest.test_case "1-update epoch cost flat in views" `Quick epoch_cost_flat_in_views;
           Alcotest.test_case "zero-cancel epoch" `Quick zero_cancel_epoch;
           Alcotest.test_case "serve, kill, restart" `Quick serve_kill_restart;
         ] );
@@ -759,5 +963,6 @@ let () =
           Alcotest.test_case "quarantine isolates" `Quick quarantine_isolates;
           Alcotest.test_case "poison dead-letter" `Quick poison_dead_letter;
           Alcotest.test_case "self-check repairs" `Quick self_check_repairs;
+          Alcotest.test_case "skipped counts own relations" `Quick skipped_counts_own_relations;
         ] );
     ]
