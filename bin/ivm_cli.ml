@@ -875,8 +875,7 @@ end
 (* cluster: the sharded deployment path. A router partitions the
    standard Views workload across N loopback nodes, merges partial ring
    payloads on reads, and survives killed primaries via checkpoint+WAL
-   promotion. Shared by `ivm_cli cluster`, `bench-cluster` and
-   `chaos --cluster`.                                                  *)
+   promotion. Shared by `ivm_cli cluster` and `chaos --cluster`.       *)
 
 module Cluster_cli = struct
   module D = Ivm_data
@@ -1572,298 +1571,6 @@ let chaos_cmd =
           $ cluster_arg)
 
 (* ------------------------------------------------------------------ *)
-(* bench-net: a YCSB-style closed-loop load generator against a running
-   [serve --listen] process. N connections, each its own domain, each
-   issuing a read/update mix — reads are CQAP point lookups with
-   Zipf-distributed keys, updates are single-edge ingests. Emits
-   BENCH_net.json with throughput and per-op-class latency tails.      *)
-
-module Bench_net = struct
-  module D = Ivm_data
-  module U = D.Update
-  module C = Ivm_net.Client
-  module W = Ivm_net.Wire
-
-  type op_stats = { count : int; p50_ms : float; p99_ms : float; max_ms : float }
-
-  type mix_result = {
-    read_pct : int;
-    conns : int;
-    ops : int;
-    duration : float;
-    throughput : float;
-    reads : op_stats;
-    updates : op_stats;
-    (* client-process GC pressure over the mix: encode/decode work per
-       op on this side of the wire *)
-    gc_minor_words : float;
-    gc_major_words : float;
-    gc_compactions : int;
-  }
-
-  let op_stats samples =
-    match samples with
-    | [||] -> { count = 0; p50_ms = 0.; p99_ms = 0.; max_ms = 0. }
-    | s ->
-        Array.sort compare s;
-        let n = Array.length s in
-        let at q = s.(min (n - 1) (int_of_float (q *. float_of_int n))) *. 1e3 in
-        { count = n; p50_ms = at 0.5; p99_ms = at 0.99; max_ms = s.(n - 1) *. 1e3 }
-
-  (* Retry the first connection while the server is still binding. *)
-  let rec connect_retrying ~host ~port tries =
-    match C.connect ~host ~port () with
-    | Ok c -> Ok c
-    | Error _ when tries > 0 ->
-        Unix.sleepf 0.1;
-        connect_retrying ~host ~port (tries - 1)
-    | Error e -> Error e
-
-  (* One connection's closed loop; returns (read latencies, update
-     latencies, minor words allocated by this domain) or the first hard
-     error. Minor words are per-domain in OCaml 5, so each worker
-     reports its own and [run_mix] sums them. *)
-  let worker ~host ~port ~view ~nodes ~skew ~ops ~read_pct ~seed () =
-    let mw0 = Gc.minor_words () in
-    match C.connect ~host ~port () with
-    | Error e -> Error (W.error_to_string e)
-    | Ok c ->
-        let rng = Random.State.make [| seed |] in
-        let zipf = Ivm_workload.Zipf.create ~n:nodes ~s:skew in
-        let reads = ref [] and updates = ref [] in
-        let rels = [| "R"; "S"; "T" |] in
-        let rec loop i =
-          if i > ops then Ok ()
-          else begin
-            let t0 = Unix.gettimeofday () in
-            let r =
-              if Random.State.int rng 100 < read_pct then
-                match
-                  C.lookup c ~view
-                    ~prefix:(D.Tuple.of_ints [ Ivm_workload.Zipf.sample zipf rng ])
-                with
-                | Ok _ ->
-                    reads := (Unix.gettimeofday () -. t0) :: !reads;
-                    Ok ()
-                | Error e -> Error e
-              else
-                let u =
-                  U.make
-                    ~rel:rels.(Random.State.int rng 3)
-                    ~tuple:
-                      (D.Tuple.of_ints
-                         [
-                           Ivm_workload.Zipf.sample zipf rng;
-                           Ivm_workload.Zipf.sample zipf rng;
-                         ])
-                    ~payload:(if Random.State.int rng 5 = 0 then -1 else 1)
-                in
-                match C.ingest c [ u ] with
-                | Ok _ ->
-                    updates := (Unix.gettimeofday () -. t0) :: !updates;
-                    Ok ()
-                | Error e -> Error e
-            in
-            match r with Ok () -> loop (i + 1) | Error e -> Error e
-          end
-        in
-        let r = loop 1 in
-        C.close c;
-        (match r with
-        | Ok () ->
-            Ok
-              ( Array.of_list !reads,
-                Array.of_list !updates,
-                Gc.minor_words () -. mw0 )
-        | Error e -> Error (W.error_to_string e))
-
-  let run_mix ~host ~port ~view ~nodes ~skew ~conns ~ops ~read_pct ~seed =
-    let t0 = Unix.gettimeofday () in
-    (* Minor words come from the workers (per-domain counters); major
-       words and compactions are process-wide, read here via
-       [quick_stat]. *)
-    let g0 = Gc.quick_stat () in
-    let domains =
-      List.init conns (fun i ->
-          Domain.spawn
-            (worker ~host ~port ~view ~nodes ~skew ~ops ~read_pct
-               ~seed:(seed + (101 * i))))
-    in
-    let results = List.map Domain.join domains in
-    let g1 = Gc.quick_stat () in
-    let duration = Unix.gettimeofday () -. t0 in
-    match
-      List.find_map (function Error e -> Some e | Ok _ -> None) results
-    with
-    | Some e -> Error e
-    | None ->
-        let all = List.filter_map Result.to_option results in
-        let reads = Array.concat (List.map (fun (r, _, _) -> r) all) in
-        let updates = Array.concat (List.map (fun (_, u, _) -> u) all) in
-        let minor = List.fold_left (fun acc (_, _, w) -> acc +. w) 0. all in
-        let total = Array.length reads + Array.length updates in
-        Ok
-          {
-            read_pct;
-            conns;
-            ops = total;
-            duration;
-            throughput = (if duration > 0. then float_of_int total /. duration else 0.);
-            reads = op_stats reads;
-            updates = op_stats updates;
-            gc_minor_words = minor;
-            gc_major_words = g1.Gc.major_words -. g0.Gc.major_words;
-            gc_compactions = g1.Gc.compactions - g0.Gc.compactions;
-          }
-
-  let json_of_results results out =
-    let b = Buffer.create 1024 in
-    let op name (s : op_stats) =
-      Printf.bprintf b
-        "      \"%s\": {\"count\": %d, \"p50_ms\": %.4f, \"p99_ms\": %.4f, \"max_ms\": %.4f}"
-        name s.count s.p50_ms s.p99_ms s.max_ms
-    in
-    Buffer.add_string b "{\n  \"bench\": \"net\",\n  \"mixes\": [\n";
-    List.iteri
-      (fun i r ->
-        if i > 0 then Buffer.add_string b ",\n";
-        Printf.bprintf b
-          "    {\n\
-          \      \"read_pct\": %d,\n\
-          \      \"connections\": %d,\n\
-          \      \"ops\": %d,\n\
-          \      \"duration_s\": %.3f,\n\
-          \      \"throughput_ops_s\": %.1f,\n\
-          \      \"gc_minor_words\": %.0f,\n\
-          \      \"gc_minor_words_per_op\": %.2f,\n\
-          \      \"gc_major_words\": %.0f,\n\
-          \      \"gc_compactions\": %d,\n"
-          r.read_pct r.conns r.ops r.duration r.throughput r.gc_minor_words
-          (if r.ops > 0 then r.gc_minor_words /. float_of_int r.ops else 0.)
-          r.gc_major_words r.gc_compactions;
-        op "read" r.reads;
-        Buffer.add_string b ",\n";
-        op "update" r.updates;
-        Buffer.add_string b "\n    }")
-      results;
-    Buffer.add_string b "\n  ]\n}\n";
-    let oc = open_out out in
-    output_string oc (Buffer.contents b);
-    close_out oc
-end
-
-let bench_net_cmd =
-  let host_arg =
-    Arg.(value & opt string "127.0.0.1" & info [ "host" ] ~docv:"HOST" ~doc:"Server host.")
-  in
-  let port_arg =
-    Arg.(required & opt (some int) None & info [ "port" ] ~docv:"PORT" ~doc:"Server port.")
-  in
-  let conns_arg =
-    Arg.(value & opt int 4 & info [ "conns" ] ~docv:"N" ~doc:"Concurrent client connections.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 2_000 & info [ "ops" ] ~docv:"N" ~doc:"Operations per connection.")
-  in
-  let mixes_arg =
-    Arg.(value & opt string "95:5,50:50" & info [ "mixes" ] ~docv:"MIXES"
-           ~doc:"Comma-separated read:update mixes, e.g. 95:5,50:50.")
-  in
-  let view_arg =
-    Arg.(value & opt string "paths-rs" & info [ "view" ] ~docv:"VIEW"
-           ~doc:"View targeted by lookups.")
-  in
-  let nodes_arg =
-    Arg.(value & opt int 200 & info [ "nodes" ] ~docv:"K" ~doc:"Key domain size.")
-  in
-  let skew_arg =
-    Arg.(value & opt float 1.1 & info [ "skew" ] ~docv:"S" ~doc:"Zipf exponent for keys.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.") in
-  let out_arg =
-    Arg.(value & opt string "BENCH_net.json" & info [ "out" ] ~docv:"FILE"
-           ~doc:"JSON output path.")
-  in
-  let shutdown_arg =
-    Arg.(value & flag & info [ "shutdown" ]
-           ~doc:"Send a Shutdown request to the server after the last mix.")
-  in
-  let run host port conns ops mixes view nodes skew seed out shutdown =
-    if conns < 1 || ops < 1 || nodes < 1 then begin
-      prerr_endline "--conns, --ops and --nodes must be >= 1";
-      exit 2
-    end;
-    let parse_mix s =
-      match String.split_on_char ':' (String.trim s) with
-      | [ r; u ] -> (
-          match (int_of_string_opt r, int_of_string_opt u) with
-          | Some r, Some u when r >= 0 && u >= 0 && r + u > 0 -> r * 100 / (r + u)
-          | _ -> prerr_endline ("bad mix: " ^ s); exit 2)
-      | _ -> prerr_endline ("bad mix: " ^ s); exit 2
-    in
-    let read_pcts = List.map parse_mix (String.split_on_char ',' mixes) in
-    if read_pcts = [] then begin prerr_endline "--mixes is empty"; exit 2 end;
-    (* Probe (with retries) that the server is up before spawning load. *)
-    (match Bench_net.connect_retrying ~host ~port 50 with
-    | Error e ->
-        Printf.eprintf "ivm_cli: cannot reach %s:%d: %s\n" host port
-          (Ivm_net.Wire.error_to_string e);
-        exit 1
-    | Ok c -> (
-        match Ivm_net.Client.ping c with
-        | Ok () -> Ivm_net.Client.close c
-        | Error e ->
-            Printf.eprintf "ivm_cli: ping failed: %s\n" (Ivm_net.Wire.error_to_string e);
-            exit 1));
-    Printf.printf "bench-net: %s:%d, %d conns x %d ops, mixes [%s], view %s\n%!" host
-      port conns ops mixes view;
-    let results =
-      List.map
-        (fun read_pct ->
-          match
-            Bench_net.run_mix ~host ~port ~view ~nodes ~skew ~conns ~ops ~read_pct ~seed
-          with
-          | Error e ->
-              Printf.eprintf "ivm_cli: mix %d%% reads failed: %s\n" read_pct e;
-              exit 1
-          | Ok r ->
-              Printf.printf
-                "  %3d%% reads: %7d ops in %6.2fs = %8.0f op/s | read p50 %.3fms \
-                 p99 %.3fms | update p50 %.3fms p99 %.3fms\n%!"
-                r.Bench_net.read_pct r.Bench_net.ops r.Bench_net.duration
-                r.Bench_net.throughput r.Bench_net.reads.Bench_net.p50_ms
-                r.Bench_net.reads.Bench_net.p99_ms r.Bench_net.updates.Bench_net.p50_ms
-                r.Bench_net.updates.Bench_net.p99_ms;
-              r)
-        read_pcts
-    in
-    Bench_net.json_of_results results out;
-    Printf.printf "wrote %s\n" out;
-    if shutdown then
-      match Ivm_net.Client.connect ~host ~port () with
-      | Error e ->
-          Printf.eprintf "ivm_cli: shutdown connect failed: %s\n"
-            (Ivm_net.Wire.error_to_string e);
-          exit 1
-      | Ok c -> (
-          match Ivm_net.Client.shutdown c with
-          | Ok () ->
-              Ivm_net.Client.close c;
-              print_endline "server acknowledged shutdown"
-          | Error e ->
-              Printf.eprintf "ivm_cli: shutdown failed: %s\n"
-                (Ivm_net.Wire.error_to_string e);
-              exit 1)
-  in
-  Cmd.v
-    (Cmd.info "bench-net"
-       ~doc:"Closed-loop load generator against a running 'serve --listen' \
-             process: N connections issuing read/update mixes with Zipf keys; \
-             emits BENCH_net.json with throughput and p50/p99 per op class")
-    Term.(const run $ host_arg $ port_arg $ conns_arg $ ops_arg $ mixes_arg $ view_arg
-          $ nodes_arg $ skew_arg $ seed_arg $ out_arg $ shutdown_arg)
-
-(* ------------------------------------------------------------------ *)
 (* cluster: spawn a sharded loopback cluster, route a workload through
    the fault-tolerant router, optionally kill a primary mid-run, and
    verify against a single-node reference.                             *)
@@ -1907,953 +1614,6 @@ let cluster_cmd =
              against a single-node reference")
     Term.(const run $ shards_arg $ updates_arg $ nodes_arg $ no_standby_arg $ kill_arg
           $ dir_arg $ seed_arg)
-
-(* ------------------------------------------------------------------ *)
-(* bench-cluster: closed-loop mixed load against an in-process sharded
-   cluster; a primary is killed mid-run under a quiesced fence and the
-   recovery time plus p99/p999 tails land in BENCH_cluster.json.       *)
-
-module Bench_cluster = struct
-  module D = Ivm_data
-  module U = D.Update
-  module Cl = Ivm_cluster
-  module G = Ivm_workload.Graph_gen
-
-  type op_stats = {
-    count : int;
-    p50_ms : float;
-    p99_ms : float;
-    p999_ms : float;
-    max_ms : float;
-  }
-
-  let op_stats samples =
-    match samples with
-    | [||] -> { count = 0; p50_ms = 0.; p99_ms = 0.; p999_ms = 0.; max_ms = 0. }
-    | s ->
-        Array.sort compare s;
-        let n = Array.length s in
-        let at q = s.(min (n - 1) (int_of_float (q *. float_of_int n))) *. 1e3 in
-        {
-          count = n;
-          p50_ms = at 0.5;
-          p99_ms = at 0.99;
-          p999_ms = at 0.999;
-          max_ms = s.(n - 1) *. 1e3;
-        }
-
-  (* One closed-loop worker. Updates come from a per-worker graph
-     generator (valid delete patterns), reads are 4:1 keyed point
-     lookups vs scattered merges. Returns latency samples and the
-     updates it sent, for the post-run reference replay. *)
-  let worker ~router ~ops ~read_pct ~nodes ~skew ~seed ~progress ~completed () =
-    let rng = Random.State.make [| seed |] in
-    let zipf = Ivm_workload.Zipf.create ~n:nodes ~s:skew in
-    let gen = G.create ~seed { G.nodes; skew; delete_ratio = 0.2 } in
-    let reads = ref [] and upd_lat = ref [] and sent = ref [] in
-    let rec loop i =
-      if i > ops then Ok ()
-      else begin
-        let t0 = Unix.gettimeofday () in
-        let r =
-          if Random.State.int rng 100 < read_pct then
-            let res =
-              if Random.State.int rng 5 > 0 then
-                (* Two bound columns keep the answer fan small; the
-                   first still routes to B's owner shard. *)
-                Cl.Router.lookup router ~view:"paths-rs"
-                  ~prefix:
-                    (D.Tuple.of_ints
-                       [
-                         Ivm_workload.Zipf.sample zipf rng;
-                         Ivm_workload.Zipf.sample zipf rng;
-                       ])
-              else Cl.Router.lookup router ~view:"tri-count" ~prefix:(D.Tuple.of_ints [])
-            in
-            match res with
-            | Ok _ ->
-                reads := (Unix.gettimeofday () -. t0) :: !reads;
-                Ok ()
-            | Error e -> Error e
-          else begin
-            let e = G.next gen in
-            let rel = match e.G.rel with 0 -> "R" | 1 -> "S" | _ -> "T" in
-            let u =
-              U.make ~rel ~tuple:(D.Tuple.of_ints [ e.G.src; e.G.dst ]) ~payload:e.G.mult
-            in
-            match Cl.Router.ingest router [ u ] with
-            | Ok _ ->
-                sent := u :: !sent;
-                upd_lat := (Unix.gettimeofday () -. t0) :: !upd_lat;
-                Ok ()
-            | Error m -> Error m
-          end
-        in
-        Atomic.incr progress;
-        match r with Ok () -> loop (i + 1) | Error e -> Error e
-      end
-    in
-    let r = loop 1 in
-    Atomic.incr completed;
-    match r with
-    | Ok () -> Ok (Array.of_list !reads, Array.of_list !upd_lat, !sent)
-    | Error e -> Error e
-
-  let json_out ~out ~shards ~conns ~read_pct ~total_ops ~duration ~throughput
-      ~kill_shard ~recovery_ms ~pause_ms ~failovers ~fingerprint_match ~reads ~updates =
-    let b = Buffer.create 1024 in
-    let op name (s : op_stats) =
-      Printf.bprintf b
-        "  \"%s\": {\"count\": %d, \"p50_ms\": %.4f, \"p99_ms\": %.4f, \"p999_ms\": \
-         %.4f, \"max_ms\": %.4f}"
-        name s.count s.p50_ms s.p99_ms s.p999_ms s.max_ms
-    in
-    Printf.bprintf b
-      "{\n\
-      \  \"bench\": \"cluster\",\n\
-      \  \"shards\": %d,\n\
-      \  \"connections\": %d,\n\
-      \  \"read_pct\": %d,\n\
-      \  \"ops\": %d,\n\
-      \  \"duration_s\": %.3f,\n\
-      \  \"throughput_ops_s\": %.1f,\n\
-      \  \"kill_shard\": %d,\n\
-      \  \"recovery_ms\": %.2f,\n\
-      \  \"pause_ms\": %.2f,\n\
-      \  \"failovers\": %d,\n\
-      \  \"fingerprint_match\": %b,\n"
-      shards conns read_pct total_ops duration throughput kill_shard recovery_ms
-      pause_ms failovers fingerprint_match;
-    op "reads" reads;
-    Buffer.add_string b ",\n";
-    op "updates" updates;
-    Buffer.add_string b "\n}\n";
-    let oc = open_out out in
-    output_string oc (Buffer.contents b);
-    close_out oc
-end
-
-let bench_cluster_cmd =
-  let shards_arg =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"N" ~doc:"Shard count.")
-  in
-  let conns_arg =
-    Arg.(value & opt int 4 & info [ "conns" ] ~docv:"C" ~doc:"Worker domains.")
-  in
-  let ops_arg =
-    Arg.(value & opt int 4_000 & info [ "ops" ] ~docv:"N" ~doc:"Ops per worker.")
-  in
-  let read_pct_arg =
-    Arg.(value & opt int 50 & info [ "read-pct" ] ~docv:"P" ~doc:"Read percentage.")
-  in
-  let nodes_arg =
-    Arg.(value & opt int 200 & info [ "nodes" ] ~docv:"K" ~doc:"Graph node count.")
-  in
-  let skew_arg =
-    Arg.(value & opt float 1.1 & info [ "skew" ] ~docv:"S" ~doc:"Zipf skew.")
-  in
-  let kill_arg =
-    Arg.(value & opt int 0 & info [ "kill" ] ~docv:"SHARD"
-           ~doc:"Kill this shard's primary once half the ops are done \
-                 (quiesced); -1 disables.")
-  in
-  let dir_arg =
-    Arg.(value & opt string "" & info [ "dir" ] ~docv:"DIR"
-           ~doc:"Cluster state directory (default: fresh under the temp dir).")
-  in
-  let seed_arg = Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S" ~doc:"Seed.") in
-  let out_arg =
-    Arg.(value & opt string "BENCH_cluster.json" & info [ "out" ] ~docv:"FILE"
-           ~doc:"JSON output path.")
-  in
-  let run shards conns ops read_pct nodes skew kill dir seed out =
-    let module Bc = Bench_cluster in
-    let module Cl = Ivm_cluster in
-    let module M = Ivm_engine.Maintainable in
-    let dir =
-      if dir <> "" then dir
-      else
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "ivm_bench_cluster_%d" (Unix.getpid ()))
-    in
-    Cluster_cli.rm_rf dir;
-    let router =
-      match
-        Cl.Router.start ~standby:true ~checkpoint_every:8192 ~handlers:4 ~timeout:10.
-          ~seed ~base_dir:dir
-          ~topology:(Cluster_cli.topology ~shards)
-          ~declare:(Cluster_cli.declare ~flaky:false) ()
-      with
-      | Ok r -> r
-      | Error m ->
-          Printf.eprintf "ivm_cli: cluster start failed: %s\n" m;
-          exit 1
-    in
-    Printf.printf "bench-cluster: %d shard(s), %d worker(s) x %d ops, %d%% reads\n%!"
-      (Cl.Router.shard_count router) conns ops read_pct;
-    let progress = Atomic.make 0 and completed = Atomic.make 0 in
-    let t0 = Unix.gettimeofday () in
-    let domains =
-      List.init conns (fun i ->
-          Domain.spawn
-            (Bc.worker ~router ~ops ~read_pct ~nodes ~skew ~seed:(seed + (101 * i))
-               ~progress ~completed))
-    in
-    let total = conns * ops in
-    let recovery_ms = ref 0. and pause_ms = ref 0. in
-    if kill >= 0 then begin
-      while Atomic.get progress < total / 2 && Atomic.get completed < conns do
-        Unix.sleepf 0.001
-      done;
-      let tp = Unix.gettimeofday () in
-      match
-        Cl.Router.quiesced router (fun () ->
-            Cl.Router.kill_primary router ~shard:kill;
-            Cl.Router.fail_over router ~shard:kill)
-      with
-      | Ok (Ok (dt, recovered)) ->
-          pause_ms := (Unix.gettimeofday () -. tp) *. 1e3;
-          recovery_ms := dt *. 1e3;
-          Printf.printf
-            "killed shard %d at op %d: promoted in %.1f ms (%d records recovered, \
-             ingest paused %.1f ms)\n%!"
-            kill (Atomic.get progress) !recovery_ms recovered !pause_ms
-      | Ok (Error m) | Error m ->
-          Printf.eprintf "ivm_cli: mid-run failover failed: %s\n" m;
-          Cl.Router.stop router;
-          exit 1
-    end;
-    let results = List.map Domain.join domains in
-    let duration = Unix.gettimeofday () -. t0 in
-    (match List.find_map (function Error e -> Some e | Ok _ -> None) results with
-    | Some e ->
-        Printf.eprintf "ivm_cli: worker failed: %s\n" e;
-        Cl.Router.stop router;
-        exit 1
-    | None -> ());
-    let all = List.filter_map Result.to_option results in
-    let reads = Bc.op_stats (Array.concat (List.map (fun (r, _, _) -> r) all)) in
-    let upd = Bc.op_stats (Array.concat (List.map (fun (_, u, _) -> u) all)) in
-    let sent = List.concat_map (fun (_, _, s) -> s) all in
-    let failovers =
-      List.fold_left
-        (fun acc (s : Cl.Router.shard_status) -> acc + s.Cl.Router.failovers)
-        0 (Cl.Router.status router)
-    in
-    (* Post-failover consistency: every view must equal the fault-free
-       single-node reference over exactly the updates the workers sent
-       (ring updates commute, so worker interleaving is irrelevant). *)
-    let reference = Cluster_cli.reference_fingerprints sent in
-    let mismatched =
-      List.filter
-        (fun (name, ref_fp) ->
-          match Cl.Router.fingerprint router ~view:name with
-          | Ok fp -> fp <> ref_fp
-          | Error m ->
-              Printf.eprintf "ivm_cli: fingerprint %s: %s\n" name m;
-              true)
-        reference
-    in
-    let ops_done = reads.Bc.count + upd.Bc.count in
-    let throughput = if duration > 0. then float_of_int ops_done /. duration else 0. in
-    Printf.printf
-      "%d ops in %.2fs (%.0f ops/s) | read p50 %.3fms p99 %.3fms p999 %.3fms | \
-       update p50 %.3fms p99 %.3fms p999 %.3fms | %d failover(s)\n"
-      ops_done duration throughput reads.Bc.p50_ms reads.Bc.p99_ms reads.Bc.p999_ms
-      upd.Bc.p50_ms upd.Bc.p99_ms upd.Bc.p999_ms failovers;
-    Bc.json_out ~out ~shards:(Cl.Router.shard_count router) ~conns ~read_pct
-      ~total_ops:ops_done ~duration ~throughput ~kill_shard:kill
-      ~recovery_ms:!recovery_ms ~pause_ms:!pause_ms ~failovers
-      ~fingerprint_match:(mismatched = []) ~reads ~updates:upd;
-    Printf.printf "wrote %s\n" out;
-    Cl.Router.stop router;
-    if mismatched <> [] then begin
-      List.iter
-        (fun (name, _) ->
-          Printf.printf "view %s diverged from the single-node reference\n" name)
-        mismatched;
-      exit 1
-    end
-  in
-  Cmd.v
-    (Cmd.info "bench-cluster"
-       ~doc:"Closed-loop mixed load against an in-process sharded cluster; \
-             kills a primary mid-run under a quiesced fence and emits \
-             BENCH_cluster.json with recovery time and p99/p999 tails")
-    Term.(const run $ shards_arg $ conns_arg $ ops_arg $ read_pct_arg $ nodes_arg
-          $ skew_arg $ kill_arg $ dir_arg $ seed_arg $ out_arg)
-
-(* ------------------------------------------------------------------ *)
-(* bench-mixed: the multi-tenant adversarial macro-benchmark. Tens to
-   hundreds of heterogeneous tenant views (lib/workload/mixed) behind
-   one read-your-writes server or a sharded cluster, driven closed-loop
-   by drifting-Zipf workers. The closed-economy conservation invariant
-   is sampled online under a quiesced fence, and the whole final state
-   is replayed offline through the lib/check oracle over exactly the
-   updates the workers sent (ring updates commute, so the worker
-   interleaving is irrelevant).                                        *)
-
-module Bench_mixed = struct
-  module D = Ivm_data
-  module U = D.Update
-  module Db = D.Database.Z
-  module Mx = Ivm_workload.Mixed
-  module St = Ivm_stream
-  module N = Ivm_net
-  module Cl = Ivm_cluster
-  module Ck = Ivm_check
-  module Bc = Bench_cluster
-
-  let wire = Ivm_net.Wire.error_to_string
-
-  (* One worker's endpoint: an epoch-token session in single-server
-     mode, the shared fault-tolerant router in cluster mode. *)
-  type conn = {
-    c_write : int U.t list -> (unit, string) result;
-    c_read : view:string -> ((D.Tuple.t * int) list, string) result;
-    c_close : unit -> unit;
-  }
-
-  type backend = {
-    b_conn : int -> conn;  (** worker index -> endpoint *)
-    b_snapshot : view:string -> ((D.Tuple.t * int) list, string) result;
-        (** epoch-fenced consistent read; callers park the workers
-            between ops first, so transfer pairs are never split *)
-    b_stop : unit -> unit;
-  }
-
-  let declare_tenants reg tenants =
-    List.iter
-      (fun (tn : Mx.tenant) ->
-        List.iter
-          (fun (name, cols) ->
-            ignore (St.Registry.declare_table reg name (D.Schema.of_list cols)))
-          tn.Mx.tables;
-        St.Registry.register reg ~name:tn.Mx.name (Mx.factory tn))
-      tenants
-
-  let init_updates tenants ~accounts =
-    List.concat_map (fun tn -> Mx.init_updates tn ~accounts) tenants
-
-  (* In-process single server: the same scheduler/registry/TCP wiring
-     as [serve --listen], minus the WAL — sessions get their epoch
-     tokens from the queue watermark and reads gate on the served
-     watermark, so every worker observes its own writes. *)
-  let single_server ~tenants ~accounts ~workers () =
-    let db = Db.create () in
-    List.iter
-      (fun (tn : Mx.tenant) ->
-        List.iter
-          (fun (name, cols) -> ignore (Db.declare db name (D.Schema.of_list cols)))
-          tn.Mx.tables)
-      tenants;
-    let metrics = St.Metrics.create () in
-    let reg = St.Registry.create ~metrics db in
-    List.iter
-      (fun (tn : Mx.tenant) -> St.Registry.register reg ~name:tn.Mx.name (Mx.factory tn))
-      tenants;
-    let queue = St.Queue.create ~capacity:65536 St.Queue.Block in
-    let sched = St.Scheduler.create ~queue ~registry:reg ~metrics () in
-    let runner = Domain.spawn (fun () -> St.Scheduler.run sched) in
-    let ingest ups =
-      List.fold_left
-        (fun (a, d) u ->
-          if St.Queue.push queue (St.Scheduler.item u) then (a + 1, d) else (a, d + 1))
-        (0, 0) ups
-    in
-    let ingest_rw ups =
-      let admitted, dropped = ingest ups in
-      (admitted, dropped, St.Queue.pushed queue)
-    in
-    let srv =
-      match
-        N.Server.start ~port:0 ~handlers:(workers + 2) ~ingest ~ingest_rw
-          ~served:(fun () -> St.Scheduler.applied sched)
-          ~barrier:(fun () -> St.Scheduler.barrier sched)
-          ~on_shutdown:(fun () -> St.Queue.close queue)
-          ~registry:reg ~metrics ()
-      with
-      | Ok srv -> srv
-      | Error e -> failwith ("server start: " ^ wire e)
-    in
-    let port = N.Server.port srv in
-    (* Opening balances stream in like any other write; drain them
-       before unleashing the workers. *)
-    let init = init_updates tenants ~accounts in
-    let admitted, dropped = ingest init in
-    if dropped > 0 || admitted <> List.length init then
-      failwith "init updates dropped";
-    let deadline = Unix.gettimeofday () +. 30. in
-    while St.Scheduler.applied sched < admitted && Unix.gettimeofday () < deadline do
-      Unix.sleepf 0.001
-    done;
-    if St.Scheduler.applied sched < admitted then failwith "init apply timed out";
-    let admin =
-      match N.Client.connect ~port () with
-      | Ok c -> c
-      | Error e -> failwith ("admin connect: " ^ wire e)
-    in
-    let conn _i =
-      match N.Client.connect ~port () with
-      | Error e -> failwith ("worker connect: " ^ wire e)
-      | Ok c ->
-          let session = N.Client.Session.create c in
-          {
-            c_write =
-              (fun ups ->
-                match N.Client.Session.write session ups with
-                | Ok (_, 0) -> Ok ()
-                | Ok (_, d) -> Error (Printf.sprintf "%d updates dropped" d)
-                | Error e -> Error (wire e));
-            c_read =
-              (fun ~view ->
-                (* [Session.read] re-checks the served watermark against
-                   the session token client-side: a stale answer
-                   surfaces as a read-your-writes violation here. *)
-                match
-                  N.Client.Session.read session ~view ~prefix:(D.Tuple.of_ints [])
-                with
-                | Ok entries -> Ok entries
-                | Error e -> Error (wire e));
-            c_close = (fun () -> N.Client.close c);
-          }
-    in
-    {
-      b_conn = conn;
-      b_snapshot =
-        (fun ~view ->
-          match N.Client.barrier admin with
-          | Error e -> Error (wire e)
-          | Ok _ -> (
-              match N.Client.snapshot admin ~view with
-              | Ok entries -> Ok entries
-              | Error e -> Error (wire e)));
-      b_stop =
-        (fun () ->
-          N.Client.close admin;
-          St.Queue.close queue;
-          ignore (Domain.join runner);
-          N.Server.stop srv);
-    }
-
-  (* Sharded cluster: per-tenant partition soundness exactly as in the
-     lib/check cluster driver — every tenant view is linear in one of
-     its private tables, so hash-partition that one (by group column
-     for minmax so a group's multiset stays on one shard, by tuple for
-     the economy's accounts and the joins' pivot), broadcast the rest,
-     and ring-sum the scattered per-view partials. Window views
-     replicate: per-shard watermarks retract panes at different
-     times, so scattered partials would mix pane states. *)
-  let cluster ~tenants ~accounts ~shards ~dir ~seed () =
-    let policies =
-      List.concat_map
-        (fun (tn : Mx.tenant) ->
-          List.map
-            (fun (tbl, _) ->
-              let policy =
-                match tn.Mx.kind with
-                | Mx.Minmax -> Cl.Topology.Hash_col 0
-                | Mx.Economy -> Cl.Topology.Hash_tuple
-                | Mx.Join | Mx.Triangle | Mx.Cascade ->
-                    if String.equal tbl (Mx.table tn "R") then Cl.Topology.Hash_tuple
-                    else Cl.Topology.Broadcast
-                | Mx.Window -> Cl.Topology.Broadcast
-              in
-              (tbl, policy))
-            tn.Mx.tables)
-        tenants
-    in
-    let routes =
-      List.map
-        (fun (tn : Mx.tenant) ->
-          ( tn.Mx.name,
-            match tn.Mx.kind with
-            | Mx.Window -> Cl.Topology.Replicated
-            | _ -> Cl.Topology.Scattered ))
-        tenants
-    in
-    let topology = Cl.Topology.create ~shards ~policies ~routes in
-    Cluster_cli.rm_rf dir;
-    let router =
-      match
-        Cl.Router.start ~handlers:4 ~standby:false ~probe_interval:0. ~seed
-          ~base_dir:dir ~topology
-          ~declare:(fun reg -> declare_tenants reg tenants)
-          ()
-      with
-      | Ok r -> r
-      | Error m -> failwith ("cluster start: " ^ m)
-    in
-    (match Cl.Router.ingest router (init_updates tenants ~accounts) with
-    | Ok (_, 0) -> ()
-    | Ok (_, d) -> failwith (Printf.sprintf "%d init updates dead-lettered" d)
-    | Error m -> failwith ("init ingest: " ^ m));
-    (match Cl.Router.barrier router with
-    | Ok _ -> ()
-    | Error m -> failwith ("init barrier: " ^ m));
-    let conn _i =
-      {
-        c_write =
-          (fun ups ->
-            match Cl.Router.ingest router ups with
-            | Ok (_, 0) -> Ok ()
-            | Ok (_, d) -> Error (Printf.sprintf "%d updates dead-lettered" d)
-            | Error m -> Error m);
-        c_read =
-          (fun ~view -> Cl.Router.lookup router ~view ~prefix:(D.Tuple.of_ints []));
-        c_close = ignore;
-      }
-    in
-    {
-      b_conn = conn;
-      b_snapshot = (fun ~view -> Cl.Router.snapshot router ~view);
-      b_stop = (fun () -> Cl.Router.stop router);
-    }
-
-  type worker_out = {
-    w_writes : float list array;  (** latency samples, per tenant index *)
-    w_reads : float list array;
-    w_sent : int U.t list;  (** every update sent, newest first *)
-  }
-
-  (* One closed-loop worker: a Zipf-with-drift step against a uniformly
-     random tenant per iteration. Economy steps are zero-sum
-     debit/credit pairs within the worker's disjoint account slice, so
-     they never overdraw under any interleaving. Workers park between
-     ops while the sampler holds the pause flag — the quiesce point the
-     conservation fence relies on. *)
-  let worker ~backend ~tenants ~keys ~accounts ~drift_period ~ops ~read_pct ~seed
-      ~workers ~index ~pause ~parked ~running ~completed () =
-    let body () =
-      let rng = Random.State.make [| seed; 7919 * (index + 1) |] in
-      let drift = Mx.Drift.create ~seed ~keys ~period:drift_period in
-      let tarr = Array.of_list tenants in
-      let n = Array.length tarr in
-      let gens =
-        Array.map
-          (fun tn -> Mx.Tgen.create ~worker:index ~workers ~accounts tn ~drift ~seed ())
-          tarr
-      in
-      let writes = Array.make n [] and reads = Array.make n [] in
-      let sent = ref [] in
-      let conn = backend.b_conn index in
-      Fun.protect ~finally:conn.c_close (fun () ->
-          let rec loop op =
-            if op > ops then Ok { w_writes = writes; w_reads = reads; w_sent = !sent }
-            else begin
-              if Atomic.get pause then begin
-                Atomic.incr parked;
-                while Atomic.get pause do
-                  Unix.sleepf 0.0002
-                done;
-                Atomic.decr parked
-              end;
-              let t = Random.State.int rng n in
-              let tn = tarr.(t) in
-              let r =
-                if Random.State.int rng 100 < read_pct then begin
-                  let t0 = Unix.gettimeofday () in
-                  match conn.c_read ~view:tn.Mx.name with
-                  | Ok _ ->
-                      reads.(t) <- (Unix.gettimeofday () -. t0) :: reads.(t);
-                      Ok ()
-                  | Error m -> Error (Printf.sprintf "read %s: %s" tn.Mx.name m)
-                end
-                else
-                  match Mx.Tgen.next gens.(t) ~op with
-                  | [] -> Ok ()
-                  | ups -> (
-                      let t0 = Unix.gettimeofday () in
-                      match conn.c_write ups with
-                      | Ok () ->
-                          writes.(t) <- (Unix.gettimeofday () -. t0) :: writes.(t);
-                          sent := List.rev_append ups !sent;
-                          Ok ()
-                      | Error m -> Error (Printf.sprintf "write %s: %s" tn.Mx.name m))
-              in
-              match r with Ok () -> loop (op + 1) | Error m -> Error m
-            end
-          in
-          loop 1)
-    in
-    let result = try body () with e -> Error (Printexc.to_string e) in
-    Atomic.decr running;
-    Atomic.incr completed;
-    result
-
-  (* Park every live worker at its between-ops quiesce point, run [f],
-     release. A worker mid-op finishes the op first, so no transfer
-     pair is half-admitted when [f] fences and reads. *)
-  let quiesced ~pause ~parked ~running f =
-    Atomic.set pause true;
-    while Atomic.get parked < Atomic.get running do
-      Unix.sleepf 0.0002
-    done;
-    Fun.protect ~finally:(fun () -> Atomic.set pause false) f
-
-  let conservation_errors ~backend ~tenants ~accounts =
-    List.filter_map
-      (fun (tn : Mx.tenant) ->
-        if tn.Mx.kind <> Mx.Economy then None
-        else
-          match backend.b_snapshot ~view:tn.Mx.name with
-          | Error m -> Some (Printf.sprintf "%s: snapshot: %s" tn.Mx.name m)
-          | Ok entries -> (
-              match Mx.check_conservation tn ~accounts entries with
-              | Ok () -> None
-              | Error m -> Some m))
-      tenants
-
-  (* The offline invariant oracle: rebuild the final state from scratch
-     (lib/check's from-scratch recompute) over exactly the init plus
-     the updates the workers sent, and compare against the served
-     snapshots. Cascade and window views have no oracle recompute and
-     are excluded; everything else — including every economy view — is
-     covered. *)
-  let oracle_check ~backend ~tenants ~accounts ~seed ~sent =
-    let oracle_kinds = [ Mx.Join; Mx.Triangle; Mx.Minmax; Mx.Economy ] in
-    let oracle_tenants =
-      List.filter (fun (tn : Mx.tenant) -> List.mem tn.Mx.kind oracle_kinds) tenants
-    in
-    let tables = List.concat_map (fun (tn : Mx.tenant) -> tn.Mx.tables) oracle_tenants in
-    let table_names = List.map fst tables in
-    let case =
-      {
-        Ck.Case.family = Ck.Case.Mixed;
-        seed;
-        query = None;
-        order = None;
-        k = 0;
-        schemas = tables;
-        init = [];
-        stream = [];
-      }
-    in
-    let ora = Ck.Oracle.create case in
-    Ck.Oracle.apply ora
-      (init_updates oracle_tenants ~accounts
-      @ List.filter (fun (u : int U.t) -> List.mem u.U.rel table_names) sent);
-    let expected = Ck.Oracle.enumerate ora in
-    let tag name entries =
-      List.map
-        (fun (tp, p) -> (D.Tuple.of_list (D.Value.Str name :: D.Tuple.to_list tp), p))
-        entries
-    in
-    let got =
-      Ck.Oracle.normalize
-        (List.concat_map
-           (fun (tn : Mx.tenant) ->
-             match backend.b_snapshot ~view:tn.Mx.name with
-             | Ok entries -> tag tn.Mx.name entries
-             | Error m -> failwith ("oracle snapshot " ^ tn.Mx.name ^ ": " ^ m))
-           oracle_tenants)
-    in
-    if Ck.Oracle.equal_entries expected got then Ok (List.length oracle_tenants)
-    else Error "final state diverges from the lib/check oracle replay"
-
-  type tenant_stat = {
-    t_view : string;
-    t_kind : string;
-    t_writes : Bc.op_stats;
-    t_reads : Bc.op_stats;
-  }
-
-  type summary = {
-    s_views : int;
-    s_duration : float;
-    s_ops : int;
-    s_throughput : float;
-    s_tenants : tenant_stat list;
-    s_samples : int;  (** conservation fence points, all passing *)
-    s_economy_views : int;
-    s_oracle_views : int;  (** views the offline oracle covered; 0 = skipped *)
-  }
-
-  let run_once ~views ~keys ~accounts ~ops ~workers ~read_pct ~drift_period ~shards
-      ~dir ~seed ~sample_ms ~oracle () =
-    let tenants = Mx.tenants ~views ~keys in
-    let backend =
-      if shards >= 2 then cluster ~tenants ~accounts ~shards ~dir ~seed ()
-      else single_server ~tenants ~accounts ~workers ()
-    in
-    Fun.protect ~finally:backend.b_stop (fun () ->
-        let pause = Atomic.make false and parked = Atomic.make 0 in
-        let running = Atomic.make workers and completed = Atomic.make 0 in
-        let t0 = Unix.gettimeofday () in
-        let domains =
-          List.init workers (fun i ->
-              Domain.spawn
-                (worker ~backend ~tenants ~keys ~accounts ~drift_period ~ops ~read_pct
-                   ~seed ~workers ~index:i ~pause ~parked ~running ~completed))
-        in
-        let samples = ref 0 and conservation_failures = ref [] in
-        while Atomic.get completed < workers do
-          Unix.sleepf (float_of_int sample_ms /. 1000.);
-          if Atomic.get completed < workers then
-            quiesced ~pause ~parked ~running (fun () ->
-                match conservation_errors ~backend ~tenants ~accounts with
-                | [] -> incr samples
-                | errs -> conservation_failures := errs @ !conservation_failures)
-        done;
-        let results = List.map Domain.join domains in
-        let duration = Unix.gettimeofday () -. t0 in
-        (* Final sample on the settled stream. *)
-        (match conservation_errors ~backend ~tenants ~accounts with
-        | [] -> incr samples
-        | errs -> conservation_failures := errs @ !conservation_failures);
-        (match List.filter_map (function Error e -> Some e | Ok _ -> None) results with
-        | [] -> ()
-        | errs -> failwith ("worker failed: " ^ String.concat "; " errs));
-        if !conservation_failures <> [] then
-          failwith
-            ("conservation violated: " ^ String.concat "; " !conservation_failures);
-        let outs = List.filter_map Result.to_option results in
-        let tarr = Array.of_list tenants in
-        let s_tenants =
-          Array.to_list
-            (Array.mapi
-               (fun i (tn : Mx.tenant) ->
-                 let gather sel =
-                   Array.of_list (List.concat_map (fun o -> sel o i) outs)
-                 in
-                 {
-                   t_view = tn.Mx.name;
-                   t_kind = Mx.kind_name tn.Mx.kind;
-                   t_writes = Bc.op_stats (gather (fun o i -> o.w_writes.(i)));
-                   t_reads = Bc.op_stats (gather (fun o i -> o.w_reads.(i)));
-                 })
-               tarr)
-        in
-        let s_ops =
-          List.fold_left
-            (fun acc t -> acc + t.t_writes.Bc.count + t.t_reads.Bc.count)
-            0 s_tenants
-        in
-        let s_oracle_views =
-          if not oracle then 0
-          else
-            let sent = List.concat_map (fun o -> o.w_sent) outs in
-            match oracle_check ~backend ~tenants ~accounts ~seed ~sent with
-            | Ok n -> n
-            | Error m -> failwith m
-        in
-        {
-          s_views = views;
-          s_duration = duration;
-          s_ops;
-          s_throughput =
-            (if duration > 0. then float_of_int s_ops /. duration else 0.);
-          s_tenants;
-          s_samples = !samples;
-          s_economy_views =
-            List.length
-              (List.filter (fun (tn : Mx.tenant) -> tn.Mx.kind = Mx.Economy) tenants);
-          s_oracle_views;
-        })
-
-  let json_out ~out ~shards ~workers ~ops ~read_pct ~keys ~accounts ~drift_period
-      ~seed ~curve (s : summary) =
-    let b = Buffer.create 4096 in
-    Printf.bprintf b
-      "{\n\
-      \  \"bench\": \"mixed\",\n\
-      \  \"views\": %d,\n\
-      \  \"shards\": %d,\n\
-      \  \"workers\": %d,\n\
-      \  \"ops_per_worker\": %d,\n\
-      \  \"read_pct\": %d,\n\
-      \  \"keys\": %d,\n\
-      \  \"accounts\": %d,\n\
-      \  \"drift_period\": %d,\n\
-      \  \"seed\": %d,\n\
-      \  \"duration_s\": %.3f,\n\
-      \  \"ops\": %d,\n\
-      \  \"throughput_ops_s\": %.1f,\n\
-      \  \"conservation_samples\": %d,\n\
-      \  \"conservation_ok\": true,\n\
-      \  \"economy_views\": %d,\n\
-      \  \"oracle_views\": %d,\n\
-      \  \"oracle_ok\": %b,\n"
-      s.s_views shards workers ops read_pct keys accounts drift_period seed
-      s.s_duration s.s_ops s.s_throughput s.s_samples s.s_economy_views
-      s.s_oracle_views
-      (s.s_oracle_views > 0);
-    Buffer.add_string b "  \"curve\": [";
-    List.iteri
-      (fun i (v, tp) ->
-        Printf.bprintf b "%s{\"views\": %d, \"throughput_ops_s\": %.1f}"
-          (if i > 0 then ", " else "")
-          v tp)
-      curve;
-    Buffer.add_string b "],\n  \"tenants\": [\n";
-    List.iteri
-      (fun i t ->
-        if i > 0 then Buffer.add_string b ",\n";
-        let op (o : Bc.op_stats) =
-          Printf.sprintf
-            "{\"count\": %d, \"p50_ms\": %.4f, \"p99_ms\": %.4f, \"p999_ms\": %.4f}"
-            o.Bc.count o.Bc.p50_ms o.Bc.p99_ms o.Bc.p999_ms
-        in
-        Printf.bprintf b "    {\"view\": %S, \"kind\": %S, \"writes\": %s, \"reads\": %s}"
-          t.t_view t.t_kind (op t.t_writes) (op t.t_reads))
-      s.s_tenants;
-    Buffer.add_string b "\n  ]\n}\n";
-    let oc = open_out out in
-    output_string oc (Buffer.contents b);
-    close_out oc
-end
-
-let bench_mixed_cmd =
-  let views_arg =
-    Arg.(value & opt int 20 & info [ "views" ] ~docv:"N"
-           ~doc:"Tenant view count (>= 2; kinds cycle join, economy, \
-                 triangle, cascade, minmax, window).")
-  in
-  let keys_arg =
-    Arg.(value & opt int 64 & info [ "keys" ] ~docv:"K"
-           ~doc:"Key-domain size the Zipf generators draw from.")
-  in
-  let accounts_arg =
-    Arg.(value & opt int 64 & info [ "accounts" ] ~docv:"A"
-           ~doc:"Accounts per economy tenant (sliced disjointly across workers).")
-  in
-  let ops_arg =
-    Arg.(value & opt int 2_000 & info [ "ops" ] ~docv:"N"
-           ~doc:"Workload steps per worker.")
-  in
-  let workers_arg =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"W" ~doc:"Worker domains.")
-  in
-  let read_pct_arg =
-    Arg.(value & opt int 30 & info [ "read-pct" ] ~docv:"P"
-           ~doc:"Share of steps that read the tenant view through the session.")
-  in
-  let drift_arg =
-    Arg.(value & flag & info [ "drift" ]
-           ~doc:"Enable the seeded hot-set drift schedule.")
-  in
-  let drift_period_arg =
-    Arg.(value & opt int 500 & info [ "drift-period" ] ~docv:"N"
-           ~doc:"Workload steps between hot-set rotations (with --drift).")
-  in
-  let shards_arg =
-    Arg.(value & opt int 0 & info [ "shards" ] ~docv:"N"
-           ~doc:"0 runs the in-process single server; >= 2 runs the sharded \
-                 cluster behind the fault-tolerant router.")
-  in
-  let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"S" ~doc:"RNG seed.") in
-  let sample_ms_arg =
-    Arg.(value & opt int 250 & info [ "sample-ms" ] ~docv:"MS"
-           ~doc:"Interval between online conservation fence points.")
-  in
-  let curve_arg =
-    Arg.(value & flag & info [ "curve" ]
-           ~doc:"Also measure throughput at 1/4 and 1/2 of the view count, \
-                 for the throughput-vs-view-count curve.")
-  in
-  let no_oracle_arg =
-    Arg.(value & flag & info [ "no-oracle" ]
-           ~doc:"Skip the offline lib/check oracle replay of the final state.")
-  in
-  let dir_arg =
-    Arg.(value & opt string "" & info [ "dir" ] ~docv:"DIR"
-           ~doc:"Cluster state directory (default: fresh under the temp dir).")
-  in
-  let out_arg =
-    Arg.(value & opt string "BENCH_mixed.json" & info [ "out" ] ~docv:"FILE"
-           ~doc:"JSON output path.")
-  in
-  let run views keys accounts ops workers read_pct drift drift_period shards seed
-      sample_ms curve no_oracle dir out =
-    let module Bm = Bench_mixed in
-    let module Bc = Bench_cluster in
-    if views < 2 then begin
-      prerr_endline "--views must be >= 2 (the economy tenant is second)";
-      exit 2
-    end;
-    if workers < 1 || ops < 1 || keys < 1 then begin
-      prerr_endline "--workers, --ops and --keys must be >= 1";
-      exit 2
-    end;
-    if accounts < 2 then begin prerr_endline "--accounts must be >= 2"; exit 2 end;
-    if shards = 1 || shards < 0 then begin
-      prerr_endline "--shards must be 0 (single server) or >= 2";
-      exit 2
-    end;
-    if read_pct < 0 || read_pct > 100 then begin
-      prerr_endline "--read-pct must be in [0, 100]";
-      exit 2
-    end;
-    if sample_ms < 1 then begin prerr_endline "--sample-ms must be >= 1"; exit 2 end;
-    let drift_period = if drift then drift_period else 0 in
-    let dir =
-      if dir <> "" then dir
-      else
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "ivm_bench_mixed_%d" (Unix.getpid ()))
-    in
-    Printf.printf
-      "bench-mixed: %d views (%s), %d worker(s) x %d steps, %d%% reads, drift %s\n%!"
-      views
-      (if shards >= 2 then Printf.sprintf "%d-shard cluster" shards
-       else "single server")
-      workers ops read_pct
-      (if drift_period > 0 then Printf.sprintf "every %d steps" drift_period else "off");
-    let go ~views ~oracle =
-      Bm.run_once ~views ~keys ~accounts ~ops ~workers ~read_pct ~drift_period ~shards
-        ~dir ~seed ~sample_ms ~oracle ()
-    in
-    try
-      let curve_results =
-        if not curve then []
-        else
-          List.map
-            (fun v ->
-              let s = go ~views:v ~oracle:false in
-              Printf.printf "curve: %4d views: %8.0f ops/s (%d conservation samples)\n%!"
-                v s.Bm.s_throughput s.Bm.s_samples;
-              (v, s.Bm.s_throughput))
-            (List.sort_uniq compare
-               (List.filter (fun v -> v >= 2 && v < views) [ views / 4; views / 2 ]))
-      in
-      let s = go ~views ~oracle:(not no_oracle) in
-      Printf.printf "%-8s %-9s %8s %9s %9s %9s %8s %9s %9s %9s\n" "view" "kind"
-        "writes" "w p50" "w p99" "w p999" "reads" "r p50" "r p99" "r p999";
-      List.iter
-        (fun (t : Bm.tenant_stat) ->
-          Printf.printf
-            "%-8s %-9s %8d %7.3fms %7.3fms %7.3fms %8d %7.3fms %7.3fms %7.3fms\n"
-            t.Bm.t_view t.Bm.t_kind t.Bm.t_writes.Bc.count t.Bm.t_writes.Bc.p50_ms
-            t.Bm.t_writes.Bc.p99_ms t.Bm.t_writes.Bc.p999_ms t.Bm.t_reads.Bc.count
-            t.Bm.t_reads.Bc.p50_ms t.Bm.t_reads.Bc.p99_ms t.Bm.t_reads.Bc.p999_ms)
-        s.Bm.s_tenants;
-      Printf.printf
-        "%d ops in %.2fs (%.0f ops/s) | conservation held at %d fence point(s) across \
-         %d economy view(s)\n"
-        s.Bm.s_ops s.Bm.s_duration s.Bm.s_throughput s.Bm.s_samples
-        s.Bm.s_economy_views;
-      if s.Bm.s_oracle_views > 0 then
-        Printf.printf "offline oracle replay: %d view(s) match the from-scratch recompute\n"
-          s.Bm.s_oracle_views;
-      let curve_all = curve_results @ [ (views, s.Bm.s_throughput) ] in
-      Bm.json_out ~out ~shards ~workers ~ops ~read_pct ~keys ~accounts ~drift_period
-        ~seed ~curve:curve_all s;
-      Printf.printf "wrote %s\n" out
-    with Failure m ->
-      Printf.eprintf "ivm_cli: bench-mixed: %s\n" m;
-      exit 1
-  in
-  Cmd.v
-    (Cmd.info "bench-mixed"
-       ~doc:"Multi-tenant macro-benchmark: tens-to-hundreds of heterogeneous \
-             tenant views behind one read-your-writes server or a sharded \
-             cluster, drifting-Zipf closed-loop workers, the closed-economy \
-             conservation invariant fenced and asserted online, an offline \
-             lib/check oracle replay, and BENCH_mixed.json with per-tenant \
-             p50/p99/p999 plus a throughput-vs-view-count curve")
-    Term.(const run $ views_arg $ keys_arg $ accounts_arg $ ops_arg $ workers_arg
-          $ read_pct_arg $ drift_arg $ drift_period_arg $ shards_arg $ seed_arg
-          $ sample_ms_arg $ curve_arg $ no_oracle_arg $ dir_arg $ out_arg)
 
 (* ------------------------------------------------------------------ *)
 (* fuzz: the differential oracle harness of lib/check.                 *)
@@ -3109,6 +1869,6 @@ let () =
     (Cmd.eval
        (Cmd.group (Cmd.info "ivm_cli" ~version:Core.Ivm.version ~doc)
           [
-            classify_cmd; tpch_cmd; triangles_cmd; serve_cmd; bench_net_cmd; chaos_cmd;
-            cluster_cmd; bench_cluster_cmd; bench_mixed_cmd; fuzz_cmd; sql_cmd;
+            classify_cmd; tpch_cmd; triangles_cmd; serve_cmd; chaos_cmd; cluster_cmd;
+            fuzz_cmd; sql_cmd;
           ]))

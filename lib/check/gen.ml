@@ -325,7 +325,7 @@ let minmax ~rng ~seed : Case.t =
 
 module Mx = Ivm_workload.Mixed
 
-(* The fuzz-scale slice of the bench-mixed macro-benchmark: 2–4
+(* The fuzz-scale slice of the ivmbench Mixed tenants: 2–4
    namespaced tenants drawn from the oracle-backed kinds (join,
    triangle, minmax, economy — one economy tenant always present, so
    every case carries paired conservation updates), driven by the

@@ -1,6 +1,6 @@
 (** The blocking OCaml client for the {!Wire} protocol. One connection
     per value; not domain-safe — give each domain its own connection
-    (the load harness in [bin/ivm_cli.ml] does exactly that). Every
+    (the ivmbench closed loop does exactly that). Every
     call is result-typed over {!Wire.error}; a server-side [Err] frame
     surfaces as [Error (Remote _)]. *)
 

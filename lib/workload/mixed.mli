@@ -1,4 +1,4 @@
-(** Multi-tenant mixed workloads for the YCSB-style macro-benchmark.
+(** Multi-tenant mixed workloads for the ivmbench macro-benchmark.
 
     A {e tenant} is one materialized view plus the private, namespaced
     base tables that feed it, so tens-to-hundreds of heterogeneous

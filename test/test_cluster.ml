@@ -3,7 +3,8 @@
    kill-mid-ingest failover with exactly-once re-send accounting,
    auto_failover:false surfacing clean errors, injected connection
    faults (the [cluster.conn] failpoint) resolved without duplicates,
-   the quiesced-kill guarantee (a barriered kill loses nothing), and
+   the quiesced-kill guarantee (a barriered kill loses nothing, also
+   with clients reading and writing throughout), and
    client-side deadlines against a mute peer. *)
 
 module D = Ivm_data
@@ -524,6 +525,103 @@ let test_quiesced_kill_lossless () =
       | Ok fp -> Alcotest.(check int) "state intact across quiesced failover" expect fp
       | Error m -> Alcotest.failf "fingerprint: %s" m)
 
+(* One closed-loop client: keyed lookups and single-update ingests over
+   its own seeded graph stream (valid deletes; T edges are skipped, the
+   topology has no T). Returns the updates it sent, or the first error —
+   Alcotest's state is not domain-safe, so the main domain checks. *)
+let load_worker router ~seed ~ops ~progress () =
+  let rng = Random.State.make [| seed |] in
+  let gen =
+    Ivm_workload.Graph_gen.create ~seed
+      { Ivm_workload.Graph_gen.nodes = 7; skew = 0.; delete_ratio = 0.2 }
+  in
+  let rec next_update () =
+    match Ivm_workload.Graph_gen.next gen with
+    | { Ivm_workload.Graph_gen.rel = 2; _ } -> next_update ()
+    | e ->
+        U.make
+          ~rel:(if e.Ivm_workload.Graph_gen.rel = 0 then "R" else "S")
+          ~tuple:(tup [ e.Ivm_workload.Graph_gen.src; e.Ivm_workload.Graph_gen.dst ])
+          ~payload:e.Ivm_workload.Graph_gen.mult
+  in
+  let rec loop i sent =
+    if i > ops then Ok (List.rev sent)
+    else
+      let r =
+        if Random.State.bool rng then
+          Result.map
+            (fun _ -> sent)
+            (Cl.Router.lookup router ~view:"paths"
+               ~prefix:(tup [ 1 + Random.State.int rng 7 ]))
+        else
+          let u = next_update () in
+          match Cl.Router.ingest router [ u ] with
+          | Ok (1, 0) -> Ok (u :: sent)
+          | Ok (a, d) -> Error (Printf.sprintf "ingest: %d admitted, %d dead-lettered" a d)
+          | Error m -> Error m
+      in
+      Atomic.incr progress;
+      match r with Ok sent -> loop (i + 1) sent | Error m -> Error m
+  in
+  loop 1 []
+
+(* A planned kill under live traffic: two clients keep reading and
+   writing while the main domain fences the cluster, kills a primary
+   and promotes its standby. Nothing acked may be lost or duplicated. *)
+let test_quiesced_kill_under_load () =
+  let ops = 300 and workers = 2 in
+  let router =
+    ok_router
+      (Cl.Router.start ~standby:true ~probe_interval:0. ~seed:3 ~timeout:5.
+         ~base_dir:(fresh_dir "underload") ~topology:(topology ~shards:2) ~declare ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Cl.Router.stop router)
+    (fun () ->
+      let progress = Atomic.make 0 in
+      let domains =
+        List.init workers (fun i ->
+            Domain.spawn (load_worker router ~seed:(41 + i) ~ops ~progress))
+      in
+      let deadline = Unix.gettimeofday () +. 30. in
+      while Atomic.get progress < ops * workers / 2 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      let halfway = Atomic.get progress in
+      let failover =
+        Cl.Router.quiesced router (fun () ->
+            Cl.Router.kill_primary router ~shard:0;
+            Cl.Router.fail_over router ~shard:0)
+      in
+      let results = List.map Domain.join domains in
+      Alcotest.(check bool) "the kill landed mid-run" true
+        (halfway >= ops * workers / 2 && halfway < ops * workers);
+      (match failover with
+      | Ok (Ok _) -> ()
+      | Ok (Error m) -> Alcotest.failf "failover inside fence: %s" m
+      | Error m -> Alcotest.failf "quiesced: %s" m);
+      let sent =
+        List.concat_map
+          (function Ok s -> s | Error m -> Alcotest.failf "client failed: %s" m)
+          results
+      in
+      let expect = reference_fp (Array.of_list sent) in
+      List.iter
+        (fun view ->
+          match Cl.Router.fingerprint router ~view with
+          | Ok fp ->
+              Alcotest.(check int) (view ^ " = reference over the updates sent") expect fp
+          | Error m -> Alcotest.failf "fingerprint %s: %s" view m)
+        [ "paths"; "paths-sum" ];
+      let failovers =
+        List.fold_left
+          (fun acc (s : Cl.Router.shard_status) -> acc + s.Cl.Router.failovers)
+          0 (Cl.Router.status router)
+      in
+      Alcotest.(check bool) "the kill caused a promotion" true (failovers >= 1);
+      Alcotest.(check bool) "no lost ranges" false
+        (Cl.Router.has_lost router ~shard:0 || Cl.Router.has_lost router ~shard:1))
+
 (* --- client deadlines against a mute peer ------------------------------ *)
 
 let test_client_timeout () =
@@ -575,6 +673,8 @@ let () =
           Alcotest.test_case "abrupt kill mid-ingest, exactly-once" `Quick test_kill_mid_ingest;
           Alcotest.test_case "auto_failover:false surfaces errors" `Quick test_no_auto_failover;
           Alcotest.test_case "quiesced kill is lossless" `Quick test_quiesced_kill_lossless;
+          Alcotest.test_case "quiesced kill under concurrent load" `Quick
+            test_quiesced_kill_under_load;
         ] );
       ( "faults",
         [

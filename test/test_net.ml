@@ -4,7 +4,9 @@
    Prometheus metrics exposition, and the end-to-end loopback server:
    concurrent clients whose answers agree with a single-process
    reference registry, including across a checkpointed
-   kill-and-restart. *)
+   kill-and-restart, read-your-writes sessions (closed-economy
+   conservation fenced mid-run included), and the Shutdown op's
+   teardown. *)
 
 module D = Ivm_data
 module S = D.Schema
@@ -1227,6 +1229,225 @@ let session_stale_read_caught () =
                   Alcotest.failf "expected Remote, got %s" (Wire.error_to_string e)
               | Ok _ -> Alcotest.fail "stale read not caught")))
 
+(* --- closed-economy conservation, fenced mid-run ----------------------- *)
+
+module Mx = Ivm_workload.Mixed
+module Ck = Ivm_check
+
+(* Two session writers move money between accounts of three economy
+   tenants (zero-sum debit/credit pairs, one write each). At two fixed
+   steps every writer parks between ops; the main domain fences the
+   server and checks each economy's total from a snapshot. Afterwards
+   the served views must equal a from-scratch oracle replay of the
+   opening balances plus every update the writers sent. *)
+let e2e_economy_fenced () =
+  let keys = 16 and accounts = 12 and workers = 2 and ops = 240 in
+  let fences = [ ops / 3; 2 * ops / 3 ] in
+  let tenants = List.init 3 (fun index -> Mx.tenant ~index Mx.Economy ~keys) in
+  let tables = List.concat_map (fun (tn : Mx.tenant) -> tn.Mx.tables) tenants in
+  let db = D.Database.Z.create () in
+  List.iter (fun (name, cols) -> ignore (D.Database.Z.declare db name (S.of_list cols))) tables;
+  let metrics = Metrics.create () in
+  let reg = Registry.create ~metrics db in
+  List.iter (fun (tn : Mx.tenant) -> Registry.register reg ~name:tn.Mx.name (Mx.factory tn)) tenants;
+  let opening = List.concat_map (fun tn -> Mx.init_updates tn ~accounts) tenants in
+  with_rw_server (reg, metrics) (fun srv await_applied ->
+      let port = Server.port srv in
+      let admin = ok_wire (Client.connect ~port ()) in
+      Fun.protect
+        ~finally:(fun () -> Client.close admin)
+        (fun () ->
+          ignore (ok_wire (Client.ingest admin opening));
+          await_applied (List.length opening);
+          let arrived = Atomic.make 0 and released = Atomic.make 0 in
+          let failed = Atomic.make false in
+          let writer index () =
+            let body () =
+              let rng = Random.State.make [| 23; index |] in
+              let drift = Mx.Drift.create ~seed:23 ~keys ~period:50 in
+              let gens =
+                Array.of_list
+                  (List.map
+                     (fun tn -> Mx.Tgen.create ~worker:index ~workers ~accounts tn ~drift ~seed:23 ())
+                     tenants)
+              in
+              let c = ok_wire (Client.connect ~port ()) in
+              Fun.protect
+                ~finally:(fun () -> Client.close c)
+                (fun () ->
+                  let s = Client.Session.create c in
+                  let rec loop op sent =
+                    if op > ops then Ok sent
+                    else begin
+                      (match List.find_index (( = ) op) fences with
+                      | Some k ->
+                          Atomic.incr arrived;
+                          while Atomic.get released <= k do
+                            Unix.sleepf 0.0005
+                          done
+                      | None -> ());
+                      match Mx.Tgen.next gens.(Random.State.int rng (Array.length gens)) ~op with
+                      | [] -> loop (op + 1) sent
+                      | ups -> (
+                          match Client.Session.write s ups with
+                          | Ok (a, 0) when a = List.length ups -> loop (op + 1) (List.rev_append ups sent)
+                          | Ok (a, d) -> Error (Printf.sprintf "%d admitted, %d dropped" a d)
+                          | Error e -> Error (Wire.error_to_string e))
+                    end
+                  in
+                  loop 1 [])
+            in
+            let r = try body () with e -> Error (Printexc.to_string e) in
+            if Result.is_error r then Atomic.set failed true;
+            r
+          in
+          let domains = List.init workers (fun i -> Domain.spawn (writer i)) in
+          let economies () =
+            ignore (ok_wire (Client.barrier admin));
+            List.map
+              (fun (tn : Mx.tenant) -> (tn, ok_wire (Client.snapshot admin ~view:tn.Mx.name)))
+              tenants
+          in
+          (* Fence k: once every writer is parked at step [List.nth fences k]. *)
+          let deadline = Unix.gettimeofday () +. 30. in
+          let fenced =
+            Fun.protect
+              ~finally:(fun () -> Atomic.set released (List.length fences))
+              (fun () ->
+                List.mapi
+                  (fun k _ ->
+                    while
+                      Atomic.get arrived < (k + 1) * workers
+                      && (not (Atomic.get failed))
+                      && Unix.gettimeofday () < deadline
+                    do
+                      Unix.sleepf 0.0005
+                    done;
+                    let parked = Atomic.get arrived = (k + 1) * workers in
+                    let snaps = if parked then economies () else [] in
+                    Atomic.set released (k + 1);
+                    (parked, snaps))
+                  fences)
+          in
+          let sent =
+            List.concat_map
+              (fun d ->
+                match Domain.join d with
+                | Ok s -> s
+                | Error m -> Alcotest.failf "writer failed: %s" m)
+              domains
+          in
+          let conserved label =
+            List.iter (fun ((tn : Mx.tenant), entries) ->
+                match Mx.check_conservation tn ~accounts entries with
+                | Ok () -> ()
+                | Error m -> Alcotest.failf "%s: %s" label m)
+          in
+          List.iteri
+            (fun k (parked, snaps) ->
+              let label = Printf.sprintf "fence %d" k in
+              Alcotest.(check bool) (label ^ ": writers parked") true parked;
+              conserved label snaps)
+            fenced;
+          let final = economies () in
+          conserved "final" final;
+          Alcotest.(check bool) "money actually moved" true (List.length sent > ops);
+          let oracle =
+            Ck.Oracle.create
+              {
+                Ck.Case.family = Ck.Case.Mixed;
+                seed = 23;
+                query = None;
+                order = None;
+                k = 0;
+                schemas = tables;
+                init = [];
+                stream = [];
+              }
+          in
+          Ck.Oracle.apply oracle (opening @ sent);
+          let served =
+            List.concat_map
+              (fun ((tn : Mx.tenant), entries) ->
+                List.map
+                  (fun (tp, p) -> (D.Tuple.of_list (D.Value.Str tn.Mx.name :: D.Tuple.to_list tp), p))
+                  entries)
+              final
+          in
+          Alcotest.(check bool) "served economies = oracle replay" true
+            (Ck.Oracle.equal_entries (Ck.Oracle.enumerate oracle) (Ck.Oracle.normalize served))))
+
+(* --- the Shutdown op -------------------------------------------------- *)
+
+(* A Shutdown is acknowledged, runs [on_shutdown] once however often it
+   is asked for, lets an answer already in flight on another connection
+   finish while [Server.stop] drains, and leaves nothing a new
+   client could hang on. The in-flight answer is a read gated on a
+   served watermark the test holds back until the stop is draining. *)
+let e2e_shutdown () =
+  let reg, metrics = rw_registry () in
+  Registry.apply_batch reg (session_pair 1);
+  let watermark = Atomic.make 0 and polls = Atomic.make 0 and shutdowns = Atomic.make 0 in
+  let srv =
+    ok_wire
+      (Server.start ~port:0 ~handlers:4
+         ~served:(fun () ->
+           Atomic.incr polls;
+           Atomic.get watermark)
+         ~on_shutdown:(fun () -> Atomic.incr shutdowns)
+         ~registry:reg ~metrics ())
+  in
+  let port = Server.port srv in
+  let stopped = ref false in
+  Fun.protect
+    ~finally:(fun () -> if not !stopped then Server.stop ~grace:0. srv)
+    (fun () ->
+      let a = ok_wire (Client.connect ~port ()) in
+      let b = ok_wire (Client.connect ~port ()) in
+      let again = ok_wire (Client.connect ~timeout:0.3 ~port ()) in
+      ok_wire (Client.ping again);
+      let reader =
+        Domain.spawn (fun () ->
+            Client.lookup_at ~timeout_ms:10_000 b ~view:"paths-rs" ~prefix:(tup [ hub ])
+              ~token:1)
+      in
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Atomic.get polls = 0 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check bool) "the gated read is in flight" true (Atomic.get polls > 0);
+      ok_wire (Client.shutdown a);
+      (* The Bye is sent before the hook runs. *)
+      while Atomic.get shutdowns = 0 && Unix.gettimeofday () < deadline do
+        Unix.sleepf 0.001
+      done;
+      Alcotest.(check int) "on_shutdown ran" 1 (Atomic.get shutdowns);
+      Alcotest.(check bool) "server is stopping" true (Server.stopping srv);
+      (* A second request on a connection opened before: answered or
+         not, it must not run the hook again. *)
+      ignore (Client.shutdown again);
+      let stopper = Domain.spawn (fun () -> Server.stop srv) in
+      Unix.sleepf 0.1;
+      Atomic.set watermark 1;
+      Domain.join stopper;
+      stopped := true;
+      let answer = Domain.join reader in
+      List.iter Client.close [ a; b; again ];
+      Alcotest.(check int) "on_shutdown ran exactly once" 1 (Atomic.get shutdowns);
+      (match answer with
+      | Ok (w, entries) ->
+          Alcotest.(check int) "answered at the released watermark" 1 w;
+          Alcotest.(check int) "in-flight answer complete" 1 (List.length entries)
+      | Error e -> Alcotest.failf "in-flight answer cut off: %s" (Wire.error_to_string e));
+      let t0 = Unix.gettimeofday () in
+      (match Client.connect ~timeout:1. ~port () with
+      | Error _ -> ()
+      | Ok c ->
+          let r = Client.ping c in
+          Client.close c;
+          if Result.is_ok r then Alcotest.fail "a stopped server answered a new client");
+      Alcotest.(check bool) "a new client fails fast" true (Unix.gettimeofday () -. t0 < 2.))
+
 let qt t = QCheck_alcotest.to_alcotest ~long:false t
 
 
@@ -1402,6 +1623,7 @@ let () =
             v1_server_clean_error;
           Alcotest.test_case "corrupt frame keeps serving" `Quick
             e2e_corrupt_frame_keeps_serving;
+          Alcotest.test_case "shutdown acks once, drains in-flight" `Quick e2e_shutdown;
         ] );
       ( "sessions (read-your-writes)",
         [
@@ -1410,5 +1632,7 @@ let () =
             e2e_session_across_restart;
           Alcotest.test_case "injected stale read caught" `Quick
             session_stale_read_caught;
+          Alcotest.test_case "economy conserved at mid-run fences" `Quick
+            e2e_economy_fenced;
         ] );
     ]
