@@ -208,6 +208,7 @@ module Views = struct
       M.name = "flaky";
       relations = [ "R" ];
       apply_batch = (fun _ -> failwith "flaky engine: injected apply failure");
+      apply_delta = None;
       output_count = (fun () -> 0);
       fingerprint = (fun () -> 0);
       enumerate = (fun () -> []);

@@ -477,7 +477,10 @@ let eval_node front n =
 
 (* --- epoch propagation -------------------------------------------------- *)
 
-let apply_front g (front : (string * int Update.t list) list) =
+(* Push the front through the DAG and fold every view's output delta
+   into its materialized output. The node deltas stay in place until
+   [clear] so a caller can read a view's delta first. *)
+let propagate g (front : (string * int Update.t list) list) =
   let order = schedule g in
   List.iter (fun n -> n.delta <- eval_node front n) order;
   List.iter
@@ -488,31 +491,43 @@ let apply_front g (front : (string * int Update.t list) list) =
           if s = 0 then Tuple.Tbl.remove v.out tp else Tuple.Tbl.replace v.out tp s)
         v.vnode.delta)
     g.views;
-  List.iter (fun n -> n.delta <- []) order
+  order
 
-let apply g (ups : int Update.t list) =
-  if ups <> [] then begin
-    (* Group the flat batch per relation, preserving order within one. *)
-    let rels = ref [] in
-    let tbl = Hashtbl.create 4 in
-    List.iter
-      (fun (u : int Update.t) ->
-        match Hashtbl.find_opt tbl u.Update.rel with
-        | Some l -> l := u :: !l
-        | None ->
-            Hashtbl.add tbl u.Update.rel (ref [ u ]);
-            rels := u.Update.rel :: !rels)
-      ups;
-    apply_front g
-      (List.rev_map (fun rel -> (rel, List.rev !(Hashtbl.find tbl rel))) !rels)
-  end
+let clear order = List.iter (fun n -> n.delta <- []) order
+let apply_front g front = clear (propagate g front)
 
-(* --- reads -------------------------------------------------------------- *)
+(* Group a flat batch per relation, preserving order within one. *)
+let front_of (ups : int Update.t list) =
+  let rels = ref [] in
+  let tbl = Hashtbl.create 4 in
+  List.iter
+    (fun (u : int Update.t) ->
+      match Hashtbl.find_opt tbl u.Update.rel with
+      | Some l -> l := u :: !l
+      | None ->
+          Hashtbl.add tbl u.Update.rel (ref [ u ]);
+          rels := u.Update.rel :: !rels)
+    ups;
+  List.rev_map (fun rel -> (rel, List.rev !(Hashtbl.find tbl rel))) !rels
+
+let apply g (ups : int Update.t list) = if ups <> [] then apply_front g (front_of ups)
 
 let find_view g name =
   match List.find_opt (fun v -> v.vname = name) g.views with
   | Some v -> v
   | None -> invalid_arg ("Graph: no view " ^ name)
+
+let apply_delta g (ups : int Update.t list) ~view =
+  let v = find_view g view in
+  if ups = [] then []
+  else begin
+    let order = propagate g (front_of ups) in
+    let d = v.vnode.delta in
+    clear order;
+    d
+  end
+
+(* --- reads -------------------------------------------------------------- *)
 
 let entries g name =
   let v = find_view g name in
@@ -521,6 +536,7 @@ let entries g name =
          match Tuple.compare t1 t2 with 0 -> compare p1 p2 | c -> c)
 
 let output_count g name = Tuple.Tbl.length (find_view g name).out
+let iter_output g name f = Tuple.Tbl.iter f (find_view g name).out
 
 let view_names g = List.rev_map (fun v -> v.vname) g.views
 

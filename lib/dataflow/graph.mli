@@ -108,6 +108,11 @@ val apply_front : t -> (string * int Ivm_data.Update.t list) list -> unit
 val apply : t -> int Ivm_data.Update.t list -> unit
 (** {!apply_front} of a flat batch, grouped per relation. *)
 
+val apply_delta : t -> int Ivm_data.Update.t list -> view:string -> delta
+(** {!apply}, returning the named view's output delta for the batch —
+    the coalesced change folded into its materialized output.
+    @raise Invalid_argument when [view] is not registered. *)
+
 (** {1 Reads} *)
 
 val entries : t -> string -> (Ivm_data.Tuple.t * int) list
@@ -115,6 +120,11 @@ val entries : t -> string -> (Ivm_data.Tuple.t * int) list
     tuple; zero payloads never stored). *)
 
 val output_count : t -> string -> int
+
+val iter_output : t -> string -> (Ivm_data.Tuple.t -> int -> unit) -> unit
+(** The named view's materialized output, in unspecified order, without
+    building a copy. *)
+
 val view_names : t -> string list
 val view_schema : t -> string -> Ivm_data.Schema.t
 

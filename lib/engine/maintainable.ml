@@ -8,18 +8,32 @@
     your output" and "a fingerprint of your state", and closures let one
     constructor per engine family capture whatever private state the
     engine keeps. [relations] names the base relations the view consumes
-    — the registry routes each view only the updates it understands. *)
+    — the registry routes each view only the updates it understands.
+
+    Every engine can also report the change a batch made to its output
+    (the paper's footnote 2): view trees by delta enumeration, dataflow
+    graphs by their view node's epoch delta, triangle kernels as the old
+    count retracted and the new one inserted. Engines without one (the
+    Fig. 4 strategies) leave [apply_delta] empty, and a consumer of
+    their output rebuilds it instead. *)
 
 module Rel = Ivm_data.Relation.Z
 module Tuple = Ivm_data.Tuple
 module Update = Ivm_data.Update
 module Cq = Ivm_query.Cq
 
+type delta = (Tuple.t * int) list
+
 type t = {
   name : string;
   relations : string list;  (** base relations this view consumes *)
   apply_batch : int Update.t list -> unit;
       (** Apply a batch of single-tuple updates, all on [relations]. *)
+  apply_delta : (int Update.t list -> delta) option;
+      (** [apply_batch] that also reports the change the batch made to
+          the output, as Z-set entries (a tuple may repeat; consumers
+          fold). Only views with a delta consumer are applied this way.
+          [None] when the engine has no native output delta. *)
   output_count : unit -> int;  (** current output size (tuples or count) *)
   fingerprint : unit -> int;
       (** Order-independent digest of the current output state, for
@@ -34,30 +48,53 @@ type t = {
           refreshing pending deltas) serialize internally. *)
 }
 
-(* Order-independent digest of a relation: summing per-entry digests
-   makes the fold order (hash-table iteration) irrelevant. *)
-let relation_fingerprint (r : Rel.t) : int =
-  Rel.fold
-    (fun tp p acc -> acc + (Tuple.hash tp lxor (p * 0x9E3779B9)) land max_int)
-    r 0
-  land max_int
+(* The per-entry digest every fingerprint sums: summing makes the fold
+   order (hash-table iteration) irrelevant. *)
+let mix acc tp p = acc + (Tuple.hash tp lxor (p * 0x9E3779B9)) land max_int
+
+let relation_fingerprint (r : Rel.t) : int = Rel.fold (fun tp p acc -> mix acc tp p) r 0 land max_int
 
 let entries_fingerprint (entries : (Tuple.t * int) list) : int =
-  List.fold_left
-    (fun acc (tp, p) -> acc + (Tuple.hash tp lxor (p * 0x9E3779B9)) land max_int)
-    0 entries
-  land max_int
+  List.fold_left (fun acc (tp, p) -> mix acc tp p) 0 entries land max_int
+
+(* The same digest over an iterator, so no engine builds a throwaway
+   copy of its output just to be fingerprinted. *)
+let iter_fingerprint iter =
+  let acc = ref 0 in
+  iter (fun tp p -> acc := mix !acc tp p);
+  !acc land max_int
 
 let relation_entries (r : Rel.t) = Rel.fold (fun tp p acc -> (tp, p) :: acc) r []
 
+(* Skips the inner engine when the rewrite leaves nothing. *)
+let map_batch f m =
+  {
+    m with
+    apply_batch = (fun batch -> match f batch with [] -> () | b -> m.apply_batch b);
+    apply_delta =
+      Option.map (fun apply_delta batch -> match f batch with [] -> [] | b -> apply_delta b) m.apply_delta;
+  }
+
+(* The output delta is the paper's footnote-2 delta enumeration, one
+   update at a time; reads walk the factorized output directly. *)
 let of_view_tree ~name (q : Cq.t) (tree : View_tree.t) : t =
   {
     name;
     relations = Cq.relation_names q;
     apply_batch = (fun batch -> List.iter (View_tree.apply_update tree) batch);
+    apply_delta =
+      Some
+        (fun batch ->
+          List.fold_left
+            (fun acc u -> List.rev_append (View_tree.apply_update_enumerating tree u) acc)
+            [] batch);
     output_count = (fun () -> View_tree.output_count tree);
-    fingerprint = (fun () -> relation_fingerprint (View_tree.output_relation tree));
-    enumerate = (fun () -> relation_entries (View_tree.output_relation tree));
+    fingerprint = (fun () -> iter_fingerprint (View_tree.iter_output tree));
+    enumerate =
+      (fun () ->
+        let out = ref [] in
+        View_tree.iter_output tree (fun tp p -> out := (tp, p) :: !out);
+        !out);
   }
 
 let of_strategy ~name (s : Strategy.t) : t =
@@ -72,16 +109,18 @@ let of_strategy ~name (s : Strategy.t) : t =
     name;
     relations = Cq.relation_names (Strategy.query s);
     apply_batch = (fun batch -> Strategy.apply_batch s batch);
+    apply_delta = None;
     output_count = (fun () -> locked (fun () -> Strategy.count_output s));
     fingerprint = (fun () -> locked (fun () -> relation_fingerprint (Strategy.output s)));
     enumerate = (fun () -> locked (fun () -> relation_entries (Strategy.output s)));
   }
 
 (* A dataflow graph already speaks batch updates and materialized
-   Z-set outputs, so the wrapper is direct. The fingerprint is the
-   entries-based digest — the convention every other engine shares, so
-   a served dataflow view compares fingerprint-equal against a
-   from-scratch recompute by a different engine. The graph's deeper
+   Z-set outputs, so the wrapper is direct: the output delta is the
+   view node's own epoch delta. The fingerprint is the entries-based
+   digest — the convention every other engine shares, so a served
+   dataflow view compares fingerprint-equal against a from-scratch
+   recompute by a different engine. The graph's deeper
    [state_fingerprint] (operator-internal state) is exposed separately
    for checkpoint/restore equivalence checks. *)
 let of_dataflow ~name (g : Ivm_dataflow.Graph.t) : t =
@@ -90,8 +129,9 @@ let of_dataflow ~name (g : Ivm_dataflow.Graph.t) : t =
     name;
     relations = G.relations g;
     apply_batch = (fun batch -> G.apply g batch);
+    apply_delta = Some (fun batch -> G.apply_delta g batch ~view:name);
     output_count = (fun () -> G.output_count g name);
-    fingerprint = (fun () -> entries_fingerprint (G.entries g name));
+    fingerprint = (fun () -> iter_fingerprint (G.iter_output g name));
     enumerate = (fun () -> G.entries g name);
   }
 
@@ -112,10 +152,19 @@ let of_triangle_batch (type e) ~name
     let b = Ivm_data.Value.to_int (Tuple.get u.Update.tuple 1) in
     (rel, a, b, u.Update.payload)
   in
+  let apply_batch batch = B.apply_batch eng (List.map edge_of batch) in
   {
     name;
     relations = [ "R"; "S"; "T" ];
-    apply_batch = (fun batch -> B.apply_batch eng (List.map edge_of batch));
+    apply_batch;
+    apply_delta =
+      Some
+        (fun batch ->
+          (* The old count retracted, the new one inserted. *)
+          let before = B.count eng in
+          apply_batch batch;
+          let after = B.count eng in
+          if after = before then [] else [ (Tuple.unit, -before); (Tuple.unit, after) ]);
     output_count = (fun () -> B.count eng);
     fingerprint = (fun () -> B.count eng land max_int);
     enumerate = (fun () -> [ (Tuple.unit, B.count eng) ]);

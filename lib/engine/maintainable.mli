@@ -6,11 +6,20 @@
 module Rel = Ivm_data.Relation.Z
 module Cq = Ivm_query.Cq
 
+type delta = (Ivm_data.Tuple.t * int) list
+(** A change to a view's output, as Z-set entries. *)
+
 type t = {
   name : string;
   relations : string list;  (** base relations this view consumes *)
   apply_batch : int Ivm_data.Update.t list -> unit;
       (** Apply a batch of single-tuple updates, all on [relations]. *)
+  apply_delta : (int Ivm_data.Update.t list -> delta) option;
+      (** Apply a batch exactly like [apply_batch] and return the change
+          it made to the output ({!enumerate} after = before + delta).
+          A tuple may occur more than once; consumers fold. [None] when
+          the engine has no native output delta: a consumer of its
+          output must re-enumerate it after a batch. *)
   output_count : unit -> int;  (** current output size (tuples or count) *)
   fingerprint : unit -> int;
       (** Order-independent digest of the current output state, for
@@ -33,12 +42,23 @@ val entries_fingerprint : (Ivm_data.Tuple.t * int) list -> int
     router computes over a cross-shard merge so it can compare against
     a single node's {!relation_fingerprint}-based view digest. *)
 
+val iter_fingerprint : ((Ivm_data.Tuple.t -> int -> unit) -> unit) -> int
+(** The same digest over an iterator of the entries. *)
+
+val map_batch :
+  (int Ivm_data.Update.t list -> int Ivm_data.Update.t list) -> t -> t
+(** Rewrite every incoming batch (renaming, filtering) before both
+    [apply_batch] and [apply_delta] see it; a batch rewritten to
+    nothing does not reach the engine. *)
+
 val of_view_tree : name:string -> Cq.t -> View_tree.t -> t
 (** Wrap a factorized view tree; the query supplies the consumed
-    relation names. *)
+    relation names. Output deltas come from
+    {!View_tree.apply_update_enumerating}. *)
 
 val of_strategy : name:string -> Strategy.t -> t
-(** Wrap one of the four Fig. 4 maintenance strategies. *)
+(** Wrap one of the four Fig. 4 maintenance strategies. They report no
+    output delta ([apply_delta] is [None]). *)
 
 val of_dataflow : name:string -> Ivm_dataflow.Graph.t -> t
 (** Wrap a compiled operator graph, reading the view registered on it
@@ -49,4 +69,5 @@ val of_dataflow : name:string -> Ivm_dataflow.Graph.t -> t
 val of_triangle_batch :
   name:string -> (module Triangle_batch.BATCH_ENGINE with type t = 'e) -> 'e -> t
 (** Wrap a triangle batch kernel. Updates must be on relations "R", "S",
-    "T" with binary integer tuples; the count is the output. *)
+    "T" with binary integer tuples; the count is the output, and its
+    delta is the old count retracted and the new one inserted. *)

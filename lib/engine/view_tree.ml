@@ -40,6 +40,9 @@ type t = {
   base : (string, View.t) Hashtbl.t;
   anchor_of : (string, int) Hashtbl.t;
   enumerable : bool;
+  mutable delta_walk : (Value.t option array * ((Tuple.t -> int -> unit) -> unit)) option;
+      (* the pinned output walk of delta enumeration, built on first use:
+         its pin slots and the walk over them. Only the writer runs it. *)
   fast_path : (string, unit) Hashtbl.t;
       (* relations whose single-tuple updates propagate by pure lookups:
          at every node on the leaf-to-root path all sibling views and
@@ -172,6 +175,7 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
       base;
       anchor_of;
       enumerable = Vo.free_top query forest;
+      delta_walk = None;
       fast_path;
     }
   in
@@ -351,87 +355,109 @@ let enumerate (t : t) : (Tuple.t * int) Seq.t =
     per-tuple constant is a handful of hash lookups. Only the emitted
     output tuples are freshly allocated. This is what the throughput
     benchmarks drive; {!enumerate} remains the lazy constant-delay
-    iterator. *)
-let iter_output (t : t) (f : Tuple.t -> int -> unit) : unit =
+    iterator.
+
+    With [pins] (one slot per node, empty for a full walk) the walk is
+    restricted to the outputs whose free variables take the pinned
+    values: at a free node whose slot holds a value, the group scan
+    becomes one probe of the node's view, so only the matching outputs
+    are visited. The walk is set up once and may be run again after the
+    views change, with the pins reassigned in between. *)
+let output_walker (t : t) ~(pins : Value.t option array) : (Tuple.t -> int -> unit) -> unit =
   if not t.enumerable then
     invalid_arg "View_tree.iter_output: free variables are not a connex top fragment";
   let free_roots, bound_roots = List.partition (fun r -> t.nodes.(r).free) t.roots in
-  let scalar_factor =
-    List.fold_left (fun acc r -> acc * View.scalar t.nodes.(r).agg) 1 bound_roots
+  let all_vars = Cq.vars t.query in
+  let slot_tbl = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.add slot_tbl v i) all_vars;
+  let env = Array.make (max 1 (List.length all_vars)) (Value.Int 0) in
+  let slots schema =
+    Array.of_list (List.map (Hashtbl.find slot_tbl) (Schema.to_list schema))
   in
-  if scalar_factor <> 0 then begin
-    let all_vars = Cq.vars t.query in
-    let slot_tbl = Hashtbl.create 16 in
-    List.iteri (fun i v -> Hashtbl.add slot_tbl v i) all_vars;
-    let env = Array.make (max 1 (List.length all_vars)) (Value.Int 0) in
-    let slots schema =
-      Array.of_list (List.map (Hashtbl.find slot_tbl) (Schema.to_list schema))
+  (* A lookup site: a view, the slots of its key schema, and a scratch
+     buffer reused across lookups. *)
+  let site view schema =
+    let sl = slots schema in
+    (view, sl, Tuple.scratch (Array.length sl))
+  in
+  let fill (buf : Tuple.t) (sl : int array) =
+    for i = 0 to Array.length sl - 1 do
+      Tuple.set buf i env.(sl.(i))
+    done
+  in
+  let lookup (view, sl, buf) =
+    fill buf sl;
+    View.get view buf
+  in
+  (* Per-free-node enumeration state: all lookup sites as arrays so
+     the per-tuple loop allocates nothing but the emitted tuple. *)
+  let enodes =
+    Array.map
+      (fun n ->
+        let ix = View.index_on n.view n.dep in
+        let dep_sl = slots n.dep in
+        let sites =
+          Array.of_list
+            (List.map
+               (fun r ->
+                 let bv = Hashtbl.find t.base r in
+                 site bv (View.schema bv))
+               n.local_atoms
+            @ List.filter_map
+                (fun c ->
+                  let cn = t.nodes.(c) in
+                  if cn.free then None else Some (site cn.agg cn.dep))
+                n.children)
+        in
+        ( ix,
+          dep_sl,
+          Tuple.scratch (Array.length dep_sl),
+          Hashtbl.find slot_tbl n.var,
+          Schema.position n.full n.var,
+          sites,
+          List.filter (fun c -> t.nodes.(c).free) n.children,
+          (* A pinned free node probes its own view for the one
+             binding instead of scanning its group. *)
+          if n.free && Array.length pins > 0 then Some (site n.view n.full) else None ))
+      t.nodes
+  in
+  let out_slots = slots (Schema.of_list t.query.Cq.free) in
+  fun f ->
+    let scalar_factor =
+      List.fold_left (fun acc r -> acc * View.scalar t.nodes.(r).agg) 1 bound_roots
     in
-    (* A lookup site: a view, the slots of its key schema, and a scratch
-       buffer reused across lookups. *)
-    let site view schema =
-      let sl = slots schema in
-      (view, sl, Tuple.scratch (Array.length sl))
-    in
-    let fill (buf : Tuple.t) (sl : int array) =
-      Array.iteri (fun i s -> Tuple.set buf i env.(s)) sl
-    in
-    let lookup (view, sl, buf) =
-      fill buf sl;
-      View.get view buf
-    in
-    (* Per-free-node enumeration state: all lookup sites as arrays so
-       the per-tuple loop allocates nothing but the emitted tuple. *)
-    let enodes =
-      Array.map
-        (fun n ->
-          let ix = View.index_on n.view n.dep in
-          let dep_sl = slots n.dep in
-          let sites =
-            Array.of_list
-              (List.map
-                 (fun r ->
-                   let bv = Hashtbl.find t.base r in
-                   site bv (View.schema bv))
-                 n.local_atoms
-              @ List.filter_map
-                  (fun c ->
-                    let cn = t.nodes.(c) in
-                    if cn.free then None else Some (site cn.agg cn.dep))
-                  n.children)
-          in
-          ( ix,
-            dep_sl,
-            Tuple.scratch (Array.length dep_sl),
-            Hashtbl.find slot_tbl n.var,
-            Schema.position n.full n.var,
-            sites,
-            List.filter (fun c -> t.nodes.(c).free) n.children ))
-        t.nodes
-    in
-    let out_slots = slots (Schema.of_list t.query.Cq.free) in
     let rec visit ids acc =
       match ids with
       | [] ->
           f (Tuple.init (Array.length out_slots) (fun i -> env.(out_slots.(i)))) (acc * scalar_factor)
-      | id :: rest ->
-          let ix, dep_sl, dep_buf, xslot, xpos, sites, free_kids = enodes.(id) in
-          fill dep_buf dep_sl;
-          Rel.Index.iter_group ix dep_buf (fun full_t _ ->
-              env.(xslot) <- Tuple.get full_t xpos;
-              let factor = ref 1 in
-              let k = ref 0 in
-              let nsites = Array.length sites in
-              while !factor <> 0 && !k < nsites do
-                factor := !factor * lookup sites.(!k);
-                incr k
-              done;
-              if !factor <> 0 then visit (free_kids @ rest) (acc * !factor))
+      | id :: rest -> (
+          let ix, dep_sl, dep_buf, xslot, xpos, sites, free_kids, probe = enodes.(id) in
+          match (probe, if Array.length pins = 0 then None else pins.(id)) with
+          | Some probe, Some v ->
+              env.(xslot) <- v;
+              if lookup probe <> 0 then descend sites free_kids rest acc
+          | _ ->
+              fill dep_buf dep_sl;
+              Rel.Index.iter_group ix dep_buf (fun full_t _ ->
+                  env.(xslot) <- Tuple.get full_t xpos;
+                  descend sites free_kids rest acc))
       (* NB: iter_group iterates a hash bucket; [visit] must not mutate
          the views, which holds since enumeration is read-only. *)
+    (* The variable of the node just bound: multiply in its atoms and
+       bound children, then go on to its free children. *)
+    and descend sites free_kids rest acc =
+      let factor = ref 1 in
+      let k = ref 0 in
+      let nsites = Array.length sites in
+      while !factor <> 0 && !k < nsites do
+        factor := !factor * lookup sites.(!k);
+        incr k
+      done;
+      if !factor <> 0 then visit (free_kids @ rest) (acc * !factor)
     in
-    visit free_roots 1
-  end
+    if scalar_factor <> 0 then visit free_roots 1
+
+let iter_output t f = output_walker t ~pins:[||] f
 
 (** Materialize the enumeration into a relation keyed by the free
     variables — used in tests and by lazy strategies. *)
@@ -446,20 +472,54 @@ let output_count (t : t) : int =
   iter_output t (fun _ _ -> incr n);
   !n
 
+let compare_entry (a, _) (b, _) = Tuple.compare a b
+
+let rec position v vars k =
+  match vars with [] -> -1 | x :: rest -> if String.equal x v then k else position v rest (k + 1)
+
+(* [after - before] of two tuple-sorted entry lists. *)
+let rec diff_sorted before after =
+  match (before, after) with
+  | [], rest -> rest
+  | rest, [] -> List.map (fun (tp, p) -> (tp, -p)) rest
+  | ((tb, pb) :: bs as before), ((ta, pa) :: as_ as after) ->
+      let c = Tuple.compare tb ta in
+      if c < 0 then (tb, -pb) :: diff_sorted bs after
+      else if c > 0 then (ta, pa) :: diff_sorted before as_
+      else if pa = pb then diff_sorted bs as_
+      else (ta, pa - pb) :: diff_sorted bs as_
+
 (** Delta enumeration (the paper's footnote 2): apply a single-tuple
     update and enumerate only the change to the query output, as
     (tuple over the free variables, payload delta) pairs.
 
-    Implemented generically: the first-order output delta
-    δQ = δR ⋈ (other atoms) is evaluated against the pre-update state
-    (Sec. 3.1, Eq. 2 with one changed atom), then the update is applied.
-    For q-hierarchical queries the cost is proportional to the number of
-    changed output tuples. *)
+    Every output tuple the update can change agrees with it on the free
+    variables of the updated atom, so the change is the difference of
+    the output enumerated with those variables pinned, before and after
+    the update. For q-hierarchical queries with their canonical order
+    that touches only the affected outputs, and it needs no index
+    beyond the view tree's own.
+    @raise Invalid_argument when the output is not enumerable, as
+    {!enumerate}. *)
 let apply_update_enumerating (t : t) (u : int Ivm_data.Update.t) : (Tuple.t * int) list =
-  let rel = u.Ivm_data.Update.rel in
-  let schema = Schema.of_list (Cq.find_atom t.query rel).Cq.vars in
-  let d = Rel.create ~size:1 schema in
-  Rel.add_entry d u.Ivm_data.Update.tuple u.Ivm_data.Update.payload;
-  let d_out = Eval.delta t.query ~lookup:(fun r -> base_view t r) ~changed:rel ~delta:d in
+  let atom = Cq.find_atom t.query u.Ivm_data.Update.rel in
+  let pins, walk =
+    match t.delta_walk with
+    | Some w -> w
+    | None ->
+        let pins = Array.make (Array.length t.nodes) None in
+        let w = (pins, output_walker t ~pins) in
+        t.delta_walk <- Some w;
+        w
+  in
+  (* Pin every free variable of the updated atom to the update's value. *)
+  Array.iteri
+    (fun id n ->
+      let k = if n.free then position n.var atom.Cq.vars 0 else -1 in
+      pins.(id) <- (if k < 0 then None else Some (Tuple.get u.Ivm_data.Update.tuple k)))
+    t.nodes;
+  let before = ref [] and after = ref [] in
+  walk (fun tp p -> before := (tp, p) :: !before);
   apply_update t u;
-  Rel.fold (fun tp p acc -> (tp, p) :: acc) d_out []
+  walk (fun tp p -> after := (tp, p) :: !after);
+  diff_sorted (List.sort compare_entry !before) (List.sort compare_entry !after)

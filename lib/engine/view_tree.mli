@@ -59,4 +59,6 @@ val output_count : t -> int
 
 val apply_update_enumerating : t -> int Ivm_data.Update.t -> (Tuple.t * int) list
 (** Delta enumeration (the paper's footnote 2): apply the update and
-    return only the change to the query output. *)
+    return only the change to the query output.
+    @raise Invalid_argument when the output is not enumerable (free
+    variables not a connex top fragment), as {!enumerate}. *)

@@ -8,9 +8,13 @@
     cache keyed by the view's own change stamp
     ({!Ivm_stream.Registry.stamp}), so an epoch that touches other
     views leaves a view's cached answer in place: the snapshot is
-    materialized under {!Ivm_stream.Registry.read} — the shared side of
+    refreshed under {!Ivm_stream.Registry.read} — the shared side of
     the registry's writer-preferring lock — so it is exactly one epoch
-    boundary's state, never a half-applied batch. Point lookups answer
+    boundary's state, never a half-applied batch. A stale snapshot is
+    patched with the view's pending output delta
+    ({!Ivm_stream.Registry.pending_delta}), re-framing only the chunks
+    the delta touches; it is re-enumerated only on a first read or when
+    the registry dropped the delta. Point lookups answer
     from a hash index on the view's first output field, built on the
     snapshot's first keyed lookup. Under a live producer the semantics
     are latest-completed-epoch with stale-while-revalidate: one request
@@ -42,11 +46,13 @@ let () = try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument 
 
 type conn = { fd : Unix.file_descr; write_mutex : Mutex.t }
 
-(* One materialized view enumeration. [frames] is the full enumeration
-   already sliced into complete length-prefixed, CRC-stamped chunk
+(* One materialized view answer. [answer] holds the entries sorted
+   and already sliced into complete length-prefixed, CRC-stamped chunk
    frames, built at cache-fill time: serving a cache hit is a single
    write of prebuilt bytes per chunk — zero per-request encoding or
-   checksums.
+   checksums. Snapshots are immutable (copy-on-write): a patch builds
+   a new one sharing the untouched chunks, because stale-while-
+   revalidate readers may still be serving the old one.
 
    The snapshot holds its view's live stamp handle and the value it
    had at materialization ([at]): the snapshot is current exactly while
@@ -71,46 +77,32 @@ type snapshot = {
   watermark : int Atomic.t;
       (* the served watermark (queue items applied) this snapshot is
          known to reflect — what a [Lookup_at] compares its token to *)
-  entries : (Tuple.t * int) list;
-  frames : Bytes.t list;
+  answer : Chunked.t;
   keyed : keyed option Atomic.t;
   key_mutex : Mutex.t;
 }
 
 let current snap = Registry.stamp_value snap.stamp = snap.at
 
-(* Slice an enumeration into prebuilt [Chunk] frames; the empty answer
+let frames snap = Chunked.frames snap.answer
+
+(* Slice an entry list into prebuilt [Chunk] frames; the empty answer
    is still one (empty, last) chunk so the client always sees a
    terminator. *)
-let build_frames ~chunk_size entries =
-  let rec take k acc = function
-    | rest when k = 0 -> (List.rev acc, rest)
-    | [] -> (List.rev acc, [])
-    | e :: rest -> take (k - 1) (e :: acc) rest
-  in
-  let rec go acc entries =
-    let chunk, rest = take chunk_size [] entries in
-    let last = rest = [] in
-    let f = Wire.frame_bytes (Wire.encode_response (Wire.Chunk { last; entries = chunk })) in
-    if last then List.rev (f :: acc) else go (f :: acc) rest
-  in
-  go [] entries
+let build_frames ~chunk_size entries = Chunked.frames (Chunked.build ~chunk_size entries)
 
 (* The shared terminator served to every lookup that finds no group —
    one buffer for the whole server's lifetime. *)
-let empty_answer : Bytes.t list =
-  [ Wire.frame_bytes (Wire.encode_response (Wire.Chunk { last = true; entries = [] })) ]
+let empty_answer : Bytes.t list = build_frames ~chunk_size:1 []
 
-let make_keyed ~chunk_size entries =
+let make_keyed ~chunk_size answer =
   let by_key = Hashtbl.create 64 in
-  List.iter
-    (fun ((tp, _) as e) ->
+  Chunked.iter answer (fun tp p ->
       if Tuple.arity tp > 0 then begin
         let k = Tuple.get tp 0 in
         let group = Option.value (Hashtbl.find_opt by_key k) ~default:[] in
-        Hashtbl.replace by_key k (e :: group)
-      end)
-    entries;
+        Hashtbl.replace by_key k ((tp, p) :: group)
+      end);
   let key_frames = Hashtbl.create (Hashtbl.length by_key) in
   Hashtbl.iter
     (fun k group -> Hashtbl.replace key_frames k (build_frames ~chunk_size group))
@@ -118,9 +110,11 @@ let make_keyed ~chunk_size entries =
   { by_key; key_frames }
 
 (* How a read was answered — one count per answered read in
-   {!Metrics}: from the cache as it stood, after an O(1) watermark
-   re-stamp, or from a snapshot this read materialized. *)
-type source = Cached | Revalidated | Rebuilt
+   {!Metrics}: from a current cached snapshot, from the previous
+   snapshot while another read refreshes it, after an O(1) watermark
+   re-stamp, from a snapshot this read patched with the view's pending
+   output delta, or from one it re-enumerated. *)
+type source = Cached | Stale | Revalidated | Patched | Rebuilt
 
 type t = {
   listen_fd : Unix.file_descr;
@@ -142,14 +136,14 @@ type t = {
   barrier : (unit -> (int, string) result) option;
   on_shutdown : (unit -> unit) option;
   pool : Domain_pool.t;
-  (* Snapshot cache: view name -> materialized enumeration stamped with
-     the view's change stamp at materialization (exact: the enumeration
-     runs under the shared lock). A bump of that view's stamp marks it
+  (* Snapshot cache: view name -> materialized answer stamped with the
+     view's change stamp at materialization (exact: the refresh runs
+     under the shared lock). A bump of that view's stamp marks it
      stale; epochs touching other views do not. Reads are
      stale-while-revalidate: at most one request per view pays the
-     re-materialization (tracked in [refreshing]); concurrent reads
-     serve the previous epoch's snapshot instead of piling up behind a
-     full enumeration per request. *)
+     refresh — a patch, or a re-enumeration (tracked in
+     [refreshing]); concurrent reads serve the previous epoch's
+     snapshot instead of piling up behind it. *)
   cache_mutex : Mutex.t;
   cache : (string, snapshot) Hashtbl.t;
   refreshing : (string, unit) Hashtbl.t;
@@ -219,7 +213,9 @@ let note t source =
   Atomic.incr
     (match source with
     | Cached -> m.Metrics.cache_hits
+    | Stale -> m.Metrics.cache_stale_serves
     | Revalidated -> m.Metrics.cache_revalidations
+    | Patched -> m.Metrics.cache_patches
     | Rebuilt -> m.Metrics.cache_rebuilds)
 
 let snapshot t view : (snapshot * source, string) result =
@@ -243,11 +239,11 @@ let snapshot t view : (snapshot * source, string) result =
   in
   match (fresh, stale, owner) with
   | Some snap, _, _ -> Ok (snap, Cached)
-  | None, Some snap, false -> Ok (snap, Cached)
-  | None, _, _ ->
+  | None, Some snap, false -> Ok (snap, Stale)
+  | None, stale, _ ->
       (* Owner of the refresh, or first-ever enumeration racing one
-         (nothing stale to serve): materialize under the shared lock,
-         where the stamp read is exact for the enumeration. *)
+         (nothing stale to serve): refresh under the shared lock, where
+         the stamp read is exact for the view's state. *)
       Fun.protect
         ~finally:(fun () ->
           if owner then
@@ -267,28 +263,43 @@ let snapshot t view : (snapshot * source, string) result =
                   let watermark =
                     match t.served with Some f -> f () | None -> 0
                   in
-                  let entries = m.M.enumerate () in
+                  (* Patch the stale snapshot when the registry has
+                     folded every output change since it was built;
+                     otherwise (a first read, or the delta was dropped)
+                     re-enumerate. Either way the consumer's pending
+                     delta restarts at this stamp. *)
+                  let rebuild () =
+                    (Chunked.build ~chunk_size:t.chunk_size (m.M.enumerate ()), Rebuilt)
+                  in
+                  let answer, source =
+                    match stale with
+                    | None -> rebuild ()
+                    | Some old -> (
+                        match Registry.pending_delta t.registry view ~since:old.at with
+                        | Some delta -> (Chunked.patch old.answer delta, Patched)
+                        | None -> rebuild ())
+                  in
+                  Registry.track t.registry view ~size:(Chunked.size answer);
                   let snap =
                     {
                       stamp;
                       at = Registry.stamp_value stamp;
                       watermark = Atomic.make watermark;
-                      entries;
-                      frames = build_frames ~chunk_size:t.chunk_size entries;
+                      answer;
                       keyed = Atomic.make None;
                       key_mutex = Mutex.create ();
                     }
                   in
                   Mutex.protect t.cache_mutex (fun () ->
                       Hashtbl.replace t.cache view snap);
-                  Ok (snap, Rebuilt)))
+                  Ok (snap, source)))
 
 (* The read-your-writes fast path: a snapshot whose view has not
    changed since it was materialized reflects every update applied so
    far, so under the shared lock (no epoch mid-apply) its watermark can
    be raised to the served watermark in O(1) — without this, gated
    reads of an unchanged view would spin until their deadline. False
-   when the view changed; the caller then rebuilds. *)
+   when the view changed; the caller then refreshes. *)
 let revalidate snap served =
   current snap
   &&
@@ -310,7 +321,7 @@ let keyed t snap =
           match Atomic.get snap.keyed with
           | Some k -> k
           | None ->
-              let k = make_keyed ~chunk_size:t.chunk_size snap.entries in
+              let k = make_keyed ~chunk_size:t.chunk_size snap.answer in
               Atomic.set snap.keyed (Some k);
               Atomic.incr t.metrics.Metrics.cache_index_builds;
               k)
@@ -326,7 +337,7 @@ let snapshot_frames t view =
   Result.map
     (fun (snap, source) ->
       note t source;
-      snap.frames)
+      frames snap)
     (snapshot t view)
 
 let lookup_frames t view key =
@@ -360,7 +371,7 @@ let readable_now fd =
 (* One snapshot answer for a given prefix: the shared tail of [Lookup]
    and [Lookup_at]. Answers are sent outside [Registry.read]. *)
 let answer_prefix t conn snap prefix =
-  if Tuple.arity prefix = 0 then send_frames conn snap.frames
+  if Tuple.arity prefix = 0 then send_frames conn (frames snap)
   else if Tuple.arity prefix = 1 then
     (* Bound first variable: the whole answer is already framed per
        key — serve the prebuilt bytes (or the shared empty
@@ -398,7 +409,7 @@ let handle t conn (req : Wire.request) : outcome =
       | Error msg -> respond (Wire.Err msg)
       | Ok (snap, source) -> (
           note t source;
-          match send_frames conn snap.frames with
+          match send_frames conn (frames snap) with
           | Ok () -> Continue
           | Error _ -> Close))
   | Wire.Ingest updates -> (
@@ -441,7 +452,7 @@ let handle t conn (req : Wire.request) : outcome =
             (* Two-stage gate. First wait for the scheduler to apply
                past the token; then fetch until the snapshot itself
                carries that watermark — re-stamped in O(1) when the
-               view is unchanged, re-materialized when it changed; a
+               view is unchanged, patched or rebuilt when it changed; a
                stale-while-revalidate cache may briefly keep serving
                the previous epoch. *)
             let rec wait () =

@@ -6,17 +6,26 @@
     the view: a per-view snapshot cache keyed by the view's own change
     stamp ({!Ivm_stream.Registry.stamp}), so epochs that touch only
     other views never invalidate it. A stale entry is refreshed
-    stale-while-revalidate (one request pays the re-enumeration under
+    stale-while-revalidate (one request pays the refresh under
     {!Ivm_stream.Registry.read}, the shared side of the registry's
     writer-preferring lock; concurrent ones serve the previous epoch's
-    snapshot). Every answer is an epoch-consistent snapshot — taken at
+    snapshot). The refresh patches the stale snapshot with the view's
+    pending output delta ({!Ivm_stream.Registry.pending_delta}),
+    re-framing only the chunks it touches — snapshots are
+    copy-on-write, so readers of the old one are unaffected — and
+    re-enumerates the view only on a first read or when the registry
+    dropped the delta (over its size bound, or after a failure,
+    recovery, heal, self-check reinstall or dead-letter rebuild).
+    Entries are served in an unspecified order, and never with a zero
+    payload. Every answer is an epoch-consistent snapshot — taken at
     an epoch boundary, never a half-applied batch. Point lookups with a
     bound first variable answer in O(answer) from a hash index on that
     field, built once per snapshot on its first keyed lookup; whole-view
     reads never build it. A [Lookup_at] whose token is ahead of an
     unchanged view's cached watermark re-stamps the watermark in O(1)
-    rather than rebuilding. Cache hits, revalidations, rebuilds and
-    index builds are counted in {!Ivm_stream.Metrics}. Bytes go out
+    rather than rebuilding. Cache hits, stale serves, revalidations,
+    patches, rebuilds and index builds are counted in
+    {!Ivm_stream.Metrics}. Bytes go out
     after the lock is released. Ingested updates flow through the [ingest] callback into
     the scheduler's bounded queue — the queue policy is the server's
     backpressure. Delta subscribers are pushed one frame per applied

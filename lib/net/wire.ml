@@ -65,20 +65,31 @@ let ( let* ) = Result.bind
 
 (* --- framing ---------------------------------------------------------- *)
 
-let frame body =
-  let len = String.length body in
+let put_u32 b pos i =
+  Bytes.set_uint16_le b pos (i land 0xFFFF);
+  Bytes.set_uint16_le b (pos + 2) ((i lsr 16) land 0xFFFF)
+
+(* Stamp the header of a frame whose body already sits at
+   [header_len] in [b]. *)
+let seal b =
+  let len = Bytes.length b - header_len in
   if len > max_body then invalid_arg "Wire.frame: body too large";
-  let buf = Buffer.create (header_len + len) in
-  Codec.add_u32 buf len;
-  Codec.add_u32 buf (Codec.crc32 body ~pos:0 ~len);
-  Buffer.add_string buf body;
-  Buffer.contents buf
+  put_u32 b 0 len;
+  put_u32 b 4 (Codec.crc32 (Bytes.unsafe_to_string b) ~pos:header_len ~len);
+  b
 
 (* A complete frame (header, CRC, body) preserialized into one buffer:
    the zero-copy currency of the server's snapshot cache. Building it
    once at cache-fill time makes serving a cache hit a single [write]
-   of these bytes — no per-request encoding, no per-request CRC. *)
-let frame_bytes body = Bytes.unsafe_of_string (frame body)
+   of these bytes — no per-request encoding, no per-request CRC. The
+   header and CRC go straight into the one exact-size allocation. *)
+let frame_bytes body =
+  let len = String.length body in
+  let b = Bytes.create (header_len + len) in
+  Bytes.blit_string body 0 b header_len len;
+  seal b
+
+let frame body = Bytes.unsafe_to_string (frame_bytes body)
 
 let decode_frame buf ~pos =
   let n = String.length buf in
@@ -305,14 +316,38 @@ let encode_request (r : request) : string =
       Codec.add_u32 buf timeout_ms);
   Buffer.contents buf
 
+(* The body of a [Chunk] response: its tag, the last flag, then
+   [count] entries, each handed to [add] by [iter]. *)
+let add_chunk_body buf ~last ~count iter =
+  Codec.add_u8 buf 0x82;
+  Codec.add_u8 buf (if last then 1 else 0);
+  Codec.add_u32 buf count;
+  iter (add_entry buf)
+
+(* Chunk bodies are encoded into a per-domain scratch buffer, then
+   copied once into their exact-size frame. *)
+let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
+
+let chunk_frame ~last (entries : (Tuple.t * int) array) ~off ~len =
+  let buf = Domain.DLS.get scratch in
+  Buffer.clear buf;
+  add_chunk_body buf ~last ~count:len (fun add ->
+      for i = off to off + len - 1 do
+        add entries.(i)
+      done);
+  let n = Buffer.length buf in
+  let b = Bytes.create (header_len + n) in
+  Buffer.blit buf 0 b header_len n;
+  (* A huge chunk must not pin its scratch space for the domain's life. *)
+  if n > 1 lsl 20 then Buffer.reset buf;
+  seal b
+
 let encode_response (r : response) : string =
   let buf = Buffer.create 64 in
   (match r with
   | Pong -> Codec.add_u8 buf 0x81
   | Chunk { last; entries } ->
-      Codec.add_u8 buf 0x82;
-      Codec.add_u8 buf (if last then 1 else 0);
-      add_list add_entry buf entries
+      add_chunk_body buf ~last ~count:(List.length entries) (fun add -> List.iter add entries)
   | Ack { admitted; dropped } ->
       Codec.add_u8 buf 0x83;
       Codec.add_u32 buf admitted;

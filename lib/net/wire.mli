@@ -54,6 +54,13 @@ val frame_bytes : string -> Bytes.t
     as immutable.
     @raise Invalid_argument over {!max_body}. *)
 
+val chunk_frame :
+  last:bool -> (Ivm_data.Tuple.t * int) array -> off:int -> len:int -> Bytes.t
+(** The {!frame_bytes} of a [Chunk { last; entries }] response whose
+    entries are [entries.(off) .. entries.(off + len - 1)] — the same
+    bytes, built in one exact-size allocation (the body is staged in a
+    per-domain scratch buffer). *)
+
 val decode_frame : string -> pos:int -> (string * int, error) result
 (** Parse one frame starting at [pos] of a byte buffer, returning the
     body and the position after the frame. [Error Eof] when [pos] is

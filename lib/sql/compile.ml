@@ -34,12 +34,6 @@ let filtered_relation (l : Lower.t) (atom : Cq.atom) table =
   Rel.iter (fun tp p -> if passes fs tp then Rel.add_entry out tp p) table;
   out
 
-let list_fingerprint entries =
-  List.fold_left
-    (fun acc (tp, p) -> acc + (Tuple.hash tp lxor (p * 0x9E3779B9)) land max_int)
-    0 entries
-  land max_int
-
 (* Fold Σ value·multiplicity out of the trailing (summed) column. *)
 let fold_sum ~out_arity entries =
   let proj = Array.init out_arity (fun i -> i) in
@@ -62,31 +56,27 @@ let wrap_reads (l : Lower.t) (m : M.t) =
     let folded () = fold_sum ~out_arity (m.M.enumerate ()) in
     {
       m with
+      (* The fold is linear, so it maps the inner delta too. *)
+      M.apply_delta =
+        Option.map (fun apply_delta batch -> fold_sum ~out_arity (apply_delta batch)) m.M.apply_delta;
       M.enumerate = folded;
       M.output_count = (fun () -> List.length (folded ()));
-      M.fingerprint = (fun () -> list_fingerprint (folded ()));
+      M.fingerprint = (fun () -> M.entries_fingerprint (folded ()));
     }
   end
 
 (* Write-side residue: drop static relations and filtered-out tuples,
    then translate each update for the inner engine. *)
 let wrap_writes (l : Lower.t) ~static ~relations ~translate (m : M.t) =
-  {
-    m with
-    M.relations;
-    M.apply_batch =
-      (fun batch ->
-        let batch =
-          List.filter_map
-            (fun (u : int Update.t) ->
-              if List.mem u.Update.rel static then None
-              else if not (passes (filters_for l u.Update.rel) u.Update.tuple)
-              then None
-              else Some (translate u))
-            batch
-        in
-        if batch <> [] then m.M.apply_batch batch);
-  }
+  let keep batch =
+    List.filter_map
+      (fun (u : int Update.t) ->
+        if List.mem u.Update.rel static then None
+        else if not (passes (filters_for l u.Update.rel) u.Update.tuple) then None
+        else Some (translate u))
+      batch
+  in
+  { (M.map_batch keep m) with M.relations }
 
 let dynamic_relations (l : Lower.t) static =
   List.filter (fun r -> not (List.mem r static)) (Cq.relation_names l.Lower.cq)
@@ -331,8 +321,9 @@ let build ~name (l : Lower.t) (plan : Planner.plan) source =
           M.name;
           relations;
           apply_batch = (fun batch -> List.iter apply batch);
+          apply_delta = None;
           output_count = (fun () -> Insert_only.output_size io);
-          fingerprint = (fun () -> list_fingerprint (enumerate ()));
+          fingerprint = (fun () -> M.entries_fingerprint (enumerate ()));
           enumerate;
         }
       in

@@ -81,7 +81,9 @@ end
 (** Per-view counters: how many updates and batches this view absorbed,
     the distribution of its batch-apply times, and the supervision
     counters (failures observed, recovery rebuilds, dead-lettered poison
-    updates, updates skipped while the view was not healthy). *)
+    updates, updates skipped while the view was not healthy), and the
+    epochs that forced a delta consumer to rebuild because the engine
+    reports no output delta. *)
 type view = {
   mutable updates : int;
   mutable batches : int;
@@ -89,6 +91,7 @@ type view = {
   mutable rebuilds : int;
   mutable dead_letters : int;
   mutable skipped : int;
+  mutable delta_fallbacks : int;
   apply : Hist.t;
 }
 
@@ -107,7 +110,9 @@ type t = {
   (* Network snapshot-cache outcomes, counted from concurrent handler
      domains, hence atomic. *)
   cache_hits : int Atomic.t;
+  cache_stale_serves : int Atomic.t;
   cache_revalidations : int Atomic.t;
+  cache_patches : int Atomic.t;
   cache_rebuilds : int Atomic.t;
   cache_index_builds : int Atomic.t;
 }
@@ -123,7 +128,9 @@ let create () =
     view_ops = Hashtbl.create 16;
     ops_mutex = Mutex.create ();
     cache_hits = Atomic.make 0;
+    cache_stale_serves = Atomic.make 0;
     cache_revalidations = Atomic.make 0;
+    cache_patches = Atomic.make 0;
     cache_rebuilds = Atomic.make 0;
     cache_index_builds = Atomic.make 0;
   }
@@ -140,6 +147,7 @@ let view t name =
           rebuilds = 0;
           dead_letters = 0;
           skipped = 0;
+          delta_fallbacks = 0;
           apply = Hist.create ();
         }
       in
@@ -269,8 +277,11 @@ let render t =
   add_counter seen buf "ivm_coalesced_total" [] t.coalesced;
   add_histogram seen buf "ivm_update_latency_seconds" [] t.latency;
   add_counter seen buf "ivm_snapshot_cache_hits_total" [] (Atomic.get t.cache_hits);
+  add_counter seen buf "ivm_snapshot_cache_stale_serves_total" []
+    (Atomic.get t.cache_stale_serves);
   add_counter seen buf "ivm_snapshot_cache_revalidations_total" []
     (Atomic.get t.cache_revalidations);
+  add_counter seen buf "ivm_snapshot_cache_patches_total" [] (Atomic.get t.cache_patches);
   add_counter seen buf "ivm_snapshot_cache_rebuilds_total" [] (Atomic.get t.cache_rebuilds);
   add_counter seen buf "ivm_snapshot_cache_index_builds_total" []
     (Atomic.get t.cache_index_builds);
@@ -284,6 +295,7 @@ let render t =
       add_counter seen buf "ivm_view_rebuilds_total" l v.rebuilds;
       add_counter seen buf "ivm_view_dead_letters_total" l v.dead_letters;
       add_counter seen buf "ivm_view_skipped_total" l v.skipped;
+      add_counter seen buf "ivm_view_delta_fallbacks_total" l v.delta_fallbacks;
       add_histogram seen buf "ivm_view_apply_seconds" l v.apply)
     (view_names t);
   List.iter

@@ -32,6 +32,10 @@ type view = {
   mutable rebuilds : int;  (** successful recovery / self-check rebuilds *)
   mutable dead_letters : int;  (** poison updates quarantined out of the view *)
   mutable skipped : int;  (** updates skipped while degraded or quarantined *)
+  mutable delta_fallbacks : int;
+      (** epochs that dropped a tracked view's pending delta because
+          the engine reports no output delta: each forces the
+          consumer's next read to rebuild *)
   apply : Hist.t;
 }
 
@@ -49,13 +53,22 @@ type t = {
           averaged away in the per-process histogram *)
   ops_mutex : Mutex.t;
   cache_hits : int Atomic.t;
-      (** network reads answered from the snapshot cache as it stood
-          (the view unchanged, or stale-while-revalidate) *)
+      (** network reads answered from a current cached snapshot (the
+          view unchanged since it was built) *)
+  cache_stale_serves : int Atomic.t;
+      (** reads answered from the previous snapshot of a changed view
+          while another read refreshes it (stale-while-revalidate) *)
   cache_revalidations : int Atomic.t;
       (** read-your-writes reads answered by re-stamping the watermark
           of an unchanged view's cached snapshot — O(1), no rebuild *)
+  cache_patches : int Atomic.t;
+      (** stale snapshots brought current by applying the view's pending
+          output delta — the touched chunks re-framed, nothing
+          re-enumerated *)
   cache_rebuilds : int Atomic.t;
-      (** snapshot re-materialisations (first read, or the view changed) *)
+      (** snapshot re-materialisations: a first read, or a view whose
+          pending delta was dropped (over its bound, or the view failed
+          or was reinstalled) *)
   cache_index_builds : int Atomic.t;
       (** per-first-field key indexes built — once per snapshot, on its
           first keyed lookup *)

@@ -36,7 +36,19 @@
     parallelism is plain task parallelism over disjoint state.
     Exceptions are caught {e inside} each task (the pool re-raises
     otherwise) and turned into supervision state after the barrier, on
-    the scheduler's domain. *)
+    the scheduler's domain.
+
+    Delta consumers: a view whose reader has called {!track} is applied
+    through its engine's [apply_delta], and the reported output deltas
+    are folded into a pending Z-set relative to the view's stamp at the
+    last [track]. The network server patches its cached snapshot with
+    it instead of re-enumerating the view. Views nobody tracks are
+    applied exactly as before and hold nothing. A pending delta larger
+    than a rewrite of the whole view (twice its size at the last
+    [track], plus a small floor) is dropped, and an epoch on a view
+    whose engine has no output delta, a failure, recovery, {!heal}, a
+    {!self_check} reinstall or a dead-letter rebuild breaks it too: the
+    consumer's next read rebuilds. *)
 
 module Db = Ivm_data.Database.Z
 module Rel = Ivm_data.Relation.Z
@@ -51,6 +63,18 @@ let health_name = function
   | Degraded -> "degraded"
   | Quarantined -> "quarantined"
 
+(* A delta consumer's pending output change: every output delta the
+   view reported since stamp value [since], folded into one Z-set —
+   what the network server patches its cached snapshot with. [since <
+   0] means broken (dropped over [bound], or the view failed or was
+   reinstalled): nothing is folded until the consumer re-tracks, and
+   its next read must rebuild. *)
+type pending = {
+  mutable since : int;
+  mutable bound : int;
+  delta : int Tuple.Tbl.t;
+}
+
 type entry = {
   name : string;
   build : Db.t -> M.t;
@@ -64,6 +88,7 @@ type entry = {
   stamp : int Atomic.t;
       (* bumped whenever the view's state may have changed: handed a
          non-empty sub-front, or (re)installed *)
+  mutable pending : pending option; (* [None] until a consumer tracks the view *)
   (* Per-epoch slots, reused across epochs: the relation groups routed
      to the view this epoch (newest first; [] = untouched), the
      sub-front in flight, and what its apply task measured or caught. *)
@@ -94,6 +119,9 @@ type t = {
      exclusive side; [read] exposes the shared side. The read accessors
      below do NOT lock — a concurrent reader wraps them in [read]. *)
   lock : Rwlock.t;
+  pending_mutex : Mutex.t;
+      (* serializes consumers' reads and resets of pending deltas, which
+         run under the shared lock; epochs fold under the exclusive one *)
 }
 
 let make ?pool ?metrics ~backoff_base ~max_failures ~rng ?dead_wal db =
@@ -109,6 +137,7 @@ let make ?pool ?metrics ~backoff_base ~max_failures ~rng ?dead_wal db =
     rng;
     dead_wal;
     lock = Rwlock.create ();
+    pending_mutex = Mutex.create ();
   }
 
 let create ?pool ?metrics ?(backoff_base = 0.01) ?(max_failures = 5) ?(seed = 0) ?dead_wal db =
@@ -127,6 +156,7 @@ let stub name =
     M.name;
     relations = [];
     apply_batch = (fun _ -> ());
+    apply_delta = None;
     output_count = (fun () -> 0);
     fingerprint = (fun () -> 0);
     enumerate = (fun () -> []);
@@ -180,9 +210,18 @@ let backoff t failures =
   let doubling = 2. ** float_of_int (max 0 (failures - 1)) in
   t.backoff_base *. doubling *. (1. +. Random.State.float t.rng 0.5)
 
+(* Force the consumer's next read to rebuild: the pending delta no
+   longer describes the view's change since its snapshot. *)
+let break p =
+  p.since <- -1;
+  Tuple.Tbl.reset p.delta
+
+let break_pending e = Option.iter break e.pending
+
 (* Record one more failure for [e]: schedule the next retry, or
    quarantine past the threshold. *)
 let note_failure t e detail =
+  break_pending e;
   e.failures <- e.failures + 1;
   e.last_error <- Some detail;
   count_failure t e.name;
@@ -204,6 +243,7 @@ let dead_letter t e (updates : int Update.t list) =
     (metrics_view t e.name)
 
 let install t e view =
+  break_pending e;
   set_view t e view;
   set_health t e Healthy;
   e.suspects <- [];
@@ -287,6 +327,7 @@ let register t ~name build =
           dead = [];
           last_error = None;
           stamp = Atomic.make 0;
+          pending = None;
           groups = [];
           sub = [];
           elapsed = 0.;
@@ -322,6 +363,73 @@ let entry t fn name =
 let find t name = (entry t "find" name).view
 let stamp t name = (entry t "stamp" name).stamp
 let stamp_value = Atomic.get
+(* --- delta consumers --- *)
+
+(* A folded delta holds at most one retraction per old row and one
+   insertion per new row, so past twice the view's size (plus a floor
+   that keeps tiny views patchable) it is bigger than a rewrite of the
+   whole view: a rebuild is cheaper than the patch. *)
+let bound_of_size size = (2 * size) + 16
+
+let track t name ~size =
+  let e = entry t "track" name in
+  Mutex.protect t.pending_mutex (fun () ->
+      let p =
+        match e.pending with
+        | Some p -> p
+        | None ->
+            let p = { since = -1; bound = 0; delta = Tuple.Tbl.create 16 } in
+            e.pending <- Some p;
+            p
+      in
+      Tuple.Tbl.reset p.delta;
+      p.since <- Atomic.get e.stamp;
+      p.bound <- bound_of_size size)
+
+let pending_delta t name ~since =
+  let e = entry t "pending_delta" name in
+  Mutex.protect t.pending_mutex (fun () ->
+      match e.pending with
+      | Some p when p.since >= 0 && p.since = since ->
+          Some (Tuple.Tbl.fold (fun tp d acc -> (tp, d) :: acc) p.delta [])
+      | _ -> None)
+
+let pending_size t name =
+  let e = entry t "pending_size" name in
+  Mutex.protect t.pending_mutex (fun () ->
+      Option.map (fun p -> if p.since < 0 then 0 else Tuple.Tbl.length p.delta) e.pending)
+
+(* Fold one batch's output delta into the pending Z-set; past the bound
+   a patch would cost more than the rebuild it saves, so drop it. *)
+let fold_pending p (delta : M.delta) =
+  List.iter
+    (fun (tp, d) ->
+      let s = Option.value (Tuple.Tbl.find_opt p.delta tp) ~default:0 + d in
+      if s = 0 then Tuple.Tbl.remove p.delta tp else Tuple.Tbl.replace p.delta tp s)
+    delta;
+  if Tuple.Tbl.length p.delta > p.bound then break p
+
+(* Apply a view's sub-front; a view whose consumer is tracking it also
+   reports its output delta. Runs inside the view's apply task: the
+   pending set is the entry's own, and readers are locked out. *)
+let apply_view e sub =
+  match (e.pending, e.view.M.apply_delta) with
+  | Some p, Some apply_delta when p.since >= 0 -> fold_pending p (apply_delta sub)
+  | _ -> e.view.M.apply_batch sub
+
+(* An engine with no output delta cannot feed its consumer: break the
+   pending delta, so the consumer's next read rebuilds — what it paid
+   untracked — and count that fallback. Breaking once covers every
+   epoch until the consumer re-tracks. *)
+let fall_back t e =
+  match (e.pending, e.view.M.apply_delta) with
+  | Some p, None when p.since >= 0 ->
+      break p;
+      Option.iter
+        (fun v -> v.Metrics.delta_fallbacks <- v.Metrics.delta_fallbacks + 1)
+        (metrics_view t e.name)
+  | _ -> ()
+
 let counts t = List.map (fun (name, m) -> (name, m.M.output_count ())) (views t)
 let fingerprints t = List.map (fun (name, m) -> (name, m.M.fingerprint ())) (views t)
 let health t name = (entry t "health" name).health
@@ -410,9 +518,10 @@ let apply_front_locked t (front : (string * int Update.t list) list) =
         if sub = [] then tasks
         else begin
           Atomic.incr e.stamp;
+          fall_back t e;
           (fun () ->
             let t0 = now () in
-            match e.view.M.apply_batch sub with
+            match apply_view e sub with
             | () -> e.elapsed <- now () -. t0
             | exception exn -> e.error <- Some (Printexc.to_string exn))
           :: tasks

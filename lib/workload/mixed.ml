@@ -139,16 +139,13 @@ let ints vs = Tuple.of_ints vs
    the tenant's namespaced ones. *)
 let renamed ~relations ~canonical (m : M.t) =
   {
-    m with
+    (M.map_batch
+       (List.map (fun (u : int Update.t) ->
+            Update.make ~rel:(canonical u.Update.rel) ~tuple:u.Update.tuple
+              ~payload:u.Update.payload))
+       m)
+    with
     M.relations;
-    apply_batch =
-      (fun batch ->
-        m.M.apply_batch
-          (List.map
-             (fun (u : int Update.t) ->
-               Update.make ~rel:(canonical u.Update.rel) ~tuple:u.Update.tuple
-                 ~payload:u.Update.payload)
-             batch));
   }
 
 (* Q(B) :- R(A,B), S(B,C): the textbook q-hierarchical join (free join

@@ -282,6 +282,122 @@ let faulty_bit_flip () =
               Alcotest.failf "expected Crc_mismatch, got %s" (Wire.error_to_string e)
           | Ok _ -> Alcotest.fail "checksum missed a flipped bit"))
 
+
+(* --- prebuilt chunk frames and copy-on-write answers ------------------ *)
+
+let entries_gen =
+  QCheck.Gen.(
+    list_size (int_range 0 60)
+      (pair (map (fun (a, b) -> tup [ a; b ]) (pair (int_range 0 9) (int_range 0 9)))
+         (int_range (-3) 3)))
+
+let print_entries es =
+  String.concat ";" (List.map (fun (tp, p) -> Printf.sprintf "%s:%d" (D.Tuple.to_string tp) p) es)
+
+(* The one-allocation chunk frame is byte-identical to framing the
+   encoded [Chunk] response. *)
+let chunk_frame_identical =
+  QCheck.Test.make ~name:"chunk_frame = frame_bytes of the encoded Chunk" ~count:200
+    QCheck.(pair bool (make ~print:print_entries entries_gen))
+    (fun (last, entries) ->
+      let a = Array.of_list entries in
+      let n = Array.length a in
+      let off = n / 3 in
+      let len = n - off - (n / 4) in
+      let slice = List.filteri (fun i _ -> i >= off && i < off + len) entries in
+      Bytes.equal
+        (Wire.chunk_frame ~last a ~off ~len)
+        (Wire.frame_bytes (Wire.encode_response (Wire.Chunk { last; entries = slice }))))
+
+(* The frame layout itself: u32 length, u32 CRC, body. *)
+let frame_layout =
+  QCheck.Test.make ~name:"frame = length, crc, body" ~count:100
+    (QCheck.make ~print:String.escaped body_gen) (fun body ->
+      let b = Buffer.create 8 in
+      D.Codec.add_u32 b (String.length body);
+      D.Codec.add_u32 b (D.Codec.crc32 body ~pos:0 ~len:(String.length body));
+      Wire.frame body = Buffer.contents b ^ body)
+
+(* The Z-set an answer serves: sorted, equal tuples summed, no zeros. *)
+let zset entries =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (tp, p) ->
+      let k = D.Tuple.to_list tp in
+      Hashtbl.replace tbl k (p + Option.value (Hashtbl.find_opt tbl k) ~default:0))
+    entries;
+  Hashtbl.fold (fun k p acc -> if p = 0 then acc else (k, p) :: acc) tbl [] |> List.sort compare
+
+let decode_frames frames =
+  List.map
+    (fun f ->
+      match Wire.decode_frame (Bytes.to_string f) ~pos:0 with
+      | Error e -> Alcotest.failf "frame: %s" (Wire.error_to_string e)
+      | Ok (body, _) -> (
+          match Wire.decode_response body with
+          | Ok (Wire.Chunk { last; entries }) -> (last, entries)
+          | Ok r -> Alcotest.failf "expected a chunk, got %s" (Wire.response_name r)
+          | Error e -> Alcotest.failf "chunk: %s" (Wire.error_to_string e)))
+    frames
+
+(* What a client reassembles from an answer's frames, checking the
+   chunk invariants on the way: at most [chunk_size] entries each, the
+   [last] flag on the final frame only, no zero payloads. *)
+let served ~chunk_size frames =
+  let chunks = decode_frames frames in
+  let n = List.length chunks in
+  List.iteri
+    (fun i (last, entries) ->
+      if last <> (i = n - 1) then Alcotest.fail "last flag misplaced";
+      if List.length entries > chunk_size then Alcotest.fail "chunk over chunk_size";
+      if List.exists (fun (_, p) -> p = 0) entries then Alcotest.fail "zero payload served")
+    chunks;
+  List.concat_map snd chunks
+
+(* A chain of patches serves exactly what a from-scratch build of all
+   the entries serves, within the chunk invariants and without
+   fragmenting past twice the minimum frame count; an all-zero delta
+   returns the answer itself. *)
+let chunked_patch_equals_rebuild =
+  QCheck.Test.make ~name:"patched answer = answer rebuilt from scratch" ~count:200
+    QCheck.(
+      triple (int_range 1 7)
+        (make ~print:print_entries entries_gen)
+        (list_of_size (Gen.int_range 1 6) (make ~print:print_entries entries_gen)))
+    (fun (chunk_size, base, deltas) ->
+      let module C = Ivm_net.Chunked in
+      let step (answer, all) delta =
+        let next = C.patch answer delta and all = all @ delta in
+        let got = served ~chunk_size (C.frames next) in
+        if List.map (fun (tp, p) -> (D.Tuple.to_list tp, p)) got <> zset all then
+          QCheck.Test.fail_reportf "patched %s" (print_entries got);
+        if C.size next <> C.size (C.build ~chunk_size all) then
+          QCheck.Test.fail_report "size differs from a rebuild";
+        if List.length (C.frames next) > 2 * max 1 ((C.size next + chunk_size - 1) / chunk_size)
+        then QCheck.Test.fail_report "answer too fragmented";
+        if zset delta = [] && next != answer then
+          QCheck.Test.fail_report "an all-zero delta must return the answer itself";
+        (next, all)
+      in
+      ignore (List.fold_left step (C.build ~chunk_size base, base) deltas);
+      true)
+
+(* A one-key delta re-frames only the chunk holding the key: every
+   other frame is physically shared with the previous answer. *)
+let chunked_shares_untouched () =
+  let module C = Ivm_net.Chunked in
+  let base = List.init 40 (fun i -> (tup [ i ], 1)) in
+  let a = C.build ~chunk_size:8 base in
+  Alcotest.(check int) "five chunks" 5 (List.length (C.frames a));
+  let b = C.patch a [ (tup [ 17 ], 4) ] in
+  let shared = List.filter (fun f -> List.memq f (C.frames a)) (C.frames b) in
+  Alcotest.(check int) "four chunks shared physically" 4 (List.length shared);
+  Alcotest.(check bool) "the old answer is untouched" true
+    (served ~chunk_size:8 (C.frames a) = base);
+  let c = C.patch b [ (tup [ 39 ], -1) ] in
+  Alcotest.(check int) "deleting from the last chunk keeps the others" 4
+    (List.length (List.filter (fun f -> List.memq f (C.frames b)) (C.frames c)))
+
 (* --- Prometheus exposition -------------------------------------------- *)
 
 let metrics_render () =
@@ -295,6 +411,11 @@ let metrics_render () =
   Atomic.incr m.Metrics.cache_hits;
   Atomic.incr m.Metrics.cache_hits;
   Atomic.incr m.Metrics.cache_rebuilds;
+  Atomic.incr m.Metrics.cache_patches;
+  Atomic.incr m.Metrics.cache_patches;
+  Atomic.incr m.Metrics.cache_patches;
+  Atomic.incr m.Metrics.cache_stale_serves;
+  (Metrics.view m "tri").Metrics.delta_fallbacks <- 2;
   let text = Metrics.render m in
   let contains needle =
     let nl = String.length needle and hl = String.length text in
@@ -320,6 +441,12 @@ let metrics_render () =
       "ivm_snapshot_cache_revalidations_total 0";
       "ivm_snapshot_cache_rebuilds_total 1";
       "ivm_snapshot_cache_index_builds_total 0";
+      "# TYPE ivm_snapshot_cache_patches_total counter";
+      "ivm_snapshot_cache_patches_total 3";
+      "# TYPE ivm_snapshot_cache_stale_serves_total counter";
+      "ivm_snapshot_cache_stale_serves_total 1";
+      "# TYPE ivm_view_delta_fallbacks_total counter";
+      "ivm_view_delta_fallbacks_total{view=\"tri\"} 2";
     ];
   (* One # TYPE header per metric name, even with several op labels. *)
   let count_type =
@@ -1577,6 +1704,228 @@ let e2e_prefix_lookups_match_filter () =
             (List.length
                (ok_wire (Client.lookup c ~view:"paths-rs" ~prefix:(tup [ -999 ]))))))
 
+
+(* --- snapshot patching from view output deltas ------------------------ *)
+
+(* The same join as paths-rs three more ways: a dataflow graph (native
+   delta), an eager strategy (no output delta), and a view tree that
+   fails while [broken] is set. *)
+let paths_df (db : D.Database.Z.t) : M.t =
+  let module Dfg = Ivm_dataflow.Graph in
+  let g = Dfg.create () in
+  let joined =
+    Dfg.join g (Dfg.source g ~rel:"R" ~schema:[ "A"; "B" ]) (Dfg.source g ~rel:"S" ~schema:[ "B"; "C" ])
+  in
+  Dfg.output g ~name:"paths-df" (Dfg.project g ~cols:[ "B"; "A"; "C" ] joined);
+  Dfg.apply g
+    (List.concat_map
+       (fun rel ->
+         Rel.fold (fun tp p acc -> U.make ~rel ~tuple:tp ~payload:p :: acc) (D.Database.Z.find db rel) [])
+       [ "R"; "S" ]);
+  M.of_dataflow ~name:"paths-df" g
+
+let paths_eager (db : D.Database.Z.t) : M.t =
+  let forest = Option.get (Ivm_query.Variable_order.canonical q_rs) in
+  M.of_strategy ~name:"paths-eager" (Ivm_engine.Strategy.create Ivm_engine.Strategy.Eager_fact q_rs forest db)
+
+let fragile broken db =
+  M.map_batch (fun b -> if !broken then failwith "fragile: injected failure" else b) (paths_factory db)
+
+(* The views whose engines report output deltas. *)
+let patch_views = [ "tri"; "paths-rs"; "paths-df" ]
+
+(* A server over a registry the test applies epochs to directly, so
+   every epoch and every read happens exactly where the test says. *)
+let with_patch_server ?(broken = ref false) f =
+  let metrics = Metrics.create () in
+  let reg = Registry.create ~metrics ~backoff_base:1e3 (make_triangle_db ()) in
+  register_views reg;
+  Registry.register reg ~name:"paths-df" paths_df;
+  Registry.register reg ~name:"paths-eager" paths_eager;
+  Registry.register reg ~name:"fragile" (fragile broken);
+  let srv = ok_wire (Server.start ~port:0 ~handlers:2 ~chunk_size:8 ~registry:reg ~metrics ()) in
+  Fun.protect ~finally:(fun () -> Server.stop ~grace:0. srv) (fun () -> f srv reg metrics)
+
+let patches m = Atomic.get m.Metrics.cache_patches
+let rebuilds m = Atomic.get m.Metrics.cache_rebuilds
+
+(* A read through the snapshot cache, checked against the view's own
+   enumeration at the same epoch. *)
+let read_checked srv reg view =
+  let frames = ok_msg (Server.snapshot_frames srv view) in
+  let want = Registry.read reg (fun () -> (Registry.find reg view).M.enumerate ()) in
+  Alcotest.(check bool) (view ^ ": served = enumerate") true
+    (zset (served ~chunk_size:8 frames) = zset want);
+  frames
+
+let batches_of k l =
+  let rec go acc cur n = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+        if n = k then go (List.rev cur :: acc) [ x ] 1 rest else go acc (x :: cur) (n + 1) rest
+  in
+  go [] [] 0 l
+
+
+(* Every engine kind reports exactly its output change: enumerate after
+   a batch = enumerate before + the batch's delta, as Z-sets. *)
+let engine_deltas_exact () =
+  let db = make_triangle_db () in
+  D.Database.Z.apply_batch db (edge_stream 200);
+  List.iter
+    (fun (name, factory) ->
+      let m = factory db in
+      List.iter
+        (fun batch ->
+          let batch = List.filter (fun (u : int U.t) -> List.mem u.U.rel m.M.relations) batch in
+          let before = m.M.enumerate () in
+          let delta = Option.get m.M.apply_delta batch in
+          Alcotest.(check bool) (name ^ ": before + delta = after") true
+            (zset (before @ delta) = zset (m.M.enumerate ())))
+        (batches_of 7 (edge_stream ~seed:9 140)))
+    [
+      ("view tree", paths_factory);
+      ("dataflow", paths_df);
+      ("triangle", tri_factory);
+    ]
+
+(* Fingerprints fold the engines' outputs directly, bit-identical to
+   the digest of a materialized copy. *)
+let fingerprints_unchanged () =
+  let db = make_triangle_db () in
+  D.Database.Z.apply_batch db (edge_stream 300);
+  let forest = Option.get (Ivm_query.Variable_order.canonical q_rs) in
+  let tree = Ivm_engine.View_tree.build q_rs forest db in
+  let vt = M.of_view_tree ~name:"paths-rs" q_rs tree in
+  Alcotest.(check int) "view tree"
+    (M.relation_fingerprint (Ivm_engine.View_tree.output_relation tree))
+    (vt.M.fingerprint ());
+  let df = paths_df db in
+  Alcotest.(check int) "dataflow" (M.entries_fingerprint (df.M.enumerate ())) (df.M.fingerprint ());
+  Alcotest.(check int) "view tree = dataflow" (vt.M.fingerprint ()) (df.M.fingerprint ())
+
+(* An epoch on a view yields its new frames by a patch, not a rebuild,
+   for every engine kind, across many epochs; a one-update epoch
+   re-frames only the chunks it touches. The strategy view has no
+   output delta: an epoch on it breaks its pending delta, counted once
+   as a fallback, and its next read rebuilds. *)
+let e2e_epochs_patch () =
+  with_patch_server (fun srv reg metrics ->
+      Registry.apply_batch reg (edge_stream 300);
+      List.iter (fun v -> ignore (read_checked srv reg v)) patch_views;
+      Alcotest.(check int) "first reads rebuild" (List.length patch_views) (rebuilds metrics);
+      (* One read per epoch, then one per three epochs: a patch folds
+         every epoch since its snapshot. *)
+      List.iter
+        (fun batch ->
+          Registry.apply_batch reg batch;
+          List.iter (fun v -> ignore (read_checked srv reg v)) patch_views)
+        (batches_of 15 (edge_stream ~seed:5 300));
+      List.iter
+        (fun epochs ->
+          List.iter (Registry.apply_batch reg) epochs;
+          List.iter (fun v -> ignore (read_checked srv reg v)) patch_views)
+        (batches_of 3 (batches_of 10 (edge_stream ~seed:6 300)));
+      Alcotest.(check int) "no rebuild after the first reads" (List.length patch_views)
+        (rebuilds metrics);
+      Alcotest.(check bool) "epochs were patched" true (patches metrics > 0);
+      let before = read_checked srv reg "paths-rs" in
+      (* R(100, b) joins every S(b, c) already present. *)
+      let b =
+        match served ~chunk_size:8 before with
+        | (tp, _) :: _ -> D.Value.to_int (D.Tuple.get tp 0)
+        | [] -> Alcotest.fail "paths-rs is empty"
+      in
+      let p0 = patches metrics and r0 = rebuilds metrics in
+      Registry.apply_batch reg [ U.make ~rel:"R" ~tuple:(tup [ 100; b ]) ~payload:1 ];
+      let after = read_checked srv reg "paths-rs" in
+      Alcotest.(check int) "one patch" (p0 + 1) (patches metrics);
+      Alcotest.(check int) "no rebuild" r0 (rebuilds metrics);
+      Alcotest.(check bool) "new frames" false (same_frames before after);
+      Alcotest.(check bool) "untouched chunks shared" true
+        (List.length before < 3 || List.exists (fun f -> List.memq f before) after);
+      let fallbacks v = (Metrics.view metrics v).Metrics.delta_fallbacks in
+      List.iter (fun v -> Alcotest.(check int) (v ^ ": no fallback") 0 (fallbacks v)) patch_views;
+      ignore (read_checked srv reg "paths-eager");
+      Alcotest.(check int) "strategy: untracked until read" 0 (fallbacks "paths-eager");
+      let p0 = patches metrics and r0 = rebuilds metrics in
+      Registry.apply_batch reg [ U.make ~rel:"R" ~tuple:(tup [ 101; b ]) ~payload:1 ];
+      Registry.apply_batch reg [ U.make ~rel:"S" ~tuple:(tup [ b; 102 ]) ~payload:1 ];
+      Alcotest.(check (option int)) "strategy: nothing pending" (Some 0)
+        (Registry.pending_size reg "paths-eager");
+      ignore (read_checked srv reg "paths-eager");
+      Alcotest.(check int) "strategy: one fallback" 1 (fallbacks "paths-eager");
+      Alcotest.(check int) "strategy: rebuilt" (r0 + 1) (rebuilds metrics);
+      Alcotest.(check int) "strategy: not patched" p0 (patches metrics))
+
+(* Every reinstall forces the next read to rebuild, never patch: heal
+   of a failed view, a self-check reinstall, and the dead-letter
+   rebuild that isolates a poison update. *)
+let e2e_reinstall_forces_rebuild () =
+  let broken = ref false in
+  with_patch_server ~broken (fun srv reg metrics ->
+      Registry.apply_batch reg (edge_stream 300);
+      List.iter (fun v -> ignore (read_checked srv reg v)) [ "tri"; "fragile" ];
+      let forced what view =
+        let p0 = patches metrics and r0 = rebuilds metrics in
+        ignore (read_checked srv reg view);
+        Alcotest.(check int) (what ^ ": rebuilt") (r0 + 1) (rebuilds metrics);
+        Alcotest.(check int) (what ^ ": not patched") p0 (patches metrics)
+      in
+      (* heal *)
+      broken := true;
+      Registry.apply_batch reg (edge_stream ~seed:3 20);
+      broken := false;
+      Alcotest.(check bool) "fragile degraded" true (Registry.health reg "fragile" <> Registry.Healthy);
+      Alcotest.(check (list string)) "heal recovers" [] (Registry.heal reg);
+      forced "heal" "fragile";
+      (* self-check reinstall: corrupt tri behind the registry's back *)
+      ignore (read_checked srv reg "tri");
+      (Registry.find reg "tri").M.apply_batch [ U.make ~rel:"R" ~tuple:(tup [ 3; 4 ]) ~payload:5 ];
+      Alcotest.(check (list string)) "reinstalled" [ "tri" ] (Registry.self_check reg);
+      forced "self-check reinstall" "tri";
+      (* dead-letter rebuild *)
+      Registry.apply_batch reg
+        [ U.make ~rel:"R" ~tuple:(D.Tuple.of_list [ D.Value.Str "bad"; D.Value.Int 7 ]) ~payload:1 ];
+      Alcotest.(check (list string)) "dead-letter rebuild heals" [] (Registry.heal reg);
+      Alcotest.(check int) "poison dead-lettered" 1
+        (List.length (List.assoc "tri" (Registry.dead_letters reg)));
+      forced "dead-letter rebuild" "tri")
+
+(* A pending delta that outgrows a rewrite of the whole view (twice its
+   size, plus a floor of 16) is dropped, and the next read rebuilds. *)
+let e2e_oversized_delta_rebuilds () =
+  with_patch_server (fun srv reg metrics ->
+      Registry.apply_batch reg (edge_stream 100);
+      let size = List.length (served ~chunk_size:8 (read_checked srv reg "paths-rs")) in
+      Registry.apply_batch reg
+        (U.make ~rel:"R" ~tuple:(tup [ 1; 50 ]) ~payload:1
+        :: List.init ((2 * size) + 17) (fun c ->
+               U.make ~rel:"S" ~tuple:(tup [ 50; 100 + c ]) ~payload:1));
+      Alcotest.(check (option int)) "pending delta dropped" (Some 0)
+        (Registry.pending_size reg "paths-rs");
+      let p0 = patches metrics and r0 = rebuilds metrics in
+      ignore (read_checked srv reg "paths-rs");
+      Alcotest.(check int) "rebuilt" (r0 + 1) (rebuilds metrics);
+      Alcotest.(check int) "not patched" p0 (patches metrics))
+
+(* Views nobody reads collect no deltas: without a consumer the
+   registry holds no pending sets, and a read tracks only its view. *)
+let pending_only_for_consumers () =
+  let reg = Registry.create (make_triangle_db ()) in
+  register_views reg;
+  List.iter (Registry.apply_batch reg) (batches_of 50 (edge_stream 300));
+  let pending () = List.map (fun v -> (v, Registry.pending_size reg v)) [ "tri"; "paths-rs" ] in
+  Alcotest.(check bool) "no consumer, no pending delta" true
+    (pending () = [ ("tri", None); ("paths-rs", None) ]);
+  let srv = ok_wire (Server.start ~port:0 ~handlers:1 ~registry:reg ~metrics:(Metrics.create ()) ()) in
+  Fun.protect
+    ~finally:(fun () -> Server.stop ~grace:0. srv)
+    (fun () ->
+      ignore (ok_msg (Server.snapshot_frames srv "paths-rs"));
+      Alcotest.(check bool) "a read tracks its view only" true
+        (pending () = [ ("tri", None); ("paths-rs", Some 0) ]))
+
 let () =
   Alcotest.run ~and_exit:false "net"
     [
@@ -1586,6 +1935,8 @@ let () =
           qt frame_concat;
           qt frame_truncation;
           qt frame_bit_flip;
+          qt frame_layout;
+          qt chunk_frame_identical;
           Alcotest.test_case "oversized rejected" `Quick oversized_rejected;
         ] );
       ( "messages",
@@ -1624,6 +1975,19 @@ let () =
           Alcotest.test_case "corrupt frame keeps serving" `Quick
             e2e_corrupt_frame_keeps_serving;
           Alcotest.test_case "shutdown acks once, drains in-flight" `Quick e2e_shutdown;
+        ] );
+      ( "snapshot patching",
+        [
+          Alcotest.test_case "engine deltas are exact" `Quick engine_deltas_exact;
+          Alcotest.test_case "fingerprints without copies" `Quick fingerprints_unchanged;
+          qt chunked_patch_equals_rebuild;
+          Alcotest.test_case "a patch shares untouched chunks" `Quick chunked_shares_untouched;
+          Alcotest.test_case "epochs patch, every engine kind" `Quick e2e_epochs_patch;
+          Alcotest.test_case "reinstalls force a rebuild" `Quick e2e_reinstall_forces_rebuild;
+          Alcotest.test_case "oversized pending delta rebuilds" `Quick
+            e2e_oversized_delta_rebuilds;
+          Alcotest.test_case "pending deltas only for consumers" `Quick
+            pending_only_for_consumers;
         ] );
       ( "sessions (read-your-writes)",
         [

@@ -559,6 +559,7 @@ let counter_view rel name : D.Database.Z.t -> M.t =
     M.name;
     relations = [ rel ];
     apply_batch = List.iter (fun (u : int U.t) -> n := !n + u.U.payload);
+    apply_delta = None;
     output_count = (fun () -> !n);
     fingerprint = (fun () -> !n);
     enumerate = (fun () -> []);
@@ -663,6 +664,7 @@ let flaky_view name : D.Database.Z.t -> M.t =
     M.name;
     relations = [ "R" ];
     apply_batch = (fun _ -> failwith "flaky: injected apply failure");
+    apply_delta = None;
     output_count = (fun () -> 0);
     fingerprint = (fun () -> 0);
     enumerate = (fun () -> []);
