@@ -61,8 +61,6 @@ let rate n t = Printf.sprintf "%.0f" (float_of_int n /. max 1e-9 t)
 (** Minimal JSON for the machine-readable [BENCH_*.json] artifacts the
     CI and plotting scripts consume — no dependency beyond stdlib. *)
 type json =
-  | Null
-  | Bool of bool
   | Int of int
   | Float of float
   | Str of string
@@ -70,8 +68,6 @@ type json =
   | Obj of (string * json) list
 
 let rec write_json buf = function
-  | Null -> Buffer.add_string buf "null"
-  | Bool b -> Buffer.add_string buf (string_of_bool b)
   | Int i -> Buffer.add_string buf (string_of_int i)
   | Float f ->
       if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.6g" f)

@@ -24,11 +24,6 @@ module Tri = E.Triangle
 let fast = ref false
 let tup = D.Tuple.of_ints
 
-(* Filled by the stream experiment: minor words allocated per update in
-   the no-wal config — the metric the [--check-alloc] CI gate compares
-   against its checked-in baseline. *)
-let stream_minor_words_per_update : float option ref = ref None
-
 (* ---------------------------------------------------------------- *)
 (* fig2: the worked example of Fig. 2 -- exact payload verification. *)
 (* ---------------------------------------------------------------- *)
@@ -674,338 +669,6 @@ let fig7 () =
      delay O(N^(1-eps)) decreases along the eager-lazy segment; eps=1/2 is the\n\
      weakly Pareto optimal point touching the OMv lower-bound cuboid.\n"
 
-(* --------------------------------------------------------- *)
-(* par-scaling: parallel sharded batch maintenance (Sec. 2).  *)
-(* --------------------------------------------------------- *)
-
-(* Ring payloads make update batches commute, so a batch can be applied
-   out of order across a domain pool: shard-partitioned writes for the
-   base relations, chunk-parallel read-only probes for the polarized
-   batch delta of the triangle count. Speedup needs real cores -- on a
-   single-core host every width collapses to ~1x (the width-1 pool runs
-   inline, so the sequential baseline is unpolluted by pool overhead). *)
-let par_scaling () =
-  U.section
-    "par-scaling: batch maintenance across a domain pool (1/2/4/8 domains)\n\
-     (speedup vs 1 domain; needs a multicore host to rise above ~1x)";
-  let domain_widths = [ 1; 2; 4; 8 ] in
-  let batch_sizes =
-    if !fast then [ 100; 1_000; 10_000 ] else [ 100; 1_000; 10_000; 100_000 ]
-  in
-  let total = if !fast then 20_000 else 100_000 in
-  let nodes = 400 in
-  let rng = Random.State.make [| 42 |] in
-  let stream =
-    Array.init total (fun _ ->
-        let rel =
-          match Random.State.int rng 3 with 0 -> Tri.R | 1 -> Tri.S | _ -> Tri.T
-        in
-        let a = 1 + Random.State.int rng nodes
-        and b = 1 + Random.State.int rng nodes in
-        let m = if Random.State.int rng 10 < 8 then 1 else -1 in
-        (rel, a, b, m))
-  in
-  let batches b =
-    let rec go i acc =
-      if i >= total then List.rev acc
-      else
-        let len = min b (total - i) in
-        go (i + len) (Array.to_list (Array.sub stream i len) :: acc)
-    in
-    go 0 []
-  in
-  (* Prints the human table and returns the same cells as JSON, so the
-     experiment can emit a machine-readable BENCH_par_scaling.json. *)
-  let speedup_table ~title run =
-    Printf.printf "\n-- %s --\n" title;
-    let times = Hashtbl.create 32 in
-    List.iter
-      (fun d ->
-        Ivm_par.Domain_pool.with_pool ~domains:d (fun pool ->
-            List.iter
-              (fun b -> Hashtbl.replace times (d, b) (run pool d b))
-              batch_sizes))
-      domain_widths;
-    U.table
-      ~header:
-        ("domains"
-        :: List.map (fun b -> Printf.sprintf "B=%d upd/s (speedup)" b) batch_sizes)
-      (List.map
-         (fun d ->
-           string_of_int d
-           :: List.map
-                (fun b ->
-                  let t = Hashtbl.find times (d, b) in
-                  let t1 = Hashtbl.find times (1, b) in
-                  Printf.sprintf "%s (%.2fx)" (U.rate total t) (t1 /. t))
-                batch_sizes)
-         domain_widths);
-    U.Obj
-      [
-        ("title", U.Str title);
-        ( "cells",
-          U.List
-            (List.concat_map
-               (fun d ->
-                 List.map
-                   (fun b ->
-                     let t = Hashtbl.find times (d, b) in
-                     let t1 = Hashtbl.find times (1, b) in
-                     U.Obj
-                       [
-                         ("domains", U.Int d);
-                         ("batch", U.Int b);
-                         ("seconds", U.Float t);
-                         ("updates_per_s", U.Float (float_of_int total /. t));
-                         ("speedup", U.Float (t1 /. t));
-                       ])
-                   batch_sizes)
-               domain_widths) );
-      ]
-  in
-  (* Triangle-count batch front: the 7-term polarized batch delta with
-     chunk-parallel probes, then shard-free base application (one task
-     per relation). Every (width, batch-size) cell must land on the same
-     count -- the commutativity cross-check. *)
-  let reference = ref None in
-  let tri_json =
-    speedup_table ~title:"triangle count, Delta batch front (7-term polarization)"
-      (fun pool _ b ->
-      let eng = E.Triangle_batch.Delta.create ~pool () in
-      let bs = batches b in
-      let (), t =
-        U.time (fun () -> List.iter (E.Triangle_batch.Delta.apply_batch eng) bs)
-      in
-      let c = E.Triangle_batch.Delta.count eng in
-      (match !reference with
-      | None -> reference := Some c
-      | Some c0 -> assert (c = c0));
-      t)
-  in
-  (* Raw base-relation ingest: updates partitioned by (relation, shard),
-     one writer per shard table. *)
-  let module Pb = Ivm_par.Par_batch.Make (Ivm_ring.Int_ring) in
-  let schema = D.Schema.of_list [ "A"; "B" ] in
-  let name_of = function Tri.R -> "R" | Tri.S -> "S" | Tri.T -> "T" in
-  let update_stream =
-    Array.map
-      (fun (rel, a, b, m) ->
-        D.Update.make ~rel:(name_of rel) ~tuple:(tup [ a; b ]) ~payload:m)
-      stream
-  in
-  let expected_sizes = ref None in
-  let ingest_json =
-    speedup_table ~title:"sharded base-relation ingest (64 shards per relation)"
-      (fun pool _ b ->
-      let srels =
-        List.map (fun n -> (n, Pb.Srel.create ~shards:64 schema)) [ "R"; "S"; "T" ]
-      in
-      let find n = List.assoc n srels in
-      let rec go i acc =
-        if i >= total then List.rev acc
-        else
-          let len = min b (total - i) in
-          go (i + len) (Array.to_list (Array.sub update_stream i len) :: acc)
-      in
-      let bs = go 0 [] in
-      let (), t = U.time (fun () -> List.iter (Pb.apply pool ~find) bs) in
-      let sizes = List.map (fun (_, s) -> Pb.Srel.size s) srels in
-      (match !expected_sizes with
-      | None -> expected_sizes := Some sizes
-      | Some s0 -> assert (sizes = s0));
-      t)
-  in
-  U.emit_json ~name:"par_scaling"
-    (U.Obj
-       [
-         ("experiment", U.Str "par-scaling");
-         ("total_updates", U.Int total);
-         ("tables", U.List [ tri_json; ingest_json ]);
-       ]);
-  Printf.printf
-    "\nsoundness: payloads live in a ring, so batches commute (Sec. 2) -- every\n\
-     width must produce identical state (asserted above). The speedup column\n\
-     shows parallel efficiency; per-batch partitioning is the sequential part\n\
-     (Amdahl), so larger batches scale better.\n"
-
-(* ----------------------------------------------------------- *)
-(* stream: the durable multi-view maintenance runtime.          *)
-(* ----------------------------------------------------------- *)
-
-(* End-to-end throughput and latency of lib/stream: producer domains
-   feed the bounded queue, the scheduler WAL-logs, coalesces and
-   micro-batches epochs, and the registry maintains heterogeneous views
-   (delta kernel, view tree, recomputation strategies). Run once with
-   the WAL on and once off to isolate the durability cost. *)
-let stream_bench () =
-  U.section
-    "stream: durable multi-view runtime (WAL + epoch micro-batching, lib/stream)";
-  let module St = Ivm_stream in
-  let module M = E.Maintainable in
-  let module Tb = E.Triangle_batch in
-  let module G = W.Graph_gen in
-  let total = if !fast then 20_000 else 100_000 in
-  let nodes = 300 in
-  let schemas = [ ("R", [ "A"; "B" ]); ("S", [ "B"; "C" ]); ("T", [ "C"; "A" ]) ] in
-  let make_db () =
-    let db = D.Database.Z.create () in
-    List.iter
-      (fun (n, vars) -> ignore (D.Database.Z.declare db n (D.Schema.of_list vars)))
-      schemas;
-    db
-  in
-  let q_rs =
-    Q.Cq.make ~name:"paths_rs" ~free:[ "B"; "A"; "C" ]
-      [ Q.Cq.atom "R" [ "A"; "B" ]; Q.Cq.atom "S" [ "B"; "C" ] ]
-  in
-  let q_st =
-    Q.Cq.make ~name:"paths_st" ~free:[ "C"; "B"; "A" ]
-      [ Q.Cq.atom "S" [ "B"; "C" ]; Q.Cq.atom "T" [ "C"; "A" ] ]
-  in
-  let register reg =
-    St.Registry.register reg ~name:"tri-count" (fun _db ->
-        M.of_triangle_batch ~name:"tri-count" (module Tb.Delta) (Tb.Delta.create ()));
-    St.Registry.register reg ~name:"paths-rs" (fun db ->
-        let forest = Option.get (Q.Variable_order.canonical q_rs) in
-        M.of_view_tree ~name:"paths-rs" q_rs (E.View_tree.build q_rs forest db));
-    St.Registry.register reg ~name:"paths-st" (fun db ->
-        let forest = Option.get (Q.Variable_order.canonical q_st) in
-        M.of_strategy ~name:"paths-st"
-          (E.Strategy.create E.Strategy.Lazy_fact q_st forest db))
-  in
-  let run_config ~wal_enabled =
-    let metrics = St.Metrics.create () in
-    let reg = St.Registry.create ~metrics (make_db ()) in
-    register reg;
-    let wal_path = Filename.temp_file "ivm_bench" ".wal" in
-    Sys.remove wal_path;
-    let wal =
-      if wal_enabled then Some (St.Errors.get_ok (St.Wal.Z.open_log wal_path)) else None
-    in
-    let queue = St.Queue.create ~capacity:8192 St.Queue.Block in
-    let sched = St.Scheduler.create ?wal ~queue ~registry:reg ~metrics () in
-    let producer =
-      Domain.spawn (fun () ->
-          let gen = G.create ~seed:7 { G.nodes; skew = 1.1; delete_ratio = 0.2 } in
-          for _ = 1 to total do
-            let e = G.next gen in
-            let rel = match e.G.rel with 0 -> "R" | 1 -> "S" | _ -> "T" in
-            ignore
-              (St.Queue.push queue
-                 (St.Scheduler.item
-                    (D.Update.make ~rel ~tuple:(tup [ e.G.src; e.G.dst ])
-                       ~payload:e.G.mult)))
-          done;
-          St.Queue.close queue)
-    in
-    (* [Gc.minor_words ()] reads the allocation pointer directly;
-       [quick_stat]'s minor counter only advances at collections. Major
-       words and compactions do come from [quick_stat]. *)
-    let w0 = Gc.minor_words () in
-    let g0 = Gc.quick_stat () in
-    let (), dt = U.time (fun () -> St.Errors.get_ok (St.Scheduler.run sched)) in
-    let g1 = Gc.quick_stat () in
-    let w1 = Gc.minor_words () in
-    Domain.join producer;
-    Option.iter St.Wal.Z.close wal;
-    if Sys.file_exists wal_path then Sys.remove wal_path;
-    let gc =
-      (w1 -. w0, g1.Gc.major_words -. g0.Gc.major_words, g1.Gc.compactions - g0.Gc.compactions)
-    in
-    (metrics, reg, dt, gc)
-  in
-  let configs =
-    List.map
-      (fun (name, wal_enabled) -> (name, run_config ~wal_enabled))
-      [ ("wal", true); ("no-wal", false) ]
-  in
-  let p hist q = St.Metrics.Hist.percentile hist q *. 1e3 in
-  (* GC columns: allocation pressure of the whole maintenance loop —
-     the storage rework's target metric alongside raw throughput. *)
-  U.table
-    ~header:
-      [
-        "config"; "upd/s"; "epochs"; "coalesced"; "p50 ms"; "p99 ms"; "minor w/upd";
-        "major Mw"; "compact";
-      ]
-    (List.map
-       (fun (name, ((m : St.Metrics.t), _, dt, (minor, major, compact))) ->
-         [
-           name;
-           U.rate total dt;
-           string_of_int m.St.Metrics.epochs;
-           string_of_int m.St.Metrics.coalesced;
-           Printf.sprintf "%.3f" (p m.St.Metrics.latency 0.5);
-           Printf.sprintf "%.3f" (p m.St.Metrics.latency 0.99);
-           Printf.sprintf "%.1f" (minor /. float_of_int total);
-           Printf.sprintf "%.2f" (major /. 1e6);
-           string_of_int compact;
-         ])
-       configs);
-  (match List.assoc_opt "no-wal" configs with
-  | Some (_, _, _, (minor, _, _)) ->
-      stream_minor_words_per_update := Some (minor /. float_of_int total)
-  | None -> ());
-  let _, reg_wal, dt_wal, _ = List.assoc "wal" configs in
-  let m_wal, _, _, _ = List.assoc "wal" configs in
-  Printf.printf "\nper-view (wal config):\n";
-  U.table
-    ~header:[ "view"; "updates"; "batches"; "apply p50 ms"; "apply p99 ms" ]
-    (List.map
-       (fun (name, _) ->
-         let v = St.Metrics.view m_wal name in
-         [
-           name;
-           string_of_int v.St.Metrics.updates;
-           string_of_int v.St.Metrics.batches;
-           Printf.sprintf "%.3f" (p v.St.Metrics.apply 0.5);
-           Printf.sprintf "%.3f" (p v.St.Metrics.apply 0.99);
-         ])
-       (St.Registry.views reg_wal));
-  ignore dt_wal;
-  U.emit_json ~name:"stream"
-    (U.Obj
-       [
-         ("experiment", U.Str "stream");
-         ("updates", U.Int total);
-         ( "configs",
-           U.List
-             (List.map
-                (fun (name, ((m : St.Metrics.t), reg, dt, (minor, major, compact))) ->
-                  U.Obj
-                    [
-                      ("name", U.Str name);
-                      ("seconds", U.Float dt);
-                      ("updates_per_s", U.Float (float_of_int total /. dt));
-                      ("epochs", U.Int m.St.Metrics.epochs);
-                      ("coalesced", U.Int m.St.Metrics.coalesced);
-                      ("latency_p50_ms", U.Float (p m.St.Metrics.latency 0.5));
-                      ("latency_p99_ms", U.Float (p m.St.Metrics.latency 0.99));
-                      ("gc_minor_words", U.Float minor);
-                      ("gc_major_words", U.Float major);
-                      ("gc_compactions", U.Int compact);
-                      ( "gc_minor_words_per_update",
-                        U.Float (minor /. float_of_int total) );
-                      ( "views",
-                        U.List
-                          (List.map
-                             (fun (vname, _) ->
-                               let v = St.Metrics.view m vname in
-                               U.Obj
-                                 [
-                                   ("name", U.Str vname);
-                                   ("updates", U.Int v.St.Metrics.updates);
-                                   ("batches", U.Int v.St.Metrics.batches);
-                                   ( "apply_p50_ms",
-                                     U.Float (p v.St.Metrics.apply 0.5) );
-                                   ( "apply_p99_ms",
-                                     U.Float (p v.St.Metrics.apply 0.99) );
-                                 ])
-                             (St.Registry.views reg)) );
-                    ])
-                configs) );
-       ])
-
 (* ----------------------------------------------------------- *)
 (* recovery: crash-restart cost vs replayed WAL length.         *)
 (* ----------------------------------------------------------- *)
@@ -1162,146 +825,6 @@ let recovery () =
        ])
 
 (* --------------------------------------------------- *)
-(* storage: flat table vs chained Hashtbl.              *)
-(* --------------------------------------------------- *)
-
-(* Allocation-profile microbench of the storage layer itself: the new
-   open-addressing {!Ivm_data.Flat_tbl} against the chained stdlib
-   [Hashtbl] it replaced ([Tuple.Tbl]), on insert / probe / delete /
-   churn mixes at three sizes. Times are wall-clock ns per operation;
-   "minor w/op" is minor-heap words allocated per operation (the number
-   the rework drives down: stdlib pays a bucket cons per insert and an
-   option per probe). *)
-let storage () =
-  U.section "storage: flat open-addressing table vs chained Hashtbl (lib/data)";
-  let module Flat = D.Flat_tbl in
-  let sizes = if !fast then [ 1_000; 10_000 ] else [ 1_000; 10_000; 100_000 ] in
-  (* [Gc.minor_words ()] reads the allocation pointer directly —
-     [quick_stat]'s counter only advances at minor collections, which a
-     short allocation-free loop never triggers. *)
-  let measured n f =
-    let w0 = Gc.minor_words () in
-    let t0 = U.now () in
-    f ();
-    let dt = U.now () -. t0 in
-    let w1 = Gc.minor_words () in
-    let per = float_of_int n in
-    (dt *. 1e9 /. per, (w1 -. w0) /. per)
-  in
-  let rows = ref [] in
-  let record ~size ~mix ~impl (ns, words) ~probe_dist =
-    rows := (size, mix, impl, ns, words, probe_dist) :: !rows
-  in
-  List.iter
-    (fun n ->
-      (* Keys (and a disjoint miss set) are preallocated so the
-         measurement sees only table work, never tuple construction. *)
-      let keys = Array.init n (fun i -> tup [ i; (i * 7) + 1 ]) in
-      let misses = Array.init n (fun i -> tup [ -i - 1; i ]) in
-      Array.iter (fun k -> ignore (D.Tuple.hash k)) keys;
-      Array.iter (fun k -> ignore (D.Tuple.hash k)) misses;
-      (* flat table *)
-      let ft = Flat.create ~size:16 (-1) in
-      let insert_flat =
-        measured n (fun () ->
-            for i = 0 to n - 1 do
-              Flat.set ft keys.(i) i
-            done)
-      in
-      record ~size:n ~mix:"insert" ~impl:"flat" insert_flat
-        ~probe_dist:(Some (Flat.mean_probe_distance ft));
-      let sink = ref 0 in
-      record ~size:n ~mix:"probe" ~impl:"flat"
-        (measured (2 * n) (fun () ->
-             for i = 0 to n - 1 do
-               sink := !sink + Flat.find_default ft keys.(i) 0;
-               sink := !sink + Flat.find_default ft misses.(i) 0
-             done))
-        ~probe_dist:None;
-      record ~size:n ~mix:"churn" ~impl:"flat"
-        (measured (2 * n) (fun () ->
-             for i = 0 to n - 1 do
-               Flat.remove ft keys.(i);
-               Flat.set ft keys.(i) i
-             done))
-        ~probe_dist:None;
-      record ~size:n ~mix:"delete" ~impl:"flat"
-        (measured n (fun () ->
-             for i = 0 to n - 1 do
-               Flat.remove ft keys.(i)
-             done))
-        ~probe_dist:None;
-      (* chained stdlib Hashtbl over the same keys *)
-      let ht = D.Tuple.Tbl.create 16 in
-      record ~size:n ~mix:"insert" ~impl:"hashtbl"
-        (measured n (fun () ->
-             for i = 0 to n - 1 do
-               D.Tuple.Tbl.replace ht keys.(i) i
-             done))
-        ~probe_dist:None;
-      record ~size:n ~mix:"probe" ~impl:"hashtbl"
-        (measured (2 * n) (fun () ->
-             for i = 0 to n - 1 do
-               (match D.Tuple.Tbl.find_opt ht keys.(i) with
-               | Some v -> sink := !sink + v
-               | None -> ());
-               match D.Tuple.Tbl.find_opt ht misses.(i) with
-               | Some v -> sink := !sink + v
-               | None -> ()
-             done))
-        ~probe_dist:None;
-      record ~size:n ~mix:"churn" ~impl:"hashtbl"
-        (measured (2 * n) (fun () ->
-             for i = 0 to n - 1 do
-               D.Tuple.Tbl.remove ht keys.(i);
-               D.Tuple.Tbl.replace ht keys.(i) i
-             done))
-        ~probe_dist:None;
-      record ~size:n ~mix:"delete" ~impl:"hashtbl"
-        (measured n (fun () ->
-             for i = 0 to n - 1 do
-               D.Tuple.Tbl.remove ht keys.(i)
-             done))
-        ~probe_dist:None;
-      ignore !sink)
-    sizes;
-  let rows = List.rev !rows in
-  U.table
-    ~header:[ "size"; "mix"; "impl"; "ns/op"; "minor w/op"; "probe dist" ]
-    (List.map
-       (fun (size, mix, impl, ns, words, pd) ->
-         [
-           string_of_int size;
-           mix;
-           impl;
-           Printf.sprintf "%.0f" ns;
-           Printf.sprintf "%.2f" words;
-           (match pd with Some d -> Printf.sprintf "%.2f" d | None -> "-");
-         ])
-       rows);
-  U.emit_json ~name:"storage"
-    (U.Obj
-       [
-         ("experiment", U.Str "storage");
-         ( "rows",
-           U.List
-             (List.map
-                (fun (size, mix, impl, ns, words, pd) ->
-                  U.Obj
-                    ([
-                       ("size", U.Int size);
-                       ("mix", U.Str mix);
-                       ("impl", U.Str impl);
-                       ("ns_per_op", U.Float ns);
-                       ("minor_words_per_op", U.Float words);
-                     ]
-                    @ match pd with
-                      | Some d -> [ ("mean_probe_distance", U.Float d) ]
-                      | None -> []))
-                rows) );
-       ])
-
-(* --------------------------------------------------- *)
 (* micro: Bechamel per-operation latencies.             *)
 (* --------------------------------------------------- *)
 
@@ -1393,227 +916,6 @@ let micro () =
     results;
   U.table ~header:[ "operation"; "ns/op" ] (List.sort compare !rows)
 
-(* ----------------------------------------------------------------- *)
-(* dataflow: operator-graph maintenance — graph vs view tree on the   *)
-(* same join stream, incremental extremum vs per-epoch recompute, and *)
-(* the memory won by sharing a join subgraph between views.           *)
-(* ----------------------------------------------------------------- *)
-
-module Df = Ivm_dataflow.Graph
-
-(* A mixed-polarity stream: every 4th update retracts its predecessor,
-   so base multiplicities never go negative. *)
-let polarized_stream n gen =
-  let prev = ref None in
-  List.init n (fun i ->
-      match !prev with
-      | Some (u : int D.Update.t) when i land 3 = 3 ->
-          prev := None;
-          D.Update.make ~rel:u.D.Update.rel ~tuple:u.D.Update.tuple
-            ~payload:(-u.D.Update.payload)
-      | _ ->
-          let u = gen () in
-          prev := Some u;
-          u)
-
-let rec chunks k = function
-  | [] -> []
-  | l ->
-      let rec take k = function
-        | x :: tl when k > 0 ->
-            let xs, rest = take (k - 1) tl in
-            (x :: xs, rest)
-        | rest -> ([], rest)
-      in
-      let c, rest = take k l in
-      c :: chunks k rest
-
-let dataflow () =
-  U.section "dataflow: operator graphs (DBSP-style DAG) vs dedicated engines";
-  let n = if !fast then 20_000 else 200_000 in
-  let rng = Random.State.make [| 2024 |] in
-  (* -- join throughput: Q(a,c) = R(a,b) |><| S(b,c), the same stream
-     through the factorized view tree and the operator graph -- *)
-  let q =
-    Q.Cq.make ~name:"Q" ~free:[ "a"; "c" ]
-      [ Q.Cq.atom "R" [ "a"; "b" ]; Q.Cq.atom "S" [ "b"; "c" ] ]
-  in
-  let stream =
-    polarized_stream n (fun () ->
-        D.Update.make
-          ~rel:(if Random.State.bool rng then "R" else "S")
-          ~tuple:(tup [ Random.State.int rng 200; Random.State.int rng 200 ])
-          ~payload:1)
-  in
-  let vt_db = D.Database.Z.create () in
-  let _ = D.Database.Z.declare vt_db "R" (D.Schema.of_list [ "a"; "b" ]) in
-  let _ = D.Database.Z.declare vt_db "S" (D.Schema.of_list [ "b"; "c" ]) in
-  let vt = E.View_tree.build q (Option.get (Q.Variable_order.canonical q)) vt_db in
-  let vt_s = U.seconds (fun () -> List.iter (E.View_tree.apply_update vt) stream) in
-  let g = Df.create () in
-  let r = Df.source g ~rel:"R" ~schema:[ "a"; "b" ] in
-  let s = Df.source g ~rel:"S" ~schema:[ "b"; "c" ] in
-  Df.output g ~name:"q" (Df.project g ~cols:[ "a"; "c" ] (Df.join g r s));
-  let epochs = chunks 64 stream in
-  let df_s = U.seconds (fun () -> List.iter (Df.apply g) epochs) in
-  U.table
-    ~header:[ "engine"; "updates"; "s"; "updates/s" ]
-    [
-      [ "view tree (single-tuple)"; string_of_int n; Printf.sprintf "%.3f" vt_s; U.rate n vt_s ];
-      [ "operator graph (64/epoch)"; string_of_int n; Printf.sprintf "%.3f" df_s; U.rate n df_s ];
-    ];
-  (* -- extremum: grouped MIN under extremum-targeting deletes,
-     incremental (ordered index + re-scan fallback) vs a from-scratch
-     recompute of every group per 64-update epoch -- *)
-  let ne = if !fast then 10_000 else 50_000 in
-  let groups = 64 in
-  (* Deletes aim at the currently live minimum of a random group (a
-     predecessor-retracting stream would coalesce to nothing inside an
-     epoch and never touch a served value). *)
-  let ext_stream =
-    let live = Array.make groups [] in
-    List.init ne (fun _ ->
-        let gk = Random.State.int rng groups in
-        match live.(gk) with
-        | v :: rest when Random.State.int rng 100 < 30 ->
-            let mn = List.fold_left min v rest in
-            live.(gk) <- (let rec drop = function
-                            | [] -> []
-                            | x :: tl -> if x = mn then tl else x :: drop tl
-                          in
-                          drop live.(gk));
-            D.Update.make ~rel:"R" ~tuple:(tup [ gk; mn ]) ~payload:(-1)
-        | _ ->
-            let v = Random.State.int rng 30 * (1 + Random.State.int rng 30) in
-            live.(gk) <- v :: live.(gk);
-            D.Update.make ~rel:"R" ~tuple:(tup [ gk; v ]) ~payload:1)
-  in
-  let ext_epochs = chunks 64 ext_stream in
-  let eg = Df.create () in
-  Df.output eg ~name:"mn"
-    (Df.minimum eg ~col:"v" ~group:[ "g" ] (Df.source eg ~rel:"R" ~schema:[ "g"; "v" ]));
-  let inc_s = U.seconds (fun () -> List.iter (Df.apply eg) ext_epochs) in
-  let re_db = D.Database.Z.create () in
-  let _ = D.Database.Z.declare re_db "R" (D.Schema.of_list [ "g"; "v" ]) in
-  let sink = ref 0 in
-  let recompute () =
-    let mins = Hashtbl.create groups in
-    Rel.iter
-      (fun tp _ ->
-        let gk = D.Value.to_int (D.Tuple.get tp 0) and v = D.Value.to_int (D.Tuple.get tp 1) in
-        match Hashtbl.find_opt mins gk with
-        | Some m when m <= v -> ()
-        | _ -> Hashtbl.replace mins gk v)
-      (D.Database.Z.find re_db "R");
-    sink := !sink + Hashtbl.length mins
-  in
-  let re_s =
-    U.seconds (fun () ->
-        List.iter
-          (fun epoch ->
-            List.iter (D.Database.Z.apply re_db) epoch;
-            recompute ())
-          ext_epochs)
-  in
-  U.table
-    ~header:[ "MIN maintenance"; "updates"; "s"; "updates/s"; "re-scans" ]
-    [
-      [ "incremental (operator graph)"; string_of_int ne; Printf.sprintf "%.3f" inc_s;
-        U.rate ne inc_s; string_of_int (Df.rescans eg) ];
-      [ "per-epoch recompute"; string_of_int ne; Printf.sprintf "%.3f" re_s;
-        U.rate ne re_s; "-" ];
-    ];
-  (* -- sharing: K projection views over one join, on a single graph
-     with a hash-consed shared subgraph vs K duplicated graphs. The
-     join's two input integrals are the dominant state; sharing pays
-     them once. -- *)
-  let nrows = if !fast then 20_000 else 100_000 in
-  let load = polarized_stream nrows (fun () ->
-      D.Update.make
-        ~rel:(if Random.State.bool rng then "R" else "S")
-        ~tuple:(tup [ Random.State.int rng 500; Random.State.int rng 500 ])
-        ~payload:1)
-  in
-  let view_cols = [ [ "a" ]; [ "b" ]; [ "c" ]; [ "a"; "c" ] ] in
-  let live_words () =
-    Gc.compact ();
-    (Gc.stat ()).Gc.live_words
-  in
-  let build_shared () =
-    let g = Df.create () in
-    let j =
-      Df.join g
-        (Df.source g ~rel:"R" ~schema:[ "a"; "b" ])
-        (Df.source g ~rel:"S" ~schema:[ "b"; "c" ])
-    in
-    List.iteri
-      (fun i cols -> Df.output g ~name:(Printf.sprintf "v%d" i) (Df.project g ~cols j))
-      view_cols;
-    Df.apply g load;
-    g
-  in
-  let build_duplicated () =
-    List.map
-      (fun cols ->
-        let g = Df.create () in
-        let j =
-          Df.join g
-            (Df.source g ~rel:"R" ~schema:[ "a"; "b" ])
-            (Df.source g ~rel:"S" ~schema:[ "b"; "c" ])
-        in
-        Df.output g ~name:"v" (Df.project g ~cols j);
-        Df.apply g load;
-        g)
-      view_cols
-  in
-  let base = live_words () in
-  let shared = build_shared () in
-  let shared_words = live_words () - base in
-  let base = live_words () in
-  let dup = build_duplicated () in
-  let dup_words = live_words () - base in
-  let shared_nodes = Df.node_count shared in
-  let dup_nodes = List.fold_left (fun acc g -> acc + Df.node_count g) 0 dup in
-  U.table
-    ~header:[ "layout"; "views"; "nodes"; "live words" ]
-    [
-      [ "shared subgraph"; string_of_int (List.length view_cols);
-        string_of_int shared_nodes; string_of_int shared_words ];
-      [ "duplicated graphs"; string_of_int (List.length view_cols);
-        string_of_int dup_nodes; string_of_int dup_words ];
-    ];
-  ignore (Sys.opaque_identity (shared, dup, !sink));
-  U.emit_json ~name:"dataflow"
-    (U.Obj
-       [
-         ("experiment", U.Str "dataflow");
-         ( "join",
-           U.Obj
-             [
-               ("updates", U.Int n);
-               ("view_tree_updates_s", U.Float (float_of_int n /. max 1e-9 vt_s));
-               ("graph_updates_s", U.Float (float_of_int n /. max 1e-9 df_s));
-             ] );
-         ( "extremum",
-           U.Obj
-             [
-               ("updates", U.Int ne);
-               ("incremental_updates_s", U.Float (float_of_int ne /. max 1e-9 inc_s));
-               ("recompute_updates_s", U.Float (float_of_int ne /. max 1e-9 re_s));
-               ("rescans", U.Int (Df.rescans eg));
-             ] );
-         ( "sharing",
-           U.Obj
-             [
-               ("views", U.Int (List.length view_cols));
-               ("rows", U.Int nrows);
-               ("shared_live_words", U.Int shared_words);
-               ("duplicated_live_words", U.Int dup_words);
-               ("shared_nodes", U.Int shared_nodes);
-               ("duplicated_nodes", U.Int dup_nodes);
-             ] );
-       ])
-
 (* ------------------------------------------------- *)
 
 let experiments =
@@ -1630,50 +932,12 @@ let experiments =
     ("cascade", cascade);
     ("insert-only", insert_only);
     ("fig7", fig7);
-    ("par-scaling", par_scaling);
-    ("stream", stream_bench);
     ("recovery", recovery);
-    ("storage", storage);
-    ("dataflow", dataflow);
     ("micro", micro);
   ]
 
-(* The CI allocation gate: compare the stream experiment's no-wal minor
-   words per update against a checked-in baseline, failing on a >25%
-   regression. The baseline file holds one float (regenerate it with
-   the value this prints when the improvement is intentional). *)
-let check_alloc baseline_file =
-  match !stream_minor_words_per_update with
-  | None ->
-      Printf.eprintf "--check-alloc: stream experiment did not run\n";
-      exit 2
-  | Some measured -> (
-      match
-        let ic = open_in baseline_file in
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () -> float_of_string (String.trim (input_line ic)))
-      with
-      | exception Sys_error msg ->
-          Printf.eprintf "--check-alloc: cannot read %s: %s\n" baseline_file msg;
-          exit 2
-      | exception _ ->
-          Printf.eprintf "--check-alloc: %s does not hold a float\n" baseline_file;
-          exit 2
-      | baseline ->
-          let limit = baseline *. 1.25 in
-          Printf.printf
-            "\nalloc gate: %.1f minor words/update (baseline %.1f, limit %.1f)\n"
-            measured baseline limit;
-          if measured > limit then begin
-            Printf.eprintf
-              "--check-alloc: minor allocation per update regressed more than 25%%\n";
-            exit 1
-          end)
-
 let () =
   let only = ref None in
-  let alloc_baseline = ref None in
   let rec parse = function
     | [] -> ()
     | "--only" :: x :: rest ->
@@ -1682,23 +946,25 @@ let () =
     | "--fast" :: rest ->
         fast := true;
         parse rest
-    | "--check-alloc" :: file :: rest ->
-        alloc_baseline := Some file;
-        parse rest
     | "--list" :: _ ->
         List.iter (fun (n, _) -> print_endline n) experiments;
         exit 0
     | x :: _ ->
-        Printf.eprintf
-          "unknown argument %s (try --list, --only <id>, --fast, --check-alloc <file>)\n"
-          x;
+        Printf.eprintf "unknown argument %s (try --list, --only <id>, --fast)\n" x;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
+  let selected =
+    match !only with
+    | None -> experiments
+    | Some o -> (
+        match List.filter (fun (name, _) -> name = o) experiments with
+        | [] ->
+            Printf.eprintf "unknown experiment %s; valid: %s\n" o
+              (String.concat ", " (List.map fst experiments));
+            exit 2
+        | l -> l)
+  in
   let t0 = U.now () in
-  List.iter
-    (fun (name, f) ->
-      match !only with Some o when o <> name -> () | Some _ | None -> f ())
-    experiments;
-  Option.iter check_alloc !alloc_baseline;
+  List.iter (fun (_, f) -> f ()) selected;
   Printf.printf "\ntotal wall time: %.1fs\n" (U.now () -. t0)

@@ -1,9 +1,10 @@
 (** Where data lives in the cluster: per-relation placement policies
     and per-view read routes over [2^k] shards.
 
-    The shard function is {!Ivm_par.Sharded_relation.shard_index} — the
-    same upper-hash-bits split the in-process sharded tables use, so a
-    tuple's owner node and owner table always agree.
+    The shard function is {!shard_index}: the upper bits of
+    {!Tuple.hash}, masked to the shard count. It is the only sharding in
+    the codebase, so the router and every node agree on a tuple's owner
+    by construction.
 
     Soundness is the paper's algebra, with one distributed caveat.
     Per-relation, every query is {e linear}: Q(..., R + ΔR, ...) =
@@ -78,16 +79,21 @@ let policy t rel = Hashtbl.find_opt t.policies rel
 let route t view = Option.value (Hashtbl.find_opt t.routes view) ~default:Scattered
 let relations t = Hashtbl.fold (fun rel p acc -> (rel, p) :: acc) t.policies []
 
+(* The one shard function: upper hash bits, because the stores the
+   tuple lands in ({!Ivm_data.Flat_tbl} buckets) consume the lower ones.
+   Computing it memoizes the tuple's hash. *)
+let shard_index ~mask tuple = (Tuple.hash tuple lsr 16) land mask
+
 (* A column key is hashed as the 1-tuple holding it, so the lookup side
    ([key_owner] on a bound prefix value) and the ingest side
    ([owners] on a full tuple's column) agree by construction. *)
-let key_owner t v = Ivm_par.Sharded_relation.shard_index ~mask:t.mask (Tuple.of_list [ v ])
+let key_owner t v = shard_index ~mask:t.mask (Tuple.of_list [ v ])
 
 let owners t ~rel tuple =
   match policy t rel with
   | None -> None (* unknown relation: the router dead-letters it *)
   | Some Broadcast -> Some (all_shards t)
-  | Some Hash_tuple -> Some [ Ivm_par.Sharded_relation.shard_index ~mask:t.mask tuple ]
+  | Some Hash_tuple -> Some [ shard_index ~mask:t.mask tuple ]
   | Some (Hash_col i) ->
       if i < 0 || i >= Tuple.arity tuple then None
       else Some [ key_owner t (Tuple.get tuple i) ]

@@ -1,7 +1,7 @@
 (** Cluster data placement: per-relation partitioning policies and
     per-view read routes over a power-of-two shard count, all driven by
-    the one shard function the in-process sharded tables already use
-    ({!Ivm_par.Sharded_relation.shard_index}).
+    one shard function: the upper bits of {!Ivm_data.Tuple.hash},
+    masked to the shard count. It is the only sharding in the codebase.
 
     Soundness: queries are linear per relation but only multilinear
     jointly, so a view may split at most one relation by arbitrary

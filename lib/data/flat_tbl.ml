@@ -200,14 +200,3 @@ let copy t =
     mask = t.mask;
     dummy = t.dummy;
   }
-
-(* Mean probe distance over residents — the robin-hood health metric
-   surfaced by the storage microbench. *)
-let mean_probe_distance t =
-  if t.size = 0 then 0.
-  else
-    let sum = ref 0 in
-    for i = 0 to t.mask do
-      if t.hashes.(i) >= 0 then sum := !sum + resident_distance t i
-    done;
-    float_of_int !sum /. float_of_int t.size

@@ -51,6 +51,3 @@ val to_seq : 'a t -> (Tuple.t * 'a) Seq.t
 
 val copy : 'a t -> 'a t
 
-val mean_probe_distance : 'a t -> float
-(** Mean displacement of residents from their home slot — the
-    robin-hood health metric reported by the storage microbench. *)

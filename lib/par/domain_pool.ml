@@ -8,11 +8,12 @@
     spawn cost over the lifetime of an engine.
 
     The pool runs *tasks*, not shards: callers partition their work into
-    independent closures (one per shard, chunk, or relation) and the
+    independent closures (one per chunk, relation or view) and the
     pool drains them. Nothing here knows about relations or rings — the
     soundness argument for running maintenance tasks concurrently (ring
-    commutativity, disjoint shard ownership) lives with the callers in
-    {!Sharded_relation}, {!Par_batch} and the engine batch fronts. *)
+    commutativity, one writer per relation or view) lives with the
+    callers: the engine batch fronts and the registry's per-view
+    fan-out. The network server runs its connection handlers here. *)
 
 type t = {
   width : int;

@@ -7,8 +7,8 @@
     across batches.
 
     The pool schedules independent closures; the soundness argument for
-    running maintenance work concurrently (ring commutativity, disjoint
-    shard ownership) lives with the callers. *)
+    running maintenance work concurrently (ring commutativity, one
+    writer per relation or view) lives with the callers. *)
 
 type t
 

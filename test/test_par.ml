@@ -1,8 +1,9 @@
-(* The parallel maintenance layer: domain pool, hash-sharded relations,
-   parallel batch application, and the engine batch fronts — checked
-   against the sequential implementations. The load-bearing property is
-   the paper's Sec. 2 commutativity claim: for any pool width, parallel
-   sharded batch apply must be extensionally equal to sequential apply. *)
+(* The parallel maintenance layer: the domain pool and the engine batch
+   fronts that run on it (the triangle kernels and the Fig. 4
+   strategies) — checked against the sequential engines. The
+   load-bearing property is the paper's Sec. 2 commutativity claim: for
+   any pool width, parallel batch apply must be extensionally equal to
+   sequential apply. *)
 
 module D = Ivm_data
 module S = D.Schema
@@ -50,62 +51,6 @@ let pool_exceptions () =
   (* The pool survives a failed run. *)
   Alcotest.(check int) "pool usable after failure" 10
     (Pool.fold p ~add:( + ) ~zero:0 (List.init 5 (fun i -> fun () -> i)))
-
-(* --- sharded relations vs sequential relations ----------------------- *)
-
-(* A batch generator over a small domain, with payloads that cancel
-   often — exercising zero-elision (entries evicted in one order may be
-   re-created in another). *)
-let gen_batch payload_gen =
-  QCheck.list_of_size (QCheck.Gen.int_range 0 60)
-    (QCheck.triple (QCheck.int_range 0 4) (QCheck.int_range 0 4) payload_gen)
-
-module Test_sharded (R : Ivm_ring.Sigs.SEMIRING) = struct
-  module Rel = D.Relation.Make (R)
-  module Srel = Ivm_par.Sharded_relation.Make (R)
-  module Pb = Ivm_par.Par_batch.Make (R)
-
-  (* Sequential reference, then one parallel run per pool width. *)
-  let matches_sequential (batch : (int * int * R.t) list) =
-    let schema = S.of_list [ "A"; "B" ] in
-    let seq = Rel.create schema in
-    List.iter (fun (a, b, p) -> Rel.add_entry seq (tup [ a; b ]) p) batch;
-    let updates =
-      List.map (fun (a, b, p) -> U.make ~rel:"R" ~tuple:(tup [ a; b ]) ~payload:p) batch
-    in
-    List.for_all
-      (fun (_, p) ->
-        let srel = Srel.create ~shards:8 schema in
-        Pb.apply p ~find:(fun _ -> srel) updates;
-        Srel.equal_relation srel seq && Rel.equal (Srel.to_relation srel) seq)
-      pools
-end
-
-module Sharded_z = Test_sharded (Ivm_ring.Int_ring)
-module Sharded_f = Test_sharded (Ivm_ring.Float_ring)
-
-let sharded_z_matches =
-  QCheck.Test.make ~name:"sharded parallel apply = sequential (Z ring)"
-    (gen_batch (QCheck.int_range (-3) 3))
-    Sharded_z.matches_sequential
-
-let sharded_f_matches =
-  (* Payloads k/2 with k ∈ [−4, 4]: float adds and cancellations are
-     exact, so zero-elision fires exactly as in the Z ring. *)
-  QCheck.Test.make ~name:"sharded parallel apply = sequential (float ring)"
-    (gen_batch (QCheck.map (fun k -> float_of_int k /. 2.) (QCheck.int_range (-4) 4)))
-    (fun batch -> Sharded_f.matches_sequential batch)
-
-let sharded_roundtrip =
-  QCheck.Test.make ~name:"of_relation/to_relation roundtrip"
-    (gen_batch (QCheck.int_range (-3) 3)) (fun batch ->
-      let schema = S.of_list [ "A"; "B" ] in
-      let module Rel = D.Relation.Z in
-      let module Srel = Ivm_par.Sharded_relation.Make (Ivm_ring.Int_ring) in
-      let r = Rel.create schema in
-      List.iter (fun (a, b, p) -> Rel.add_entry r (tup [ a; b ]) p) batch;
-      let srel = Srel.of_relation ~shards:4 r in
-      Srel.size srel = Rel.size r && Rel.equal (Srel.to_relation srel) r)
 
 (* --- triangle batch fronts vs sequential engines --------------------- *)
 
@@ -224,8 +169,6 @@ let () =
               Alcotest.test_case "run/fold/chunks" `Quick pool_unit;
               Alcotest.test_case "exceptions" `Quick pool_exceptions;
             ] );
-          ( "sharded relations",
-            [ qt sharded_z_matches; qt sharded_f_matches; qt sharded_roundtrip ] );
           ( "triangle batch fronts",
             [
               qt tri_delta_batch_matches;

@@ -613,6 +613,48 @@ let epoch_cost_flat_in_views () =
   if Float.abs (large -. small) > 16. then
     Alcotest.failf "1-update epoch: %.1f words at 10 views, %.1f at 200" small large
 
+(* Minor words per update of the whole maintenance loop (pop, coalesce,
+   registry apply) over the three standard views: the triangle batch
+   kernel, a view tree and a Lazy_fact strategy. The stream is
+   pre-queued and driven in this domain with no WAL and fixed 256-update
+   epochs, so the count does not depend on timing or machine load. The
+   budget is 1.25x [stream_words_baseline]; when a change lowers the
+   reading on purpose, re-measure by running this test and copying the
+   "measured" value it prints into [stream_words_baseline]. *)
+let stream_words_baseline = 500.603
+
+let stream_alloc_budget () =
+  let module G = Ivm_workload.Graph_gen in
+  let total = 20_000 and epoch = 256 in
+  let gen = G.create ~seed:7 { G.nodes = 300; skew = 1.1; delete_ratio = 0.2 } in
+  let queue = Squeue.create ~capacity:total Squeue.Block in
+  for _ = 1 to total do
+    let e = G.next gen in
+    let rel = match e.G.rel with 0 -> "R" | 1 -> "S" | _ -> "T" in
+    ignore
+      (Squeue.push queue
+         (Scheduler.item (U.make ~rel ~tuple:(tup [ e.G.src; e.G.dst ]) ~payload:e.G.mult)))
+  done;
+  Squeue.close queue;
+  let metrics = Metrics.create () in
+  let reg = Registry.create ~metrics (make_triangle_db ()) in
+  register_standard_views reg;
+  let sched =
+    Scheduler.create ~min_batch:epoch ~max_batch:epoch ~initial_batch:epoch ~queue
+      ~registry:reg ~metrics ()
+  in
+  let w0 = Gc.minor_words () in
+  while ok (Scheduler.step sched) do
+    ()
+  done;
+  let measured = (Gc.minor_words () -. w0) /. float_of_int total in
+  Alcotest.(check int) "every update applied" total (Scheduler.applied sched);
+  let limit = stream_words_baseline *. 1.25 in
+  Printf.printf "stream allocation: measured %.3f words/update (baseline %.3f, limit %.1f)\n"
+    measured stream_words_baseline limit;
+  if measured > limit then
+    Alcotest.failf "%.3f minor words/update exceeds the budget of %.1f" measured limit
+
 (* An epoch whose payloads cancel to zero entirely must still count as
    an epoch (durably logged, applied-counter advanced, adaptive limit
    intact) while handing the registry an empty batch — and the views
@@ -957,6 +999,7 @@ let () =
           Alcotest.test_case "coalesce" `Quick coalesce_cancels;
           qt coalesce_matches_fold_all;
           Alcotest.test_case "1-update epoch cost flat in views" `Quick epoch_cost_flat_in_views;
+          Alcotest.test_case "stream allocation budget" `Quick stream_alloc_budget;
           Alcotest.test_case "zero-cancel epoch" `Quick zero_cancel_epoch;
           Alcotest.test_case "serve, kill, restart" `Quick serve_kill_restart;
         ] );
