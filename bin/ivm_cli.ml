@@ -402,13 +402,14 @@ let serve_cmd =
           end;
           Mutex.unlock ck_mutex
         in
-        let epoch_checkpoint () =
+        let save_checkpoint ~records =
+          St.Checkpoint.Z.save ckpt_path ~db:(St.Registry.db reg) ~records
+            ~wal_offset:(St.Wal.Z.offset wal)
+        in
+        let epoch_checkpoint ~records =
           if !ck_requested then
             finish_checkpoint
-              (match
-                 St.Checkpoint.Z.save ckpt_path ~db:(St.Registry.db reg)
-                   ~wal_offset:(St.Wal.Z.offset wal)
-               with
+              (match save_checkpoint ~records with
               | Ok () ->
                   checkpointed := true;
                   Ok (St.Wal.Z.offset wal)
@@ -480,12 +481,10 @@ let serve_cmd =
         St.Scheduler.run
           ~on_epoch:(fun s ->
             let applied = St.Scheduler.applied s in
-            epoch_checkpoint ();
+            epoch_checkpoint ~records:applied;
             if updates > 0 && (not !checkpointed) && applied >= updates / 2 then begin
               checkpointed := true;
-              ok_or_die "save checkpoint"
-                (St.Checkpoint.Z.save ckpt_path ~db:(St.Registry.db reg)
-                   ~wal_offset:(St.Wal.Z.offset wal));
+              ok_or_die "save checkpoint" (save_checkpoint ~records:applied);
               Printf.printf "checkpoint @ %d updates (wal offset %d)\n%!" applied
                 (St.Wal.Z.offset wal)
             end;
@@ -531,27 +530,22 @@ let serve_cmd =
         (* Kill-and-restart verification: rebuild from the checkpoint and
            the WAL suffix, then compare fingerprints with the live run. *)
         if !checkpointed then begin
-          let restored_db, offset = ok_or_die "load checkpoint" (St.Checkpoint.Z.load ckpt_path) in
-          let restored = St.Registry.restore ?pool reg restored_db in
-          let pending = ref [] in
-          let flush () =
-            St.Registry.apply_batch restored (List.rev !pending);
-            pending := []
+          let restored, cursor =
+            ok_or_die "recover"
+              (St.Durable.recover ~wal:wal_path ~ckpt:ckpt_path ~fresh:Views.make_db
+                 (St.Registry.restore ?pool reg))
           in
-          ignore
-            (ok_or_die "replay WAL"
-               (St.Wal.Z.replay wal_path ~from:offset (fun u ->
-                    pending := u :: !pending;
-                    if List.length !pending >= 1024 then flush ())));
-          flush ();
           let live = St.Registry.fingerprints reg in
           let recov = St.Registry.fingerprints restored in
           let ok =
             List.for_all2 (fun (n, a) (n', b) -> n = n' && a = b) live recov
+            && cursor.St.Checkpoint.records = applied
           in
           Printf.printf "\nrestart verification (checkpoint + wal replay): %s\n"
             (if ok then "state matches live run" else "MISMATCH");
           if not ok then begin
+            Printf.eprintf "  records: live %d vs recovered %d\n" applied
+              cursor.St.Checkpoint.records;
             List.iter2
               (fun (n, a) (_, b) ->
                 if a <> b then Printf.eprintf "  %s: live %d vs recovered %d\n" n a b)
@@ -616,11 +610,10 @@ module Chaos = struct
 
   (* Run the stream to completion through WAL + checkpoint + supervised
      registry, treating every durability error as a process crash:
-     drop WAL buffers, forget all in-memory state, and recover from
-     checkpoint + WAL replay. The checkpoint's [wal_offset] field
-     stores the *record index* (not the byte offset), so the resume
-     point survives even a WAL truncated below the checkpoint by
-     corruption: resume = max(records replayed, checkpoint index). *)
+     drop WAL buffers, forget all in-memory state, and recover with
+     [Durable.recover]. The stream resumes at the recovered record
+     count — the checkpoint's count plus the WAL suffix replayed from
+     its byte offset. *)
   let run_stream ~label ~dir ~stream ~flaky () =
     let wal_path = Filename.concat dir (label ^ ".wal") in
     let ckpt_path = Filename.concat dir (label ^ ".ckpt") in
@@ -647,42 +640,18 @@ module Chaos = struct
         (St.Registry.statuses reg)
     in
     let incarnation metrics =
-      let* wal = St.Wal.Z.open_log wal_path in
-      current_wal := Some wal;
-      let db, ckpt_index =
-        if Sys.file_exists ckpt_path then
-          match St.Checkpoint.Z.load ckpt_path with
-          | Ok (db, idx) -> (db, idx)
-          | Error _ -> (Views.make_db (), 0) (* corrupt checkpoint: from the log alone *)
-        else (Views.make_db (), 0)
-      in
-      let reg =
-        match !reg_prev with
-        | None ->
-            let r = St.Registry.create ~metrics ~backoff_base:0.0005 ~seed:11 db in
-            Views.register ~flaky r;
-            r
-        | Some old -> St.Registry.restore ~metrics old db
+      let* reg, { St.Checkpoint.records = resume; wal_offset } =
+        St.Durable.recover ~wal:wal_path ~ckpt:ckpt_path ~fresh:Views.make_db (fun db ->
+            match !reg_prev with
+            | None ->
+                let r = St.Registry.create ~metrics ~backoff_base:0.0005 ~seed:11 db in
+                Views.register ~flaky r;
+                r
+            | Some old -> St.Registry.restore ~metrics old db)
       in
       reg_prev := Some reg;
-      (* Replay the whole log once: records up to the checkpoint index
-         only advance the cursor; the suffix is re-applied. *)
-      let replayed = ref 0 in
-      let pending = ref [] in
-      let flush () =
-        St.Registry.apply_batch reg (List.rev !pending);
-        pending := []
-      in
-      let* _end =
-        St.Wal.Z.replay wal_path ~from:St.Wal.header_len (fun u ->
-            incr replayed;
-            if !replayed > ckpt_index then begin
-              pending := u :: !pending;
-              if List.length !pending >= 256 then flush ()
-            end)
-      in
-      flush ();
-      let resume = max !replayed ckpt_index in
+      let* wal = St.Wal.Z.open_log ~from:wal_offset wal_path in
+      current_wal := Some wal;
       let queue = St.Queue.create ~capacity:queue_cap St.Queue.Block in
       let sched =
         St.Scheduler.create ~wal ~queue ~registry:reg ~metrics ~self_check_every:32 ()
@@ -710,7 +679,8 @@ module Chaos = struct
           let* () =
             if durable >= !next_ckpt * ckpt_every then begin
               incr next_ckpt;
-              St.Checkpoint.Z.save ckpt_path ~db:(St.Registry.db reg) ~wal_offset:durable
+              St.Checkpoint.Z.save ckpt_path ~db:(St.Registry.db reg) ~records:durable
+                ~wal_offset:(St.Wal.Z.offset wal)
             end
             else Ok ()
           in
@@ -828,6 +798,24 @@ module Chaos = struct
         flaky = true;
         arm = (fun ~updates:_ -> ());
         expect_crash = false;
+      };
+      {
+        sname = "ckpt-over-corrupt";
+        describe = "a checkpoint covers a bit-flipped record; two later crashes recover past it";
+        poison = false;
+        flaky = false;
+        arm =
+          (fun ~updates ->
+            (* Saves land every ~updates/5 records: the flip sits
+               between the first two, the third save's fsync fails (a
+               crash over the covered corrupt record), and the second
+               life's first save fails its rename — a second crash
+               that again recovers from the checkpoint over the
+               corrupt record. *)
+            Fp.arm "wal.write" ~after:(updates * 3 / 10) ~times:1 (Fp.Bit_flip 12);
+            Fp.arm "ckpt.fsync" ~after:2 ~times:1 Fp.Fail;
+            Fp.arm "ckpt.rename" ~after:2 ~times:1 Fp.Fail);
+        expect_crash = true;
       };
     ]
 
@@ -1491,7 +1479,7 @@ let chaos_cmd =
   let scenario_arg =
     Arg.(value & opt string "all" & info [ "scenario" ] ~docv:"NAME"
            ~doc:"Scenario to run (torn-wal, ckpt-fsync, ckpt-rename, bit-flip, \
-                 poison, flaky) or 'all'.")
+                 ckpt-over-corrupt, poison, flaky) or 'all'.")
   in
   let dir_arg =
     Arg.(value & opt string "" & info [ "dir" ] ~docv:"DIR"
@@ -1534,7 +1522,7 @@ let chaos_cmd =
     List.iteri
       (fun i (sc : Chaos.scenario) ->
         let seed = seed + i in
-        Printf.printf "[%-11s] seed %-3d %s ...%!" sc.Chaos.sname seed sc.Chaos.describe;
+        Printf.printf "[%-17s] seed %-3d %s ...%!" sc.Chaos.sname seed sc.Chaos.describe;
         if cluster then
           match Cluster_cli.run_scenario_cluster ~dir ~updates ~nodes ~seed sc with
           | Ok c ->

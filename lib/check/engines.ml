@@ -342,7 +342,7 @@ let stream_driver ~dir ~views (case : Case.t) =
   let save_ckpt () =
     ok "checkpoint save"
       (St.Checkpoint.Z.save ckpt_path ~db:(St.Registry.db reg)
-         ~wal_offset:(St.Wal.Z.offset wal))
+         ~records:(St.Scheduler.applied sched) ~wal_offset:(St.Wal.Z.offset wal))
   in
   (* An initial checkpoint, so a stream short enough to never reach the
      mid-stream save still exercises restore-from-preprocessing. *)
@@ -385,20 +385,18 @@ let stream_driver ~dir ~views (case : Case.t) =
               Some "full WAL replay diverges from the live run"
             else
               (* Kill-and-replay 2: checkpoint + WAL suffix. *)
-              match St.Checkpoint.Z.load ckpt_path with
-              | Error e -> Some ("checkpoint load: " ^ St.Errors.to_string e)
-              | Ok (db, offset) -> (
-                  let restored = St.Registry.restore reg db in
-                  let suffix = ref [] in
-                  match
-                    St.Wal.Z.replay wal_path ~from:offset (fun u -> suffix := u :: !suffix)
-                  with
-                  | Error e -> Some ("wal suffix replay: " ^ St.Errors.to_string e)
-                  | Ok _ ->
-                      St.Registry.apply_batch restored (List.rev !suffix);
-                      if not (Oracle.equal_entries (enum_of restored) live) then
-                        Some "checkpoint + WAL suffix replay diverges from the live run"
-                      else None)))
+              match
+                St.Durable.recover ~wal:wal_path ~ckpt:ckpt_path
+                  ~fresh:(fun () -> Case.db_of case)
+                  (St.Registry.restore reg)
+              with
+              | Error e -> Some ("checkpoint + wal suffix recovery: " ^ St.Errors.to_string e)
+              | Ok (restored, cursor) ->
+                  if not (Oracle.equal_entries (enum_of restored) live) then
+                    Some "checkpoint + WAL suffix replay diverges from the live run"
+                  else if cursor.St.Checkpoint.records <> St.Scheduler.applied sched then
+                    Some "checkpoint + WAL suffix recovers a different record count"
+                  else None))
   in
   {
     name = "stream";

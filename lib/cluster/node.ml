@@ -4,13 +4,13 @@
     its scheduler and connection handlers on its own domains and is
     reached only over loopback TCP).
 
-    Durability follows the chaos harness's record-index convention: the
-    checkpoint's [wal_offset] field stores how many stream records it
-    covers, and recovery replays the whole log once, skipping records
-    up to that index. Recovery is therefore [load checkpoint; replay
-    suffix], and {!recovered} reports the durable record count — what a
-    router uses after promoting this node to know which suffix of its
-    per-shard send log to re-send.
+    Recovery is {!Ivm_stream.Durable.recover}: load the checkpoint,
+    replay the WAL suffix from the byte offset it stores. Each
+    checkpoint also stores how many stream records it covers, so
+    {!recovered} reports the durable record count — checkpointed
+    records plus replayed suffix — which a router uses after promoting
+    this node to know which suffix of its per-shard send log to
+    re-send.
 
     {!kill} is the crash simulation: buffered WAL bytes are dropped
     ({!Ivm_stream.Wal.Z.crash}), the queue closes, and the server stops
@@ -79,55 +79,28 @@ let rec mkdir_p dir =
 
 let ( let* ) = Result.bind
 
-(* Rebuild a database + registry from [state_dir]'s durable files:
-   checkpoint (if any) plus a full-log replay that skips the records
-   the checkpoint already covers. Returns the registry and the durable
-   record count. *)
-let recover ~metrics ~declare state_dir =
-  let db, ckpt_index =
-    if Sys.file_exists (ckpt_file state_dir) then
-      match St.Checkpoint.Z.load (ckpt_file state_dir) with
-      | Ok (db, idx) -> (db, idx)
-      | Error _ -> (Db.create (), 0) (* corrupt checkpoint: from the log alone *)
-    else (Db.create (), 0)
-  in
-  let reg = St.Registry.create ~metrics db in
-  declare reg;
-  let replayed = ref 0 in
-  let pending = ref [] in
-  let flush () =
-    if !pending <> [] then St.Registry.apply_batch reg (List.rev !pending);
-    pending := []
-  in
-  let* () =
-    if Sys.file_exists (wal_file state_dir) then
-      let* (_ : int) =
-        St.Wal.Z.replay (wal_file state_dir) ~from:St.Wal.header_len (fun u ->
-            incr replayed;
-            if !replayed > ckpt_index then begin
-              pending := u :: !pending;
-              if List.length !pending >= 256 then flush ()
-            end)
-      in
-      Ok ()
-    else Ok ()
-  in
-  flush ();
-  Ok (reg, max !replayed ckpt_index)
-
 let start (spec : spec) : (t, string) result =
   mkdir_p spec.dir;
   let metrics = St.Metrics.create () in
   let state_dir = Option.value spec.seed_from ~default:spec.dir in
   let to_msg r = Result.map_error St.Errors.to_string r in
-  let* reg, recovered = to_msg (recover ~metrics ~declare:spec.declare state_dir) in
+  let* reg, { St.Checkpoint.records; wal_offset } =
+    to_msg
+      (St.Durable.recover ~wal:(wal_file state_dir) ~ckpt:(ckpt_file state_dir)
+         ~fresh:Db.create (fun db ->
+           let reg = St.Registry.create ~metrics db in
+           spec.declare reg;
+           reg))
+  in
   (* A seeded node inherits the state but not the log: its own WAL
      starts fresh, so its durable record counter restarts at zero. *)
-  let recovered = if spec.seed_from = None then recovered else 0 in
+  let from, recovered =
+    if spec.seed_from = None then (wal_offset, records) else (St.Wal.header_len, 0)
+  in
   (match spec.seed_from with
   | Some _ when Sys.file_exists (wal_file spec.dir) -> Sys.remove (wal_file spec.dir)
   | _ -> ());
-  let* wal = to_msg (St.Wal.Z.open_log (wal_file spec.dir)) in
+  let* wal = to_msg (St.Wal.Z.open_log ~from (wal_file spec.dir)) in
   let queue = St.Queue.create ~capacity:spec.queue_capacity St.Queue.Block in
   let server_ref = ref None in
   (* The scheduler hands the per-relation delta front; the server
@@ -214,7 +187,7 @@ let start (spec : spec) : (t, string) result =
             incr next_ckpt;
             match
               St.Checkpoint.Z.save (ckpt_file spec.dir) ~db:(St.Registry.db reg)
-                ~wal_offset:durable
+                ~records:durable ~wal_offset:(St.Wal.Z.offset wal)
             with
             | Ok () -> ()
             | Error e -> failwith (St.Errors.to_string e)

@@ -3,11 +3,12 @@
     In-process (domains + loopback TCP), but the only way in is the
     wire protocol — the router never touches a node's state directly.
 
-    Durability uses record-index semantics: the checkpoint records how
-    many stream records it covers, recovery replays the log past that
-    index, and {!recovered} reports the durable record count — the
-    resume point a router needs to re-send the lost tail of its send
-    log after promoting this node. *)
+    Recovery is {!Ivm_stream.Durable.recover}: each checkpoint stores
+    the WAL byte offset it is current through and how many stream
+    records it covers, recovery replays the log from that offset, and
+    {!recovered} reports the durable record count (checkpointed plus
+    replayed) — the resume point a router needs to re-send the lost
+    tail of its send log after promoting this node. *)
 
 module St = Ivm_stream
 

@@ -75,19 +75,14 @@ let map_batch f m =
       Option.map (fun apply_delta batch -> match f batch with [] -> [] | b -> apply_delta b) m.apply_delta;
   }
 
-(* The output delta is the paper's footnote-2 delta enumeration, one
-   update at a time; reads walk the factorized output directly. *)
+(* The output delta is the paper's footnote-2 delta enumeration; reads
+   walk the factorized output directly. *)
 let of_view_tree ~name (q : Cq.t) (tree : View_tree.t) : t =
   {
     name;
     relations = Cq.relation_names q;
     apply_batch = (fun batch -> List.iter (View_tree.apply_update tree) batch);
-    apply_delta =
-      Some
-        (fun batch ->
-          List.fold_left
-            (fun acc u -> List.rev_append (View_tree.apply_update_enumerating tree u) acc)
-            [] batch);
+    apply_delta = Some (View_tree.apply_batch_enumerating tree);
     output_count = (fun () -> View_tree.output_count tree);
     fingerprint = (fun () -> iter_fingerprint (View_tree.iter_output tree));
     enumerate =

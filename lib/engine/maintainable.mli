@@ -54,7 +54,7 @@ val map_batch :
 val of_view_tree : name:string -> Cq.t -> View_tree.t -> t
 (** Wrap a factorized view tree; the query supplies the consumed
     relation names. Output deltas come from
-    {!View_tree.apply_update_enumerating}. *)
+    {!View_tree.apply_batch_enumerating}. *)
 
 val of_strategy : name:string -> Strategy.t -> t
 (** Wrap one of the four Fig. 4 maintenance strategies. They report no

@@ -43,6 +43,10 @@ type t = {
   mutable delta_walk : (Value.t option array * ((Tuple.t -> int -> unit) -> unit)) option;
       (* the pinned output walk of delta enumeration, built on first use:
          its pin slots and the walk over them. Only the writer runs it. *)
+  mutable negatives : int;
+      (* negative base entries, 0 iff the database is valid (Sec. 2);
+         current only while [counted], which plain updates clear *)
+  mutable counted : bool;
   fast_path : (string, unit) Hashtbl.t;
       (* relations whose single-tuple updates propagate by pure lookups:
          at every node on the leaf-to-root path all sibling views and
@@ -176,6 +180,8 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
       anchor_of;
       enumerable = Vo.free_top query forest;
       delta_walk = None;
+      negatives = 0;
+      counted = false;
       fast_path;
     }
   in
@@ -206,6 +212,7 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
     atom schema of [rel]) along the leaf-to-root path: the delta view
     tree of Fig. 3. The base relation is updated as well. *)
 let apply_delta (t : t) (rel : string) (d : Rel.t) : unit =
+  t.counted <- false;
   let bview = base_view t rel in
   View.apply_delta bview (Rel.project_onto d (View.schema bview));
   let rec up id came_from (d : Rel.t) =
@@ -274,6 +281,7 @@ let apply_single_fast (t : t) rel (tuple : Tuple.t) (payload : int) : unit =
     negative). Uses the lookup-only fast path when the static analysis
     allows it, the generic delta propagation otherwise. *)
 let apply_update (t : t) (u : int Ivm_data.Update.t) : unit =
+  t.counted <- false;
   let rel = u.Ivm_data.Update.rel in
   if Hashtbl.mem t.fast_path rel then
     apply_single_fast t rel u.Ivm_data.Update.tuple u.Ivm_data.Update.payload
@@ -489,19 +497,16 @@ let rec diff_sorted before after =
       else if pa = pb then diff_sorted bs as_
       else (ta, pa - pb) :: diff_sorted bs as_
 
-(** Delta enumeration (the paper's footnote 2): apply a single-tuple
-    update and enumerate only the change to the query output, as
-    (tuple over the free variables, payload delta) pairs.
+(* [after - before] of [walk] around [apply ()]. *)
+let diff_walks walk apply =
+  let before = ref [] and after = ref [] in
+  walk (fun tp p -> before := (tp, p) :: !before);
+  apply ();
+  walk (fun tp p -> after := (tp, p) :: !after);
+  diff_sorted (List.sort compare_entry !before) (List.sort compare_entry !after)
 
-    Every output tuple the update can change agrees with it on the free
-    variables of the updated atom, so the change is the difference of
-    the output enumerated with those variables pinned, before and after
-    the update. For q-hierarchical queries with their canonical order
-    that touches only the affected outputs, and it needs no index
-    beyond the view tree's own.
-    @raise Invalid_argument when the output is not enumerable, as
-    {!enumerate}. *)
-let apply_update_enumerating (t : t) (u : int Ivm_data.Update.t) : (Tuple.t * int) list =
+(* The output walk pinned to the free variables of [u]'s atom. *)
+let pinned_walk t (u : int Ivm_data.Update.t) =
   let atom = Cq.find_atom t.query u.Ivm_data.Update.rel in
   let pins, walk =
     match t.delta_walk with
@@ -512,14 +517,50 @@ let apply_update_enumerating (t : t) (u : int Ivm_data.Update.t) : (Tuple.t * in
         t.delta_walk <- Some w;
         w
   in
-  (* Pin every free variable of the updated atom to the update's value. *)
   Array.iteri
     (fun id n ->
       let k = if n.free then position n.var atom.Cq.vars 0 else -1 in
       pins.(id) <- (if k < 0 then None else Some (Tuple.get u.Ivm_data.Update.tuple k)))
     t.nodes;
-  let before = ref [] and after = ref [] in
-  walk (fun tp p -> before := (tp, p) :: !before);
-  apply_update t u;
-  walk (fun tp p -> after := (tp, p) :: !after);
-  diff_sorted (List.sort compare_entry !before) (List.sort compare_entry !after)
+  walk
+
+(** Delta enumeration (the paper's footnote 2): apply a batch of
+    single-tuple updates and enumerate only the change to the query
+    output, as (tuple over the free variables, payload delta) pairs.
+
+    Every output tuple an update can change agrees with it on the free
+    variables of the updated atom, so its change is the difference of
+    the output enumerated with those variables pinned, before and after
+    the update; for q-hierarchical queries that touches only the
+    affected outputs. That needs a valid database (Sec. 2): once a base
+    multiplicity is negative (a delete ahead of its insert, as
+    concurrent producers of a commuting stream deliver them), an
+    aggregate can cancel to zero over live tuples and hide outputs the
+    pins miss, so from there on the batch is diffed with two
+    whole-output walks.
+    @raise Invalid_argument when the output is not enumerable, as
+    {!enumerate}. *)
+let apply_batch_enumerating (t : t) (batch : int Ivm_data.Update.t list) : (Tuple.t * int) list =
+  if not t.counted then
+    t.negatives <-
+      Hashtbl.fold
+        (fun _ v n -> Rel.fold (fun _ p n -> if p < 0 then n + 1 else n) (View.relation v) n)
+        t.base 0;
+  (* A base view's schema is its atom's variables: the tuple is its key. *)
+  let base (u : int Ivm_data.Update.t) = View.get (base_view t u.rel) u.tuple in
+  let apply (u : int Ivm_data.Update.t) b =
+    t.negatives <- t.negatives - Bool.to_int (b < 0) + Bool.to_int (b + u.payload < 0);
+    apply_update t u
+  in
+  let rec go acc = function
+    | [] -> acc
+    | (u : int Ivm_data.Update.t) :: rest as batch ->
+        let b = base u in
+        if t.negatives > 0 || b + u.payload < 0 then
+          let apply_rest () = List.iter (fun u -> apply u (base u)) batch in
+          List.rev_append (diff_walks (iter_output t) apply_rest) acc
+        else go (List.rev_append (diff_walks (pinned_walk t u) (fun () -> apply u b)) acc) rest
+  in
+  let delta = go [] batch in
+  t.counted <- true;
+  delta

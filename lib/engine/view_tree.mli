@@ -57,8 +57,10 @@ val iter_output : t -> (Tuple.t -> int -> unit) -> unit
 val output_relation : t -> Rel.t
 val output_count : t -> int
 
-val apply_update_enumerating : t -> int Ivm_data.Update.t -> (Tuple.t * int) list
-(** Delta enumeration (the paper's footnote 2): apply the update and
-    return only the change to the query output.
+val apply_batch_enumerating : t -> int Ivm_data.Update.t list -> (Tuple.t * int) list
+(** Delta enumeration (the paper's footnote 2): apply the updates and
+    return only the change to the query output (a tuple may repeat).
+    Exact also through invalid intermediate states (a negative base
+    multiplicity), where it falls back to diffing whole-output walks.
     @raise Invalid_argument when the output is not enumerable (free
     variables not a connex top fragment), as {!enumerate}. *)

@@ -1,17 +1,18 @@
-(** Checkpoints: a snapshot of the base database paired with the WAL
-    offset it is current through.
+(** Checkpoints: a snapshot of the base database and the {!cursor} it
+    is current through — how many stream records it covers and the WAL
+    byte offset just past the last of them.
 
     The recovery contract is [restore + replay ≡ direct apply]: loading
-    a checkpoint, rebuilding views from the restored base state
-    ({!Registry.restore}) and replaying the WAL suffix from
-    [wal_offset] reproduces exactly the state of a run that never
-    crashed. Only base relations are written — every view is a
+    a checkpoint, rebuilding views from the restored base state and
+    replaying the WAL suffix from [wal_offset] reproduces exactly the
+    state of a run that never crashed ({!Durable.recover} is that
+    path). Only base relations are written — every view is a
     deterministic function of the base database, so re-deriving them on
     restore is both simpler and safer than serializing engine
     internals.
 
     File format: magic, then [u32 length | u32 crc32 | body]; the body
-    holds the offset and each relation's name, schema and entries.
+    holds the cursor and each relation's name, schema and entries.
 
     Installation is atomic and durable: the snapshot is written to a
     temporary file, fsync'd, renamed into place, and the containing
@@ -24,18 +25,21 @@ module Codec = Ivm_data.Codec
 module Schema = Ivm_data.Schema
 module Io = Ivm_fault.Io
 
-let magic = "IVMCKP01"
+let magic = "IVMCKP02"
 let tag = "ckpt"
 let ( let* ) = Result.bind
 let io_err r = Result.map_error (fun e -> Errors.Io e) r
+
+type cursor = { records : int; wal_offset : int }
 
 module Make (R : Ivm_ring.Sigs.SEMIRING) (P : Codec.PAYLOAD with type t = R.t) =
 struct
   module Db = Ivm_data.Database.Make (R)
   module Rel = Ivm_data.Relation.Make (R)
 
-  let save path ~(db : Db.t) ~wal_offset : (unit, Errors.t) result =
+  let save path ~(db : Db.t) ~records ~wal_offset : (unit, Errors.t) result =
     let b = Buffer.create 4096 in
+    Codec.add_i64 b records;
     Codec.add_i64 b wal_offset;
     let rels = List.sort compare (Db.relations db) in
     Codec.add_u32 b (List.length rels);
@@ -94,7 +98,7 @@ struct
     (* fsync the directory so the rename itself survives a crash. *)
     io_err (Io.fsync_dir ~tag (Filename.dirname path))
 
-  let load path : (Db.t * int, Errors.t) result =
+  let load path : (Db.t * cursor, Errors.t) result =
     let* contents = io_err (Io.read_file ~tag path) in
     let total = String.length contents in
     let mlen = String.length magic in
@@ -109,6 +113,7 @@ struct
         if Codec.crc32 contents ~pos:!pos ~len <> crc then raise (Codec.Corrupt "checksum mismatch");
         let body = String.sub contents !pos len in
         let pos = ref 0 in
+        let records = Codec.i64 body pos in
         let wal_offset = Codec.i64 body pos in
         let nrels = Codec.u32 body pos in
         let db = Db.create () in
@@ -124,7 +129,7 @@ struct
             Rel.set_entry rel tuple p
           done
         done;
-        (db, wal_offset)
+        (db, { records; wal_offset })
       with
       | result -> Ok result
       | exception Codec.Corrupt detail -> Error (Errors.Corrupt { path; detail })

@@ -1,7 +1,8 @@
-(** Checkpoints: a CRC-framed snapshot of the base database paired with
-    the WAL offset it is current through. The recovery contract —
-    asserted in [test/test_stream.ml] — is
-    [load + Registry.restore + Wal.replay ≡ direct apply].
+(** Checkpoints: a CRC-framed snapshot of the base database and the
+    {!cursor} it is current through. The recovery contract — asserted
+    in [test/test_stream.ml] — is
+    [load + Registry.restore + Wal.replay ≡ direct apply];
+    {!Durable.recover} is the one implementation of it.
 
     Installation is atomic and durable: write temp file, fsync it,
     rename into place, fsync the directory. A crash at any point leaves
@@ -11,12 +12,17 @@
 
 module Codec = Ivm_data.Codec
 
+type cursor = {
+  records : int;  (** stream records the state covers, counted from the stream's start *)
+  wal_offset : int;  (** WAL byte offset just past the last of them: where replay resumes *)
+}
+
 module Make (R : Ivm_ring.Sigs.SEMIRING) (P : Codec.PAYLOAD with type t = R.t) : sig
   module Db : module type of Ivm_data.Database.Make (R)
 
-  val save : string -> db:Db.t -> wal_offset:int -> (unit, Errors.t) result
+  val save : string -> db:Db.t -> records:int -> wal_offset:int -> (unit, Errors.t) result
 
-  val load : string -> (Db.t * int, Errors.t) result
+  val load : string -> (Db.t * cursor, Errors.t) result
   (** [Error (Bad_magic _)] when the file is not a checkpoint,
       [Error (Corrupt _)] on a checksum or parse failure, [Error (Io _)]
       when the file cannot be read. *)
@@ -24,6 +30,7 @@ end
 
 (** The default instance: the Z ring of tuple multiplicities. *)
 module Z : sig
-  val save : string -> db:Ivm_data.Database.Z.t -> wal_offset:int -> (unit, Errors.t) result
-  val load : string -> (Ivm_data.Database.Z.t * int, Errors.t) result
+  val save :
+    string -> db:Ivm_data.Database.Z.t -> records:int -> wal_offset:int -> (unit, Errors.t) result
+  val load : string -> (Ivm_data.Database.Z.t * cursor, Errors.t) result
 end

@@ -158,5 +158,5 @@ val self_check : t -> string list
 
 val restore : ?pool:Ivm_par.Domain_pool.t -> ?metrics:Metrics.t -> t -> Db.t -> t
 (** A fresh registry over [db] with every view rebuilt by its
-    registration factory — the recovery path, paired with a WAL replay
-    from the checkpoint's offset. Dead-letter sets carry over. *)
+    registration factory — the rebuild step of {!Durable.recover},
+    before the WAL suffix replay. Dead-letter sets carry over. *)

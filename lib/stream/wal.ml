@@ -5,9 +5,10 @@
     framed as [u32 length | u32 crc32 | body] where the body is the
     {!Ivm_data.Codec} encoding of the update. Offsets are byte positions
     in the file; {!append} returns the offset *after* the record, which
-    is exactly the replay cursor a checkpoint pairs with its snapshot —
-    restore the snapshot, replay the suffix, and the state is as if the
-    log had been applied directly (asserted in [test/test_stream.ml]).
+    is exactly the replay cursor a checkpoint stores next to its record
+    count — restore the snapshot, replay the suffix, and the state is
+    as if the log had been applied directly ({!Durable.recover};
+    asserted in [test/test_stream.ml]).
 
     Every load-and-append path is result-typed: real disk errors and
     injected faults (the log routes all file I/O through
@@ -19,7 +20,10 @@
     Crash tolerance: a torn tail (a record cut short by a crash, or one
     whose checksum fails) terminates replay at the last complete record;
     {!open_log} truncates such a tail so later appends extend a valid
-    prefix rather than burying records behind garbage. *)
+    prefix rather than burying records behind garbage. Given a [from]
+    cursor, the scan starts there: a corrupt record below a checkpoint
+    can then neither truncate the log beneath it nor end the suffix
+    replay early. *)
 
 module Codec = Ivm_data.Codec
 module Update = Ivm_data.Update
@@ -38,56 +42,68 @@ module Make (P : Codec.PAYLOAD) = struct
     mutable offset : int; (* bytes of valid log written, including magic *)
   }
 
-  (* Scan an existing file and return the length of its valid prefix:
-     the magic plus every complete, checksum-correct record. *)
-  let valid_prefix path =
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let file_len = in_channel_length ic in
-        if file_len < header_len then 0
-        else begin
-          let m = really_input_string ic header_len in
-          if m <> magic then 0
-          else begin
-            let ok = ref header_len in
-            (try
-               while true do
-                 let frame = really_input_string ic 8 in
-                 let pos = ref 0 in
-                 let len = Codec.u32 frame pos in
-                 let crc = Codec.u32 frame pos in
-                 if !ok + 8 + len > file_len then raise Exit;
-                 let body = really_input_string ic len in
-                 if Codec.crc32 body ~pos:0 ~len <> crc then raise Exit;
-                 ok := !ok + 8 + len
-               done
-             with End_of_file | Exit -> ());
-            !ok
-          end
-        end)
+  (* The one record walk, shared by replay and the torn-tail scan so
+     both stop at the same byte: from [from], feed every complete,
+     checksum-correct, decodable record of [contents] to [f] and return
+     the offset after the last one. *)
+  let walk contents ~from f =
+    let file_len = String.length contents in
+    let cursor = ref from in
+    (try
+       while !cursor + 8 <= file_len do
+         let pos = ref !cursor in
+         let len = Codec.u32 contents pos in
+         let crc = Codec.u32 contents pos in
+         if !cursor + 8 + len > file_len then raise Exit;
+         if Codec.crc32 contents ~pos:!pos ~len <> crc then raise Exit;
+         let u = Codec.update (module P) (String.sub contents !pos len) (ref 0) in
+         cursor := !cursor + 8 + len;
+         f u
+       done
+     with Exit | Codec.Corrupt _ -> ());
+    !cursor
 
-  let open_log path : (t, Errors.t) result =
-    let* valid =
-      if not (Sys.file_exists path) then Ok (-1)
+  let has_magic contents =
+    String.length contents >= header_len && String.sub contents 0 header_len = magic
+
+  (* A cursor past the end of the log: bytes a checkpoint or an earlier
+     replay saw are gone, so neither replaying nor appending is safe. *)
+  let short_log path ~from ~len =
+    Error
+      (Errors.Corrupt
+         { path; detail = Printf.sprintf "log ends at byte %d, before cursor %d" len from })
+
+  let open_log ?(from = header_len) path : (t, Errors.t) result =
+    let io r = Result.map_error (fun e -> Errors.Io e) r in
+    let* contents =
+      if not (Sys.file_exists path) then Ok None
       else
-        match valid_prefix path with
-        | v -> Ok v
+        match In_channel.with_open_bin path In_channel.input_all with
+        | c -> Ok (Some c)
         | exception Sys_error m -> Errors.io { Io.op = "scan"; path; detail = m; injected = false }
     in
-    let* () =
-      if valid >= header_len && valid < (Unix.stat path).Unix.st_size then
-        (* Torn tail from a previous crash: cut it off before appending. *)
-        Result.map_error (fun e -> Errors.Io e) (Io.truncate ~tag path valid)
-      else Ok ()
+    let* valid =
+      match contents with
+      | Some c when has_magic c ->
+          let len = String.length c in
+          if len < from then short_log path ~from ~len
+          else
+            let v = walk c ~from:(max from header_len) ignore in
+            (* Torn tail from a previous crash: cut it off before appending. *)
+            let* () = if v < len then io (Io.truncate ~tag path v) else Ok () in
+            Ok (Some v)
+      | _ when from > header_len -> Error (Errors.Bad_magic { path; expected = "WAL" })
+      | None -> Ok None
+      | Some _ ->
+          (* A foreign or header-torn file nothing was replayed from:
+             start the log afresh. *)
+          Io.remove_noerr path;
+          Ok None
     in
-    let fresh = valid < header_len in
-    if fresh && Sys.file_exists path then Io.remove_noerr path;
-    let* out = Result.map_error (fun e -> Errors.Io e) (Io.open_append ~tag path) in
-    let* () = if fresh then Result.map_error (fun e -> Errors.Io e) (Io.write out magic) else Ok () in
-    let* () = Result.map_error (fun e -> Errors.Io e) (Io.flush_out out) in
-    Ok { path; out; buf = Buffer.create 256; offset = (if fresh then header_len else valid) }
+    let* out = io (Io.open_append ~tag path) in
+    let* () = if valid = None then io (Io.write out magic) else Ok () in
+    let* () = io (Io.flush_out out) in
+    Ok { path; out; buf = Buffer.create 256; offset = Option.value valid ~default:header_len }
 
   let offset t = t.offset
   let path t = t.path
@@ -132,33 +148,16 @@ module Make (P : Codec.PAYLOAD) = struct
       next replay cursor. [from <= header_len] starts at the first
       record. A torn or corrupt tail silently ends the replay: those
       bytes were never acknowledged as applied by anyone. A missing or
-      foreign file is an error — replaying it would silently lose the
-      whole log. *)
+      foreign file, or one that ends before [from], is an error —
+      replaying it would silently lose records. *)
   let replay path ~from f : (int, Errors.t) result =
     let* contents = Result.map_error (fun e -> Errors.Io e) (Io.read_file ~tag path) in
     let file_len = String.length contents in
-    if file_len < header_len then
-      if String.sub contents 0 file_len = String.sub magic 0 file_len then Ok header_len
-      else Error (Errors.Bad_magic { path; expected = "WAL" })
-    else if String.sub contents 0 header_len <> magic then
-      Error (Errors.Bad_magic { path; expected = "WAL" })
-    else begin
-      let cursor = ref (max from header_len) in
-      (try
-         while !cursor + 8 <= file_len do
-           let pos = ref !cursor in
-           let len = Codec.u32 contents pos in
-           let crc = Codec.u32 contents pos in
-           if !cursor + 8 + len > file_len then raise Exit;
-           if Codec.crc32 contents ~pos:!pos ~len <> crc then raise Exit;
-           let body = String.sub contents !pos len in
-           let u = Codec.update (module P) body (ref 0) in
-           cursor := !cursor + 8 + len;
-           f u
-         done
-       with Exit | Codec.Corrupt _ -> ());
-      Ok !cursor
-    end
+    if file_len < header_len && String.sub magic 0 file_len = contents && from <= header_len
+    then Ok header_len
+    else if not (has_magic contents) then Error (Errors.Bad_magic { path; expected = "WAL" })
+    else if file_len < from then short_log path ~from ~len:file_len
+    else Ok (walk contents ~from:(max from header_len) f)
 
   (** The number of complete records in the log — what a producer-side
       driver uses as "how many updates are durable" after a crash. *)

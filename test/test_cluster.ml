@@ -4,8 +4,9 @@
    auto_failover:false surfacing clean errors, injected connection
    faults (the [cluster.conn] failpoint) resolved without duplicates,
    the quiesced-kill guarantee (a barriered kill loses nothing, also
-   with clients reading and writing throughout), and
-   client-side deadlines against a mute peer. *)
+   with clients reading and writing throughout), recovery when a
+   checkpoint covers a corrupt WAL record (nothing lost, nothing
+   applied twice), and client-side deadlines against a mute peer. *)
 
 module D = Ivm_data
 module S = D.Schema
@@ -622,6 +623,106 @@ let test_quiesced_kill_under_load () =
       Alcotest.(check bool) "no lost ranges" false
         (Cl.Router.has_lost router ~shard:0 || Cl.Router.has_lost router ~shard:1))
 
+(* --- a checkpoint over a corrupt WAL record ----------------------------- *)
+
+(* One node, a checkpoint every 100 records, and a synced WAL record
+   bit-flipped before the first checkpoint covers it. Every update
+   carries a fresh tuple, so a lost update shrinks a relation and a
+   doubled one shows as multiplicity 2 — ring payloads never let the
+   two cancel out. *)
+let corrupt_stream n =
+  Array.init n (fun i ->
+      if i mod 3 = 2 then U.make ~rel:"S" ~tuple:(tup [ i mod 7; i ]) ~payload:1
+      else U.make ~rel:"R" ~tuple:(tup [ i; i mod 7 ]) ~payload:1)
+
+let node_spec dir = Cl.Node.spec ~checkpoint_every:100 ~name:"ckpt-corrupt" ~dir declare
+
+let start_node dir =
+  match Cl.Node.start (node_spec dir) with
+  | Ok n -> n
+  | Error m -> Alcotest.failf "node start: %s" m
+
+(* Send the stream from [Node.recovered] (where a router re-sends from
+   after a restart) up to [upto], in 10-update batches, waiting for
+   each to apply. *)
+let feed_node node stream ~upto =
+  let base = Cl.Node.recovered node in
+  let rec go i =
+    if i < upto then begin
+      let len = min 10 (upto - i) in
+      let admitted, _ = Cl.Node.ingest node (Array.to_list (Array.sub stream i len)) in
+      if admitted <> len then Alcotest.failf "node admitted %d of %d" admitted len;
+      let deadline = Unix.gettimeofday () +. 10. in
+      while Cl.Node.applied node < i + len - base do
+        if Unix.gettimeofday () > deadline then Alcotest.fail "node stopped applying";
+        Unix.sleepf 0.001
+      done;
+      go (i + len)
+    end
+  in
+  go base
+
+let check_state label node stream ~upto =
+  let reference = St.Registry.create (D.Database.Z.create ()) in
+  declare reference;
+  St.Registry.apply_batch reference (Array.to_list (Array.sub stream 0 upto));
+  let reg = Cl.Node.registry node in
+  let size name r = D.Relation.Z.size (D.Database.Z.find (St.Registry.db r) name) in
+  St.Registry.read reg (fun () ->
+      Alcotest.(check int) (label ^ ": |R|") (size "R" reference) (size "R" reg);
+      Alcotest.(check int) (label ^ ": |S|") (size "S" reference) (size "S" reg);
+      Alcotest.(check (list (pair string int)))
+        (label ^ ": fingerprints") (St.Registry.fingerprints reference)
+        (St.Registry.fingerprints reg);
+      Alcotest.(check int) (label ^ ": recovered = durable records") upto
+        (Cl.Node.recovered node))
+
+(* Life 1 applies 150 updates (record 95 bit-flipped on disk, the
+   checkpoint at 100 covering it) and is killed. *)
+let first_life dir stream =
+  Fun.protect ~finally:Fp.reset (fun () ->
+      Fp.enable ~seed:1 ();
+      (* Hit 1 writes the log header, so record 95 is flipped. *)
+      Fp.arm "wal.write" ~after:95 ~times:1 (Fp.Bit_flip 12);
+      let n1 = start_node dir in
+      feed_node n1 stream ~upto:150;
+      Cl.Node.kill n1;
+      Alcotest.(check int) "the bit flip fired" 1 (Fp.fired "wal.write"))
+
+(* The checkpoint covers the corrupt record and synced records follow
+   it: recovery replays that suffix instead of stopping at the corrupt
+   record below the checkpoint. Life 2 then appends to 170 and dies
+   before its next checkpoint: had its reopen cut the log at the
+   corrupt record, the checkpoint's offset would now point into those
+   new records. *)
+let test_ckpt_over_corrupt_suffix () =
+  let dir = fresh_dir "ckpt_corrupt_suffix" in
+  let stream = corrupt_stream 170 in
+  first_life dir stream;
+  let n2 = start_node dir in
+  Fun.protect ~finally:(fun () -> Cl.Node.kill n2) (fun () ->
+      check_state "restart" n2 stream ~upto:150;
+      feed_node n2 stream ~upto:170);
+  let n3 = start_node dir in
+  Fun.protect
+    ~finally:(fun () -> Cl.Node.stop n3)
+    (fun () -> check_state "second restart" n3 stream ~upto:170)
+
+(* Life 2 is fed on to 380 (checkpoints at 200 and 300) and killed;
+   life 3 must recover exactly the 380 durable updates, none lost and
+   none applied twice. *)
+let test_ckpt_over_corrupt_two_restarts () =
+  let dir = fresh_dir "ckpt_corrupt_twice" in
+  let stream = corrupt_stream 380 in
+  first_life dir stream;
+  let n2 = start_node dir in
+  feed_node n2 stream ~upto:380;
+  Cl.Node.kill n2;
+  let n3 = start_node dir in
+  Fun.protect
+    ~finally:(fun () -> Cl.Node.stop n3)
+    (fun () -> check_state "third life" n3 stream ~upto:380)
+
 (* --- client deadlines against a mute peer ------------------------------ *)
 
 let test_client_timeout () =
@@ -680,6 +781,10 @@ let () =
         [
           Alcotest.test_case "conn-fault schedules, no duplicates" `Quick
             test_conn_fault_schedules;
+          Alcotest.test_case "checkpoint over a corrupt record, suffix replays" `Quick
+            test_ckpt_over_corrupt_suffix;
+          Alcotest.test_case "checkpoint over a corrupt record, two restarts" `Quick
+            test_ckpt_over_corrupt_two_restarts;
         ] );
       ( "client",
         [ Alcotest.test_case "deadline against a mute peer" `Quick test_client_timeout ] );

@@ -2,8 +2,9 @@
    determinism, the injectable IO layer's torn-write semantics, and the
    durability code's behaviour under injected faults — failed fsyncs
    are retryable, crashes drop exactly the unsynced suffix, checkpoint
-   installation is all-or-nothing, and corrupt or foreign files load as
-   errors, never as silently wrong state. *)
+   installation is all-or-nothing, corrupt or foreign files load as
+   errors, never as silently wrong state, and recovery replays past a
+   corrupt record its checkpoint covers. *)
 
 module D = Ivm_data
 module S = D.Schema
@@ -12,6 +13,8 @@ module Fp = Ivm_fault.Failpoint
 module Io = Ivm_fault.Io
 module Wal = Ivm_stream.Wal
 module Checkpoint = Ivm_stream.Checkpoint
+module Durable = Ivm_stream.Durable
+module Registry = Ivm_stream.Registry
 module Errors = Ivm_stream.Errors
 module Rel = D.Relation.Z
 module Db = D.Database.Z
@@ -202,7 +205,8 @@ let ckpt_fsync_fail_installs_nothing () =
   with_tmp ".ckpt" (fun path ->
       Fp.enable ();
       Fp.arm "ckpt.fsync" ~times:1 Fp.Fail;
-      injected_err "save" (Checkpoint.Z.save path ~db:(make_db [ ([ 1; 2 ], 1) ]) ~wal_offset:0);
+      injected_err "save"
+        (Checkpoint.Z.save path ~db:(make_db [ ([ 1; 2 ], 1) ]) ~records:0 ~wal_offset:0);
       (* All-or-nothing: no checkpoint appeared, no temp file leaked. *)
       Alcotest.(check bool) "no checkpoint installed" false (Sys.file_exists path);
       Alcotest.(check bool) "temp file cleaned up" false (Sys.file_exists (path ^ ".tmp")))
@@ -210,15 +214,16 @@ let ckpt_fsync_fail_installs_nothing () =
 let ckpt_rename_fail_keeps_previous () =
   with_tmp ".ckpt" (fun path ->
       let v1 = make_db [ ([ 1; 2 ], 1) ] in
-      ok (Checkpoint.Z.save path ~db:v1 ~wal_offset:17);
+      ok (Checkpoint.Z.save path ~db:v1 ~records:3 ~wal_offset:17);
       Fp.enable ();
       Fp.arm "ckpt.rename" ~times:1 Fp.Fail;
       injected_err "second save"
-        (Checkpoint.Z.save path ~db:(make_db [ ([ 3; 4 ], 2) ]) ~wal_offset:99);
+        (Checkpoint.Z.save path ~db:(make_db [ ([ 3; 4 ], 2) ]) ~records:9 ~wal_offset:99);
       Fp.reset ();
       (* The previous checkpoint is untouched and still loads. *)
-      let db, off = ok (Checkpoint.Z.load path) in
-      Alcotest.(check int) "previous offset" 17 off;
+      let db, cursor = ok (Checkpoint.Z.load path) in
+      Alcotest.(check int) "previous records" 3 cursor.Checkpoint.records;
+      Alcotest.(check int) "previous offset" 17 cursor.Checkpoint.wal_offset;
       Alcotest.(check bool) "previous contents" true (Rel.equal (Db.find db "R") (Db.find v1 "R"));
       Alcotest.(check bool) "temp file cleaned up" false (Sys.file_exists (path ^ ".tmp")))
 
@@ -232,7 +237,7 @@ let ckpt_load_rejects_corruption () =
       | Error (Errors.Bad_magic _) -> ()
       | Error e -> Alcotest.failf "expected Bad_magic, got %s" (Errors.to_string e));
       (* A real checkpoint with one flipped body bit fails its checksum. *)
-      ok (Checkpoint.Z.save path ~db:(make_db [ ([ 1; 2 ], 1) ]) ~wal_offset:0);
+      ok (Checkpoint.Z.save path ~db:(make_db [ ([ 1; 2 ], 1) ]) ~records:0 ~wal_offset:0);
       let ic = open_in_bin path in
       let contents = really_input_string ic (in_channel_length ic) in
       close_in ic;
@@ -246,6 +251,53 @@ let ckpt_load_rejects_corruption () =
       | Ok _ -> Alcotest.fail "corrupt checkpoint must not load"
       | Error (Errors.Corrupt _) -> ()
       | Error e -> Alcotest.failf "expected Corrupt, got %s" (Errors.to_string e))
+
+(* --- recovery over a corrupt record the checkpoint covers ------------- *)
+
+(* Six synced records, record 2 bit-flipped by the injected write, a
+   checkpoint after record 4. Recovery replays from the checkpoint's
+   byte offset, so the corrupt record below it neither ends the suffix
+   replay nor gets the log truncated under the checkpoint. *)
+let recover_over_covered_corruption () =
+  with_tmp ".wal" (fun wal_path ->
+      with_tmp ".ckpt" (fun ckpt_path ->
+          Fp.enable ();
+          (* Hit 1 writes the header. *)
+          Fp.arm "wal.write" ~after:2 ~times:1 (Fp.Bit_flip 12);
+          let w = ok (Wal.Z.open_log wal_path) in
+          let us = updates 6 in
+          List.iteri
+            (fun i u ->
+              ignore (ok (Wal.Z.append w u));
+              if i = 3 then begin
+                ok (Wal.Z.sync w);
+                let db = make_db (List.init 4 (fun k -> ([ k; k + 1 ], 1))) in
+                ok (Checkpoint.Z.save ckpt_path ~db ~records:4 ~wal_offset:(Wal.Z.offset w))
+              end)
+            us;
+          ok (Wal.Z.sync w);
+          let len = Wal.Z.offset w in
+          Wal.Z.close w;
+          Fp.reset ();
+          Alcotest.(check int) "the log is corrupt from record 2" 1
+            (ok (Wal.Z.record_count wal_path));
+          let reg, cursor =
+            ok
+              (Durable.recover ~wal:wal_path ~ckpt:ckpt_path ~fresh:Db.create
+                 Registry.create)
+          in
+          Alcotest.(check int) "checkpointed + replayed records" 6 cursor.Checkpoint.records;
+          Alcotest.(check int) "replay reached the end" len cursor.Checkpoint.wal_offset;
+          Alcotest.(check bool) "every update recovered" true
+            (Rel.equal (Db.find (Registry.db reg) "R")
+               (Db.find (make_db (List.init 6 (fun k -> ([ k; k + 1 ], 1)))) "R"));
+          let w = ok (Wal.Z.open_log ~from:cursor.Checkpoint.wal_offset wal_path) in
+          Alcotest.(check int) "nothing below the cursor was cut" len (Wal.Z.offset w);
+          Wal.Z.close w;
+          match Wal.Z.open_log ~from:(len + 1) wal_path with
+          | Ok _ -> Alcotest.fail "a log shorter than its cursor must not open"
+          | Error (Errors.Corrupt _) -> ()
+          | Error e -> Alcotest.failf "expected Corrupt, got %s" (Errors.to_string e)))
 
 let () =
   Alcotest.run ~and_exit:false "fault"
@@ -280,5 +332,7 @@ let () =
             (faulty ckpt_rename_fail_keeps_previous);
           Alcotest.test_case "load rejects corruption" `Quick
             (faulty ckpt_load_rejects_corruption);
+          Alcotest.test_case "recovery over a covered corrupt record" `Quick
+            (faulty recover_over_covered_corruption);
         ] );
     ]

@@ -20,6 +20,7 @@ module Metrics = Ivm_stream.Metrics
 module Registry = Ivm_stream.Registry
 module Scheduler = Ivm_stream.Scheduler
 module Checkpoint = Ivm_stream.Checkpoint
+module Durable = Ivm_stream.Durable
 module Wal = Ivm_stream.Wal
 module M = Ivm_engine.Maintainable
 module Tri = Ivm_engine.Triangle
@@ -721,10 +722,13 @@ let e2e_kill_restart () =
             match !reg_holder with
             | None -> Error "no registry"
             | Some reg ->
+                (* The client checkpoints once the first half has
+                   drained, so the state covers exactly [half] records. *)
                 Registry.read reg (fun () ->
                     let offset = Wal.Z.offset wal in
                     match
-                      Checkpoint.Z.save ckpt_path ~db:(Registry.db reg) ~wal_offset:offset
+                      Checkpoint.Z.save ckpt_path ~db:(Registry.db reg) ~records:half
+                        ~wal_offset:offset
                     with
                     | Ok () -> Ok offset
                     | Error e -> Error (Ivm_stream.Errors.to_string e))
@@ -747,15 +751,14 @@ let e2e_kill_restart () =
           (* Crash: the registry and server are gone. Restore from the
              checkpoint, replay the (empty) WAL suffix, apply the rest
              of the stream, and serve again. *)
-          let restored_db, offset = ok_stream (Checkpoint.Z.load ckpt_path) in
-          let seed_reg = Registry.create (make_triangle_db ()) in
-          register_views seed_reg;
-          let restored = Registry.restore seed_reg restored_db in
-          let pending = ref [] in
-          ignore
-            (ok_stream
-               (Wal.Z.replay wal_path ~from:offset (fun u -> pending := u :: !pending)));
-          Registry.apply_batch restored (List.rev !pending);
+          let restored, cursor =
+            ok_stream
+              (Durable.recover ~wal:wal_path ~ckpt:ckpt_path ~fresh:make_triangle_db (fun db ->
+                   let reg = Registry.create db in
+                   register_views reg;
+                   reg))
+          in
+          Alcotest.(check int) "recovered record count" half cursor.Checkpoint.records;
           Registry.apply_batch restored second;
           ignore (Registry.heal restored);
           let metrics2 = Metrics.create () in
@@ -1264,23 +1267,22 @@ let e2e_session_across_restart () =
                     Registry.read reg (fun () ->
                         ok_stream
                           (Checkpoint.Z.save ckpt_path ~db:(Registry.db reg)
-                             ~wal_offset:(Wal.Z.offset wal)));
+                             ~records:(2 * writes) ~wal_offset:(Wal.Z.offset wal)));
                     s))
           in
           Wal.Z.close wal;
           let token = Client.Session.token session1 in
           Alcotest.(check int) "token covers every first-life update" (2 * writes)
             token;
-          let restored_db, offset = ok_stream (Checkpoint.Z.load ckpt_path) in
           let metrics2 = Metrics.create () in
-          let seed_reg = Registry.create ~metrics:metrics2 (make_triangle_db ()) in
-          register_views seed_reg;
-          let restored = Registry.restore seed_reg restored_db in
-          let pending = ref [] in
-          ignore
-            (ok_stream
-               (Wal.Z.replay wal_path ~from:offset (fun u -> pending := u :: !pending)));
-          Registry.apply_batch restored (List.rev !pending);
+          let restored, cursor =
+            ok_stream
+              (Durable.recover ~wal:wal_path ~ckpt:ckpt_path ~fresh:make_triangle_db (fun db ->
+                   let reg = Registry.create ~metrics:metrics2 db in
+                   register_views reg;
+                   reg))
+          in
+          Alcotest.(check int) "recovered record count" token cursor.Checkpoint.records;
           ignore (Registry.heal restored);
           with_rw_server ~base:token (restored, metrics2) (fun srv _await ->
               let c2 = ok_wire (Client.connect ~port:(Server.port srv) ()) in

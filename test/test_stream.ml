@@ -14,6 +14,7 @@ module Squeue = Ivm_stream.Queue
 module Metrics = Ivm_stream.Metrics
 module Registry = Ivm_stream.Registry
 module Checkpoint = Ivm_stream.Checkpoint
+module Durable = Ivm_stream.Durable
 module Scheduler = Ivm_stream.Scheduler
 module M = Ivm_engine.Maintainable
 module Tri = Ivm_engine.Triangle
@@ -335,9 +336,10 @@ struct
                 Db.apply direct u;
                 if i < split then Db.apply ckpt_db u;
                 if i = split - 1 then
-                  ok (C.save ckpt_path ~db:ckpt_db ~wal_offset:(W.offset w)))
+                  ok (C.save ckpt_path ~db:ckpt_db ~records:split ~wal_offset:(W.offset w)))
               updates;
-            if split = 0 then ok (C.save ckpt_path ~db:ckpt_db ~wal_offset:Wal.header_len);
+            if split = 0 then
+              ok (C.save ckpt_path ~db:ckpt_db ~records:0 ~wal_offset:Wal.header_len);
             W.close w;
             if torn then begin
               (* A crash mid-append: garbage after the last full record. *)
@@ -346,9 +348,10 @@ struct
               close_out oc
             end;
             (* Crash, restart: load the snapshot, replay the suffix. *)
-            let restored, offset = ok (C.load ckpt_path) in
-            ignore (ok (W.replay wal_path ~from:offset (fun u -> Db.apply restored u)));
-            List.for_all
+            let restored, { Checkpoint.records; wal_offset } = ok (C.load ckpt_path) in
+            ignore (ok (W.replay wal_path ~from:wal_offset (fun u -> Db.apply restored u)));
+            records = split
+            && List.for_all
               (fun (name, _) -> CRel.equal (Db.find restored name) (Db.find direct name))
               schemas))
 end
@@ -924,7 +927,7 @@ let serve_kill_restart () =
                    checkpointed := true;
                    ok
                      (Checkpoint.Z.save ckpt_path ~db:(Registry.db reg)
-                        ~wal_offset:(Wal.Z.offset wal))
+                        ~records:(Scheduler.applied s) ~wal_offset:(Wal.Z.offset wal))
                  end)
                sched);
           Domain.join producer;
@@ -934,19 +937,12 @@ let serve_kill_restart () =
           Alcotest.(check bool) "latency histogram populated" true
             (Metrics.Hist.count metrics.Metrics.latency = total);
           (* Kill-and-restart. *)
-          let restored_db, offset = ok (Checkpoint.Z.load ckpt_path) in
-          let restored = Registry.restore reg restored_db in
-          let pending = ref [] in
-          let flush () =
-            Registry.apply_batch restored (List.rev !pending);
-            pending := []
+          let restored, cursor =
+            ok
+              (Durable.recover ~wal:wal_path ~ckpt:ckpt_path ~fresh:make_triangle_db
+                 (Registry.restore reg))
           in
-          ignore
-            (ok
-               (Wal.Z.replay wal_path ~from:offset (fun u ->
-                    pending := u :: !pending;
-                    if List.length !pending >= 256 then flush ())));
-          flush ();
+          Alcotest.(check int) "recovered record count" total cursor.Checkpoint.records;
           List.iter2
             (fun (n1, f1) (n2, f2) ->
               Alcotest.(check string) "same view" n1 n2;
