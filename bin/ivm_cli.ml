@@ -34,13 +34,14 @@ let classify_cmd =
     let* adorn = Ivm_query.Parse.adornment adorn_s in
     let access = if parsed.Ivm_query.Parse.input = [] then None else Some parsed.Ivm_query.Parse.input in
     let adornment = if adorn = [] then None else Some adorn in
-    let analysis = Core.Planner.analyze ~fds ?access ?adornment parsed.Ivm_query.Parse.cq in
-    Format.printf "%a@." Core.Planner.pp_analysis analysis;
-    (match Core.Planner.(analysis.verdict) with
-    | Core.Planner.Best_possible { order = Some o; _ } ->
+    let module Tx = Ivm_query.Taxonomy in
+    let analysis = Tx.analyze ~fds ?access ?adornment parsed.Ivm_query.Parse.cq in
+    Format.printf "%a@." Tx.pp_analysis analysis;
+    (match analysis.Tx.verdict with
+    | Tx.Best_possible { order = Some o; _ } ->
         Format.printf "view tree order: %a@." Ivm_query.Variable_order.pp o
-    | Core.Planner.Best_possible _ | Core.Planner.Amortized_best _
-    | Core.Planner.Worst_case_optimal _ | Core.Planner.Delta_only _ -> ());
+    | Tx.Best_possible _ | Tx.Amortized_best _ | Tx.Worst_case_optimal _ | Tx.Delta_only _
+      -> ());
     `Ok ()
   in
   Cmd.v

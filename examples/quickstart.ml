@@ -17,8 +17,8 @@ let () =
   Format.printf "Query: %a@.@." Cq.pp q;
 
   (* 1. Ask the planner what maintenance this query admits. *)
-  let analysis = Core.Planner.analyze q in
-  Format.printf "%a@.@." Core.Planner.pp_analysis analysis;
+  let analysis = Ivm_query.Taxonomy.analyze q in
+  Format.printf "%a@.@." Ivm_query.Taxonomy.pp_analysis analysis;
 
   (* 2. Build the view tree over an empty database and stream updates. *)
   let db = Database.Z.create () in

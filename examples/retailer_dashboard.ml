@@ -18,8 +18,8 @@ let time f =
 
 let () =
   Format.printf "Retailer query: %a@.@." Cq.pp Retailer.query;
-  let analysis = Core.Planner.analyze ~fds:Retailer.fds Retailer.query in
-  Format.printf "%a@.@." Core.Planner.pp_analysis analysis;
+  let analysis = Ivm_query.Taxonomy.analyze ~fds:Retailer.fds Retailer.query in
+  Format.printf "%a@.@." Ivm_query.Taxonomy.pp_analysis analysis;
 
   let spec = { Retailer.default_spec with Ivm_workload.Retailer.locations = 20; dates = 20 } in
   let batches = 50 and batch_size = 200 and refresh_every = 10 in

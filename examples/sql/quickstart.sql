@@ -39,6 +39,24 @@ DELETE FROM Sales VALUES (2, 12, 5);
 SELECT store, zip, item FROM Sales, Stores;
 SELECT cat, SUM(qty) FROM Sales, Items GROUP BY cat;
 
+-- DDL with FDs (Ex. 4.12): every shop has one zip, every zip one
+-- region. The join is not hierarchical as written, but its Σ-reduct
+-- under the FDs is q-hierarchical, so over FD-satisfying data the
+-- planner maintains it in O(1) per update over the reduct's variable
+-- order (Thm. 4.11) -- whatever the order of the SELECT columns.
+CREATE TABLE Visits (shop, day);
+CREATE TABLE Shops (shop, zip, FD shop -> zip);
+CREATE TABLE Zips (zip, region, FD zip -> region);
+CREATE MATERIALIZED VIEW visit_regions AS
+  SELECT day, shop, zip, region FROM Visits, Shops, Zips;
+INSERT INTO Zips VALUES (94107, 'west'), (10001, 'east');
+INSERT INTO Shops VALUES (1, 94107), (2, 94107), (3, 10001);
+INSERT INTO Visits VALUES (1, 'mon'), (2, 'mon'), (3, 'tue');
+DELETE FROM Zips VALUES (94107, 'west');
+INSERT INTO Zips VALUES (94107, 'pacific');
+SELECT day, shop, zip, region FROM Visits, Shops, Zips;
+EXPLAIN SELECT day, shop, zip, region FROM Visits, Shops, Zips;
+
 -- The triangle count compiles onto the IVMeps batch kernel.
 CREATE TABLE R (a, b);
 CREATE TABLE S (b, c);

@@ -647,6 +647,11 @@ let sql_of_update (u : int U.t) =
   if u.U.payload > 0 then Printf.sprintf "INSERT INTO %s VALUES %s;" u.U.rel rows
   else Printf.sprintf "DELETE FROM %s VALUES %s;" u.U.rel rows
 
+let sql_select (q : Cq.t) =
+  let items = match q.Cq.free with [] -> "COUNT(*)" | fs -> String.concat ", " fs in
+  Printf.sprintf "SELECT %s FROM %s" items
+    (String.concat ", " (List.map (fun (a : Cq.atom) -> a.Cq.rel) q.Cq.atoms))
+
 let sql_view_text (case : Case.t) =
   match case.Case.family with
   | Case.Triangle -> "CREATE MATERIALIZED VIEW v AS SELECT COUNT(*) FROM R, S, T;"
@@ -656,16 +661,18 @@ let sql_view_text (case : Case.t) =
       Printf.sprintf
         "CREATE MATERIALIZED VIEW v AS SELECT %s, MIN(%s), MAX(%s) FROM %s GROUP BY %s;" g v
         v rel g
-  | _ ->
-      let q = Option.get case.Case.query in
-      let items =
-        match q.Ivm_query.Cq.free with
-        | [] -> "COUNT(*)"
-        | fs -> String.concat ", " fs
+  | Case.Static_dynamic ->
+      let statics =
+        List.filter_map
+          (fun (rel, k) -> if k = Ivm_query.Static_dynamic.Static then Some rel else None)
+          Sd.adornment
       in
-      Printf.sprintf "CREATE MATERIALIZED VIEW v AS SELECT %s FROM %s;" items
-        (String.concat ", "
-           (List.map (fun (a : Cq.atom) -> a.Cq.rel) q.Ivm_query.Cq.atoms))
+      Printf.sprintf "CREATE MATERIALIZED VIEW v WITH (%s) AS %s;"
+        (String.concat ", " (List.map (fun rel -> "STATIC " ^ rel) statics))
+        (sql_select Sd.query)
+  | Case.Join | Case.Kclique | Case.Mixed ->
+      Printf.sprintf "CREATE MATERIALIZED VIEW v AS %s;"
+        (sql_select (Option.get case.Case.query))
 
 let sql_driver (case : Case.t) =
   let sess = Ivm_sql.Exec.create () in
@@ -745,6 +752,7 @@ let sd_builders : (string * (dir:string -> Case.t -> driver)) list =
     ("static-dynamic", fun ~dir:_ c -> sd_driver c);
     ("all-dynamic", fun ~dir:_ c -> all_dynamic_driver c);
     ("sd-view-tree", fun ~dir:_ c -> sd_view_tree_driver c);
+    ("sql", fun ~dir:_ c -> sql_driver c);
   ]
 
 let minmax_builders : (string * (dir:string -> Case.t -> driver)) list =

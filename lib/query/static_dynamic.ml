@@ -70,19 +70,21 @@ let constant_path ~(q : Cq.t) ~(anchors : string array) ~(deps : (string * strin
   let fixed0 = SSet.of_list atoms.(atom_idx).Cq.vars in
   walk fixed0 (List.rev path)
 
-let tractable_with_order (q : Cq.t) (ad : adornment) (forest : Variable_order.forest) =
+(** [is_witness q ad forest]: [forest] is a valid order for [q] with a
+    connex free top, under which an update to every dynamic atom
+    propagates to the root with constant-time steps. *)
+let is_witness (q : Cq.t) (ad : adornment) (forest : Variable_order.forest) =
+  Variable_order.validate q forest = Ok ()
+  && Variable_order.free_top q forest
+  &&
   match Variable_order.anchor q forest with
   | Error _ -> false
   | Ok anchors ->
       let deps = Variable_order.keys q forest in
-      let dynamic_atoms =
-        List.mapi (fun i (a : Cq.atom) -> (i, a)) q.Cq.atoms
-        |> List.filter (fun (_, (a : Cq.atom)) -> kind_of ad a.Cq.rel = Dynamic)
-      in
-      Variable_order.free_top q forest
-      && List.for_all
-           (fun (i, _) -> constant_path ~q ~anchors ~deps ~forest ~atom_idx:i)
-           dynamic_atoms
+      List.mapi (fun i (a : Cq.atom) -> (i, a)) q.Cq.atoms
+      |> List.for_all (fun (i, (a : Cq.atom)) ->
+             kind_of ad a.Cq.rel = Static
+             || constant_path ~q ~anchors ~deps ~forest ~atom_idx:i)
 
 (* Enumerate all rooted forests over [vs] via acyclic parent functions.
    Feasible for |vs| <= 7 (8^7 = 2M candidate functions). *)
@@ -128,20 +130,16 @@ let all_forests (vs : string list) : Variable_order.forest list =
   assign 0;
   !results
 
-(** [is_tractable ?candidates q ad] searches for a variable order
-    witnessing constant-update, constant-delay maintenance in the mixed
-    static/dynamic setting. Exact (exhaustive over all orders) for
-    queries with at most {!max_search_vars} variables; for larger queries
-    it tries the canonical order (if hierarchical) and any
-    user-[candidates]. *)
-let is_tractable ?(candidates : Variable_order.forest list = []) (q : Cq.t) (ad : adornment) =
+(** [witness q ad] searches for a witness order (see {!is_witness}):
+    the canonical order if it is one, else the first witness among all
+    orders — exhaustive, hence exact, for queries with at most
+    {!max_search_vars} variables. *)
+let witness (q : Cq.t) (ad : adornment) : Variable_order.forest option =
   let vs = Cq.vars q in
-  let pool =
-    candidates
-    @ (match Variable_order.canonical q with Some f -> [ f ] | None -> [])
-    @ (if List.length vs <= max_search_vars then all_forests vs else [])
+  let all () =
+    if List.length vs <= max_search_vars then List.to_seq (all_forests vs) () else Seq.Nil
   in
-  List.exists (fun f -> Variable_order.validate q f = Ok () && tractable_with_order q ad f) pool
+  Seq.append (Option.to_seq (Variable_order.canonical q)) all |> Seq.find (is_witness q ad)
 
 (** In the all-dynamic setting the witness search degenerates to the
     q-hierarchical dichotomy; this cross-check is used in tests. *)

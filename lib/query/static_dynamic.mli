@@ -24,12 +24,15 @@ val constant_path :
     with constant-time steps under this order? (Also used by the view
     tree's fast-path analysis.) *)
 
-val tractable_with_order : Cq.t -> adornment -> Variable_order.forest -> bool
+val is_witness : Cq.t -> adornment -> Variable_order.forest -> bool
+(** The order is valid for the query, its free variables form a connex
+    top fragment, and an update to every dynamic relation propagates
+    to the root with constant-time steps. *)
 
-val all_forests : string list -> Variable_order.forest list
-(** Every rooted forest over the given variables (for ≤ 7 of them). *)
-
-val is_tractable : ?candidates:Variable_order.forest list -> Cq.t -> adornment -> bool
+val witness : Cq.t -> adornment -> Variable_order.forest option
+(** A witness order: the canonical one if it qualifies, else the first
+    found by the exhaustive search (only for ≤ {!max_search_vars}
+    variables). *)
 
 val all_dynamic : Cq.t -> adornment
 (** With this adornment the class collapses to q-hierarchical (tested). *)

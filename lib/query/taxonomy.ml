@@ -1,18 +1,15 @@
-(** The maintenance planner: the paper's concluding observation
-    (Sec. 6) made executable. Given a query together with optional
-    functional dependencies, an access pattern, and static/dynamic
-    adornments, the planner classifies it along the paper's taxonomy and
-    recommends the best maintenance strategy with its complexity
-    guarantees — or reports the conditional lower bound that forbids
-    doing better (Thm. 4.1, Thm. 4.8). *)
+(** The query taxonomy: the paper's concluding observation (Sec. 6)
+    made executable. Given a query together with optional functional
+    dependencies, an access pattern, and static/dynamic adornments, it
+    classifies the query along the paper's taxonomy and recommends the
+    best maintenance strategy with its complexity guarantees — or
+    reports the conditional lower bound that forbids doing better
+    (Thm. 4.1, Thm. 4.8). *)
 
-module Cq = Ivm_query.Cq
-module Fd = Ivm_query.Fd
-module Cqap = Ivm_query.Cqap
-module H = Ivm_query.Hierarchical
-module Hg = Ivm_query.Hypergraph
-module Sd = Ivm_query.Static_dynamic
-module Vo = Ivm_query.Variable_order
+module H = Hierarchical
+module Hg = Hypergraph
+module Sd = Static_dynamic
+module Vo = Variable_order
 
 type complexity = {
   preprocessing : string;
@@ -34,6 +31,7 @@ type analysis = {
   query : Cq.t;
   hierarchical : bool;
   q_hierarchical : bool;
+  non_hierarchical_witness : (string * string) option;
   alpha_acyclic : bool;
   free_connex : bool;
   hierarchical_under_fds : bool;
@@ -60,7 +58,8 @@ let analyze ?(fds : Fd.t list = []) ?(access : string list option)
   let cqap_tractable =
     Option.map (fun input -> Cqap.is_tractable (Cqap.make ~input q)) access
   in
-  let sd_tractable = Option.map (fun ad -> Sd.is_tractable q ad) adornment in
+  let sd_witness = Option.map (Sd.witness q) adornment in
+  let sd_tractable = Option.map Option.is_some sd_witness in
   let verdict =
     if q_hierarchical then
       Best_possible
@@ -69,13 +68,21 @@ let analyze ?(fds : Fd.t list = []) ?(access : string list option)
       Best_possible
         {
           reason = "Σ-reduct is q-hierarchical under the FDs (Thm. 4.11)";
-          order = Vo.canonical reduct;
+          (* The reduct's order must also suit the query as written:
+             the engine joins the original relations and enumerates the
+             original free variables. *)
+          order =
+            Option.bind (Vo.canonical reduct) (fun f ->
+                if Vo.validate q f = Ok () && Vo.free_top q f then Some f else None);
         }
     else if cqap_tractable = Some true then
       Best_possible { reason = "tractable CQAP (Thm. 4.8)"; order = None }
     else if sd_tractable = Some true then
       Best_possible
-        { reason = "tractable in the static/dynamic setting (Sec. 4.5)"; order = None }
+        {
+          reason = "tractable in the static/dynamic setting (Sec. 4.5)";
+          order = Option.join sd_witness;
+        }
     else if alpha_acyclic then
       Amortized_best
         {
@@ -102,6 +109,7 @@ let analyze ?(fds : Fd.t list = []) ?(access : string list option)
     query = q;
     hierarchical;
     q_hierarchical;
+    non_hierarchical_witness = H.non_hierarchical_witness q;
     alpha_acyclic;
     free_connex;
     hierarchical_under_fds;

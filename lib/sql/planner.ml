@@ -1,9 +1,7 @@
 module Cq = Ivm_query.Cq
 module Vo = Ivm_query.Variable_order
 module Sd = Ivm_query.Static_dynamic
-module Hier = Ivm_query.Hierarchical
-module Hg = Ivm_query.Hypergraph
-module Fd = Ivm_query.Fd
+module Tx = Ivm_query.Taxonomy
 module Strategy = Ivm_engine.Strategy
 
 type role = { rel : string; flipped : bool }
@@ -113,19 +111,7 @@ let path_shape (cq : Cq.t) =
         | _ -> None)
       (perms cq.Cq.atoms)
 
-let fact fmt = Printf.ksprintf (fun s -> s) fmt
-
-let shape_facts (cq : Cq.t) =
-  [
-    fact "query: %d atoms, %d variables (%d free), self-join-free"
-      (List.length cq.Cq.atoms)
-      (List.length (Cq.vars cq))
-      (List.length cq.Cq.free);
-    fact "hierarchical: %b, q-hierarchical: %b, free-connex: %b"
-      (Hier.is_hierarchical cq)
-      (Hier.is_q_hierarchical cq)
-      (Hg.is_free_connex cq);
-  ]
+let fact = Printf.sprintf
 
 let plan ?stats ?(sizes = []) ?(fds = []) ~opts (l : Lower.t) =
   let cq = l.Lower.cq in
@@ -134,250 +120,204 @@ let plan ?stats ?(sizes = []) ?(fds = []) ~opts (l : Lower.t) =
     |> List.filter (fun t -> List.mem t (Cq.relation_names cq))
   in
   let insert_only = List.mem Ast.Insert_only opts in
+  let a =
+    Tx.analyze ~fds
+      ?adornment:
+        (if statics = [] then None else Some (List.map (fun t -> (t, Sd.Static)) statics))
+      cq
+  in
   let base =
-    shape_facts cq
+    [
+      fact "query: %d atoms, %d variables (%d free), self-join-free"
+        (List.length cq.Cq.atoms)
+        (List.length (Cq.vars cq))
+        (List.length cq.Cq.free);
+      fact "hierarchical: %b, q-hierarchical: %b, free-connex: %b" a.Tx.hierarchical
+        a.Tx.q_hierarchical a.Tx.free_connex;
+    ]
     @
-    match
-      List.filter (fun (r, _) -> List.mem r (Cq.relation_names cq)) sizes
-    with
+    match List.filter (fun (r, _) -> List.mem r (Cq.relation_names cq)) sizes with
     | [] -> []
     | sizes ->
         [
           fact "relation sizes: %s"
-            (String.concat ", "
-               (List.map (fun (r, n) -> Printf.sprintf "%s=%d" r n) sizes));
+            (String.concat ", " (List.map (fun (r, n) -> Printf.sprintf "%s=%d" r n) sizes));
         ]
   in
-  if Lower.needs_dataflow l then begin
-    let features =
-      (if l.Lower.distinct then [ "DISTINCT" ] else [])
-      @ List.map
-          (fun (e : Lower.extremum) ->
-            Printf.sprintf "%s(%s)"
-              (if e.Lower.minimize then "MIN" else "MAX")
-              e.Lower.ecol)
-          l.Lower.extrema
-      @
-      match l.Lower.window with
-      | Some w -> [ Printf.sprintf "TUMBLE %s SIZE %d" w.Lower.time w.Lower.size ]
-      | None -> []
-    in
-    Ok
-      {
-        choice = Dataflow;
-        static = statics;
-        facts =
-          base
-          @ [
-              fact
-                "%s: only the operator-graph runtime has incremental rules \
-                 for these (the per-query engines maintain ring aggregates \
-                 only)"
-                (String.concat ", " features);
-              fact
-                "joins propagate the bilinear delta ΔQ = ΔR⋈S + R⋈ΔS + \
-                 ΔR⋈ΔS; extrema keep a per-group ordered multiset with a \
-                 re-scan fallback when a served value is deleted; windows \
-                 retract panes once the watermark passes them";
-            ]
-          @ (if statics = [] then []
-             else
-               [
-                 fact "static relations: %s (loaded once, no update stream)"
-                   (String.concat ", " statics);
-               ])
-          @
-          if insert_only then
+  let static_facts =
+    if statics = [] then []
+    else
+      [
+        fact "static relations: %s (loaded once, no update stream)"
+          (String.concat ", " statics);
+      ]
+  in
+  let fds_fact =
+    fact "declared FDs: %s"
+      (String.concat "; " (List.map (Format.asprintf "%a" Ivm_query.Fd.pp) fds))
+  in
+  let planned choice facts = Ok { choice; static = statics; facts = base @ facts } in
+  (* The taxonomy's order is valid for [cq] with the free variables on
+     top: the engines build on it without checking again. *)
+  match a.Tx.verdict with
+  | _ when Lower.needs_dataflow l ->
+      let features =
+        (if l.Lower.distinct then [ "DISTINCT" ] else [])
+        @ List.map
+            (fun (e : Lower.extremum) ->
+              Printf.sprintf "%s(%s)" (if e.Lower.minimize then "MIN" else "MAX") e.Lower.ecol)
+            l.Lower.extrema
+        @
+        match l.Lower.window with
+        | Some w -> [ Printf.sprintf "TUMBLE %s SIZE %d" w.Lower.time w.Lower.size ]
+        | None -> []
+      in
+      planned Dataflow
+        ([
+           fact
+             "%s: only the operator-graph runtime has incremental rules for these \
+              (the per-query engines maintain ring aggregates only)"
+             (String.concat ", " features);
+           fact
+             "joins propagate the bilinear delta ΔQ = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS; extrema \
+              keep a per-group ordered multiset with a re-scan fallback when a \
+              served value is deleted; windows retract panes once the watermark \
+              passes them";
+         ]
+        @ static_facts
+        @
+        if insert_only then
+          [
+            fact
+              "INSERT ONLY declared: the operator graph handles deletes anyway, the \
+               hint changes nothing";
+          ]
+        else [])
+  | Tx.Best_possible { reason; order = Some forest } when statics <> [] ->
+      (* Sec. 4.5: the static/dynamic witness, unless a stronger verdict
+         (q-hierarchical, Σ-reduct) ranks first. *)
+      planned (Tree forest)
+        (static_facts
+        @ [
+            fact
+              "witness order found: %s; constant-time propagation for every \
+               dynamic relation, free variables connex at the top"
+              reason;
+          ])
+  | _ when statics <> [] ->
+      planned
+        (Tree (chain_forest cq))
+        (static_facts
+        @ [
+            fact
+              "no static/dynamic witness order within the search bound; falling \
+               back to a free-first chain view tree";
+          ])
+  | _ when insert_only -> (
+      match path_shape cq with
+      | Some (r, s, t) when (not l.Lower.sum) && l.Lower.input = [] ->
+          planned
+            (Monotone_path { r; s; t })
             [
               fact
-                "INSERT ONLY declared: the operator graph handles deletes \
-                 anyway, the hint changes nothing";
+                "INSERT ONLY + full path join %s-%s-%s: monotone activation gives \
+                 amortized O(1) per insert (the query is not q-hierarchical, so \
+                 this beats any delta strategy)"
+                r.rel s.rel t.rel;
+              fact "alpha-acyclic: %b" a.Tx.alpha_acyclic;
             ]
-          else [];
-      }
-  end
-  else if statics <> [] then begin
-    (* Static/dynamic: search for a witness order (Sec. 4.5). *)
-    let adornment = List.map (fun t -> (t, Sd.Static)) statics in
-    let vars = Cq.vars cq in
-    let witness =
-      if List.length vars > Sd.max_search_vars then None
-      else
-        List.find_opt
-          (fun f -> Sd.tractable_with_order cq adornment f && Vo.free_top cq f)
-          (Sd.all_forests vars)
-    in
-    match witness with
-    | Some forest ->
-        Ok
-          {
-            choice = Tree forest;
-            static = statics;
-            facts =
-              base
-              @ [
-                  fact "static relations: %s (loaded once, no update stream)"
-                    (String.concat ", " statics);
-                  fact
-                    "witness order found: constant-time propagation for every \
-                     dynamic relation, free variables connex at the top";
-                ];
-          }
-    | None ->
-        Ok
-          {
-            choice = Tree (chain_forest cq);
-            static = statics;
-            facts =
-              base
-              @ [
-                  fact "static relations: %s (loaded once, no update stream)"
-                    (String.concat ", " statics);
-                  fact
-                    "no static/dynamic witness order within the search bound; \
-                     falling back to a free-first chain view tree";
-                ];
-          }
-  end
-  else if insert_only then begin
-    match path_shape cq with
-    | Some (r, s, t) when not l.Lower.sum && l.Lower.input = [] ->
-        Ok
-          {
-            choice = Monotone_path { r; s; t };
-            static = [];
-            facts =
-              base
-              @ [
-                  fact
-                    "INSERT ONLY + full path join %s-%s-%s: monotone \
-                     activation gives amortized O(1) per insert (the query \
-                     is not q-hierarchical, so this beats any delta \
-                     strategy)" r.rel s.rel t.rel;
-                  fact "alpha-acyclic: %b" (Hg.is_alpha_acyclic cq);
-                ];
-          }
-    | _ ->
-        Ok
-          {
-            choice = Tree (chain_forest cq);
-            static = [];
-            facts =
-              base
-              @ [
-                  fact
-                    "INSERT ONLY declared but the query is not the supported \
-                     3-path full join; using the general view tree";
-                ];
-          }
-  end
-  else
-    match triangle_shape cq with
-    | Some (r, s, t) when not l.Lower.sum && l.Lower.input = [] ->
-        Ok
-          {
-            choice = Triangle { r; s; t };
-            static = [];
-            facts =
-              base
-              @ [
-                  fact
-                    "triangle count %s-%s-%s: IVMeps maintains it with \
-                     polarized batch deltas in sub-output time (Sec. 3)"
-                    r.rel s.rel t.rel;
-                  fact "not q-hierarchical: single-tuple updates are \
-                        Omega(sqrt N) amortized in the worst case";
-                ];
-          }
-    | _ ->
-        if Hier.is_q_hierarchical cq then begin
-          let forest =
-            match Vo.canonical cq with
-            | Some f -> f
-            | None -> chain_forest cq (* unreachable: q-hier is hierarchical *)
-          in
-          let lazy_pick, why =
+      | _ ->
+          planned
+            (Tree (chain_forest cq))
+            [
+              fact
+                "INSERT ONLY declared but the query is not the supported 3-path \
+                 full join; using the general view tree";
+            ])
+  | verdict -> (
+      match (triangle_shape cq, verdict) with
+      | Some (r, s, t), _ when (not l.Lower.sum) && l.Lower.input = [] ->
+          planned
+            (Triangle { r; s; t })
+            [
+              fact
+                "triangle count %s-%s-%s: IVMeps maintains it with polarized batch \
+                 deltas in sub-output time (Sec. 3)"
+                r.rel s.rel t.rel;
+              fact
+                "not q-hierarchical: single-tuple updates are Omega(sqrt N) \
+                 amortized in the worst case";
+            ]
+      | _, Tx.Best_possible { order = Some forest; _ } when a.Tx.q_hierarchical ->
+          let kind, why =
             match stats with
-            | Some { reads; writes } when writes > 8 * (max reads 1) ->
-                ( true,
+            | Some { reads; writes } when writes > 8 * max reads 1 ->
+                ( Strategy.Lazy_fact,
                   fact
-                    "observed workload is write-heavy (%d writes vs %d \
-                     reads): lazy defers view work to enumeration"
+                    "observed workload is write-heavy (%d writes vs %d reads): lazy \
+                     defers view work to enumeration"
                     writes reads )
             | Some { reads; writes } ->
-                ( false,
+                ( Strategy.Eager_fact,
                   fact
-                    "observed workload reads often enough (%d reads vs %d \
-                     writes) to keep views eagerly current"
+                    "observed workload reads often enough (%d reads vs %d writes) to \
+                     keep views eagerly current"
                     reads writes )
-            | None -> (false, fact "no workload statistics: defaulting to eager")
+            | None ->
+                (Strategy.Eager_fact, fact "no workload statistics: defaulting to eager")
           in
-          let kind = if lazy_pick then Strategy.Lazy_fact else Strategy.Eager_fact in
-          Ok
-            {
-              choice = Delta (kind, forest);
-              static = [];
-              facts =
-                base
-                @ [
-                    fact
-                      "q-hierarchical: O(1) single-tuple updates and O(1) \
-                       enumeration delay over the canonical free-top order \
-                       (Thm. 4.1)";
-                    why;
-                  ];
-            }
-        end
-        else if fds <> [] && Fd.q_hierarchical_under fds cq then
-          Ok
-            {
-              choice = Delta (Strategy.Eager_fact, chain_forest cq);
-              static = [];
-              facts =
-                base
-                @ [
-                    fact
-                      "not q-hierarchical as written, but its Sigma-reduct \
-                       under the declared FDs is: over FD-satisfying \
-                       databases maintenance is O(1)/O(1) (Thm. 4.11)";
-                    fact "declared FDs: %s"
-                      (String.concat "; "
-                         (List.map
-                            (fun (fd : Fd.t) ->
-                              Printf.sprintf "%s -> %s"
-                                (String.concat "," fd.Fd.lhs)
-                                (String.concat "," fd.Fd.rhs))
-                            fds));
-                  ];
-            }
-        else
+          planned
+            (Delta (kind, forest))
+            [
+              fact
+                "q-hierarchical: O(1) single-tuple updates and O(1) enumeration \
+                 delay over the canonical free-top order (Thm. 4.1)";
+              why;
+            ]
+      | _, Tx.Best_possible { order = Some forest; _ } ->
+          (* Without an adornment, only the Σ-reduct verdict is left. *)
+          planned
+            (Delta (Strategy.Eager_fact, forest))
+            [
+              fact
+                "not q-hierarchical as written, but its Sigma-reduct under the \
+                 declared FDs is: over FD-satisfying databases maintenance is \
+                 O(1)/O(1) over the reduct's canonical order (Thm. 4.11)";
+              fds_fact;
+            ]
+      | _ when a.Tx.q_hierarchical_under_fds ->
+          planned
+            (Delta (Strategy.Eager_fact, chain_forest cq))
+            [
+              fact
+                "not q-hierarchical as written; its Sigma-reduct under the \
+                 declared FDs is (Thm. 4.11), but the reduct's order puts a bound \
+                 variable above a free one, so eager-fact runs over a free-first \
+                 chain and updates pay the join cost";
+              fds_fact;
+            ]
+      | _ ->
           let witness =
-            match Hier.non_hierarchical_witness cq with
+            match a.Tx.non_hierarchical_witness with
             | Some (x, y) ->
                 fact
                   "not q-hierarchical (variables %s and %s have properly \
-                   overlapping atom sets): constant-time updates are \
-                   impossible (OuMv-hardness, Thm. 4.1)"
+                   overlapping atom sets): constant-time updates are impossible \
+                   (OuMv-hardness, Thm. 4.1)"
                   x y
             | None ->
                 fact
-                  "hierarchical but not free-dominant: constant-time \
-                   maintenance with constant-delay enumeration is impossible \
-                   (Thm. 4.1)"
+                  "hierarchical but not free-dominant: constant-time maintenance \
+                   with constant-delay enumeration is impossible (Thm. 4.1)"
           in
-          Ok
-            {
-              choice = Tree (chain_forest cq);
-              static = [];
-              facts =
-                base
-                @ [
-                    witness;
-                    fact
-                      "free-first chain view tree: enumeration stays \
-                       constant-delay; updates pay the join cost";
-                  ];
-            }
+          planned
+            (Tree (chain_forest cq))
+            [
+              witness;
+              fact
+                "free-first chain view tree: enumeration stays constant-delay; \
+                 updates pay the join cost";
+            ])
 
 let explain p =
   let b = Buffer.create 256 in

@@ -1,8 +1,11 @@
 (** The cost-based strategy planner: given a lowered query, the declared
     FDs, the view options and (optionally) the observed read/write mix,
-    pick the maintenance engine and a witness variable order, and record
-    the classification facts that justify the choice — the substance of
-    [EXPLAIN].
+    classify the query once with {!Ivm_query.Taxonomy.analyze}, map the
+    verdict to a maintenance engine and variable order, and record the
+    classification facts that justify the choice — the substance of
+    [EXPLAIN]. The planner adds only SQL decisions on top of the
+    taxonomy: dataflow routing, kernel slot matching and the eager/lazy
+    read-mix choice.
 
     Decision table (first match wins):
 
@@ -10,12 +13,12 @@
       operator graph ({!Ivm_dataflow.Graph}), the only engine with
       incremental rules for non-ring aggregates; the DAG is part of the
       EXPLAIN report.
-    + [WITH (STATIC t)] and an exhaustive search (≤
-      {!Ivm_query.Static_dynamic.max_search_vars} variables) finds a
-      variable order under which every dynamic update propagates in
-      constant time with a connex free top → static/dynamic view tree
-      over that order (Sec. 4.5); static relations are loaded once and
-      excluded from the update stream.
+    + [WITH (STATIC t)] → static/dynamic view tree over the verdict's
+      order: the static/dynamic witness of
+      {!Ivm_query.Static_dynamic.witness} (Sec. 4.5), or the stronger
+      q-hierarchical / Σ-reduct order when one applies; without an
+      order, over a free-first chain. Static relations are loaded once
+      and excluded from the update stream.
     + [WITH (INSERT ONLY)] and the query is the 3-path full join
       [R(A,B), S(B,C), T(C,D)] → the monotone activation engine:
       amortized O(1) per insert despite the query not being
@@ -28,7 +31,9 @@
       workload is write-heavy (reads < ~1/8 of writes) — lazy defers all
       view work to the rare enumeration points.
     + The Σ-reduct under the declared FDs is q-hierarchical
-      (Thm. 4.11) → eager-fact over a free-first chain.
+      (Thm. 4.11) → eager-fact over the Σ-reduct's canonical order, or
+      over a free-first chain when that order puts a bound variable
+      above a free one (constant-delay enumeration needs a free top).
     + Otherwise → factorized view tree over a free-first chain order
       (always valid, free-top by construction); updates may cost more
       than O(1) but enumeration stays constant-delay. *)

@@ -1,9 +1,10 @@
-(* The planner (Sec. 6): verdicts on the paper's example queries. *)
+(* The taxonomy (Sec. 6): verdicts on the paper's example queries. *)
 
-module P = Core.Planner
-module Cq = Core.Ivm.Cq
-module Fd = Core.Ivm.Fd
+module P = Ivm_query.Taxonomy
+module Cq = Ivm_query.Cq
+module Fd = Ivm_query.Fd
 module Sd = Ivm_query.Static_dynamic
+module Vo = Ivm_query.Variable_order
 
 let checkb = Alcotest.(check bool)
 
@@ -33,7 +34,13 @@ let fd_rescue () =
      is_amortized a.P.verdict);
   let fds = [ Fd.make [ "X" ] [ "Y" ]; Fd.make [ "Y" ] [ "Z" ] ] in
   let a = P.analyze ~fds q in
-  checkb "best under FDs (Thm. 4.11)" true (is_best a.P.verdict)
+  checkb "best under FDs (Thm. 4.11)" true (is_best a.P.verdict);
+  match a.P.verdict with
+  | P.Best_possible { order = Some o; _ } ->
+      checkb "the Σ-reduct's canonical order" true
+        (Some o = Vo.canonical (Fd.sigma_reduct fds q));
+      checkb "valid for the query as written" true (Vo.validate q o = Ok ())
+  | _ -> Alcotest.fail "expected the Σ-reduct's order"
 
 let triangle_goes_wco () =
   let q =
@@ -60,7 +67,11 @@ let static_dynamic_rescue () =
   in
   let ad = [ ("R", Sd.Dynamic); ("S", Sd.Dynamic); ("T", Sd.Static) ] in
   let a = P.analyze ~adornment:ad q in
-  checkb "sd-tractable wins" true (is_best a.P.verdict)
+  checkb "sd-tractable wins" true (is_best a.P.verdict);
+  match a.P.verdict with
+  | P.Best_possible { order = Some o; _ } ->
+      checkb "the verdict's order is a witness" true (Sd.is_witness q ad o)
+  | _ -> Alcotest.fail "expected a witness order"
 
 let acyclic_amortized () =
   let q =

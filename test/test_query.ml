@@ -197,8 +197,8 @@ let static_dynamic () =
   in
   checkb "not q-hierarchical" false (H.is_q_hierarchical q);
   let ad = [ ("R", Sd.Dynamic); ("S", Sd.Dynamic); ("T", Sd.Static) ] in
-  checkb "tractable with T static" true (Sd.is_tractable q ad);
-  checkb "not tractable all-dynamic" false (Sd.is_tractable q (Sd.all_dynamic q));
+  checkb "tractable with T static" true (Sd.witness q ad <> None);
+  checkb "not tractable all-dynamic" false (Sd.witness q (Sd.all_dynamic q) <> None);
   (* Ex. 4.3's non-hierarchical query with static middle: needs
      exponential preprocessing per the paper, so our constant-update
      checker rejects it (we do not implement the powerset trick). *)
@@ -207,7 +207,8 @@ let static_dynamic () =
       [ Cq.atom "R" [ "A" ]; Cq.atom "S" [ "A"; "B" ]; Cq.atom "T" [ "B" ] ]
   in
   let ad3 = [ ("R", Sd.Dynamic); ("S", Sd.Static); ("T", Sd.Dynamic) ] in
-  checkb "R^d S^s T^d beyond the constant-update checker" false (Sd.is_tractable q3 ad3)
+  checkb "R^d S^s T^d beyond the constant-update checker" false
+    (Sd.witness q3 ad3 <> None)
 
 let parser () =
   let module P = Ivm_query.Parse in
@@ -311,7 +312,7 @@ let sd_all_dynamic_iff_qh =
   (* Sec. 4.5: the mixed-setting class collapses to q-hierarchical when
      everything is dynamic. *)
   QCheck.Test.make ~name:"all-dynamic sd-tractable iff q-hierarchical" ~count:60 gen_query
-    (fun q -> Sd.is_tractable q (Sd.all_dynamic q) = H.is_q_hierarchical q)
+    (fun q -> (Sd.witness q (Sd.all_dynamic q) <> None) = H.is_q_hierarchical q)
 
 let qt t = QCheck_alcotest.to_alcotest ~long:false t
 

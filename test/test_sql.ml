@@ -10,6 +10,9 @@ module Parser = Sql.Parser
 module Lower = Sql.Lower
 module Planner = Sql.Planner
 module Exec = Sql.Exec
+module Strategy = Ivm_engine.Strategy
+module Fd = Ivm_query.Fd
+module Vo = Ivm_query.Variable_order
 module Value = Ivm_data.Value
 module Ck = Ivm_check
 
@@ -244,6 +247,71 @@ let planner_triangle () =
     (contains report "engine: IVMeps triangle batch kernel");
   checkb "carries at least 2 facts" true (List.length (facts_of report) >= 2)
 
+(* Ex. 4.12 under the FDs x -> y and y -> z: not q-hierarchical as
+   written, but its Σ-reduct is (Thm. 4.11). In either SELECT order the
+   planner must run eager-fact over the reduct's canonical order — a
+   chain in column order costs O(N) per T update — and the view must
+   match a from-scratch recompute over FD-satisfying data. *)
+let fd_tables =
+  "CREATE TABLE R (x, w); CREATE TABLE S (x, y, FD x -> y);\n\
+   CREATE TABLE T (y, z, FD y -> z);"
+
+let planner_fd_reduct () =
+  let catalog = [ ("R", [ "x"; "w" ]); ("S", [ "x"; "y" ]); ("T", [ "y"; "z" ]) ] in
+  let declared = [ ("S", [ Fd.make [ "x" ] [ "y" ] ]); ("T", [ Fd.make [ "y" ] [ "z" ] ]) ] in
+  List.iter
+    (fun cols ->
+      let text = Printf.sprintf "SELECT %s FROM R, S, T" cols in
+      let select =
+        match ok (Parser.stmt text) with
+        | Ast.Select s -> s
+        | _ -> Alcotest.fail "expected a SELECT"
+      in
+      let l, fds = ok (Lower.select catalog ~fds:declared ~name:"v" select) in
+      let cq = l.Lower.cq in
+      let reduct_order = Vo.canonical (Fd.sigma_reduct fds cq) in
+      checkb (cols ^ ": reduct order valid for the query") true
+        (Option.map (Vo.validate cq) reduct_order = Some (Ok ()));
+      let p = ok (Planner.plan ~fds ~opts:[] l) in
+      (match p.Planner.choice with
+      | Planner.Delta (Strategy.Eager_fact, forest) ->
+          checkb (cols ^ ": over the Σ-reduct's canonical order") true
+            (Some forest = reduct_order)
+      | _ -> Alcotest.failf "%s: expected an eager-fact delta plan" cols);
+      let report = Planner.explain p in
+      checkb (cols ^ ": eager-fact engine") true
+        (contains report "engine: eager-fact delta strategy");
+      checkb (cols ^ ": carries at least 2 facts") true (List.length (facts_of report) >= 2);
+      checkb (cols ^ ": cites Thm. 4.11") true (contains report "Thm. 4.11");
+      let sess = Exec.create () in
+      ignore
+        (ok
+           (Exec.exec_text sess
+              (fd_tables ^ "CREATE MATERIALIZED VIEW v AS " ^ text ^ ";\n\
+               INSERT INTO R VALUES (1, 10), (2, 20), (3, 30), (1, 11);\n\
+               INSERT INTO S VALUES (1, 100), (2, 100), (3, 200);\n\
+               INSERT INTO T VALUES (100, 7), (200, 8);\n\
+               DELETE FROM T VALUES (100, 7);\n\
+               INSERT INTO T VALUES (100, 9);\n\
+               DELETE FROM R VALUES (2, 20);\n\
+               DELETE FROM S VALUES (3, 200);\n\
+               INSERT INTO S VALUES (4, 200);\n\
+               INSERT INTO R VALUES (4, 40);")));
+      let reg = Exec.registry sess in
+      let recomputed =
+        Exec.Registry.read reg (fun () ->
+            let db = Exec.Registry.db reg in
+            Ivm_engine.Eval.aggregate cq ~lookup:(fun name ->
+                Ivm_engine.View.of_relation (Ivm_data.Database.Z.find db name))
+            |> fun rel -> Ivm_data.Relation.Z.fold (fun tp p acc -> (tp, p) :: acc) rel [])
+      in
+      let maintained = ok (Exec.view_entries sess "v") in
+      checkb (cols ^ ": view = recompute") true
+        (recomputed <> []
+        && Ck.Oracle.equal_entries (Ck.Oracle.normalize maintained)
+             (Ck.Oracle.normalize recomputed)))
+    [ "w, x, y, z"; "z, y, x, w" ]
+
 (* --- executor semantics ----------------------------------------------- *)
 
 let exec_view_and_lookup () =
@@ -311,6 +379,22 @@ let sql_driver_agrees_with_oracle () =
   run ~family:"join" ~gen:Ck.Gen.join (List.init 30 (fun i -> 1000 + i));
   run ~family:"triangle" ~gen:Ck.Gen.triangle (List.init 10 (fun i -> 2000 + i))
 
+(* Ex. 4.14 rendered as WITH (STATIC T): the SQL static/dynamic path
+   (DESIGN.md §10 rows 1-2) against the oracle. *)
+let sql_static_dynamic_agrees () =
+  List.iter
+    (fun seed ->
+      let case = Ck.Gen.static_dynamic ~rng:(Ck.Seed.rng seed) ~seed in
+      checkb "the sql driver runs on the family" true
+        (List.mem "sql" (Ck.Engines.names case));
+      match Ck.Harness.run ~select:[ "sql" ] case with
+      | Ck.Harness.Agree -> ()
+      | Ck.Harness.Diverged ds ->
+          Alcotest.failf "static-dynamic seed %d: %s" seed
+            (String.concat "; "
+               (List.map (Format.asprintf "%a" Ck.Harness.pp_divergence) ds)))
+    (List.init 10 (fun i -> 3000 + i))
+
 let qt t = QCheck_alcotest.to_alcotest ~long:false t
 
 let () =
@@ -331,6 +415,8 @@ let () =
           Alcotest.test_case "static adornment -> static/dynamic" `Quick
             planner_static_dynamic;
           Alcotest.test_case "triangle -> IVMeps kernel" `Quick planner_triangle;
+          Alcotest.test_case "FDs -> eager-fact over the Σ-reduct order" `Quick
+            planner_fd_reduct;
         ] );
       ( "exec",
         [
@@ -341,5 +427,7 @@ let () =
         [
           Alcotest.test_case "sql driver agrees over 40 seeds" `Slow
             sql_driver_agrees_with_oracle;
+          Alcotest.test_case "sql static/dynamic agrees over 10 seeds" `Quick
+            sql_static_dynamic_agrees;
         ] );
     ]
