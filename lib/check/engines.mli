@@ -64,3 +64,6 @@ val build :
     WAL/checkpoint files (the caller owns its lifecycle). [select] keeps
     only the named engines (unknown names are ignored; an empty
     selection builds everything). *)
+
+val rm_rf : string -> unit
+(** Remove a file or a directory tree; an absent path is fine. *)

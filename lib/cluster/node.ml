@@ -1,8 +1,9 @@
-(** One cluster node: the full durable serve pipeline — WAL, periodic
-    checkpoints, supervised registry, epoch scheduler, TCP server —
+(** One durable serving process: WAL, periodic and admin checkpoints,
+    supervised registry, epoch scheduler, SQL session, TCP server —
     bundled behind start/kill/stop, in-process (each node still runs
     its scheduler and connection handlers on its own domains and is
-    reached only over loopback TCP).
+    reached only over loopback TCP). A cluster shard and [ivm_cli
+    serve] are both one of these.
 
     Recovery is {!Ivm_stream.Durable.recover}: load the checkpoint,
     replay the WAL suffix from the byte offset it stores. Each
@@ -48,6 +49,67 @@ let spec ?(port = 0) ?(handlers = 2) ?(queue_capacity = 8192) ?(checkpoint_every
 
 type health = Running | Stopped | Failed of string
 
+(* Admin-checkpoint rendezvous. A checkpoint must not be taken
+   mid-epoch (the WAL may then be ahead of the applied state), so a
+   request parks here with the queue watermark it needs applied and
+   pushes a zero-payload tick to force an epoch even on an idle stream;
+   the scheduler's epoch hook saves at the boundary, where WAL offset
+   and registry state coincide, and answers every request it covers.
+   Stopping, killing or failing the node answers the rest with an
+   error. *)
+type parked = { mutable target : int; mutable result : (int, string) result option }
+
+type rendezvous = {
+  rv_mutex : Mutex.t;
+  rv_cond : Condition.t;
+  mutable parked : parked list;
+  mutable closed : bool;
+}
+
+(* The tick coalesces away before any view sees it and changes nothing
+   on replay ({!Ivm_stream.Durable.recover} skips zero payloads), so
+   its relation need not exist. *)
+let tick = U.make ~rel:"" ~tuple:(D.Tuple.of_ints []) ~payload:0
+
+let answer rv due r =
+  Mutex.protect rv.rv_mutex (fun () ->
+      List.iter (fun p -> p.result <- Some r) due;
+      Condition.broadcast rv.rv_cond)
+
+let close_rendezvous rv why =
+  let due =
+    Mutex.protect rv.rv_mutex (fun () ->
+        rv.closed <- true;
+        let due = rv.parked in
+        rv.parked <- [];
+        due)
+  in
+  answer rv due (Error why)
+
+let request_checkpoint rv queue =
+  let p = { target = max_int; result = None } in
+  if not (Mutex.protect rv.rv_mutex (fun () ->
+              if not rv.closed then rv.parked <- p :: rv.parked;
+              not rv.closed))
+  then Error "node is stopping"
+  else begin
+    if St.Queue.push queue (St.Scheduler.item tick) then
+      Mutex.protect rv.rv_mutex (fun () -> p.target <- St.Queue.pushed queue)
+    else close_rendezvous rv "node is stopping";
+    Mutex.protect rv.rv_mutex (fun () ->
+        while p.result = None do
+          Condition.wait rv.rv_cond rv.rv_mutex
+        done);
+    Option.get p.result
+  end
+
+(* The parked requests an epoch boundary at [applied] covers. *)
+let take_due rv ~applied =
+  Mutex.protect rv.rv_mutex (fun () ->
+      let due, rest = List.partition (fun p -> p.target <= applied) rv.parked in
+      rv.parked <- rest;
+      due)
+
 let health_name = function
   | Running -> "running"
   | Stopped -> "stopped"
@@ -61,6 +123,7 @@ type t = {
   queue : St.Scheduler.item St.Queue.t;
   sched : St.Scheduler.t;
   server : Server.t;
+  rendezvous : rendezvous;
   recovered : int;  (** durable records replayed at start *)
   mutable runner : unit Domain.t option;
   mutable health : health;
@@ -78,6 +141,13 @@ let rec mkdir_p dir =
   end
 
 let ( let* ) = Result.bind
+
+(* [(admitted, dropped)]: the queue drops only once it is closed. *)
+let push_all queue ups =
+  List.fold_left
+    (fun (a, d) u ->
+      if St.Queue.push queue (St.Scheduler.item u) then (a + 1, d) else (a, d + 1))
+    (0, 0) ups
 
 let start (spec : spec) : (t, string) result =
   mkdir_p spec.dir;
@@ -102,6 +172,9 @@ let start (spec : spec) : (t, string) result =
   | _ -> ());
   let* wal = to_msg (St.Wal.Z.open_log ~from (wal_file spec.dir)) in
   let queue = St.Queue.create ~capacity:spec.queue_capacity St.Queue.Block in
+  let rv =
+    { rv_mutex = Mutex.create (); rv_cond = Condition.create (); parked = []; closed = false }
+  in
   let server_ref = ref None in
   (* The scheduler hands the per-relation delta front; the server
      flattens it into the wire frame. This is the path the router's
@@ -115,23 +188,50 @@ let start (spec : spec) : (t, string) result =
   let sched =
     St.Scheduler.create ~wal ~queue ~registry:reg ~metrics ~initial_batch:64 ~on_apply ()
   in
-  let ingest ups =
-    List.fold_left
-      (fun (a, d) u ->
-        if St.Queue.push queue (St.Scheduler.item u) then (a + 1, d) else (a, d + 1))
-      (0, 0) ups
-  in
+  let ingest = push_all queue in
   (* Epoch-token sessions: the token is the queue watermark right after
      the batch's pushes (a concurrent producer can only inflate it —
-     waiting on a higher token is conservative, never stale). *)
+     waiting on a higher token is conservative, never stale). Both
+     watermarks continue from the recovered record count, so a session
+     token from before a restart still gates reads after it. *)
   let ingest_rw ups =
     let admitted, dropped = ingest ups in
-    (admitted, dropped, St.Queue.pushed queue)
+    (admitted, dropped, recovered + St.Queue.pushed queue)
+  in
+  (* The wire's Create_view/Explain ops run against one SQL session
+     grafted onto the registry. Handler domains may issue SQL
+     concurrently and the session catalog is not domain-safe, so the
+     callbacks serialize on one mutex. The planner's read/write mix
+     comes from the live metrics. *)
+  let sql =
+    Ivm_sql.Exec.create ~registry:reg
+      ~stats:(fun () ->
+        let count name = St.Metrics.Hist.count (St.Metrics.op metrics name) in
+        { Ivm_sql.Planner.reads = count "lookup" + count "snapshot";
+          writes = metrics.St.Metrics.ingested })
+      ()
+  in
+  let sql_mutex = Mutex.create () in
+  let create_view text =
+    Mutex.protect sql_mutex (fun () ->
+        Result.map
+          (fun outs -> String.concat "\n" (List.map Ivm_sql.Exec.render outs))
+          (Ivm_sql.Exec.exec_text sql text))
+  in
+  let explain text =
+    Mutex.protect sql_mutex (fun () ->
+        let* stmt = Ivm_sql.Parser.stmt text in
+        let stmt =
+          match stmt with Ivm_sql.Ast.Explain _ -> stmt | s -> Ivm_sql.Ast.Explain s
+        in
+        Result.map Ivm_sql.Exec.render (Ivm_sql.Exec.exec sql stmt))
   in
   match
     Server.start ~port:spec.port ~handlers:spec.handlers ~ingest ~ingest_rw
-      ~served:(fun () -> St.Scheduler.applied sched)
+      ~served:(fun () -> recovered + St.Scheduler.applied sched)
       ~barrier:(fun () -> St.Scheduler.barrier sched)
+      ~checkpoint:(fun () -> request_checkpoint rv queue)
+      ~create_view ~explain
       ~on_shutdown:(fun () -> St.Queue.close queue)
       ~registry:reg ~metrics ()
   with
@@ -147,6 +247,7 @@ let start (spec : spec) : (t, string) result =
           queue;
           sched;
           server;
+          rendezvous = rv;
           recovered;
           runner = None;
           health = Running;
@@ -173,32 +274,43 @@ let start (spec : spec) : (t, string) result =
           St.Scheduler.abort sched;
           St.Wal.Z.crash wal;
           St.Queue.close queue;
+          close_rendezvous rv ("node failed: " ^ msg);
           Server.stop ~grace:0. server
         end
       in
-      (* Periodic checkpoints ride the epoch hook; a checkpoint that
-         cannot be made durable crashes the node (raise → the runner's
-         failure path), which is what the chaos scenarios inject. *)
+      let save () =
+        let* () =
+          St.Checkpoint.Z.save (ckpt_file spec.dir) ~db:(St.Registry.db reg)
+            ~records:(recovered + St.Scheduler.applied sched)
+            ~wal_offset:(St.Wal.Z.offset wal)
+        in
+        Ok (St.Wal.Z.offset wal)
+      in
+      (* Checkpoints ride the epoch hook. A periodic one that cannot be
+         made durable crashes the node (raise → the runner's failure
+         path), which is what the chaos scenarios inject; an admin one
+         reports the error to its requesters. *)
       let next_ckpt = ref ((recovered / max 1 spec.checkpoint_every) + 1) in
       let on_epoch s =
         if spec.checkpoint_every > 0 then begin
           let durable = recovered + St.Scheduler.applied s in
           if durable >= !next_ckpt * spec.checkpoint_every then begin
             incr next_ckpt;
-            match
-              St.Checkpoint.Z.save (ckpt_file spec.dir) ~db:(St.Registry.db reg)
-                ~records:durable ~wal_offset:(St.Wal.Z.offset wal)
-            with
-            | Ok () -> ()
+            match save () with
+            | Ok _ -> ()
             | Error e -> failwith (St.Errors.to_string e)
           end
-        end
+        end;
+        match take_due rv ~applied:(St.Scheduler.applied s) with
+        | [] -> ()
+        | due -> answer rv due (Result.map_error St.Errors.to_string (save ()))
       in
       t.runner <-
         Some
           (Domain.spawn (fun () ->
                match St.Scheduler.run ~on_epoch sched with
                | Ok () ->
+                   close_rendezvous rv "stream ended before the checkpoint ran";
                    Mutex.protect t.mutex (fun () ->
                        if t.health = Running then t.health <- Stopped)
                | Error e -> fail (St.Errors.to_string e)
@@ -214,11 +326,7 @@ let name t = t.spec.name
 let dir t = t.spec.dir
 let health t = Mutex.protect t.mutex (fun () -> t.health)
 
-let ingest t ups =
-  List.fold_left
-    (fun (a, d) u ->
-      if St.Queue.push t.queue (St.Scheduler.item u) then (a + 1, d) else (a, d + 1))
-    (0, 0) ups
+let ingest t ups = push_all t.queue ups
 
 let join_runner t =
   match Mutex.protect t.mutex (fun () ->
@@ -244,6 +352,7 @@ let kill t =
        then slam the server with zero grace. *)
     St.Wal.Z.crash t.wal;
     St.Queue.close t.queue;
+    close_rendezvous t.rendezvous "node killed";
     Server.stop ~grace:0. t.server
   end;
   (* Even when the runner already tore itself down, reap its domain. *)
@@ -259,6 +368,7 @@ let stop t =
   if first then begin
     St.Queue.close t.queue;
     join_runner t;
+    close_rendezvous t.rendezvous "node stopped before the checkpoint ran";
     Server.stop t.server;
     St.Wal.Z.close t.wal;
     Mutex.protect t.mutex (fun () ->

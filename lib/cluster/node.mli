@@ -1,7 +1,20 @@
-(** One cluster node: WAL + periodic checkpoints + supervised registry
-    + epoch scheduler + TCP server, bundled behind start/kill/stop.
-    In-process (domains + loopback TCP), but the only way in is the
-    wire protocol — the router never touches a node's state directly.
+(** One durable serving process: WAL + periodic and admin checkpoints
+    + supervised registry + epoch scheduler + SQL session + TCP server,
+    bundled behind start/kill/stop. In-process (domains + loopback
+    TCP), but the only way in is the wire protocol — the router never
+    touches a node's state directly. A cluster shard and [ivm_cli
+    serve] both run on it.
+
+    The server answers every wire op: [Checkpoint] parks until the next
+    epoch boundary that covers the request (a zero-payload tick forces
+    one on an idle stream) and answers the WAL offset the checkpoint is
+    current through, or an error if the node stops, is killed or fails
+    first. The tick counts as a stream record, in {!applied},
+    {!recovered} and the watermarks alike. [Create_view]/[Explain] run
+    against one SQL session over the node's registry. The epoch-token
+    watermarks ([Ingest_rw]'s token and the served watermark) continue
+    from {!recovered}, so a session token survives a restart (DESIGN
+    §7).
 
     Recovery is {!Ivm_stream.Durable.recover}: each checkpoint stores
     the WAL byte offset it is current through and how many stream
@@ -53,6 +66,12 @@ val start : spec -> (t, string) result
     exists, replay the WAL past it, then serve. Starting over a fresh
     directory is a cold start; over a killed node's directory it is the
     promotion path. *)
+
+val wal_file : string -> string
+(** The node's WAL in a directory: [dir/node.wal]. *)
+
+val ckpt_file : string -> string
+(** The node's checkpoint in a directory: [dir/node.ckpt]. *)
 
 val port : t -> int
 val name : t -> string

@@ -1,5 +1,7 @@
 (** Crash recovery: load the checkpoint, rebuild the registry over it,
-    replay the WAL suffix from the checkpoint's byte offset. *)
+    replay the WAL suffix from the checkpoint's byte offset. A
+    zero-payload record (a checkpoint tick) counts as a record but
+    changes nothing, so it is not applied. *)
 
 let ( let* ) = Result.bind
 
@@ -21,7 +23,7 @@ let recover ~wal ~ckpt ~fresh build =
       Ok Wal.header_len
     else
       Wal.Z.replay wal ~from:start.wal_offset (fun u ->
-          pending := u :: !pending;
+          if u.Ivm_data.Update.payload <> 0 then pending := u :: !pending;
           incr replayed;
           if !replayed mod batch = 0 then flush ())
   in

@@ -13,7 +13,8 @@ val recover :
 (** [recover ~wal ~ckpt ~fresh build] loads [ckpt] (or, without one,
     starts from [fresh ()], the database the log began from), builds
     the registry with [build] and replays the log's suffix into it in
-    batches of 256 updates. Read-only. The cursor returned is where the
+    batches of 256 updates; a zero-payload record counts toward the
+    cursor but is not applied (its relation need not exist). Read-only. The cursor returned is where the
     recovered state ends: checkpointed plus replayed records, and the
     offset the replay stopped at — reopen the log with
     [Wal.Z.open_log ~from:cursor.wal_offset] so a corrupt record the

@@ -31,12 +31,8 @@
       state corruption heals itself at the next check.
 
     [apply_batch] routes each healthy view the sub-batch on its
-    relations and fans the independent views across an
-    {!Ivm_par.Domain_pool}: views share nothing, so view-level
-    parallelism is plain task parallelism over disjoint state.
-    Exceptions are caught {e inside} each task (the pool re-raises
-    otherwise) and turned into supervision state after the barrier, on
-    the scheduler's domain.
+    relations. A view whose apply raises is degraded on the spot; the
+    epoch's other views still run.
 
     Delta consumers: a view whose reader has called {!track} is applied
     through its engine's [apply_delta], and the reported output deltas
@@ -89,20 +85,15 @@ type entry = {
       (* bumped whenever the view's state may have changed: handed a
          non-empty sub-front, or (re)installed *)
   mutable pending : pending option; (* [None] until a consumer tracks the view *)
-  (* Per-epoch slots, reused across epochs: the relation groups routed
-     to the view this epoch (newest first; [] = untouched), the
-     sub-front in flight, and what its apply task measured or caught. *)
   mutable groups : int Update.t list list;
-  mutable sub : int Update.t list;
-  mutable elapsed : float;
-  mutable error : string option;
+      (* the relation groups routed to the view this epoch, newest
+         first ([] = untouched); reused across epochs *)
 }
 
 type stamp = int Atomic.t
 
 type t = {
   db : Db.t;
-  pool : Ivm_par.Domain_pool.t option;
   metrics : Metrics.t option;
   mutable entries : entry list; (* registration order, reversed *)
   routes : (string, entry list) Hashtbl.t;
@@ -124,10 +115,9 @@ type t = {
          run under the shared lock; epochs fold under the exclusive one *)
 }
 
-let make ?pool ?metrics ~backoff_base ~max_failures ~rng ?dead_wal db =
+let make ?metrics ~backoff_base ~max_failures ~rng ?dead_wal db =
   {
     db;
-    pool;
     metrics;
     entries = [];
     routes = Hashtbl.create 16;
@@ -140,8 +130,8 @@ let make ?pool ?metrics ~backoff_base ~max_failures ~rng ?dead_wal db =
     pending_mutex = Mutex.create ();
   }
 
-let create ?pool ?metrics ?(backoff_base = 0.01) ?(max_failures = 5) ?(seed = 0) ?dead_wal db =
-  make ?pool ?metrics ~backoff_base ~max_failures
+let create ?metrics ?(backoff_base = 0.01) ?(max_failures = 5) ?(seed = 0) ?dead_wal db =
+  make ?metrics ~backoff_base ~max_failures
     ~rng:(Random.State.make [| 0x51e9; seed |])
     ?dead_wal db
 
@@ -329,9 +319,6 @@ let register t ~name build =
           stamp = Atomic.make 0;
           pending = None;
           groups = [];
-          sub = [];
-          elapsed = 0.;
-          error = None;
         }
       in
       (match try_build e t.db with
@@ -410,8 +397,7 @@ let fold_pending p (delta : M.delta) =
   if Tuple.Tbl.length p.delta > p.bound then break p
 
 (* Apply a view's sub-front; a view whose consumer is tracking it also
-   reports its output delta. Runs inside the view's apply task: the
-   pending set is the entry's own, and readers are locked out. *)
+   reports its output delta. Readers are locked out while it runs. *)
 let apply_view e sub =
   match (e.pending, e.view.M.apply_delta) with
   | Some p, Some apply_delta when p.since >= 0 -> fold_pending p (apply_delta sub)
@@ -505,55 +491,33 @@ let apply_front_locked t (front : (string * int Update.t list) list) =
               end)
             consumers)
     front;
-  (* Per-task elapsed times and caught exceptions land in the entries'
-     slots; entry state and the metrics tables are only touched after
-     the barrier, on this domain. *)
-  let tasks =
-    List.fold_left
-      (fun tasks e ->
-        let sub = match e.groups with [ ups ] -> ups | groups -> List.concat (List.rev groups) in
-        e.groups <- [];
-        let sub = without_dead e sub in
-        e.sub <- sub;
-        if sub = [] then tasks
-        else begin
-          Atomic.incr e.stamp;
-          fall_back t e;
-          (fun () ->
-            let t0 = now () in
-            match apply_view e sub with
-            | () -> e.elapsed <- now () -. t0
-            | exception exn -> e.error <- Some (Printexc.to_string exn))
-          :: tasks
-        end)
-      [] !touched
-  in
-  let tasks = (fun () -> List.iter (fun (_, ups) -> Db.apply_batch t.db ups) front) :: tasks in
-  (match t.pool with
-  | Some pool -> Ivm_par.Domain_pool.run pool tasks
-  | None -> List.iter (fun task -> task ()) tasks);
+  List.iter (fun (_, ups) -> Db.apply_batch t.db ups) front;
   List.iter
     (fun e ->
-      match e.sub with
+      let sub = match e.groups with [ ups ] -> ups | groups -> List.concat (List.rev groups) in
+      e.groups <- [];
+      match without_dead e sub with
       | [] -> ()
       | sub -> (
-          e.sub <- [];
-          match e.error with
-          | Some detail ->
-              (* The view's in-memory state is now suspect; recovery
-                 will rebuild it from the base database, which did
-                 absorb this batch. *)
-              e.error <- None;
-              e.suspects <- List.rev_append sub e.suspects;
-              note_failure t e detail
-          | None ->
+          Atomic.incr e.stamp;
+          fall_back t e;
+          let t0 = now () in
+          match apply_view e sub with
+          | () ->
+              let elapsed = now () -. t0 in
               e.failures <- 0;
               Option.iter
                 (fun v ->
                   v.Metrics.updates <- v.Metrics.updates + List.length sub;
                   v.Metrics.batches <- v.Metrics.batches + 1;
-                  Metrics.Hist.add v.Metrics.apply e.elapsed)
-                (metrics_view t e.name)))
+                  Metrics.Hist.add v.Metrics.apply elapsed)
+                (metrics_view t e.name)
+          | exception exn ->
+              (* The view's in-memory state is now suspect; recovery
+                 will rebuild it from the base database, which did
+                 absorb this batch. *)
+              e.suspects <- List.rev_append sub e.suspects;
+              note_failure t e (Printexc.to_string exn)))
     !touched
 
 let apply_front t (front : (string * int Update.t list) list) =
@@ -617,11 +581,10 @@ let self_check t =
     by its registration factory — the recovery path: pair it with a WAL
     replay from the checkpoint's offset. Dead-letter sets carry over, so
     a view poisoned before the checkpoint rebuilds filtered. The
-    restored registry runs sequentially unless given its own
-    pool/metrics. *)
-let restore ?pool ?metrics t db =
+    restored registry records no metrics unless given its own. *)
+let restore ?metrics t db =
   let fresh =
-    make ?pool ?metrics ~backoff_base:t.backoff_base ~max_failures:t.max_failures
+    make ?metrics ~backoff_base:t.backoff_base ~max_failures:t.max_failures
       ~rng:(Random.State.copy t.rng) ?dead_wal:t.dead_wal db
   in
   List.iter

@@ -19,7 +19,6 @@ val health_name : health -> string
 type t
 
 val create :
-  ?pool:Ivm_par.Domain_pool.t ->
   ?metrics:Metrics.t ->
   ?backoff_base:float ->
   ?max_failures:int ->
@@ -128,8 +127,8 @@ val apply_front : t -> (string * int Ivm_data.Update.t list) list -> unit
 (** Apply one epoch's per-relation delta front (the shape
     {!Scheduler.delta_front} serves) to the base database and to every
     healthy registered view consuming one of its relations — each such
-    view gets the concatenation of the relation groups it consumes —
-    concurrently across the pool when one was given. Groups are routed
+    view gets the concatenation of the relation groups it consumes.
+    Groups are routed
     through a relation → views index kept current on every register
     and install, so views the epoch does not touch cost nothing: the
     work is O(relations and views touched), not O(views registered).
@@ -156,7 +155,7 @@ val self_check : t -> string list
     from the base state, installing the rebuild on divergence; returns
     the diverged names. Expensive — run off the hot path. *)
 
-val restore : ?pool:Ivm_par.Domain_pool.t -> ?metrics:Metrics.t -> t -> Db.t -> t
+val restore : ?metrics:Metrics.t -> t -> Db.t -> t
 (** A fresh registry over [db] with every view rebuilt by its
     registration factory — the rebuild step of {!Durable.recover},
     before the WAL suffix replay. Dead-letter sets carry over. *)

@@ -6,7 +6,9 @@
    the quiesced-kill guarantee (a barriered kill loses nothing, also
    with clients reading and writing throughout), recovery when a
    checkpoint covers a corrupt WAL record (nothing lost, nothing
-   applied twice), and client-side deadlines against a mute peer. *)
+   applied twice), a session token and the admin checkpoint
+   rendezvous across node restarts and kills, and client-side deadlines
+   against a mute peer. *)
 
 module D = Ivm_data
 module S = D.Schema
@@ -20,17 +22,9 @@ module Client = Ivm_net.Client
 
 let tup = D.Tuple.of_ints
 
-let rec rm_rf path =
-  if Sys.file_exists path then
-    if Sys.is_directory path then begin
-      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-
 let fresh_dir label =
   let d = Filename.concat (Filename.get_temp_dir_name ()) ("ivm_test_cluster_" ^ label) in
-  rm_rf d;
+  Ivm_check.Engines.rm_rf d;
   d
 
 (* --- the workload: a co-partitioned 2-way join ------------------------ *)
@@ -78,6 +72,8 @@ let reference_fp updates =
 let ok_router = function
   | Ok r -> r
   | Error m -> Alcotest.failf "router start failed: %s" m
+
+let ok_log = function Ok () -> () | Error m -> Alcotest.failf "send log: %s" m
 
 let start_router ?(auto_failover = true) ?(probe_interval = 0.) ~label () =
   ok_router
@@ -312,80 +308,6 @@ let test_extremal_route () =
               Alcotest.(check bool) "at most k=2 slots per group" true (slots <= 2))
             per_group)
 
-(* --- logged sends: the exactly-once driver protocol -------------------- *)
-
-(* A miniature of the chaos harness's send log: per-shard, append on
-   ack, and on any transport error resolve through the fence
-   ({!Router.reconcile_sent}) instead of blind retry — learn the
-   authoritative absorbed count, credit the prefix of the failed batch
-   that actually landed, cut-and-resend any published lost ranges. *)
-let logged_sender router =
-  let logs = Array.init (Cl.Router.shard_count router) (fun _ -> ref []) in
-  let append i batch = List.iter (fun u -> logs.(i) := u :: !(logs.(i))) batch in
-  let rec take k = function
-    | u :: rest when k > 0 -> u :: take (k - 1) rest
-    | _ -> []
-  in
-  let rec drop k = function
-    | xs when k <= 0 -> xs
-    | [] -> []
-    | _ :: rest -> drop (k - 1) rest
-  in
-  let cut_ranges i ranges =
-    if ranges = [] then []
-    else begin
-      let arr = Array.of_list (List.rev !(logs.(i))) in
-      let in_ranges j = List.exists (fun (f, u) -> j >= f && j < u) ranges in
-      let keep = ref [] and lost = ref [] in
-      Array.iteri
-        (fun j u -> if in_ranges j then lost := u :: !lost else keep := u :: !keep)
-        arr;
-      logs.(i) := !keep;
-      List.rev !lost
-    end
-  in
-  let rec send ~tries i batch =
-    if batch = [] then ()
-    else if tries = 0 then Alcotest.fail "shard never recovered"
-    else
-      match Cl.Router.ingest_shard router ~shard:i batch with
-      | Ok admitted ->
-          (* With auto_failover the send itself may have promoted a
-             confirmed-dead primary and still returned Ok — the lost
-             range is published without any error surfacing, so drain
-             it here too. Cut BEFORE appending: range indices refer to
-             the log as of the promotion, before this batch's acks. *)
-          let resend =
-            if Cl.Router.has_lost router ~shard:i then
-              cut_ranges i (Cl.Router.take_lost router ~shard:i)
-            else []
-          in
-          append i (take admitted batch);
-          send ~tries:(tries - 1) i (resend @ drop admitted batch)
-      | Error _ ->
-          (* Never re-ingest before the fence succeeds: the error may
-             hide an admission, and only the absorbed count says how
-             much of the batch landed. *)
-          let rec resolve k =
-            if k = 0 then Alcotest.fail "reconcile_sent never succeeded"
-            else
-              match Cl.Router.reconcile_sent router ~shard:i with
-              | Ok absorbed -> absorbed
-              | Error _ ->
-                  Unix.sleepf 0.02;
-                  resolve (k - 1)
-          in
-          let absorbed = resolve 5 in
-          let resend = cut_ranges i (Cl.Router.take_lost router ~shard:i) in
-          let len = List.length !(logs.(i)) in
-          if absorbed < len then
-            Alcotest.failf "shard %d absorbed %d < %d logged" i absorbed len;
-          let landed = min (absorbed - len) (List.length batch) in
-          append i (take landed batch);
-          send ~tries:(tries - 1) i (resend @ drop landed batch)
-  in
-  send
-
 (* --- abrupt kill mid-ingest: exactly-once re-send ---------------------- *)
 
 let test_kill_mid_ingest () =
@@ -394,22 +316,17 @@ let test_kill_mid_ingest () =
   Fun.protect
     ~finally:(fun () -> Cl.Router.stop router)
     (fun () ->
-      let topo = Cl.Router.topology router in
-      let send = logged_sender router in
+      let log = Cl.Send_log.create router in
       Array.iteri
         (fun j u ->
-          (match Cl.Topology.owners topo ~rel:u.U.rel u.U.tuple with
-          | Some [ i ] -> send ~tries:6 i [ u ]
-          | _ -> Alcotest.fail "hash-partitioned update must have one owner");
+          ok_log (Cl.Send_log.route log [ u ]);
           (* Abrupt kill mid-stream, deliberately NOT behind a barrier:
              queued-but-unapplied acks become a lost range the send log
              must re-send. *)
           if j = 200 then Cl.Router.kill_primary router ~shard:0)
         stream;
-      (match Cl.Router.barrier router with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "final barrier: %s" m);
-      (* Nothing may remain published after the log reconciled. *)
+      ok_log (Cl.Send_log.settle log);
+      (* Nothing may remain published after the log settled. *)
       Alcotest.(check bool) "no lost ranges remain" false
         (Cl.Router.has_lost router ~shard:0 || Cl.Router.has_lost router ~shard:1);
       let expect = reference_fp stream in
@@ -476,20 +393,12 @@ let test_conn_fault_schedules () =
           Fp.reset ();
           Cl.Router.stop router)
         (fun () ->
-          let topo = Cl.Router.topology router in
-          let send = logged_sender router in
+          let log = Cl.Send_log.create router in
           Fp.enable ~seed ();
           Fp.arm "cluster.conn" ~after ~times:2 Fp.Fail;
-          Array.iter
-            (fun u ->
-              match Cl.Topology.owners topo ~rel:u.U.rel u.U.tuple with
-              | Some [ i ] -> send ~tries:8 i [ u ]
-              | _ -> Alcotest.fail "hash-partitioned update must have one owner")
-            stream;
+          Array.iter (fun u -> ok_log (Cl.Send_log.route log [ u ])) stream;
           Alcotest.(check bool) "the armed fault fired" true (Fp.fired "cluster.conn" > 0);
-          (match Cl.Router.barrier router with
-          | Ok _ -> ()
-          | Error m -> Alcotest.failf "barrier: %s" m);
+          ok_log (Cl.Send_log.settle log);
           let expect = reference_fp stream in
           match Cl.Router.fingerprint router ~view:"paths" with
           | Ok fp ->
@@ -568,7 +477,9 @@ let load_worker router ~seed ~ops ~progress () =
 
 (* A planned kill under live traffic: two clients keep reading and
    writing while the main domain fences the cluster, kills a primary
-   and promotes its standby. Nothing acked may be lost or duplicated. *)
+   and promotes a replacement from its durable files (the warm standby
+   is retired, never promoted). Nothing acked may be lost or
+   duplicated. *)
 let test_quiesced_kill_under_load () =
   let ops = 300 and workers = 2 in
   let router =
@@ -637,10 +548,10 @@ let corrupt_stream n =
 
 let node_spec dir = Cl.Node.spec ~checkpoint_every:100 ~name:"ckpt-corrupt" ~dir declare
 
-let start_node dir =
-  match Cl.Node.start (node_spec dir) with
-  | Ok n -> n
-  | Error m -> Alcotest.failf "node start: %s" m
+let start_spec spec =
+  match Cl.Node.start spec with Ok n -> n | Error m -> Alcotest.failf "node start: %s" m
+
+let start_node dir = start_spec (node_spec dir)
 
 (* Send the stream from [Node.recovered] (where a router re-sends from
    after a restart) up to [upto], in 10-update batches, waiting for
@@ -723,6 +634,130 @@ let test_ckpt_over_corrupt_two_restarts () =
     ~finally:(fun () -> Cl.Node.stop n3)
     (fun () -> check_state "third life" n3 stream ~upto:380)
 
+(* --- one node across restarts: tokens and the checkpoint rendezvous ---- *)
+
+let ok_wire = function Ok v -> v | Error e -> Alcotest.failf "wire: %s" (Wire.error_to_string e)
+
+let with_client node f =
+  let c = ok_wire (Client.connect ~timeout:10. ~port:(Cl.Node.port node) ()) in
+  Fun.protect ~finally:(fun () -> Client.close c) (fun () -> f c)
+
+(* A read-your-writes session survives a clean restart: the restarted
+   node's watermarks continue from the records it recovered, so the
+   session's old token gates a read the new node can serve at once. *)
+let test_session_token_across_restart () =
+  let dir = fresh_dir "token_restart" in
+  let spec = Cl.Node.spec ~name:"token" ~dir declare in
+  let stream = make_stream 50 in
+  let n1 = start_spec spec in
+  let session =
+    Fun.protect
+      ~finally:(fun () -> Cl.Node.stop n1)
+      (fun () ->
+        with_client n1 (fun c ->
+            let s = Client.Session.create c in
+            Array.iter (fun u -> ignore (ok_wire (Client.Session.write s [ u ]))) stream;
+            s))
+  in
+  let n2 = start_spec spec in
+  Fun.protect
+    ~finally:(fun () -> Cl.Node.stop n2)
+    (fun () ->
+      Alcotest.(check int) "every write recovered" 50 (Cl.Node.recovered n2);
+      with_client n2 (fun c ->
+          let s = Client.Session.reattach session c in
+          match Client.Session.read ~timeout_ms:300 s ~view:"paths" ~prefix:(tup []) with
+          | Ok rows ->
+              Alcotest.(check int) "the reattached session reads its writes"
+                (reference_fp stream) (M.entries_fingerprint rows)
+          | Error e -> Alcotest.failf "session read: %s" (Wire.error_to_string e)))
+
+(* An admin checkpoint on an idle node: the rendezvous forces an epoch,
+   saves at its boundary and answers the WAL offset it covers; a
+   restart recovers exactly the records the node had applied. *)
+let test_checkpoint_rendezvous () =
+  let dir = fresh_dir "ckpt_rendezvous" in
+  let spec = Cl.Node.spec ~name:"ckpt" ~dir declare in
+  let stream = make_stream 40 in
+  let n1 = start_spec spec in
+  let offset, applied =
+    Fun.protect
+      ~finally:(fun () -> Cl.Node.stop n1)
+      (fun () ->
+        with_client n1 (fun c ->
+            ignore (ok_wire (Client.ingest c (Array.to_list stream)));
+            ignore (ok_wire (Client.barrier c));
+            let offset = ok_wire (Client.checkpoint c) in
+            (offset, Cl.Node.applied n1)))
+  in
+  Alcotest.(check int) "the offset is the synced log's end" offset
+    (Unix.stat (Cl.Node.wal_file dir)).Unix.st_size;
+  (match St.Checkpoint.Z.load (Cl.Node.ckpt_file dir) with
+  | Ok (_, cursor) ->
+      Alcotest.(check int) "checkpoint cursor offset" offset cursor.St.Checkpoint.wal_offset;
+      Alcotest.(check int) "checkpoint covers every applied record" applied
+        cursor.St.Checkpoint.records
+  | Error e -> Alcotest.failf "checkpoint load: %s" (St.Errors.to_string e));
+  let reference = St.Registry.create (D.Database.Z.create ()) in
+  declare reference;
+  St.Registry.apply_batch reference (Array.to_list stream);
+  let restart label =
+    let n = start_spec spec in
+    Fun.protect
+      ~finally:(fun () -> Cl.Node.stop n)
+      (fun () ->
+        Alcotest.(check int) (label ^ ": recovered = records applied") applied
+          (Cl.Node.recovered n);
+        Alcotest.(check (list (pair string int)))
+          (label ^ ": restored state") (St.Registry.fingerprints reference)
+          (St.Registry.fingerprints (Cl.Node.registry n)))
+  in
+  restart "from the checkpoint";
+  (* Without the checkpoint the whole log replays, the zero-payload
+     tick on its relation-less name included. *)
+  Sys.remove (Cl.Node.ckpt_file dir);
+  restart "from the log alone"
+
+(* A checkpoint request parked behind a stuck epoch when the node is
+   killed gets an error instead of hanging its client. *)
+let test_checkpoint_parked_kill () =
+  let dir = fresh_dir "ckpt_parked" in
+  let gate = Atomic.make true in
+  let declare_gated reg =
+    declare reg;
+    St.Registry.register reg ~name:"gate" (fun _ ->
+        {
+          M.name = "gate";
+          relations = [ "R" ];
+          apply_batch = (fun _ -> while Atomic.get gate do Unix.sleepf 0.001 done);
+          apply_delta = None;
+          output_count = (fun () -> 0);
+          fingerprint = (fun () -> 0);
+          enumerate = (fun () -> []);
+        })
+  in
+  let node = start_spec (Cl.Node.spec ~name:"parked" ~dir declare_gated) in
+  with_client node (fun c ->
+      ignore (ok_wire (Client.ingest c [ U.make ~rel:"R" ~tuple:(tup [ 1; 2 ]) ~payload:1 ])));
+  let t0 = Unix.gettimeofday () in
+  let request = Domain.spawn (fun () -> with_client node Client.checkpoint) in
+  (* Let the request park; the killed node's runner can only be reaped
+     once the stuck apply returns. *)
+  Unix.sleepf 0.2;
+  let release =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.3;
+        Atomic.set gate false)
+  in
+  Cl.Node.kill node;
+  let answer = Domain.join request in
+  Domain.join release;
+  (match answer with
+  | Ok offset -> Alcotest.failf "a killed node answered a checkpoint (offset %d)" offset
+  | Error _ -> ());
+  Alcotest.(check bool) "the parked request did not hang" true
+    (Unix.gettimeofday () -. t0 < 10.)
+
 (* --- client deadlines against a mute peer ------------------------------ *)
 
 let test_client_timeout () =
@@ -785,6 +820,15 @@ let () =
             test_ckpt_over_corrupt_suffix;
           Alcotest.test_case "checkpoint over a corrupt record, two restarts" `Quick
             test_ckpt_over_corrupt_two_restarts;
+        ] );
+      ( "node",
+        [
+          Alcotest.test_case "session token survives a restart" `Quick
+            test_session_token_across_restart;
+          Alcotest.test_case "admin checkpoint rendezvous on an idle node" `Quick
+            test_checkpoint_rendezvous;
+          Alcotest.test_case "parked checkpoint fails when the node is killed" `Quick
+            test_checkpoint_parked_kill;
         ] );
       ( "client",
         [ Alcotest.test_case "deadline against a mute peer" `Quick test_client_timeout ] );

@@ -742,8 +742,10 @@ let e2e_kill_restart () =
                 (fun () ->
                   ignore (ok_wire (Client.ingest c first));
                   (* Quiesce before checkpointing so the WAL offset and
-                     the applied state line up — the rendezvous the CLI
-                     runs at an epoch boundary, done here by draining. *)
+                     the applied state line up. This bare server has no
+                     epoch hook to park the request in, so the test
+                     drains first; Node's real rendezvous is covered in
+                     test_cluster. *)
                   await_applied half;
                   let offset = ok_wire (Client.checkpoint c) in
                   Alcotest.(check bool) "checkpoint covers the ingested half" true (offset > 0)));
