@@ -166,8 +166,8 @@ let serve_cmd =
   in
   let dir_arg =
     Arg.(value & opt string "" & info [ "dir" ] ~docv:"DIR"
-           ~doc:"Directory for the WAL and checkpoint, wiped at start (default: \
-                 a fresh directory under the system temp dir).")
+           ~doc:"Directory for the WAL and checkpoint, both removed at start \
+                 (default: a fresh directory under the system temp dir).")
   in
   let stats_every_arg =
     Arg.(value & opt int 200 & info [ "stats-every" ] ~docv:"E"

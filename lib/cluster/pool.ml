@@ -18,7 +18,10 @@
 
     The [cluster.conn] failpoint fires on checkout — the seam the
     kill-schedule property tests use to inject connection failures on
-    the router path without touching a socket. *)
+    the router path without touching a socket. [cluster.ack] fires
+    after a served request and drops its answer as a dead connection
+    would: the request took effect, but the caller sees a transport
+    error. *)
 
 module Client = Ivm_net.Client
 module Wire = Ivm_net.Wire
@@ -126,6 +129,9 @@ let run ?attempts t ep f =
       | Error e -> Error e
       | Ok (conn, gen) -> (
           match f conn with
+          | Ok _ when Fp.hit "cluster.ack" = Some Fp.Fail ->
+              Client.close conn;
+              go (k + 1) (Wire.Io "injected lost answer")
           | Ok v ->
               checkin t ep conn gen;
               Ok v

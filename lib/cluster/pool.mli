@@ -9,8 +9,9 @@
     mutable address slots: {!redirect} repoints one at a promoted
     replica and generation-tags the pool so stale connections are
     discarded, which is how in-flight requests re-route across a
-    failover. The [cluster.conn] failpoint fires on checkout, for
-    seeded fault-schedule tests. *)
+    failover. For seeded fault-schedule tests, the [cluster.conn]
+    failpoint fails a checkout, and [cluster.ack] drops the answer of a
+    request the peer has already served. *)
 
 module Client = Ivm_net.Client
 module Wire = Ivm_net.Wire

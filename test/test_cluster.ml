@@ -379,13 +379,14 @@ let test_no_auto_failover () =
 
 (* --- injected connection faults resolve without duplicates ------------- *)
 
-(* Seeded kill schedules via the pool's [cluster.conn] failpoint: a
-   checkout that fails mid-stream surfaces a transport error whose
-   ambiguity must be resolved by fencing, not blind retry — the final
-   state must match the reference exactly (no duplicate, no loss). *)
+(* Seeded fault schedules on the pool: a failed checkout ([cluster.conn],
+   the batch never left) and a lost answer ([cluster.ack], the batch
+   landed) surface the same transport error, whose ambiguity must be
+   resolved by fencing, not blind retry — the final state must match
+   the reference exactly (no duplicate, no loss). *)
 let test_conn_fault_schedules () =
   List.iter
-    (fun (seed, after) ->
+    (fun (fp, seed, after) ->
       let stream = make_stream 240 in
       let router = start_router ~label:(Printf.sprintf "connfp%d" seed) () in
       Fun.protect
@@ -395,18 +396,24 @@ let test_conn_fault_schedules () =
         (fun () ->
           let log = Cl.Send_log.create router in
           Fp.enable ~seed ();
-          Fp.arm "cluster.conn" ~after ~times:2 Fp.Fail;
+          Fp.arm fp ~after ~times:2 Fp.Fail;
           Array.iter (fun u -> ok_log (Cl.Send_log.route log [ u ])) stream;
-          Alcotest.(check bool) "the armed fault fired" true (Fp.fired "cluster.conn" > 0);
+          Alcotest.(check bool) "the armed fault fired" true (Fp.fired fp > 0);
           ok_log (Cl.Send_log.settle log);
           let expect = reference_fp stream in
           match Cl.Router.fingerprint router ~view:"paths" with
-          | Ok fp ->
+          | Ok got ->
               Alcotest.(check int)
-                (Printf.sprintf "seed %d: no duplicates or loss under injected faults" seed)
-                expect fp
+                (Printf.sprintf "%s seed %d: no duplicates or loss under injected faults" fp seed)
+                expect got
           | Error m -> Alcotest.failf "fingerprint: %s" m))
-    [ (11, 3); (12, 7); (13, 11) ]
+    [
+      ("cluster.conn", 11, 3);
+      ("cluster.conn", 12, 7);
+      ("cluster.conn", 13, 11);
+      ("cluster.ack", 14, 5);
+      ("cluster.ack", 15, 40);
+    ]
 
 (* --- quiesced kill loses nothing --------------------------------------- *)
 
