@@ -683,7 +683,6 @@ let recovery () =
   U.section "recovery: restart cost vs WAL suffix length (lib/stream)";
   let module St = Ivm_stream in
   let module M = E.Maintainable in
-  let module Tb = E.Triangle_batch in
   let module G = W.Graph_gen in
   let ok = St.Errors.get_ok in
   let total = if !fast then 20_000 else 100_000 in
@@ -702,20 +701,8 @@ let recovery () =
       [ Q.Cq.atom "R" [ "A"; "B" ]; Q.Cq.atom "S" [ "B"; "C" ] ]
   in
   let register reg =
-    St.Registry.register reg ~name:"tri-count" (fun db ->
-        let eng = Tb.Delta.create () in
-        List.iter
-          (fun name ->
-            let r = match name with "R" -> E.Triangle.R | "S" -> E.Triangle.S | _ -> E.Triangle.T in
-            Rel.iter
-              (fun t p ->
-                Tb.Delta.update eng r
-                  ~a:(D.Value.to_int (D.Tuple.get t 0))
-                  ~b:(D.Value.to_int (D.Tuple.get t 1))
-                  p)
-              (D.Database.Z.find db name))
-          [ "R"; "S"; "T" ];
-        M.of_triangle_batch ~name:"tri-count" (module Tb.Delta) eng);
+    St.Registry.register reg ~name:"tri-count"
+      (M.of_triangle ~name:"tri-count" (module E.Triangle.Delta));
     St.Registry.register reg ~name:"paths-rs" (fun db ->
         let forest = Option.get (Q.Variable_order.canonical q_rs) in
         M.of_view_tree ~name:"paths-rs" q_rs (E.View_tree.build q_rs forest db))

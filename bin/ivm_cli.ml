@@ -74,68 +74,28 @@ let triangles_cmd =
   let nodes_arg =
     Arg.(value & opt int 500 & info [ "nodes" ] ~docv:"K" ~doc:"Graph node count.")
   in
-  let domains_arg =
-    Arg.(value & opt int 1 & info [ "domains" ] ~docv:"D"
-           ~doc:"Domain-pool width for parallel batch maintenance; 1 runs \
-                 the sequential single-tuple engines only.")
-  in
-  let batch_arg =
-    Arg.(value & opt int 1_000 & info [ "batch" ] ~docv:"B"
-           ~doc:"Batch size for the parallel engine (with --domains > 1).")
-  in
-  let run updates nodes domains batch =
+  let run updates nodes =
     let module G = Ivm_workload.Graph_gen in
     let module T = Ivm_engine.Triangle in
-    let module Tb = Ivm_engine.Triangle_batch in
-    if domains < 1 then (prerr_endline "--domains must be >= 1"; exit 2);
-    if batch < 1 then (prerr_endline "--batch must be >= 1"; exit 2);
     let spec = { G.nodes; skew = 1.1; delete_ratio = 0.2 } in
     let delta = T.Delta.create () in
     let eps = Ivm_eps.Triangle_count.create ~epsilon:0.5 () in
     let gen = G.create spec in
-    let edges = ref [] in
     let t0 = Sys.time () in
     G.prefill gen updates (fun e ->
         let rel = match e.G.rel with 0 -> T.R | 1 -> T.S | _ -> T.T in
         T.Delta.update delta rel ~a:e.G.src ~b:e.G.dst e.G.mult;
-        Ivm_eps.Triangle_count.update eps rel ~a:e.G.src ~b:e.G.dst e.G.mult;
-        edges := (rel, e.G.src, e.G.dst, e.G.mult) :: !edges);
+        Ivm_eps.Triangle_count.update eps rel ~a:e.G.src ~b:e.G.dst e.G.mult);
     let dt = Sys.time () -. t0 in
     Printf.printf "streamed %d updates in %.2fs (%.0f/s)\n" updates dt
       (float_of_int updates /. dt);
     Printf.printf "triangle count: %d (delta) = %d (ivm-eps)\n" (T.Delta.count delta)
       (Ivm_eps.Triangle_count.count eps);
-    if T.Delta.count delta <> Ivm_eps.Triangle_count.count eps then exit 1;
-    if domains > 1 then begin
-      (* Replay the same stream batch-wise through the parallel front and
-         cross-check the count: ring payloads make batches commute
-         (Sec. 2), so the result must match the sequential engines. *)
-      let stream = Array.of_list (List.rev !edges) in
-      let n = Array.length stream in
-      let count, dt_par =
-        Ivm_par.Domain_pool.with_pool ~domains (fun pool ->
-            let eng = Tb.Delta.create ~pool () in
-            let t0 = Sys.time () in
-            let i = ref 0 in
-            while !i < n do
-              let len = min batch (n - !i) in
-              Tb.Delta.apply_batch eng
-                (Array.to_list (Array.sub stream !i len));
-              i := !i + len
-            done;
-            (Tb.Delta.count eng, Sys.time () -. t0))
-      in
-      Printf.printf
-        "parallel batch replay: %d domains, batch %d: %.2fs (%.0f/s), count %d\n"
-        domains batch dt_par (float_of_int n /. dt_par) count;
-      if count <> T.Delta.count delta then begin
-        prerr_endline "parallel count diverges from sequential"; exit 1
-      end
-    end
+    if T.Delta.count delta <> Ivm_eps.Triangle_count.count eps then exit 1
   in
   Cmd.v
     (Cmd.info "triangles" ~doc:"Maintain the triangle count over a random edge stream (Sec. 3)")
-    Term.(const run $ updates_arg $ nodes_arg $ domains_arg $ batch_arg)
+    Term.(const run $ updates_arg $ nodes_arg)
 
 (* Exit with a clean one-line message instead of a backtrace. *)
 let ok_or_die what = function

@@ -57,7 +57,7 @@ INSERT INTO Zips VALUES (94107, 'pacific');
 SELECT day, shop, zip, region FROM Visits, Shops, Zips;
 EXPLAIN SELECT day, shop, zip, region FROM Visits, Shops, Zips;
 
--- The triangle count compiles onto the IVMeps batch kernel.
+-- The triangle count compiles onto the first-order delta kernel (Sec. 3.1).
 CREATE TABLE R (a, b);
 CREATE TABLE S (b, c);
 CREATE TABLE T (c, a);

@@ -15,7 +15,6 @@ let ( let* ) = Result.bind
 
 module Views = struct
   module Tri = Ivm_engine.Triangle
-  module Tb = Ivm_engine.Triangle_batch
 
   let schemas = [ ("R", [ "A"; "B" ]); ("S", [ "B"; "C" ]); ("T", [ "C"; "A" ]) ]
 
@@ -27,20 +26,7 @@ module Views = struct
     Ivm_query.Cq.make ~name:"paths_st" ~free:[ "C"; "B"; "A" ]
       [ Ivm_query.Cq.atom "S" [ "B"; "C" ]; Ivm_query.Cq.atom "T" [ "C"; "A" ] ]
 
-  let tri_factory (db : Db.t) : M.t =
-    let eng = Tb.Delta.create () in
-    List.iter
-      (fun name ->
-        let rel = match name with "R" -> Tri.R | "S" -> Tri.S | _ -> Tri.T in
-        D.Relation.Z.iter
-          (fun t p ->
-            Tb.Delta.update eng rel
-              ~a:(D.Value.to_int (D.Tuple.get t 0))
-              ~b:(D.Value.to_int (D.Tuple.get t 1))
-              p)
-          (Db.find db name))
-      [ "R"; "S"; "T" ];
-    M.of_triangle_batch ~name:"tri-count" (module Tb.Delta) eng
+  let tri_factory (db : Db.t) : M.t = M.of_triangle ~name:"tri-count" (module Tri.Delta) db
 
   let tree_factory q name (db : Db.t) : M.t =
     let forest = Option.get (Ivm_query.Variable_order.canonical q) in

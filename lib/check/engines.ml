@@ -7,7 +7,6 @@ module M = Ivm_engine.Maintainable
 module View_tree = Ivm_engine.View_tree
 module Strategy = Ivm_engine.Strategy
 module Tri = Ivm_engine.Triangle
-module Tb = Ivm_engine.Triangle_batch
 module Kc = Ivm_engine.Kclique
 module Sd = Ivm_engine.Static_dynamic_engine
 module St = Ivm_stream
@@ -61,20 +60,8 @@ let strategy_driver (case : Case.t) kind =
   let q = Option.get case.Case.query and order = Option.get case.Case.order in
   let s = Strategy.create kind q order (Case.db_of case) in
   plain (Strategy.kind_name kind)
-    (fun batch -> Strategy.apply_batch s batch)
+    (List.iter (Strategy.apply s))
     (fun () -> norm (entries (Strategy.output s)))
-
-let strategy_pool_driver (case : Case.t) kind =
-  let q = Option.get case.Case.query and order = Option.get case.Case.order in
-  let pool = Ivm_par.Domain_pool.create ~domains:3 in
-  let s = Strategy.create kind q order (Case.db_of case) in
-  {
-    name = Strategy.kind_name kind ^ "-pool";
-    apply = (fun batch -> Strategy.apply_batch ~pool s batch);
-    enumerate = (fun () -> norm (entries (Strategy.output s)));
-    self_check = no_check;
-    finish = (fun () -> Ivm_par.Domain_pool.destroy pool);
-  }
 
 (* --- graph engines --------------------------------------------------- *)
 
@@ -101,21 +88,6 @@ let tri_engine_driver (type e) name ~bug (module E : Tri.ENGINE with type t = e)
           E.update eng (tri_rel u) ~a ~b u.U.payload)
         batch)
     (scalar_enum (fun () -> E.count eng))
-
-let tri_batch_driver (type e) name ?pool (module B : Tb.BATCH_ENGINE with type t = e)
-    ~finish () =
-  let eng = B.create ?pool () in
-  let edge_of u =
-    let a, b = edge_ints u in
-    (tri_rel u, a, b, u.U.payload)
-  in
-  {
-    name;
-    apply = (fun batch -> B.apply_batch eng (List.map edge_of batch));
-    enumerate = scalar_enum (fun () -> B.count eng);
-    self_check = no_check;
-    finish;
-  }
 
 let kclique_driver (case : Case.t) ~recompute =
   let g = Kc.create ~k:case.Case.k in
@@ -272,20 +244,7 @@ let join_factory (case : Case.t) : Db.t -> M.t =
   let q = Option.get case.Case.query and order = Option.get case.Case.order in
   fun db -> M.of_view_tree ~name:"v" q (View_tree.build q order db)
 
-let tri_factory (_ : Case.t) : Db.t -> M.t =
- fun db ->
-  let eng = Tb.Delta.create () in
-  List.iter
-    (fun name ->
-      let rel = match name with "R" -> Tri.R | "S" -> Tri.S | _ -> Tri.T in
-      Rel.iter
-        (fun t p ->
-          Tb.Delta.update eng rel ~a:(D.Value.to_int (D.Tuple.get t 0))
-            ~b:(D.Value.to_int (D.Tuple.get t 1))
-            p)
-        (Db.find db name))
-    [ "R"; "S"; "T" ];
-  M.of_triangle_batch ~name:"v" (module Tb.Delta) eng
+let tri_factory (_ : Case.t) : Db.t -> M.t = M.of_triangle ~name:"v" (module Tri.Delta)
 
 (* --- multi-view plumbing --------------------------------------------- *)
 
@@ -707,8 +666,6 @@ let join_builders : (string * (dir:string -> Case.t -> driver)) list =
     ("eager-list", fun ~dir:_ c -> strategy_driver c Strategy.Eager_list);
     ("lazy-fact", fun ~dir:_ c -> strategy_driver c Strategy.Lazy_fact);
     ("lazy-list", fun ~dir:_ c -> strategy_driver c Strategy.Lazy_list);
-    ("lazy-fact-pool", fun ~dir:_ c -> strategy_pool_driver c Strategy.Lazy_fact);
-    ("lazy-list-pool", fun ~dir:_ c -> strategy_pool_driver c Strategy.Lazy_list);
     ("stream", fun ~dir c -> stream_driver ~dir ~views:[ ("v", join_factory c) ] c);
     ("net", fun ~dir:_ c -> net_driver ~views:[ ("v", join_factory c) ] c);
     ("cluster", fun ~dir c -> cluster_driver ~dir ~views:[ ("v", join_factory c) ] c);
@@ -723,18 +680,6 @@ let triangle_builders : (string * (dir:string -> Case.t -> driver)) list =
     ( "tri-eps",
       fun ~dir:_ _ ->
         tri_engine_driver "tri-eps" ~bug:false (module Ivm_eps.Triangle_count.Half) );
-    ( "tri-batch-delta",
-      fun ~dir:_ _ -> tri_batch_driver "tri-batch-delta" (module Tb.Delta) ~finish:ignore () );
-    ( "tri-batch-one-view",
-      fun ~dir:_ _ ->
-        tri_batch_driver "tri-batch-one-view" (module Tb.One_view) ~finish:ignore () );
-    ( "tri-batch-pool",
-      fun ~dir:_ _ ->
-        let pool = Ivm_par.Domain_pool.create ~domains:3 in
-        tri_batch_driver "tri-batch-pool" ~pool
-          (module Tb.Delta)
-          ~finish:(fun () -> Ivm_par.Domain_pool.destroy pool)
-          () );
     ("stream", fun ~dir c -> stream_driver ~dir ~views:[ ("v", tri_factory c) ] c);
     ("net", fun ~dir:_ c -> net_driver ~views:[ ("v", tri_factory c) ] c);
     ("cluster", fun ~dir c -> cluster_driver ~dir ~views:[ ("v", tri_factory c) ] c);

@@ -2,13 +2,13 @@
     the library wrapped as a uniform driver the harness can feed one
     epoch at a time and enumerate in canonical form. Per family:
 
-    - [Join]: the factorized view tree; the four Fig. 4 strategies
-      (sequential) and the two lazy kinds again over a domain pool; the
+    - [Join]: the factorized view tree; the four Fig. 4 strategies; the
       [Scheduler]+[Registry] streaming path (WAL + mid-stream checkpoint,
       with a kill-and-replay {!driver.self_check}); a loopback
       [Net.Client] against a real TCP server.
-    - [Triangle]: first-order delta and single-view kernels, IVM^ε, the
-      polarized batch fronts (sequential and pooled), streaming and net.
+    - [Triangle]: first-order delta and single-view kernels, IVM^ε, and
+      the served {!Ivm_engine.Maintainable.of_triangle} view behind the
+      streaming, net, cluster and SQL paths.
     - [Kclique]: the maintained count and its from-scratch recompute.
     - [Static_dynamic]: the Sec. 4.5 engine, its all-dynamic twin, a
       plain view tree over the same order, and the dataflow operator

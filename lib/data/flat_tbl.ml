@@ -20,8 +20,7 @@
     and the robin-hood invariant is restored exactly.
 
     Not thread-safe for concurrent mutation; concurrent read-only
-    probes are fine (the single-writer-per-shard discipline of
-    [lib/par] and the read-lock sections of the registry). *)
+    probes are fine (the read-lock sections of the registry). *)
 
 type 'a t = {
   mutable hashes : int array; (* inline memoized hash; -1 = empty slot *)

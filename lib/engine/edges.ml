@@ -5,11 +5,12 @@
     Probes ([get], degrees, adjacency iteration, [intersect]) go through
     domain-local scratch tuples: the triangle delta loops issue one
     probe per neighbour, and a reused buffer keeps them allocation-free
-    apart from the two boxed field values. Domain-local (rather than
-    per-[t]) buffers make the read-only probes safe under the
-    chunk-parallel batch fronts, which probe one shared [Edges] from
-    many domains at once. Updates still allocate a fresh immutable
-    tuple — stored keys must never be scratch buffers. *)
+    apart from the two boxed field values. The buffers are domain-local
+    (one set per domain, shared by every [t]) because one process can
+    apply views on several domains at once: cluster nodes in one
+    process each run their own scheduler domain. Updates still allocate
+    a fresh immutable tuple — stored keys must never be scratch
+    buffers. *)
 
 module Rel = Ivm_data.Relation.Z
 module Schema = Ivm_data.Schema

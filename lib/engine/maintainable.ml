@@ -1,7 +1,7 @@
 (** A uniform handle over every maintenance engine in this library, so
     the multi-view server of [lib/stream] can keep N heterogeneous views
-    (factorized view trees, Fig. 4 strategies, triangle batch kernels)
-    current off one shared update stream.
+    (factorized view trees, Fig. 4 strategies, triangle engines) current
+    off one shared update stream.
 
     A maintainable is a record of closures rather than a first-class
     module: the registry only ever needs "apply this batch", "how big is
@@ -12,12 +12,14 @@
 
     Every engine can also report the change a batch made to its output
     (the paper's footnote 2): view trees by delta enumeration, dataflow
-    graphs by their view node's epoch delta, triangle kernels as the old
+    graphs by their view node's epoch delta, triangle engines as the old
     count retracted and the new one inserted. Engines without one (the
     Fig. 4 strategies) leave [apply_delta] empty, and a consumer of
     their output rebuilds it instead. *)
 
 module Rel = Ivm_data.Relation.Z
+module Db = Ivm_data.Database.Z
+module Value = Ivm_data.Value
 module Tuple = Ivm_data.Tuple
 module Update = Ivm_data.Update
 module Cq = Ivm_query.Cq
@@ -103,7 +105,7 @@ let of_strategy ~name (s : Strategy.t) : t =
   {
     name;
     relations = Cq.relation_names (Strategy.query s);
-    apply_batch = (fun batch -> Strategy.apply_batch s batch);
+    apply_batch = List.iter (Strategy.apply s);
     apply_delta = None;
     output_count = (fun () -> locked (fun () -> Strategy.count_output s));
     fingerprint = (fun () -> locked (fun () -> relation_fingerprint (Strategy.output s)));
@@ -130,37 +132,48 @@ let of_dataflow ~name (g : Ivm_dataflow.Graph.t) : t =
     enumerate = (fun () -> G.entries g name);
   }
 
-(* Triangle kernels speak (relation, a, b, multiplicity) edges over the
-   fixed schema R(A,B), S(B,C), T(C,A); updates are translated on the
-   way in. The count is the whole output, so it is also the digest. *)
-let of_triangle_batch (type e) ~name
-    (module B : Triangle_batch.BATCH_ENGINE with type t = e) (eng : e) : t =
-  let edge_of (u : int Update.t) : Triangle_batch.edge =
-    let rel =
-      match u.Update.rel with
-      | "R" -> Triangle.R
-      | "S" -> Triangle.S
-      | "T" -> Triangle.T
-      | r -> invalid_arg ("Maintainable.of_triangle_batch: unknown relation " ^ r)
-    in
-    let a = Ivm_data.Value.to_int (Tuple.get u.Update.tuple 0) in
-    let b = Ivm_data.Value.to_int (Tuple.get u.Update.tuple 1) in
-    (rel, a, b, u.Update.payload)
+(* Triangle engines speak (relation, a, b, multiplicity) edges over the
+   fixed schema R(A,B), S(B,C), T(C,A); [relations] names the caller's
+   R, S and T, and each update is translated and applied one edge at a
+   time. The count is the whole output, so it is also the digest. *)
+let of_triangle ~name ?(relations = ("R", "S", "T")) (module E : Triangle.ENGINE) (db : Db.t) =
+  let r, s, t = relations in
+  let side rel =
+    if String.equal rel r then Triangle.R
+    else if String.equal rel s then Triangle.S
+    else if String.equal rel t then Triangle.T
+    else invalid_arg ("Maintainable.of_triangle: unknown relation " ^ rel)
   in
-  let apply_batch batch = B.apply_batch eng (List.map edge_of batch) in
+  let eng = E.create () in
+  let update side tp m =
+    E.update eng side
+      ~a:(Value.to_int (Tuple.get tp 0))
+      ~b:(Value.to_int (Tuple.get tp 1))
+      m
+  in
+  List.iter
+    (fun rel ->
+      let side = side rel in
+      if Db.mem db rel then Rel.iter (fun tp m -> update side tp m) (Db.find db rel))
+    [ r; s; t ];
+  let apply_batch batch =
+    List.iter
+      (fun (u : int Update.t) -> update (side u.Update.rel) u.Update.tuple u.Update.payload)
+      batch
+  in
   {
     name;
-    relations = [ "R"; "S"; "T" ];
+    relations = [ r; s; t ];
     apply_batch;
     apply_delta =
       Some
         (fun batch ->
           (* The old count retracted, the new one inserted. *)
-          let before = B.count eng in
+          let before = E.count eng in
           apply_batch batch;
-          let after = B.count eng in
+          let after = E.count eng in
           if after = before then [] else [ (Tuple.unit, -before); (Tuple.unit, after) ]);
-    output_count = (fun () -> B.count eng);
-    fingerprint = (fun () -> B.count eng land max_int);
-    enumerate = (fun () -> [ (Tuple.unit, B.count eng) ]);
+    output_count = (fun () -> E.count eng);
+    fingerprint = (fun () -> E.count eng land max_int);
+    enumerate = (fun () -> [ (Tuple.unit, E.count eng) ]);
   }

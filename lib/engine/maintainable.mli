@@ -1,6 +1,6 @@
 (** A uniform handle over every maintenance engine in this library, so
     the multi-view server of [lib/stream] can keep N heterogeneous views
-    (view trees, Fig. 4 strategies, triangle batch kernels) current off
+    (view trees, Fig. 4 strategies, triangle engines) current off
     one shared update stream. *)
 
 module Rel = Ivm_data.Relation.Z
@@ -66,8 +66,16 @@ val of_dataflow : name:string -> Ivm_dataflow.Graph.t -> t
     the view's output — the cross-engine convention — not the graph's
     operator-state digest. *)
 
-val of_triangle_batch :
-  name:string -> (module Triangle_batch.BATCH_ENGINE with type t = 'e) -> 'e -> t
-(** Wrap a triangle batch kernel. Updates must be on relations "R", "S",
-    "T" with binary integer tuples; the count is the output, and its
-    delta is the old count retracted and the new one inserted. *)
+val of_triangle :
+  name:string ->
+  ?relations:string * string * string ->
+  (module Triangle.ENGINE) ->
+  Ivm_data.Database.Z.t ->
+  t
+(** [of_triangle ~name ~relations:(r, s, t) (module E) db] creates an
+    [E] engine and loads it with [r], [s] and [t] from [db] (a relation
+    absent from [db] starts empty); [relations] defaults to
+    [("R", "S", "T")]. Tuples are binary integer edges in the triangle
+    schema order R(A,B), S(B,C), T(C,A). A batch is applied one edge at
+    a time; the count is the output, and its delta is the old count
+    retracted and the new one inserted. *)

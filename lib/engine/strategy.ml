@@ -88,37 +88,6 @@ let apply (t : t) (u : int Update.t) : unit =
       View.update bv u.Update.tuple u.Update.payload;
       queue t u.Update.rel u.Update.tuple u.Update.payload
 
-(** [apply_batch ?pool t batch] applies a Fig. 4 batch of single-tuple
-    updates. The lazy strategies only touch per-relation state (the base
-    view, and for lazy-fact its pending delta), so the batch is
-    partitioned by relation and the partitions run concurrently on the
-    pool — sound because ring payloads make batches commute (Sec. 2) and
-    each relation's structures have a single writer. The eager
-    strategies thread every update through the shared view tree and stay
-    sequential. *)
-let apply_batch ?pool (t : t) (batch : int Update.t list) : unit =
-  match (pool, t.kind) with
-  | None, _ | _, (Eager_fact | Eager_list) -> List.iter (apply t) batch
-  | Some pool, (Lazy_list | Lazy_fact) ->
-      let groups : (string, int Update.t list ref) Hashtbl.t = Hashtbl.create 8 in
-      List.iter
-        (fun (u : int Update.t) ->
-          match Hashtbl.find_opt groups u.Update.rel with
-          | Some l -> l := u :: !l
-          | None -> Hashtbl.add groups u.Update.rel (ref [ u ]))
-        batch;
-      (* Pending deltas are created here, sequentially, so the parallel
-         tasks never mutate the shared pending list. *)
-      if t.kind = Lazy_fact then
-        Hashtbl.iter (fun rel _ -> ignore (pending_for t rel)) groups;
-      let tasks =
-        Hashtbl.fold
-          (fun _ updates acc ->
-            (fun () -> List.iter (apply t) (List.rev !updates)) :: acc)
-          groups []
-      in
-      Ivm_par.Domain_pool.run pool tasks
-
 (* Lazy-fact refresh: propagate the queued per-relation deltas through
    the tree. The base relations already include the pending updates, so
    the propagation joins deltas against up-to-date relations; this

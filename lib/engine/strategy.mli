@@ -29,14 +29,6 @@ val tree : t -> View_tree.t
 
 val apply : t -> int Ivm_data.Update.t -> unit
 
-val apply_batch : ?pool:Ivm_par.Domain_pool.t -> t -> int Ivm_data.Update.t list -> unit
-(** Apply a batch of single-tuple updates. With a pool, the lazy
-    strategies partition the batch by relation and apply the partitions
-    concurrently (each relation's base view and pending delta has a
-    single writer; cross-relation order is irrelevant because ring
-    payloads make batches commute, Sec. 2). Eager strategies thread
-    every update through the shared view tree and remain sequential. *)
-
 val enumerate : t -> (Tuple.t * int) Seq.t
 (** An enumeration request: lazy strategies refresh first (lazy-fact by
     propagating queued per-relation deltas, lazy-list by recomputing). *)

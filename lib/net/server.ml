@@ -1,8 +1,5 @@
 (** The TCP view server: one accept loop plus per-connection handlers
-    scheduled over a dedicated {!Ivm_par.Domain_pool} — its own pool,
-    never the registry's, because {!Ivm_stream.Registry.apply_batch}
-    runs a barrier on the registry pool and a long-lived connection
-    handler must never ride a barrier.
+    scheduled over a fixed pool of handler domains.
 
     Reads ([Lookup], [Snapshot]) are served from a per-view snapshot
     cache keyed by the view's own change stamp
@@ -37,7 +34,6 @@ module M = Ivm_engine.Maintainable
 module Tuple = Ivm_data.Tuple
 module Value = Ivm_data.Value
 module Update = Ivm_data.Update
-module Domain_pool = Ivm_par.Domain_pool
 module Failpoint = Ivm_fault.Failpoint
 
 (* Same rationale as {!Client}: a subscriber or requester that vanishes
@@ -135,7 +131,7 @@ type t = {
   explain : (string -> (string, string) result) option;
   barrier : (unit -> (int, string) result) option;
   on_shutdown : (unit -> unit) option;
-  pool : Domain_pool.t;
+  pool : Handler_pool.t;
   (* Snapshot cache: view name -> materialized answer stamped with the
      view's change stamp at materialization (exact: the refresh runs
      under the shared lock). A bump of that view's stamp marks it
@@ -657,7 +653,7 @@ let rec poll_loop t =
               ready)
         in
         List.iter
-          (fun conn -> Domain_pool.submit t.pool (fun () -> serve_conn t conn))
+          (fun conn -> Handler_pool.submit t.pool (fun () -> serve_conn t conn))
           ready;
         poll_loop t
   end
@@ -770,9 +766,9 @@ let start ?(host = "127.0.0.1") ~port ?(chunk_size = 512) ?(snd_timeout = 5.0)
             explain;
             barrier;
             on_shutdown;
-            (* handlers worker domains: the accept loop lives on its own
-               domain and only ever submits, never executes. *)
-            pool = Domain_pool.create ~domains:(handlers + 1);
+            (* The accept loop lives on its own domain and only ever
+               submits, never executes. *)
+            pool = Handler_pool.create ~workers:handlers;
             cache_mutex = Mutex.create ();
             cache = Hashtbl.create 8;
             refreshing = Hashtbl.create 8;
@@ -834,7 +830,7 @@ let stop ?(grace = 1.0) t =
       Domain.join d;
       t.poller_domain <- None
   | None -> ());
-  Domain_pool.destroy t.pool;
+  Handler_pool.destroy t.pool;
   let leftovers = Mutex.protect t.mutex (fun () -> t.conns) in
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) leftovers;
   (try Unix.close t.wake_r with Unix.Unix_error _ -> ());

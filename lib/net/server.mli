@@ -1,5 +1,5 @@
 (** The TCP view server: an accept loop plus per-connection handlers on
-    a dedicated domain pool, serving the {!Wire} protocol against a
+    a fixed pool of handler domains, serving the {!Wire} protocol against a
     {!Ivm_stream.Registry}.
 
     Lookups and snapshots serve the latest completed materialization of

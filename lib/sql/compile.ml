@@ -7,7 +7,7 @@ module Cq = Ivm_query.Cq
 module M = Ivm_engine.Maintainable
 module View_tree = Ivm_engine.View_tree
 module Strategy = Ivm_engine.Strategy
-module Triangle_batch = Ivm_engine.Triangle_batch
+module Triangle = Ivm_engine.Triangle
 module Insert_only = Ivm_engine.Insert_only
 module G = Ivm_dataflow.Graph
 
@@ -279,9 +279,7 @@ let build ~name (l : Lower.t) (plan : Planner.plan) source =
         |> wrap_writes l ~static ~relations ~translate:identity
         |> wrap_reads l)
   | Planner.Triangle { r; s; t } ->
-      let module B = Triangle_batch.Delta in
-      let eng = B.create () in
-      let inner = M.of_triangle_batch ~name (module B) eng in
+      let inner = M.of_triangle ~name (module Triangle.Delta) (Db.create ()) in
       let slots =
         [
           (r.Planner.rel, ("R", r.Planner.flipped));

@@ -22,7 +22,7 @@ let engine_name p =
   | Delta (k, _) -> Printf.sprintf "%s delta strategy" (Strategy.kind_name k)
   | Tree _ when p.static <> [] -> "static/dynamic view tree"
   | Tree _ -> "factorized view tree"
-  | Triangle _ -> "IVMeps triangle batch kernel"
+  | Triangle _ -> "first-order delta triangle kernel"
   | Monotone_path _ -> "insert-only monotone path join"
   | Dataflow -> "dataflow operator graph"
 
@@ -241,8 +241,8 @@ let plan ?stats ?(sizes = []) ?(fds = []) ~opts (l : Lower.t) =
             (Triangle { r; s; t })
             [
               fact
-                "triangle count %s-%s-%s: IVMeps maintains it with polarized batch \
-                 deltas in sub-output time (Sec. 3)"
+                "triangle count %s-%s-%s: maintained with first-order delta queries \
+                 (Sec. 3.1), O(N) per update"
                 r.rel s.rel t.rel;
               fact
                 "not q-hierarchical: single-tuple updates are Omega(sqrt N) \

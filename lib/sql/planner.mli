@@ -24,8 +24,8 @@
       amortized O(1) per insert despite the query not being
       q-hierarchical (Sec. 4.6).
     + The query is the triangle count
-      ["COUNT(*)" over R(A,B), S(B,C), T(C,A)] → the IVMε batch kernel
-      with polarized higher-order deltas (Sec. 3).
+      ["COUNT(*)" over R(A,B), S(B,C), T(C,A)] → the first-order delta
+      kernel, O(N) per single-tuple update (Sec. 3.1).
     + q-hierarchical → a Fig. 4 delta strategy over the canonical
       free-top order: eager-fact normally, lazy-fact when the observed
       workload is write-heavy (reads < ~1/8 of writes) — lazy defers all
@@ -51,7 +51,8 @@ type choice =
   | Delta of Ivm_engine.Strategy.kind * Vo.forest
   | Tree of Vo.forest
   | Triangle of { r : role; s : role; t : role }
-      (** IVMε batch kernel: roles R(A,B), S(B,C), T(C,A). *)
+      (** First-order delta triangle kernel: roles R(A,B), S(B,C),
+          T(C,A). *)
   | Monotone_path of { r : role; s : role; t : role }
       (** Insert-only path join: roles R(A,B), S(B,C), T(C,D). *)
   | Dataflow

@@ -11,7 +11,6 @@
     construction, so its view total is a conservation invariant any
     sampled epoch can assert. *)
 
-module Value = Ivm_data.Value
 module Tuple = Ivm_data.Tuple
 module Update = Ivm_data.Update
 module Schema = Ivm_data.Schema
@@ -22,7 +21,6 @@ module Vo = Ivm_query.Variable_order
 module M = Ivm_engine.Maintainable
 module View_tree = Ivm_engine.View_tree
 module Tri = Ivm_engine.Triangle
-module Tb = Ivm_engine.Triangle_batch
 module Df = Ivm_dataflow.Graph
 module R = Random.State
 
@@ -135,19 +133,6 @@ let table tenant suffix =
 
 let ints vs = Tuple.of_ints vs
 
-(* Route a maintainable registered on canonical relation names through
-   the tenant's namespaced ones. *)
-let renamed ~relations ~canonical (m : M.t) =
-  {
-    (M.map_batch
-       (List.map (fun (u : int Update.t) ->
-            Update.make ~rel:(canonical u.Update.rel) ~tuple:u.Update.tuple
-              ~payload:u.Update.payload))
-       m)
-    with
-    M.relations;
-  }
-
 (* Q(B) :- R(A,B), S(B,C): the textbook q-hierarchical join (free join
    variable at the root, bound children), maintained as a view tree. *)
 let join_factory t : Db.t -> M.t =
@@ -159,25 +144,9 @@ let join_factory t : Db.t -> M.t =
   in
   fun db -> M.of_view_tree ~name:t.name q (View_tree.build q order db)
 
-let tri_side = function "R" -> Tri.R | "S" -> Tri.S | _ -> Tri.T
-
 let triangle_factory t : Db.t -> M.t =
-  let pairs = List.map (fun c -> (table t c, c)) [ "R"; "S"; "T" ] in
-  fun db ->
-    let eng = Tb.Delta.create () in
-    List.iter
-      (fun (full, canon) ->
-        Rel.iter
-          (fun tp p ->
-            Tb.Delta.update eng (tri_side canon)
-              ~a:(Value.to_int (Tuple.get tp 0))
-              ~b:(Value.to_int (Tuple.get tp 1))
-              p)
-          (Db.find db full))
-      pairs;
-    let canonical rel = List.assoc rel pairs in
-    renamed ~relations:(List.map fst pairs) ~canonical
-      (M.of_triangle_batch ~name:t.name (module Tb.Delta) eng)
+  let relations = (table t "R", table t "S", table t "T") in
+  fun db -> M.of_triangle ~name:t.name ~relations (module Tri.Delta) db
 
 let seed_graph g db tables =
   Df.apply g

@@ -24,7 +24,6 @@ module Durable = Ivm_stream.Durable
 module Wal = Ivm_stream.Wal
 module M = Ivm_engine.Maintainable
 module Tri = Ivm_engine.Triangle
-module Tb = Ivm_engine.Triangle_batch
 module Failpoint = Ivm_fault.Failpoint
 module Fio = Ivm_fault.Io
 
@@ -476,20 +475,7 @@ let make_triangle_db () =
     triangle_schemas;
   db
 
-let tri_factory (db : D.Database.Z.t) : M.t =
-  let eng = Tb.Delta.create () in
-  List.iter
-    (fun name ->
-      let rel = match name with "R" -> Tri.R | "S" -> Tri.S | _ -> Tri.T in
-      Rel.iter
-        (fun t p ->
-          Tb.Delta.update eng rel
-            ~a:(D.Value.to_int (D.Tuple.get t 0))
-            ~b:(D.Value.to_int (D.Tuple.get t 1))
-            p)
-        (D.Database.Z.find db name))
-    [ "R"; "S"; "T" ];
-  M.of_triangle_batch ~name:"tri" (module Tb.Delta) eng
+let tri_factory (db : D.Database.Z.t) : M.t = M.of_triangle ~name:"tri" (module Tri.Delta) db
 
 let paths_factory (db : D.Database.Z.t) : M.t =
   let forest = Option.get (Ivm_query.Variable_order.canonical q_rs) in
@@ -1791,6 +1777,8 @@ let engine_deltas_exact () =
       ("view tree", paths_factory);
       ("dataflow", paths_df);
       ("triangle", tri_factory);
+      ("triangle one-view", M.of_triangle ~name:"tri" (module Tri.One_view));
+      ("triangle ivm-eps", M.of_triangle ~name:"tri" (module Ivm_eps.Triangle_count.Half));
     ]
 
 (* Fingerprints fold the engines' outputs directly, bit-identical to

@@ -235,7 +235,8 @@ let planner_static_dynamic () =
   checkb "names the static relation" true (contains report "T");
   checkb "carries at least 2 facts" true (List.length (facts_of report) >= 2)
 
-(* The triangle count lands on the IVMeps batch kernel. *)
+(* The triangle count lands on the first-order delta kernel, and
+   EXPLAIN says so. *)
 let planner_triangle () =
   let sess = Exec.create () in
   ignore
@@ -243,8 +244,9 @@ let planner_triangle () =
        (Exec.exec_text sess
           "CREATE TABLE R (a, b); CREATE TABLE S (b, c); CREATE TABLE T (c, a);"));
   let report = explain_of sess "SELECT COUNT(*) FROM R, S, T" in
-  checkb "triangle count -> IVMeps kernel" true
-    (contains report "engine: IVMeps triangle batch kernel");
+  checkb "triangle count -> first-order delta kernel" true
+    (contains report "engine: first-order delta triangle kernel");
+  checkb "cites Sec. 3.1" true (contains report "first-order delta queries (Sec. 3.1)");
   checkb "carries at least 2 facts" true (List.length (facts_of report) >= 2)
 
 (* Ex. 4.12 under the FDs x -> y and y -> z: not q-hierarchical as
@@ -414,7 +416,7 @@ let () =
             planner_non_free_connex;
           Alcotest.test_case "static adornment -> static/dynamic" `Quick
             planner_static_dynamic;
-          Alcotest.test_case "triangle -> IVMeps kernel" `Quick planner_triangle;
+          Alcotest.test_case "triangle -> first-order delta kernel" `Quick planner_triangle;
           Alcotest.test_case "FDs -> eager-fact over the Σ-reduct order" `Quick
             planner_fd_reduct;
         ] );

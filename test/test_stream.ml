@@ -18,7 +18,6 @@ module Durable = Ivm_stream.Durable
 module Scheduler = Ivm_stream.Scheduler
 module M = Ivm_engine.Maintainable
 module Tri = Ivm_engine.Triangle
-module Tb = Ivm_engine.Triangle_batch
 module Rel = D.Relation.Z
 
 let tup = D.Tuple.of_ints
@@ -400,20 +399,7 @@ let make_triangle_db () =
 
 (* Factories: each rebuilds its engine from a base database — the
    preprocessing step of recovery. *)
-let tri_factory (db : D.Database.Z.t) : M.t =
-  let eng = Tb.Delta.create () in
-  List.iter
-    (fun name ->
-      let rel = match name with "R" -> Tri.R | "S" -> Tri.S | _ -> Tri.T in
-      Rel.iter
-        (fun t p ->
-          Tb.Delta.update eng rel
-            ~a:(D.Value.to_int (D.Tuple.get t 0))
-            ~b:(D.Value.to_int (D.Tuple.get t 1))
-            p)
-        (D.Database.Z.find db name))
-    [ "R"; "S"; "T" ];
-  M.of_triangle_batch ~name:"tri" (module Tb.Delta) eng
+let tri_factory (db : D.Database.Z.t) : M.t = M.of_triangle ~name:"tri" (module Tri.Delta) db
 
 let view_tree_factory q name (db : D.Database.Z.t) : M.t =
   let forest = Option.get (Ivm_query.Variable_order.canonical q) in
@@ -617,14 +603,14 @@ let epoch_cost_flat_in_views () =
     Alcotest.failf "1-update epoch: %.1f words at 10 views, %.1f at 200" small large
 
 (* Minor words per update of the whole maintenance loop (pop, coalesce,
-   registry apply) over the three standard views: the triangle batch
-   kernel, a view tree and a Lazy_fact strategy. The stream is
+   registry apply) over the three standard views: the first-order delta
+   triangle kernel, a view tree and a Lazy_fact strategy. The stream is
    pre-queued and driven in this domain with no WAL and fixed 256-update
    epochs, so the count does not depend on timing or machine load. The
    budget is 1.25x [stream_words_baseline]; when a change lowers the
    reading on purpose, re-measure by running this test and copying the
    "measured" value it prints into [stream_words_baseline]. *)
-let stream_words_baseline = 500.603
+let stream_words_baseline = 432.720
 
 let stream_alloc_budget () =
   let module G = Ivm_workload.Graph_gen in
