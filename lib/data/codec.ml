@@ -1,12 +1,11 @@
-(** Binary encoding of values, tuples and updates, for the durable
-    update log and checkpoints of [lib/stream].
+(** Binary encoding of values, tuples and updates, for the update log
+    and checkpoints of [lib/stream] and the wire protocol of [lib/net].
 
     The encoding is little-endian and self-delimiting: every reader
     consumes exactly what the matching writer produced, so records can
-    be concatenated. Integrity is the caller's concern — the framing
-    layers (WAL records, checkpoint files) wrap encoded bodies in a
-    length + CRC-32 envelope and call {!Corrupt}-raising readers only on
-    bodies whose checksum already passed. *)
+    be concatenated. All three wrap encoded bodies in the one length +
+    CRC-32 envelope of {!frame}, and call {!Corrupt}-raising readers
+    only on bodies whose checksum already passed. *)
 
 exception Corrupt of string
 (** Raised by readers on a short or malformed buffer. The streaming
@@ -18,35 +17,26 @@ let corrupt what = raise (Corrupt what)
 (* --- CRC-32 (IEEE 802.3, the zlib polynomial) ----------------------- *)
 
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 (** [crc32 s ~pos ~len] is the CRC-32 of the given substring, as a
     non-negative int (32 bits). *)
 let crc32 (s : string) ~pos ~len : int =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
+  let c = ref 0xFFFFFFFF in
   for i = pos to pos + len - 1 do
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code s.[i]))) 0xFFl) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+    c := crc_table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
   done;
-  Int32.to_int (Int32.logxor !c 0xFFFFFFFFl) land 0xFFFFFFFF
+  !c lxor 0xFFFFFFFF
 
 (* --- primitive writers ---------------------------------------------- *)
 
-let add_u8 b i = Buffer.add_char b (Char.chr (i land 0xFF))
-
-let add_u16 b i =
-  add_u8 b i;
-  add_u8 b (i lsr 8)
+let add_u8 b i = Buffer.add_char b (Char.unsafe_chr (i land 0xFF))
+let add_u16 b i = Buffer.add_uint16_le b (i land 0xFFFF)
 
 let add_u32 b i =
   add_u16 b i;
@@ -58,6 +48,29 @@ let add_f64 b f = Buffer.add_int64_le b (Int64.bits_of_float f)
 let add_str b s =
   add_u32 b (String.length s);
   Buffer.add_string b s
+
+(* --- framing: [u32 len | u32 crc32 | body] ----------------------------- *)
+
+let frame_header = 8
+
+let put_u32 b pos i =
+  Bytes.set_uint16_le b pos (i land 0xFFFF);
+  Bytes.set_uint16_le b (pos + 2) ((i lsr 16) land 0xFFFF)
+
+let seal b ~len =
+  put_u32 b 0 len;
+  put_u32 b 4 (crc32 (Bytes.unsafe_to_string b) ~pos:frame_header ~len)
+
+let frame ~into buf =
+  let len = Buffer.length buf in
+  let need = frame_header + len in
+  let b =
+    if Bytes.length into >= need then into
+    else Bytes.create (max need (2 * Bytes.length into))
+  in
+  Buffer.blit buf 0 b frame_header len;
+  seal b ~len;
+  b
 
 (* --- primitive readers ----------------------------------------------- *)
 
@@ -117,8 +130,11 @@ let value s pos =
   | t -> corrupt (Printf.sprintf "unknown value tag %d" t)
 
 let add_tuple b t =
-  add_u16 b (Tuple.arity t);
-  List.iter (add_value b) (Tuple.to_list t)
+  let n = Tuple.arity t in
+  add_u16 b n;
+  for i = 0 to n - 1 do
+    add_value b (Tuple.get t i)
+  done
 
 let tuple s pos =
   let n = u16 s pos in

@@ -1,13 +1,28 @@
 (** Binary encoding of values, tuples and updates, for the durable
-    update log and checkpoints of [lib/stream]. Little-endian,
-    self-delimiting; integrity (length + CRC-32 framing) is layered on
-    top by the callers. *)
+    update log and checkpoints of [lib/stream] and the wire protocol of
+    [lib/net]. Little-endian, self-delimiting; integrity is the one
+    length + CRC-32 envelope of {!frame}, shared by all three. The
+    writers allocate only when the buffer grows. *)
 
 exception Corrupt of string
 (** Raised by every reader on a short or malformed buffer. *)
 
 val crc32 : string -> pos:int -> len:int -> int
 (** CRC-32 (IEEE) of a substring, as a non-negative 32-bit int. *)
+
+(** {1 Framing} — the one envelope of WAL records, checkpoint files and
+    wire messages: [u32 len | u32 crc32 of body | body]. *)
+
+val frame_header : int
+
+val seal : Bytes.t -> len:int -> unit
+(** Stamp length and CRC at offset 0 of a frame whose [len]-byte body
+    already sits at {!frame_header}. *)
+
+val frame : into:Bytes.t -> Buffer.t -> Bytes.t
+(** [buf] behind a sealed header: [into] if it fits, else a new frame at
+    least twice its size (reuse the result as the next [into]). The
+    frame is its first [frame_header + Buffer.length buf] bytes. *)
 
 (** {1 Primitives} — writers append to a [Buffer.t]; readers consume
     from a string at a position cursor, raising {!Corrupt} on underrun. *)

@@ -24,7 +24,9 @@ let error_to_string e = Format.asprintf "%a" pp_error e
 
 type out = { tag : string; path : string; oc : out_channel }
 
-let fp t op = Failpoint.hit (t.tag ^ "." ^ op)
+(* The failpoint ["<tag>.<op>"], named only when injection is on. *)
+let fp tag op = if Failpoint.enabled () then Failpoint.hit (tag ^ "." ^ op) else None
+
 let err ?(injected = false) op path detail = Error { op; path; detail; injected }
 
 let catching op path f =
@@ -51,27 +53,31 @@ let flip_bit s i =
 (* A short write flushes the prefix deliberately: the torn bytes must be
    on disk for recovery to find (and truncate), exactly as after a real
    crash mid-write. *)
-let write t s =
-  match fp t "write" with
+let output_ok t b len =
+  match output t.oc b 0 len with () -> Ok () | exception Sys_error m -> err "write" t.path m
+
+let write_bytes t b ~len =
+  match fp t.tag "write" with
   | Some Failpoint.Fail -> err ~injected:true "write" t.path "injected write failure"
   | Some (Failpoint.Short_write k) ->
       (try
-         output_string t.oc (String.sub s 0 (min k (String.length s)));
+         output t.oc b 0 (min k len);
          flush t.oc
        with Sys_error _ -> ());
       err ~injected:true "write" t.path "injected short write (torn record)"
-  | Some (Failpoint.Bit_flip i) when String.length s > 0 ->
-      catching "write" t.path (fun () -> output_string t.oc (flip_bit s i))
+  | Some (Failpoint.Bit_flip i) when len > 0 ->
+      output_ok t (Bytes.unsafe_of_string (flip_bit (Bytes.sub_string b 0 len) i)) len
   | Some (Failpoint.Delay d) ->
       Unix.sleepf d;
-      catching "write" t.path (fun () -> output_string t.oc s)
-  | Some (Failpoint.Bit_flip _) | None ->
-      catching "write" t.path (fun () -> output_string t.oc s)
+      output_ok t b len
+  | Some (Failpoint.Bit_flip _) | None -> output_ok t b len
+
+let write t s = write_bytes t (Bytes.unsafe_of_string s) ~len:(String.length s)
 
 let flush_out t = catching "flush" t.path (fun () -> flush t.oc)
 
 let fsync t =
-  match fp t "fsync" with
+  match fp t.tag "fsync" with
   | Some (Failpoint.Fail | Failpoint.Short_write _ | Failpoint.Bit_flip _) ->
       err ~injected:true "fsync" t.path "injected fsync failure"
   | Some (Failpoint.Delay d) ->
@@ -99,7 +105,7 @@ let crash t =
   close_out_noerr t.oc
 
 let rename ~tag ~src ~dst =
-  match Failpoint.hit (tag ^ ".rename") with
+  match fp tag "rename" with
   | Some (Failpoint.Fail | Failpoint.Short_write _ | Failpoint.Bit_flip _) ->
       err ~injected:true "rename" dst "injected rename failure (crash before install)"
   | Some (Failpoint.Delay d) ->
@@ -108,7 +114,7 @@ let rename ~tag ~src ~dst =
   | None -> catching "rename" dst (fun () -> Sys.rename src dst)
 
 let fsync_dir ~tag path =
-  match Failpoint.hit (tag ^ ".dirsync") with
+  match fp tag "dirsync" with
   | Some (Failpoint.Fail | Failpoint.Short_write _ | Failpoint.Bit_flip _) ->
       err ~injected:true "dirsync" path "injected directory fsync failure"
   | Some (Failpoint.Delay _) | None ->
@@ -129,7 +135,7 @@ let read_file ~tag path =
           ~finally:(fun () -> close_in_noerr ic)
           (fun () -> really_input_string ic (in_channel_length ic)))
   in
-  match Failpoint.hit (tag ^ ".read") with
+  match fp tag "read" with
   | Some (Failpoint.Fail | Failpoint.Short_write _) ->
       err ~injected:true "read" path "injected read failure"
   | Some (Failpoint.Bit_flip i) ->
@@ -140,7 +146,7 @@ let read_file ~tag path =
   | None -> read ()
 
 let truncate ~tag path len =
-  match Failpoint.hit (tag ^ ".truncate") with
+  match fp tag "truncate" with
   | Some (Failpoint.Fail | Failpoint.Short_write _ | Failpoint.Bit_flip _) ->
       err ~injected:true "truncate" path "injected truncate failure"
   | Some (Failpoint.Delay _) | None ->

@@ -23,6 +23,10 @@ val write : out -> string -> (unit, error) result
     crash mid-write, leaving a torn tail); [Bit_flip i] corrupts one bit
     and *succeeds* (silent corruption for checksums to catch). *)
 
+val write_bytes : out -> Bytes.t -> len:int -> (unit, error) result
+(** {!write} of the first [len] bytes of a buffer, straight from it:
+    with no failpoint firing, nothing is copied or allocated. *)
+
 val flush_out : out -> (unit, error) result
 
 val fsync : out -> (unit, error) result

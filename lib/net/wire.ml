@@ -21,7 +21,7 @@ module Codec = Ivm_data.Codec
 module Tuple = Ivm_data.Tuple
 module Update = Ivm_data.Update
 
-let header_len = 8
+let header_len = Codec.frame_header
 let max_body = 16 * 1024 * 1024
 
 (* Version 1 was the initial opcode set (0x01-0x0B); version 2 added
@@ -65,18 +65,7 @@ let ( let* ) = Result.bind
 
 (* --- framing ---------------------------------------------------------- *)
 
-let put_u32 b pos i =
-  Bytes.set_uint16_le b pos (i land 0xFFFF);
-  Bytes.set_uint16_le b (pos + 2) ((i lsr 16) land 0xFFFF)
-
-(* Stamp the header of a frame whose body already sits at
-   [header_len] in [b]. *)
-let seal b =
-  let len = Bytes.length b - header_len in
-  if len > max_body then invalid_arg "Wire.frame: body too large";
-  put_u32 b 0 len;
-  put_u32 b 4 (Codec.crc32 (Bytes.unsafe_to_string b) ~pos:header_len ~len);
-  b
+let check_body len = if len > max_body then invalid_arg "Wire.frame: body too large"
 
 (* A complete frame (header, CRC, body) preserialized into one buffer:
    the zero-copy currency of the server's snapshot cache. Building it
@@ -85,9 +74,11 @@ let seal b =
    header and CRC go straight into the one exact-size allocation. *)
 let frame_bytes body =
   let len = String.length body in
+  check_body len;
   let b = Bytes.create (header_len + len) in
   Bytes.blit_string body 0 b header_len len;
-  seal b
+  Codec.seal b ~len;
+  b
 
 let frame body = Bytes.unsafe_to_string (frame_bytes body)
 
@@ -335,12 +326,11 @@ let chunk_frame ~last (entries : (Tuple.t * int) array) ~off ~len =
       for i = off to off + len - 1 do
         add entries.(i)
       done);
-  let n = Buffer.length buf in
-  let b = Bytes.create (header_len + n) in
-  Buffer.blit buf 0 b header_len n;
+  check_body (Buffer.length buf);
+  let b = Codec.frame ~into:Bytes.empty buf in
   (* A huge chunk must not pin its scratch space for the domain's life. *)
-  if n > 1 lsl 20 then Buffer.reset buf;
-  seal b
+  if Buffer.length buf > 1 lsl 20 then Buffer.reset buf;
+  b
 
 let encode_response (r : response) : string =
   let buf = Buffer.create 64 in

@@ -56,18 +56,13 @@ struct
             P.write b p)
           rel)
       rels;
-    let body = Buffer.contents b in
-    let len = String.length body in
-    let frame = Buffer.create 8 in
-    Codec.add_u32 frame len;
-    Codec.add_u32 frame (Codec.crc32 body ~pos:0 ~len);
+    let frame = Codec.frame ~into:Bytes.empty b in
     let tmp = path ^ ".tmp" in
     let result =
       let* oc = io_err (Io.open_trunc ~tag tmp) in
       let write_all =
         let* () = io_err (Io.write oc magic) in
-        let* () = io_err (Io.write oc (Buffer.contents frame)) in
-        let* () = io_err (Io.write oc body) in
+        let* () = io_err (Io.write_bytes oc frame ~len:(Bytes.length frame)) in
         (* fsync the temp file BEFORE the rename: otherwise the rename
            can become durable while the contents are not, and a crash
            leaves an installed-but-empty checkpoint. *)

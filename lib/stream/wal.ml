@@ -38,7 +38,8 @@ module Make (P : Codec.PAYLOAD) = struct
   type t = {
     path : string;
     out : Io.out;
-    buf : Buffer.t;
+    buf : Buffer.t; (* the record body, encoded in place *)
+    mutable frame : Bytes.t; (* header + body, reused and grown *)
     mutable offset : int; (* bytes of valid log written, including magic *)
   }
 
@@ -56,8 +57,10 @@ module Make (P : Codec.PAYLOAD) = struct
          let crc = Codec.u32 contents pos in
          if !cursor + 8 + len > file_len then raise Exit;
          if Codec.crc32 contents ~pos:!pos ~len <> crc then raise Exit;
-         let u = Codec.update (module P) (String.sub contents !pos len) (ref 0) in
-         cursor := !cursor + 8 + len;
+         let u = Codec.update (module P) contents pos in
+         (* A checksum-valid body must also parse to exactly its length. *)
+         if !pos <> !cursor + 8 + len then raise Exit;
+         cursor := !pos;
          f u
        done
      with Exit | Codec.Corrupt _ -> ());
@@ -103,32 +106,33 @@ module Make (P : Codec.PAYLOAD) = struct
     let* out = io (Io.open_append ~tag path) in
     let* () = if valid = None then io (Io.write out magic) else Ok () in
     let* () = io (Io.flush_out out) in
-    Ok { path; out; buf = Buffer.create 256; offset = Option.value valid ~default:header_len }
+    let offset = Option.value valid ~default:header_len in
+    Ok { path; out; buf = Buffer.create 256; frame = Bytes.create 256; offset }
 
   let offset t = t.offset
   let path t = t.path
 
-  let append t (u : P.t Update.t) : (int, Errors.t) result =
+  (* Encode, frame and write one record without allocating: the body
+     is encoded into [buf] and sealed into the reused [frame]. *)
+  let write_record t u =
     Buffer.clear t.buf;
     Codec.add_update (module P) t.buf u;
-    let body = Buffer.contents t.buf in
-    let len = String.length body in
-    Buffer.clear t.buf;
-    Codec.add_u32 t.buf len;
-    Codec.add_u32 t.buf (Codec.crc32 body ~pos:0 ~len);
-    Buffer.add_string t.buf body;
-    match Io.write t.out (Buffer.contents t.buf) with
+    let len = Codec.frame_header + Buffer.length t.buf in
+    t.frame <- Codec.frame ~into:t.frame t.buf;
+    match Io.write_bytes t.out t.frame ~len with
     | Ok () ->
-        t.offset <- t.offset + 8 + len;
-        Ok t.offset
-    | Error e -> Errors.io e
+        t.offset <- t.offset + len;
+        Ok ()
+    | Error _ as e -> e
 
-  let append_batch t batch : (int, Errors.t) result =
-    List.fold_left
-      (fun acc u ->
-        let* _ = acc in
-        append t u)
-      (Ok t.offset) batch
+  let append t (u : P.t Update.t) : (int, Errors.t) result =
+    match write_record t u with Ok () -> Ok t.offset | Error e -> Errors.io e
+
+  (* Stops at the first failed write, like a run of {!append}s. *)
+  let rec append_batch t = function
+    | [] -> Ok t.offset
+    | u :: rest -> (
+        match write_record t u with Ok () -> append_batch t rest | Error e -> Errors.io e)
 
   (** Make everything appended so far durable: flush and [fsync]. *)
   let sync t : (unit, Errors.t) result =

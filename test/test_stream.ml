@@ -45,7 +45,7 @@ let value_gen =
   QCheck.Gen.(
     oneof
       [
-        map D.Value.of_int (int_range (-1_000_000) 1_000_000);
+        map D.Value.of_int int;
         map D.Value.of_string (string_size ~gen:printable (int_range 0 12));
         map D.Value.of_float (map (fun i -> float_of_int i /. 4.) (int_range (-100) 100));
       ])
@@ -80,6 +80,9 @@ let codec_corrupt () =
   let clipped = String.sub s 0 (String.length s - 1) in
   Alcotest.check_raises "short buffer raises" (Codec.Corrupt "short read") (fun () ->
       ignore (Codec.tuple clipped (ref 0)))
+
+let codec_crc_known_answer () =
+  Alcotest.(check int) "CRC-32 check value" 0xCBF43926 (Codec.crc32 "123456789" ~pos:0 ~len:9)
 
 (* --- WAL ------------------------------------------------------------- *)
 
@@ -160,6 +163,127 @@ let wal_garbage_tail () =
       let back, stop = replay_all path ~from:0 in
       Alcotest.(check int) "one record survives" 1 (List.length back);
       Alcotest.(check int) "stops before garbage" off stop)
+
+(* --- byte format ------------------------------------------------------ *)
+
+let of_hex h = String.init (String.length h / 2) (fun i -> Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let to_hex s =
+  String.concat "" (List.init (String.length s) (fun i -> Printf.sprintf "%02x" (Char.code s.[i])))
+
+(* One update touching every value tag and the int extremes. *)
+let golden_update =
+  U.make ~rel:"R"
+    ~tuple:(D.Tuple.of_list D.Value.[ Int min_int; Int max_int; Int (-1); Str "ivm"; Real (-0.1) ])
+    ~payload:(-3)
+
+(* The body of [golden_update] and its one-record log, committed as
+   bytes: a codec change that alters them would strand every log
+   already on disk, even if it still roundtrips. *)
+let golden_body =
+  "010000005205000000000000000000c000ffffffffffffff3f00ffffffffffffffff010300000069766d029a9999999999b9bffdffffffffffffff"
+
+let golden_log = "49564d57414c30313b0000009c9591a6" ^ golden_body
+
+let codec_golden_bytes () =
+  let b = Buffer.create 64 in
+  Codec.add_update (module Codec.Int_payload) b golden_update;
+  Alcotest.(check string) "update body" golden_body (to_hex (Buffer.contents b));
+  with_tmp ".wal" (fun path ->
+      let w = ok (Wal.Z.open_log path) in
+      ignore (ok (Wal.Z.append w golden_update));
+      Wal.Z.close w;
+      Alcotest.(check string) "framed log" golden_log
+        (to_hex (In_channel.with_open_bin path In_channel.input_all)))
+
+(* A four-record log written before the WAL, checkpoint and wire
+   shared one framer: the current reader must replay it record for
+   record and append after it. *)
+let earlier_log =
+  golden_log
+  ^ "1d0000008a85641f0100000053020000070000000000000001000000000100000000000000100000006dc2317802000000547800002a000000000000002a000000a94cc29d0100000052030000141a99be1c000000029c7500883ce4377e00d6ffffffffffffffffffffffffffffff"
+
+let earlier_log_replays () =
+  let expected =
+    [
+      golden_update;
+      U.make ~rel:"S" ~tuple:(D.Tuple.of_list D.Value.[ Int 7; Str "" ]) ~payload:1;
+      U.make ~rel:"Tx" ~tuple:D.Tuple.unit ~payload:42;
+      U.make ~rel:"R"
+        ~tuple:(D.Tuple.of_list D.Value.[ Int 123456789012; Real 1e300; Int (-42) ])
+        ~payload:(-1);
+    ]
+  in
+  with_tmp ".wal" (fun path ->
+      let bytes = of_hex earlier_log in
+      Out_channel.with_open_bin path (fun oc -> output_string oc bytes);
+      let back, stop = replay_all path ~from:0 in
+      Alcotest.(check int) "every record" (List.length expected) (List.length back);
+      List.iteri
+        (fun i (a, b) -> Alcotest.(check bool) (Printf.sprintf "record %d" i) true (update_eq a b))
+        (List.combine expected back);
+      Alcotest.(check int) "replays to the end" (String.length bytes) stop;
+      let w = ok (Wal.Z.open_log path) in
+      Alcotest.(check int) "nothing truncated" (String.length bytes) (Wal.Z.offset w);
+      ignore (ok (Wal.Z.append w golden_update));
+      Wal.Z.close w;
+      Alcotest.(check int) "appends after it" 5 (ok (Wal.Z.record_count path)))
+
+(* A record whose checksum passes but whose body does not parse to
+   exactly its length (here: one trailing byte) ends replay like a
+   checksum failure, and re-opening cuts it off. *)
+let wal_malformed_body () =
+  with_tmp ".wal" (fun path ->
+      let w = ok (Wal.Z.open_log path) in
+      ignore (ok (Wal.Z.append w (U.make ~rel:"R" ~tuple:(tup [ 1; 2 ]) ~payload:1)));
+      let off = Wal.Z.offset w in
+      Wal.Z.close w;
+      let b = Buffer.create 32 in
+      Codec.add_update (module Codec.Int_payload) b (U.make ~rel:"S" ~tuple:(tup [ 3 ]) ~payload:1);
+      Codec.add_u8 b 0;
+      let frame = Codec.frame ~into:Bytes.empty b in
+      Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
+          Out_channel.output_bytes oc frame);
+      let back, stop = replay_all path ~from:0 in
+      Alcotest.(check int) "one record survives" 1 (List.length back);
+      Alcotest.(check int) "stops before the malformed body" off stop;
+      let w = ok (Wal.Z.open_log path) in
+      Alcotest.(check int) "re-open cuts it off" off (Wal.Z.offset w);
+      Wal.Z.close w)
+
+(* Minor words per update of [append_batch], list cells included: the
+   scheduler hands the log one freshly mapped list per epoch, and so
+   does this test. Encoding and framing reuse the log's buffers, so
+   what remains is the list and one result per batch. *)
+let wal_words_limit = 8.
+
+let wal_alloc_budget () =
+  let module G = Ivm_workload.Graph_gen in
+  let epoch = 256 in
+  let total = 80 * epoch in
+  let gen = G.create ~seed:7 { G.nodes = 300; skew = 1.1; delete_ratio = 0.2 } in
+  let items =
+    Array.init total (fun _ ->
+        let e = G.next gen in
+        let rel = match e.G.rel with 0 -> "R" | 1 -> "S" | _ -> "T" in
+        Scheduler.item (U.make ~rel ~tuple:(tup [ e.G.src; e.G.dst ]) ~payload:e.G.mult))
+  in
+  let epochs = List.init (total / epoch) (fun k -> Array.to_list (Array.sub items (k * epoch) epoch)) in
+  with_tmp ".wal" (fun path ->
+      let w = ok (Wal.Z.open_log path) in
+      let w0 = Gc.minor_words () in
+      List.iter
+        (fun items ->
+          ignore (ok (Wal.Z.append_batch w (List.map (fun i -> i.Scheduler.update) items))))
+        epochs;
+      let measured = (Gc.minor_words () -. w0) /. float_of_int total in
+      Wal.Z.close w;
+      Alcotest.(check int) "every record logged" total (ok (Wal.Z.record_count path));
+      Printf.printf "wal allocation: measured %.3f words/update (limit %.1f)\n" measured
+        wal_words_limit;
+      if measured > wal_words_limit then
+        Alcotest.failf "%.3f minor words/update in append_batch exceeds %.1f" measured
+          wal_words_limit)
 
 (* --- queue ----------------------------------------------------------- *)
 
@@ -947,12 +1071,21 @@ let qt t = QCheck_alcotest.to_alcotest ~long:false t
 let () =
   Alcotest.run ~and_exit:false "stream"
     [
-      ("codec", [ qt codec_roundtrip; Alcotest.test_case "corrupt" `Quick codec_corrupt ]);
+      ( "codec",
+        [
+          qt codec_roundtrip;
+          Alcotest.test_case "corrupt" `Quick codec_corrupt;
+          Alcotest.test_case "crc32 known answer" `Quick codec_crc_known_answer;
+          Alcotest.test_case "golden bytes" `Quick codec_golden_bytes;
+        ] );
       ( "wal",
         [
           qt wal_roundtrip;
           qt wal_torn_tail;
           Alcotest.test_case "garbage tail" `Quick wal_garbage_tail;
+          Alcotest.test_case "malformed body" `Quick wal_malformed_body;
+          Alcotest.test_case "earlier log replays" `Quick earlier_log_replays;
+          Alcotest.test_case "append allocation budget" `Quick wal_alloc_budget;
         ] );
       ( "queue",
         [
