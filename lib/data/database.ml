@@ -21,10 +21,12 @@ module Make (R : Ivm_ring.Sigs.SEMIRING) = struct
     add_relation db name rel;
     rel
 
+  (* [Hashtbl.find], not [find_opt]: every applied update looks its
+     relation up here, and the option would be boxed each time. *)
   let find (db : t) name =
-    match Hashtbl.find_opt db name with
-    | Some rel -> rel
-    | None -> invalid_arg ("Database.find: no relation " ^ name)
+    match Hashtbl.find db name with
+    | rel -> rel
+    | exception Not_found -> invalid_arg ("Database.find: no relation " ^ name)
 
   let mem (db : t) name = Hashtbl.mem db name
   let relations (db : t) = Hashtbl.fold (fun name rel acc -> (name, rel) :: acc) db []

@@ -54,31 +54,32 @@ let capacity t = t.mask + 1
    probe chain these distances never decrease by more than the step. *)
 let[@inline] resident_distance t i = (i - t.hashes.(i)) land t.mask
 
-(* Core probe: the slot holding [k], or -1. Misses terminate as soon as
-   the chain reaches an empty slot or a resident closer to home than
-   the probe is long — the robin-hood early exit. A top-level worker
-   (not an inner [let rec]) so the non-flambda compiler emits a plain
-   loop instead of allocating a closure per probe. *)
+(* Core probe: the slot holding [k] (>= 0) or, on a miss, [-1 - (i +
+   d * capacity)] for the slot [i] and probe distance [d] at which a
+   robin-hood insert of [k] would start — so a find-or-insert probes
+   once. Misses terminate as soon as the chain reaches an empty slot or
+   a resident closer to home than the probe is long — the robin-hood
+   early exit. A top-level worker (not an inner [let rec]) so the
+   non-flambda compiler emits a plain loop instead of allocating a
+   closure per probe. *)
 let rec find_slot_loop hashes keys mask k h i d =
   let hi = Array.unsafe_get hashes i in
-  if hi < 0 then -1
+  if hi < 0 then -1 - (i + (d * (mask + 1)))
   else if hi = h && Tuple.equal (Array.unsafe_get keys i) k then i
-  else if (i - hi) land mask < d then -1
+  else if (i - hi) land mask < d then -1 - (i + (d * (mask + 1)))
   else find_slot_loop hashes keys mask k h ((i + 1) land mask) (d + 1)
 
 let find_slot t k h = find_slot_loop t.hashes t.keys t.mask k h (h land t.mask) 0
 
 let mem t k = find_slot t k (Tuple.hash k) >= 0
 
-let find_opt t k =
-  match find_slot t k (Tuple.hash k) with -1 -> None | i -> Some t.vals.(i)
-
 (** [find_default t k d] is the stored value or [d] — the allocation-free
-    probe ([find_opt] boxes its [Some]). With [d] = the ring zero and
+    probe (an option would box its [Some]). With [d] = the ring zero and
     the zero-elision invariant, the default unambiguously means
     "absent". *)
 let find_default t k d =
-  match find_slot t k (Tuple.hash k) with -1 -> d | i -> t.vals.(i)
+  let i = find_slot t k (Tuple.hash k) in
+  if i < 0 then d else t.vals.(i)
 
 (* Insert [h,k,v] starting the probe at [i] with distance [d], robin
    hood displacement on the way: a resident closer to home than the
@@ -105,9 +106,8 @@ let rec insert_from t i d h k v =
     end
     else insert_from t ((i + 1) land t.mask) (d + 1) h k v
 
-let grow t =
+let resize t cap =
   let old_hashes = t.hashes and old_keys = t.keys and old_vals = t.vals in
-  let cap = 2 * (t.mask + 1) in
   t.hashes <- Array.make cap (-1);
   t.keys <- Array.make cap Tuple.unit;
   t.vals <- Array.make cap t.dummy;
@@ -117,6 +117,22 @@ let grow t =
     (fun i h ->
       if h >= 0 then insert_from t (h land t.mask) 0 h old_keys.(i) old_vals.(i))
     old_hashes
+
+let grow t = resize t (2 * (t.mask + 1))
+
+(* One rehash to the final capacity instead of a doubling chain. Keys
+   fed in the slot order of a larger table (a bulk load, a sibling
+   accumulator) into a much smaller one fill it in one dense run that
+   every later insert must probe past; sizing first avoids that. *)
+let reserve t n =
+  let need = 8 * (t.size + n) in
+  if need > 7 * (t.mask + 1) then begin
+    let cap = ref (2 * (t.mask + 1)) in
+    while need > 7 * !cap do
+      cap := 2 * !cap
+    done;
+    resize t !cap
+  end
 
 let set t k v =
   if Tuple.is_scratch k then
@@ -146,11 +162,44 @@ let rec shift_back t i =
   end
 
 let remove t k =
-  match find_slot t k (Tuple.hash k) with
-  | -1 -> ()
-  | i ->
-      t.size <- t.size - 1;
-      shift_back t i
+  let i = find_slot t k (Tuple.hash k) in
+  if i >= 0 then begin
+    t.size <- t.size - 1;
+    shift_back t i
+  end
+
+(* Find-or-insert of a payload delta under zero elision, in one probe:
+   a hit adds into the slot (and backward-shifts the entry out when the
+   sum is zero), a miss inserts from where the probe stopped. Only that
+   insert stores [k], so only it copies a scratch key. *)
+let merge t k d ~add ~is_zero =
+  if is_zero d then k
+  else begin
+    let h = Tuple.hash k in
+    let i = find_slot t k h in
+    if i >= 0 then begin
+      let stored = t.keys.(i) in
+      let s = add t.vals.(i) d in
+      if is_zero s then begin
+        t.size <- t.size - 1;
+        shift_back t i
+      end
+      else t.vals.(i) <- s;
+      stored
+    end
+    else begin
+      let k = Tuple.freeze k in
+      if 8 * (t.size + 1) > 7 * (t.mask + 1) then begin
+        grow t;
+        insert_from t (h land t.mask) 0 h k d
+      end
+      else begin
+        let m = -1 - i in
+        insert_from t (m land t.mask) (m / (t.mask + 1)) h k d
+      end;
+      k
+    end
+  end
 
 (** Drop every entry but keep the arrays: the capacity-preserving reset
     that lets per-epoch accumulators reuse their buffers. *)

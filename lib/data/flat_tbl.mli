@@ -22,7 +22,6 @@ val length : 'a t -> int
 val capacity : 'a t -> int
 
 val mem : 'a t -> Tuple.t -> bool
-val find_opt : 'a t -> Tuple.t -> 'a option
 
 val find_default : 'a t -> Tuple.t -> 'a -> 'a
 (** The stored value, or the default when absent — the allocation-free
@@ -33,6 +32,21 @@ val set : 'a t -> Tuple.t -> 'a -> unit
 (** Insert or overwrite.
     @raise Invalid_argument when the key {!Tuple.is_scratch} — a
     mutable probe buffer must never become a stored key. *)
+
+val merge :
+  'a t -> Tuple.t -> 'a -> add:('a -> 'a -> 'a) -> is_zero:('a -> bool) -> Tuple.t
+(** [merge t k d ~add ~is_zero] adds the payload delta [d] into [k]'s
+    entry in one probe, under zero elision: an absent key is inserted
+    with [d], an entry whose sum is zero is removed, a zero [d] is a
+    no-op. A {!Tuple.scratch} [k] is copied ({!Tuple.freeze}) only when
+    it becomes a stored key, so probing with a reused buffer allocates
+    only for new entries. Returns the key as the table holds (or, after
+    a removal, held) it — [k] itself when [d] is zero. *)
+
+val reserve : 'a t -> int -> unit
+(** [reserve t n] grows [t] once, if needed, so that [n] more entries
+    fit without a resize — for bulk inserts, in particular of keys that
+    arrive in another table's slot order. *)
 
 val remove : 'a t -> Tuple.t -> unit
 (** Backward-shift deletion: no tombstones, the probe chain is

@@ -24,20 +24,18 @@ module Make (R : Ivm_ring.Sigs.SEMIRING) = struct
   let get r t = Flat_tbl.find_default r.data t R.zero
   let mem r t = Flat_tbl.mem r.data t
 
-  (* [add_entry r t p] merges payload [p] into the entry for [t],
-     evicting the entry if the merged payload is zero. This is the
-     single-tuple update of the paper: insert for positive [p], delete
-     for negative [p]. The probe reads through [find_default]: zero
-     elision makes a zero read mean "absent", so the hot path allocates
-     nothing. *)
+  (* [merge r t p] merges payload [p] into the entry for [t], evicting
+     the entry if the merged payload is zero — the single-tuple update
+     of the paper: insert for positive [p], delete for negative [p]. One
+     probe; a scratch [t] is copied only when it becomes a new entry. *)
+  let merge r t p = Flat_tbl.merge r.data t p ~add:R.add ~is_zero:R.is_zero
+
+  (* A plain store refuses a scratch key, as [Flat_tbl.set] does:
+     [merge] is the entry point for probe keys. *)
   let add_entry r t p =
-    if not (R.is_zero p) then begin
-      let q = Flat_tbl.find_default r.data t R.zero in
-      if R.is_zero q then Flat_tbl.set r.data t p
-      else
-        let s = R.add q p in
-        if R.is_zero s then Flat_tbl.remove r.data t else Flat_tbl.set r.data t s
-    end
+    if Tuple.is_scratch t then
+      invalid_arg "Flat_tbl.set: scratch tuples must not be stored as table keys";
+    ignore (merge r t p)
 
   let set_entry r t p =
     if R.is_zero p then Flat_tbl.remove r.data t else Flat_tbl.set r.data t p
@@ -217,7 +215,9 @@ module Make (R : Ivm_ring.Sigs.SEMIRING) = struct
     let update ix t p =
       if not (R.is_zero p) then begin
         let k = ix.probe in
-        Array.iteri (fun i s -> Tuple.set k i (Tuple.get t s)) ix.proj;
+        for i = 0 to Array.length ix.proj - 1 do
+          Tuple.set k i (Tuple.get t ix.proj.(i))
+        done;
         let group =
           let g = Flat_tbl.find_default ix.groups k ix.empty in
           if g != ix.empty then g
@@ -227,16 +227,8 @@ module Make (R : Ivm_ring.Sigs.SEMIRING) = struct
             g
           end
         in
-        let q = Flat_tbl.find_default group t R.zero in
-        if R.is_zero q then Flat_tbl.set group t p
-        else begin
-          let s = R.add q p in
-          if R.is_zero s then begin
-            Flat_tbl.remove group t;
-            if Flat_tbl.length group = 0 then Flat_tbl.remove ix.groups k
-          end
-          else Flat_tbl.set group t s
-        end
+        ignore (Flat_tbl.merge group t p ~add:R.add ~is_zero:R.is_zero);
+        if Flat_tbl.length group = 0 then Flat_tbl.remove ix.groups k
       end
 
     let of_relation ~key r =
@@ -247,24 +239,13 @@ module Make (R : Ivm_ring.Sigs.SEMIRING) = struct
     let clear ix = Flat_tbl.clear ix.groups
     let group_count ix = Flat_tbl.length ix.groups
 
-    let group_size ix k =
-      match Flat_tbl.find_opt ix.groups k with None -> 0 | Some g -> Flat_tbl.length g
-
-    let iter_group ix k f =
-      match Flat_tbl.find_opt ix.groups k with
-      | None -> ()
-      | Some g -> Flat_tbl.iter f g
-
-    let seq_group ix k =
-      match Flat_tbl.find_opt ix.groups k with
-      | None -> Seq.empty
-      | Some g -> Flat_tbl.to_seq g
-
-    let fold_group ix k f acc =
-      match Flat_tbl.find_opt ix.groups k with
-      | None -> acc
-      | Some g -> Flat_tbl.fold f g acc
-
+    (* Reads go through the shared [empty] dummy: an absent group reads
+       as the empty table, with no [Some] to box. *)
+    let group ix k = Flat_tbl.find_default ix.groups k ix.empty
+    let group_size ix k = Flat_tbl.length (group ix k)
+    let iter_group ix k f = Flat_tbl.iter f (group ix k)
+    let seq_group ix k = Flat_tbl.to_seq (group ix k)
+    let fold_group ix k f acc = Flat_tbl.fold f (group ix k) acc
     let iter_keys ix f = Flat_tbl.iter (fun k _ -> f k) ix.groups
     let seq_keys ix = Seq.map fst (Flat_tbl.to_seq ix.groups)
     let mem_key ix k = Flat_tbl.mem ix.groups k

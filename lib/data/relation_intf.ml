@@ -26,6 +26,11 @@ module type S = sig
       delete for negated payloads). A zero delta is a no-op; an entry
       whose merged payload becomes zero is removed. *)
 
+  val merge : t -> Tuple.t -> payload -> Tuple.t
+  (** {!add_entry} in one probe that returns the key as stored (see
+      {!Flat_tbl.merge}): a {!Tuple.scratch} key is copied only when it
+      becomes a new entry, so a caller can index the stored copy. *)
+
   val set_entry : t -> Tuple.t -> payload -> unit
   (** Overwrite (not merge); setting zero removes the entry. *)
 

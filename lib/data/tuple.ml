@@ -40,14 +40,16 @@ let hash t =
     h
   end
 
+(* Top-level, not an inner [let rec] over the arrays: the non-flambda
+   compiler would allocate that closure on every probe. *)
+let rec equal_from va vb i =
+  i < 0 || (Value.equal va.(i) vb.(i) && equal_from va vb (i - 1))
+
 let equal a b =
   a == b
   || (Array.length a.vals = Array.length b.vals
      && (a.h < 0 || b.h < 0 || Int.equal a.h b.h)
-     &&
-     let va = a.vals and vb = b.vals in
-     let rec go i = i < 0 || (Value.equal va.(i) vb.(i) && go (i - 1)) in
-     go (Array.length va - 1))
+     && equal_from a.vals b.vals (Array.length a.vals - 1))
 
 let compare a b =
   let va = a.vals and vb = b.vals in
@@ -79,6 +81,10 @@ let scratch n : t = { vals = Array.make n (Value.Int 0); h = -1; is_scratch = tr
 let set t i v =
   t.vals.(i) <- v;
   t.h <- -1
+
+(* The copy keeps the memoized hash: a probe has usually computed it. *)
+let freeze t =
+  if t.is_scratch then { t with vals = Array.copy t.vals; is_scratch = false } else t
 
 let pp ppf t =
   Format.fprintf ppf "(%a)"

@@ -42,11 +42,12 @@ val scratch : int -> t
     hash-table key — it keeps mutating after the store, which would
     leave the entry unreachable under its stale inline hash and corrupt
     the table. The storage layer enforces this: {!Flat_tbl.set} (and so
-    {!Relation.S.add_entry}/{!Relation.S.set_entry} and the group
-    indexes) raises [Invalid_argument] on a key for which {!is_scratch}
-    is true. Probing ([get]/[mem]/index lookups) is always fine, and
-    {!project}/{!append} return fresh immutable tuples that are safe to
-    store. *)
+    {!Relation.S.add_entry}/{!Relation.S.set_entry}) raises
+    [Invalid_argument] on a key for which {!is_scratch} is true, and
+    the find-or-insert {!Flat_tbl.merge} (and so {!Relation.S.merge}
+    and the group indexes) stores a {!freeze} copy instead. Probing
+    ([get]/[mem]/index lookups) is always fine, and {!project}/{!append}
+    return fresh immutable tuples that are safe to store. *)
 
 val is_scratch : t -> bool
 (** Whether this tuple is a mutable {!scratch} buffer. One field read;
@@ -55,6 +56,11 @@ val is_scratch : t -> bool
 val set : t -> int -> Value.t -> unit
 (** [set t i v] overwrites field [i] (invalidating the cached hash).
     Only meaningful on {!scratch} buffers. *)
+
+val freeze : t -> t
+(** [freeze t] is [t] itself unless it is a {!scratch} buffer, then an
+    immutable copy of its current fields — what a table stores when a
+    scratch probe key becomes a stored key. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -2,7 +2,7 @@
     the per-query engines cannot express.
 
     Every operator consumes and emits {e Z-set deltas}: coalesced
-    [(tuple, multiplicity)] lists over the integer ring, positive for
+    [(tuple, multiplicity)] maps over the integer ring, positive for
     inserts and negative for deletes, exactly the update language of the
     rest of the repo (Sec. 2 batch commutativity). Linear operators
     (filter, map, project, aggregate-with-lift) are stateless — their
@@ -19,9 +19,10 @@
     existing nodes, sources are hash-consed per (relation, schema), and
     any node can feed several consumers — that is how common
     sub-operators are shared between views hanging off one graph.
-    {!apply} pushes one epoch's coalesced delta front through the DAG
-    in topological order and folds each registered view's output delta
-    into its materialized output Z-set.
+    {!apply} feeds one epoch's batch into the sources' Z-set
+    accumulators (one reusable {!Flat_tbl} per node), evaluates each
+    node into its own in topological order, and folds each view's into
+    its materialized output Z-set.
 
     Zero elision invariant: materialized state (join indexes, distinct
     multiset, extremum indexes, pane accumulators, view outputs) never
@@ -31,6 +32,7 @@ module Value = Ivm_data.Value
 module Tuple = Ivm_data.Tuple
 module Schema = Ivm_data.Schema
 module Update = Ivm_data.Update
+module Flat_tbl = Ivm_data.Flat_tbl
 module Vmap = Map.Make (Value)
 
 type delta = (Tuple.t * int) list
@@ -73,9 +75,10 @@ type win_state = {
   slide : int; (* = size for tumbling windows *)
   lateness : int; (* grace beyond pane end before the watermark expires it *)
   wgroup : int array;
+  wrow : Tuple.t; (* scratch output row (pane start, group...) *)
   wlift : Tuple.t -> int;
-  panes : (int, int Tuple.Tbl.t) Hashtbl.t; (* pane start -> (group -> acc) *)
-  mutable watermark : int option; (* max event time seen on inserts *)
+  panes : (int, int Flat_tbl.t) Hashtbl.t; (* pane start -> (group -> acc) *)
+  mutable watermark : int; (* max event time seen on inserts; min_int before any *)
   mutable late_drops : int;
   mutable retracted_panes : int;
 }
@@ -84,9 +87,10 @@ type op =
   | Source of { rel : string }
   | Filter of { pred : Tuple.t -> bool; flabel : string }
   | Map of { f : Tuple.t -> Tuple.t; mlabel : string }
-  | Aggregate of { agroup : int array; lift : Tuple.t -> int; alabel : string }
+  | Aggregate of { agroup : int array; lift : Tuple.t -> int; alabel : string; akey : Tuple.t }
+      (* [akey]: the scratch group key every input entry probes with *)
   | Join of join_state
-  | Distinct of { mult : int Tuple.Tbl.t }
+  | Distinct of { mult : int Flat_tbl.t }
   | Extremum of ext_state
   | Window of win_state
 
@@ -95,28 +99,41 @@ type node = {
   schema : Schema.t;
   op : op;
   inputs : node list;
-  mutable delta : delta; (* output delta of the epoch being propagated *)
+  mutable acc : int Flat_tbl.t; (* output delta of the epoch being propagated *)
 }
 
-type view = { vname : string; vnode : node; out : int Tuple.Tbl.t }
+type view = { vname : string; vnode : node; out : int Flat_tbl.t }
 
 type t = {
   mutable nodes : node list; (* reverse creation order *)
   mutable views : view list; (* reverse registration order *)
   mutable next_id : int;
-  sources : (string, node) Hashtbl.t;
-      (* hash-consing, keyed on relation + schema: one source node per
-         distinct subscription, so repeated atoms over one relation
-         (self-joins under different column names) still get their own
-         view of the stream while identical subscriptions are shared *)
+  mutable sources : node list;
+      (* hash-consed on relation + schema: one source node per distinct
+         subscription, so repeated atoms over one relation (self-joins
+         under different column names) still get their own view of the
+         stream while identical subscriptions are shared *)
   mutable order : node list option; (* memoized topological order *)
 }
 
-let create () =
-  { nodes = []; views = []; next_id = 0; sources = Hashtbl.create 4; order = None }
+let create () = { nodes = []; views = []; next_id = 0; sources = []; order = None }
+
+(* --- Z-set accumulators ------------------------------------------------- *)
+
+let zadd acc tp m = ignore (Flat_tbl.merge acc tp m ~add:( + ) ~is_zero:(fun m -> m = 0))
+let zset () = Flat_tbl.create ~size:0 0
+
+(* After the epoch: a table well past this epoch's needs (a bulk seed)
+   is dropped, not cleared, so [clear] stays O(epoch). *)
+let reset n =
+  let a = n.acc in
+  if Flat_tbl.capacity a > 4 * max 16 (Flat_tbl.length a) then n.acc <- zset ()
+  else if Flat_tbl.length a > 0 then Flat_tbl.clear a
+
+let node_schema n = Schema.to_list n.schema
 
 let add g schema op inputs =
-  let n = { id = g.next_id; schema; op; inputs; delta = [] } in
+  let n = { id = g.next_id; schema; op; inputs; acc = zset () } in
   g.next_id <- g.next_id + 1;
   g.nodes <- n :: g.nodes;
   g.order <- None;
@@ -125,12 +142,14 @@ let add g schema op inputs =
 (* --- construction ------------------------------------------------------- *)
 
 let source g ~rel ~schema =
-  let key = rel ^ "|" ^ String.concat "," schema in
-  match Hashtbl.find_opt g.sources key with
+  let same n =
+    match n.op with Source s -> s.rel = rel && node_schema n = schema | _ -> false
+  in
+  match List.find_opt same g.sources with
   | Some n -> n
   | None ->
       let n = add g (Schema.of_list schema) (Source { rel }) [] in
-      Hashtbl.add g.sources key n;
+      g.sources <- n :: g.sources;
       n
 
 let filter g ?(label = "pred") pred input =
@@ -144,7 +163,8 @@ let positions schema cols =
 
 let aggregate g ?(lift = fun (_ : Tuple.t) -> 1) ?(label = "count") ~group input =
   let agroup = positions input.schema group in
-  add g (Schema.of_list group) (Aggregate { agroup; lift; alabel = label }) [ input ]
+  let akey = Tuple.scratch (Array.length agroup) in
+  add g (Schema.of_list group) (Aggregate { agroup; lift; alabel = label; akey }) [ input ]
 
 (* A multiplicity-summing projection is exactly aggregation with the
    unit lift: free columns keep their values, bound ones marginalize
@@ -167,7 +187,7 @@ let join g l r =
   add g (Schema.union l.schema rest) (Join st) [ l; r ]
 
 let distinct g input =
-  add g input.schema (Distinct { mult = Tuple.Tbl.create 64 }) [ input ]
+  add g input.schema (Distinct { mult = Flat_tbl.create ~size:64 0 }) [ input ]
 
 let extremum g ?(k = 1) ~dir ~col ~group input =
   if k < 1 then invalid_arg "Graph.extremum: k must be >= 1";
@@ -199,9 +219,10 @@ let window g ?slide ?(lateness = 0) ?(lift = fun (_ : Tuple.t) -> 1) ~time ~size
       slide;
       lateness;
       wgroup = positions input.schema group;
+      wrow = Tuple.scratch (1 + List.length group);
       wlift = lift;
       panes = Hashtbl.create 16;
-      watermark = None;
+      watermark = min_int;
       late_drops = 0;
       retracted_panes = 0;
     }
@@ -211,9 +232,7 @@ let window g ?slide ?(lateness = 0) ?(lift = fun (_ : Tuple.t) -> 1) ~time ~size
 let output g ~name n =
   if List.exists (fun v -> v.vname = name) g.views then
     invalid_arg ("Graph.output: duplicate view " ^ name);
-  g.views <- { vname = name; vnode = n; out = Tuple.Tbl.create 128 } :: g.views
-
-let node_schema n = Schema.to_list n.schema
+  g.views <- { vname = name; vnode = n; out = zset () } :: g.views
 
 (* --- scheduling --------------------------------------------------------- *)
 
@@ -258,21 +277,9 @@ let schedule g =
 
 (* --- delta evaluation --------------------------------------------------- *)
 
-let coalesce_delta (d : delta) : delta =
-  match d with
-  | [] | [ _ ] -> d
-  | _ ->
-      let tbl = Tuple.Tbl.create 16 in
-      List.iter
-        (fun (tp, m) ->
-          let s = (match Tuple.Tbl.find_opt tbl tp with Some q -> q | None -> 0) + m in
-          if s = 0 then Tuple.Tbl.remove tbl tp else Tuple.Tbl.replace tbl tp s)
-        d;
-      Tuple.Tbl.fold (fun tp m acc -> (tp, m) :: acc) tbl []
-
 (* Fold one delta entry into a side's nested index, zero-eliding both
    the tuple multiplicity and emptied key groups. *)
-let side_add side (tp, m) =
+let side_add side tp m =
   let key = Tuple.project tp side.key in
   let group =
     match Tuple.Tbl.find_opt side.index key with
@@ -297,39 +304,35 @@ let side_probe side key f =
 (* ΔQ = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS, realized as ΔR⋈S_old followed by
    (R+ΔR)⋈ΔS: the left index is advanced between the two probes, so the
    cross term ΔR⋈ΔS falls out of the second. *)
-let eval_join st dl dr =
-  let out = ref [] in
+let eval_join st dl dr out =
   let combine lt rt = Tuple.append lt (Tuple.project rt st.right_rest) in
-  List.iter
-    (fun (lt, m) ->
-      let key = Tuple.project lt st.left.key in
-      side_probe st.right key (fun rt mr -> out := (combine lt rt, m * mr) :: !out))
+  Flat_tbl.iter
+    (fun lt m ->
+      side_probe st.right (Tuple.project lt st.left.key) (fun rt mr ->
+          zadd out (combine lt rt) (m * mr)))
     dl;
-  List.iter (side_add st.left) dl;
-  List.iter
-    (fun (rt, m) ->
-      let key = Tuple.project rt st.right.key in
-      side_probe st.left key (fun lt ml -> out := (combine lt rt, ml * m) :: !out))
+  Flat_tbl.iter (side_add st.left) dl;
+  Flat_tbl.iter
+    (fun rt m ->
+      side_probe st.left (Tuple.project rt st.right.key) (fun lt ml ->
+          zadd out (combine lt rt) (ml * m)))
     dr;
-  List.iter (side_add st.right) dr;
-  !out
+  Flat_tbl.iter (side_add st.right) dr
 
 (* Presence is the Boolean-semiring image of the multiplicity: the
    output flips by ±1 exactly when [mult > 0] flips, so DISTINCT's
    delta depends only on the zero-crossings of the integrated input. *)
-let eval_distinct mult d =
-  let out = ref [] in
-  List.iter
-    (fun (tp, m) ->
-      let old = match Tuple.Tbl.find_opt mult tp with Some q -> q | None -> 0 in
-      let nw = old + m in
-      if nw = 0 then Tuple.Tbl.remove mult tp else Tuple.Tbl.replace mult tp nw;
-      match (old > 0, nw > 0) with
-      | false, true -> out := (tp, 1) :: !out
-      | true, false -> out := (tp, -1) :: !out
+let eval_distinct mult d out =
+  Flat_tbl.reserve mult (Flat_tbl.length d);
+  Flat_tbl.iter
+    (fun tp m ->
+      let old = Flat_tbl.find_default mult tp 0 in
+      zadd mult tp m;
+      match (old > 0, old + m > 0) with
+      | false, true -> zadd out tp 1
+      | true, false -> zadd out tp (-1)
       | _ -> ())
-    d;
-  !out
+    d
 
 (* The first [k] slots of the ordered multiset: a value with
    multiplicity [m] occupies [min m remaining] of them. k = 1 is MIN
@@ -347,10 +350,10 @@ let take_slots dir k mults =
   in
   go k seq []
 
-let eval_extremum st d =
+let eval_extremum st d out =
   let dirty = Tuple.Tbl.create 8 in
-  List.iter
-    (fun (tp, m) ->
+  Flat_tbl.iter
+    (fun tp m ->
       let gt = Tuple.project tp st.egroup in
       let gs =
         match Tuple.Tbl.find_opt st.groups gt with
@@ -366,7 +369,6 @@ let eval_extremum st d =
       gs.mults <- (if nw <= 0 then Vmap.remove v gs.mults else Vmap.add v nw gs.mults);
       Tuple.Tbl.replace dirty gt ())
     d;
-  let out = ref [] in
   Tuple.Tbl.iter
     (fun gt () ->
       let gs = Tuple.Tbl.find st.groups gt in
@@ -383,16 +385,14 @@ let eval_extremum st d =
       List.iter
         (fun (v, slots) ->
           let now = match List.assoc_opt v fresh with Some s -> s | None -> 0 in
-          if now <> slots then out := (row v, now - slots) :: !out)
+          if now <> slots then zadd out (row v) (now - slots))
         gs.emitted;
       List.iter
-        (fun (v, slots) ->
-          if not (List.mem_assoc v gs.emitted) then out := (row v, slots) :: !out)
+        (fun (v, slots) -> if not (List.mem_assoc v gs.emitted) then zadd out (row v) slots)
         fresh;
       gs.emitted <- fresh;
       if Vmap.is_empty gs.mults then Tuple.Tbl.remove st.groups gt)
-    dirty;
-  !out
+    dirty
 
 let fdiv a b = if a >= 0 then a / b else -((-a + b - 1) / b)
 
@@ -402,115 +402,122 @@ let pane_starts st v =
   let rec go p acc = if p > v - st.size then go (p - st.slide) (p :: acc) else acc in
   go (fdiv v st.slide * st.slide) []
 
-let expired st p = match st.watermark with
-  | Some w -> p + st.size + st.lateness <= w
-  | None -> false
+let expired st w p = p + st.size + st.lateness <= w
 
-let eval_window st d =
-  let out = ref [] in
-  List.iter
-    (fun (tp, m) ->
-      let v = Value.to_int (Tuple.get tp st.tcol) in
+(* The (never written) rows of a pane born expired: every row skips it. *)
+let born_dead = zset ()
+
+let pane_row st p gt =
+  Tuple.set st.wrow 0 (Value.Int p);
+  for i = 0 to Tuple.arity gt - 1 do
+    Tuple.set st.wrow (i + 1) (Tuple.get gt i)
+  done;
+  st.wrow
+
+(* One epoch decides against two watermarks, so the result does not
+   depend on the order the accumulator hands its rows over: lateness
+   against the watermark at the epoch's start, expiry against the
+   epoch's final one (the max insert time). A row whose pane is late is
+   dropped; a row whose pane the final watermark expires is skipped —
+   placing it and retracting the pane nets to zero — and a pane born
+   that way is entered empty, so the retraction below counts it once. *)
+let eval_window st d out =
+  let w0 = st.watermark in
+  let w1 =
+    Flat_tbl.fold
+      (fun tp m w -> if m > 0 then max w (Value.to_int (Tuple.get tp st.tcol)) else w)
+      d w0
+  in
+  Flat_tbl.iter
+    (fun tp m ->
       let w = m * st.wlift tp in
       List.iter
         (fun p ->
-          if expired st p then st.late_drops <- st.late_drops + 1
+          if expired st w0 p then st.late_drops <- st.late_drops + 1
+          else if expired st w1 p then begin
+            if not (Hashtbl.mem st.panes p) then Hashtbl.add st.panes p born_dead
+          end
           else begin
             let tbl =
-              match Hashtbl.find_opt st.panes p with
-              | Some tbl -> tbl
-              | None ->
-                  let tbl = Tuple.Tbl.create 8 in
+              match Hashtbl.find st.panes p with
+              | tbl -> tbl
+              | exception Not_found ->
+                  let tbl = zset () in
                   Hashtbl.add st.panes p tbl;
                   tbl
             in
             let gt = Tuple.project tp st.wgroup in
-            let s = (match Tuple.Tbl.find_opt tbl gt with Some q -> q | None -> 0) + w in
-            if s = 0 then Tuple.Tbl.remove tbl gt else Tuple.Tbl.replace tbl gt s;
-            out := (Tuple.append (Tuple.of_list [ Value.Int p ]) gt, w) :: !out
+            zadd tbl gt w;
+            zadd out (pane_row st p gt) w
           end)
-        (pane_starts st v);
-      if m > 0 then
-        st.watermark <-
-          Some (match st.watermark with Some w0 -> max w0 v | None -> v))
+        (pane_starts st (Value.to_int (Tuple.get tp st.tcol))))
     d;
+  st.watermark <- w1;
   (* Watermark-driven retraction: the epoch's final watermark expires
      whole panes at once — their rows leave the output and their state
-     is dropped, so late arrivals for them are dropped above. *)
-  let dead =
-    Hashtbl.fold (fun p _ acc -> if expired st p then p :: acc else acc) st.panes []
-  in
+     is dropped, so later arrivals for them are late drops. *)
+  let dead = Hashtbl.fold (fun p _ acc -> if expired st w1 p then p :: acc else acc) st.panes [] in
   List.iter
     (fun p ->
-      let tbl = Hashtbl.find st.panes p in
-      Tuple.Tbl.iter
-        (fun gt acc ->
-          out := (Tuple.append (Tuple.of_list [ Value.Int p ]) gt, -acc) :: !out)
-        tbl;
+      Flat_tbl.iter (fun gt acc -> zadd out (pane_row st p gt) (-acc)) (Hashtbl.find st.panes p);
       Hashtbl.remove st.panes p;
       st.retracted_panes <- st.retracted_panes + 1)
-    dead;
-  !out
+    dead
 
-let eval_node front n =
-  let input i = (List.nth n.inputs i).delta in
+(* Evaluate one node into its (empty) accumulator from its inputs'. *)
+let eval_node n =
+  let input i = (List.nth n.inputs i).acc in
   match n.op with
-  | Source { rel } ->
-      (match List.assoc_opt rel front with
-      | Some ups ->
-          coalesce_delta
-            (List.map (fun (u : int Update.t) -> (u.Update.tuple, u.Update.payload)) ups)
-      | None -> [])
-  | Filter { pred; _ } -> List.filter (fun (tp, _) -> pred tp) (input 0)
-  | Map { f; _ } -> coalesce_delta (List.map (fun (tp, m) -> (f tp, m)) (input 0))
-  | Aggregate { agroup; lift; _ } ->
-      coalesce_delta
-        (List.filter_map
-           (fun (tp, m) ->
-             let w = m * lift tp in
-             if w = 0 then None else Some (Tuple.project tp agroup, w))
-           (input 0))
-  | Join st -> coalesce_delta (eval_join st (input 0) (input 1))
-  | Distinct { mult } -> eval_distinct mult (input 0)
-  | Extremum st -> eval_extremum st (input 0)
-  | Window st -> coalesce_delta (eval_window st (input 0))
+  | Source _ -> () (* fed straight from the batch *)
+  | Filter { pred; _ } ->
+      let d = input 0 in
+      Flat_tbl.reserve n.acc (Flat_tbl.length d);
+      Flat_tbl.iter (fun tp m -> if pred tp then zadd n.acc tp m) d
+  | Map { f; _ } -> Flat_tbl.iter (fun tp m -> zadd n.acc (f tp) m) (input 0)
+  | Aggregate { agroup; lift; akey; _ } ->
+      Flat_tbl.iter
+        (fun tp m ->
+          for i = 0 to Array.length agroup - 1 do
+            Tuple.set akey i (Tuple.get tp agroup.(i))
+          done;
+          zadd n.acc akey (m * lift tp))
+        (input 0)
+  | Join st -> eval_join st (input 0) (input 1) n.acc
+  | Distinct { mult } -> eval_distinct mult (input 0) n.acc
+  | Extremum st -> eval_extremum st (input 0) n.acc
+  | Window st -> eval_window st (input 0) n.acc
 
 (* --- epoch propagation -------------------------------------------------- *)
 
-(* Push the front through the DAG and fold every view's output delta
-   into its materialized output. The node deltas stay in place until
-   [clear] so a caller can read a view's delta first. *)
-let propagate g (front : (string * int Update.t list) list) =
+let rec feed sources (u : int Update.t) =
+  match sources with
+  | [] -> ()
+  | n :: rest ->
+      (match n.op with
+      | Source { rel } when String.equal rel u.Update.rel ->
+          zadd n.acc u.Update.tuple u.Update.payload
+      | _ -> ());
+      feed rest u
+
+(* Feed the batch into the source accumulators (sized for it up front),
+   push it through the DAG and fold every view's accumulator into its
+   materialized output. The accumulators stay filled until [reset], so
+   a caller can read a view's delta first. *)
+let propagate g (ups : int Update.t list) =
   let order = schedule g in
-  List.iter (fun n -> n.delta <- eval_node front n) order;
+  let n = List.length ups in
+  List.iter (fun s -> Flat_tbl.reserve s.acc n) g.sources;
+  List.iter (feed g.sources) ups;
+  List.iter eval_node order;
   List.iter
     (fun v ->
-      List.iter
-        (fun (tp, m) ->
-          let s = (match Tuple.Tbl.find_opt v.out tp with Some q -> q | None -> 0) + m in
-          if s = 0 then Tuple.Tbl.remove v.out tp else Tuple.Tbl.replace v.out tp s)
-        v.vnode.delta)
+      let d = v.vnode.acc in
+      Flat_tbl.reserve v.out (Flat_tbl.length d);
+      Flat_tbl.iter (zadd v.out) d)
     g.views;
   order
 
-let clear order = List.iter (fun n -> n.delta <- []) order
-let apply_front g front = clear (propagate g front)
-
-(* Group a flat batch per relation, preserving order within one. *)
-let front_of (ups : int Update.t list) =
-  let rels = ref [] in
-  let tbl = Hashtbl.create 4 in
-  List.iter
-    (fun (u : int Update.t) ->
-      match Hashtbl.find_opt tbl u.Update.rel with
-      | Some l -> l := u :: !l
-      | None ->
-          Hashtbl.add tbl u.Update.rel (ref [ u ]);
-          rels := u.Update.rel :: !rels)
-    ups;
-  List.rev_map (fun rel -> (rel, List.rev !(Hashtbl.find tbl rel))) !rels
-
-let apply g (ups : int Update.t list) = if ups <> [] then apply_front g (front_of ups)
+let apply g (ups : int Update.t list) = if ups <> [] then List.iter reset (propagate g ups)
 
 let find_view g name =
   match List.find_opt (fun v -> v.vname = name) g.views with
@@ -521,9 +528,9 @@ let apply_delta g (ups : int Update.t list) ~view =
   let v = find_view g view in
   if ups = [] then []
   else begin
-    let order = propagate g (front_of ups) in
-    let d = v.vnode.delta in
-    clear order;
+    let order = propagate g ups in
+    let d = Flat_tbl.fold (fun tp m acc -> (tp, m) :: acc) v.vnode.acc [] in
+    List.iter reset order;
     d
   end
 
@@ -531,23 +538,18 @@ let apply_delta g (ups : int Update.t list) ~view =
 
 let entries g name =
   let v = find_view g name in
-  Tuple.Tbl.fold (fun tp m acc -> (tp, m) :: acc) v.out []
+  Flat_tbl.fold (fun tp m acc -> (tp, m) :: acc) v.out []
   |> List.sort (fun (t1, p1) (t2, p2) ->
          match Tuple.compare t1 t2 with 0 -> compare p1 p2 | c -> c)
 
-let output_count g name = Tuple.Tbl.length (find_view g name).out
-let iter_output g name f = Tuple.Tbl.iter f (find_view g name).out
+let output_count g name = Flat_tbl.length (find_view g name).out
+let iter_output g name f = Flat_tbl.iter f (find_view g name).out
 
 let view_names g = List.rev_map (fun v -> v.vname) g.views
 
 let relations g =
-  Hashtbl.fold
-    (fun _ n acc ->
-      match n.op with
-      | Source { rel } -> if List.mem rel acc then acc else rel :: acc
-      | _ -> acc)
-    g.sources []
-  |> List.sort compare
+  List.sort_uniq compare
+    (List.filter_map (fun n -> match n.op with Source { rel } -> Some rel | _ -> None) g.sources)
 
 let view_schema g name = (find_view g name).vnode.schema
 
@@ -607,9 +609,9 @@ let describe g =
    [Maintainable.entries_fingerprint] so digests stay in one family. *)
 let state_fingerprint g =
   let mix acc h p = (acc + (h lxor (p * 0x9E3779B9))) land max_int in
-  let tbl_fp seed tbl =
-    Tuple.Tbl.fold (fun tp p acc -> mix acc (Tuple.hash tp lxor seed) p) tbl 0
-  in
+  let entry_fp seed tp p acc = mix acc (Tuple.hash tp lxor seed) p in
+  let tbl_fp seed tbl = Tuple.Tbl.fold (entry_fp seed) tbl 0 in
+  let zset_fp seed z = Flat_tbl.fold (entry_fp seed) z 0 in
   let node_fp n =
     match n.op with
     | Source _ | Filter _ | Map _ | Aggregate _ -> 0
@@ -619,7 +621,7 @@ let state_fingerprint g =
             s.index 0
         in
         (side_fp 0x5bd1 st.left + side_fp 0x7f4a st.right) land max_int
-    | Distinct { mult } -> tbl_fp 0x632b mult
+    | Distinct { mult } -> zset_fp 0x632b mult
     | Extremum st ->
         Tuple.Tbl.fold
           (fun gt gs acc ->
@@ -629,10 +631,10 @@ let state_fingerprint g =
             (acc + vfp) land max_int)
           st.groups 0
     | Window st ->
-        let wm = match st.watermark with Some w -> w + 1 | None -> 0 in
+        let wm = if st.watermark = min_int then 0 else st.watermark + 1 in
         Hashtbl.fold
-          (fun p tbl acc -> (acc + tbl_fp (p * 0x9E37) tbl) land max_int)
+          (fun p tbl acc -> (acc + zset_fp (p * 0x9E37) tbl) land max_int)
           st.panes wm
   in
   let ops = List.fold_left (fun acc n -> (acc + node_fp n) land max_int) 0 g.nodes in
-  List.fold_left (fun acc v -> (acc + tbl_fp 0x11d3 v.out) land max_int) ops g.views
+  List.fold_left (fun acc v -> (acc + zset_fp 0x11d3 v.out) land max_int) ops g.views

@@ -1,9 +1,9 @@
 (** Composable delta-propagating operator DAGs (DBSP-style).
 
     Operators consume and emit Z-set deltas — coalesced
-    [(tuple, multiplicity)] lists over the integer ring — so a graph is
-    maintained by pushing each epoch's coalesced delta front through
-    its nodes in topological order. Linear operators (filter, map,
+    [(tuple, multiplicity)] maps over the integer ring, one reusable
+    accumulator per node — pushing each epoch's batch through the
+    nodes in topological order. Linear operators (filter, map,
     project, aggregate-with-lift) are stateless; [join] keeps both
     input integrals indexed on the shared columns and applies
     ΔQ = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS; [distinct] integrates its input and
@@ -14,7 +14,8 @@
     panes by an integer event-time column and retracts whole panes once
     the watermark (max event time seen on inserts) passes their end
     plus the allowed lateness — late arrivals for retracted panes are
-    dropped.
+    dropped. A batch is judged late against the watermark at its start
+    and expired against the one at its end, so its order is moot.
 
     Zero-elision invariant: no materialized state (join indexes, the
     distinct multiset, extremum indexes, pane accumulators, view
@@ -101,12 +102,9 @@ val node_schema : node -> string list
 
 (** {1 Epoch propagation} *)
 
-val apply_front : t -> (string * int Ivm_data.Update.t list) list -> unit
-(** Push one epoch's per-relation coalesced delta front (the shape
-    {!Ivm_stream.Scheduler.delta_front} exposes) through the DAG. *)
-
 val apply : t -> int Ivm_data.Update.t list -> unit
-(** {!apply_front} of a flat batch, grouped per relation. *)
+(** Push one epoch's batch through the DAG, fed straight into the
+    sources' accumulators, and fold each view's output delta in. *)
 
 val apply_delta : t -> int Ivm_data.Update.t list -> view:string -> delta
 (** {!apply}, returning the named view's output delta for the batch —

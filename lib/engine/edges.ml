@@ -5,12 +5,13 @@
     Probes ([get], degrees, adjacency iteration, [intersect]) go through
     domain-local scratch tuples: the triangle delta loops issue one
     probe per neighbour, and a reused buffer keeps them allocation-free
-    apart from the two boxed field values. The buffers are domain-local
-    (one set per domain, shared by every [t]) because one process can
-    apply views on several domains at once: cluster nodes in one
-    process each run their own scheduler domain. Updates still allocate
-    a fresh immutable tuple — stored keys must never be scratch
-    buffers. *)
+    ([intersect] boxes its two endpoints once and probes with the
+    neighbour values the adjacency lists already store). The buffers
+    are domain-local (one set per domain, shared by every [t]) because
+    one process can apply views on several domains at once: cluster
+    nodes in one process each run their own scheduler domain. An
+    update probes with the scratch buffer too; only a new edge
+    allocates its stored tuple. *)
 
 module Rel = Ivm_data.Relation.Z
 module Schema = Ivm_data.Schema
@@ -33,18 +34,22 @@ let key1 a = Tuple.of_list [ Value.of_int a ]
 let probe2_key = Domain.DLS.new_key (fun () -> Tuple.scratch 2)
 let probe1_key = Domain.DLS.new_key (fun () -> Tuple.scratch 1)
 
-let probe2 a b =
+let probe2v a b =
   let t = Domain.DLS.get probe2_key in
-  Tuple.set t 0 (Value.of_int a);
-  Tuple.set t 1 (Value.of_int b);
+  Tuple.set t 0 a;
+  Tuple.set t 1 b;
   t
 
-let probe1 a =
+let probe1v a =
   let t = Domain.DLS.get probe1_key in
-  Tuple.set t 0 (Value.of_int a);
+  Tuple.set t 0 a;
   t
 
-let update e a b m = View.update e.view (tup2 a b) m
+let probe2 a b = probe2v (Value.of_int a) (Value.of_int b)
+let probe1 a = probe1v (Value.of_int a)
+
+(* The view copies the probe key only when (a, b) is a new edge. *)
+let update e a b m = View.update e.view (probe2 a b) m
 let get e a b = View.get e.view (probe2 a b)
 let size e = View.size e.view
 let deg_fst e a = Rel.Index.group_size e.by_fst (probe1 a)
@@ -71,10 +76,16 @@ let fst_keys e f = Rel.Index.iter_keys e.by_fst (fun k -> f (Value.to_int (Tuple
 
 (* Σ_x e1(k1, x) * e2(x, k2): intersect the adjacency list of k1 in e1
    (by first column) with that of k2 in e2 (by second column), iterating
-   the smaller list — the cost model of Sec. 3.1 and 3.3. *)
+   the smaller list — the cost model of Sec. 3.1 and 3.3. Each endpoint
+   is boxed once; the probes reuse the x values the lists store. *)
 let intersect (e1 : t) (k1 : int) (e2 : t) (k2 : int) =
-  let acc = ref 0 in
-  if deg_fst e1 k1 <= deg_snd e2 k2 then
-    iter_fst e1 k1 (fun x p -> acc := !acc + (p * get e2 x k2))
-  else iter_snd e2 k2 (fun x p -> acc := !acc + (p * get e1 k1 x));
-  !acc
+  let v1 = Value.of_int k1 and v2 = Value.of_int k2 in
+  let deg1 = Rel.Index.group_size e1.by_fst (probe1v v1) in
+  if deg1 <= Rel.Index.group_size e2.by_snd (probe1v v2) then
+    Rel.Index.fold_group e1.by_fst (probe1v v1)
+      (fun t p acc -> acc + (p * View.get e2.view (probe2v (Tuple.get t 1) v2)))
+      0
+  else
+    Rel.Index.fold_group e2.by_snd (probe1v v2)
+      (fun t p acc -> acc + (p * View.get e1.view (probe2v v1 (Tuple.get t 0))))
+      0

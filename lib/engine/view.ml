@@ -39,11 +39,18 @@ let index_on v key =
       v.indexes <- (c, ix) :: v.indexes;
       ix
 
+let rec update_indexes indexes t p =
+  match indexes with
+  | [] -> ()
+  | (_, ix) :: rest ->
+      Rel.Index.update ix t p;
+      update_indexes rest t p
+
 (** [update v t p] merges delta payload [p] for tuple [t] into the view
-    and all its indexes. *)
-let update v t p =
-  Rel.add_entry v.rel t p;
-  List.iter (fun (_, ix) -> Rel.Index.update ix t p) v.indexes
+    and all its indexes. [t] may be a scratch probe key: the relation
+    copies it only when it becomes a new entry, and the indexes share
+    the stored key. *)
+let update v t p = if p <> 0 then update_indexes v.indexes (Rel.merge v.rel t p) p
 
 (** [apply_delta v d] merges a delta relation (same positional schema). *)
 let apply_delta v (d : Rel.t) = Rel.iter (fun t p -> update v t p) d

@@ -37,7 +37,8 @@ val index_on : t -> Schema.t -> Rel.Index.t
 val update : t -> Tuple.t -> int -> unit
 (** [update v t p] merges delta payload [p] for tuple [t] into the view
     and all its indexes (insert for positive [p], delete for negative).
-    Amortized O(1). *)
+    Amortized O(1). [t] may be a {!Tuple.scratch} probe key: only a new
+    entry allocates, one copy shared by the view and its indexes. *)
 
 val apply_delta : t -> Rel.t -> unit
 (** Merge a delta relation with the same positional schema. *)

@@ -32,6 +32,21 @@ type node = {
   local_atoms : string list;
 }
 
+(* A lookup site: a view, the slots of its key schema in a slot-array
+   environment (one slot per query variable), and a scratch key reused
+   across lookups — the machinery both the compiled update hops and the
+   output walk run on, so neither allocates per probe. *)
+type site = { sview : View.t; sslots : int array; skey : Tuple.t }
+
+(* One hop of a compiled single-tuple update: the sibling lookups
+   multiplied in at the node, then the stores into its view and
+   aggregate. *)
+type hop = { factors : site array; at_view : site; at_agg : site }
+
+(* The leaf-to-root path of one relation, compiled at [build]: where
+   the update tuple's fields go in the environment, and the hops. *)
+type plan = { base_of : View.t; atom_slots : int array; hops : hop array }
+
 type t = {
   query : Cq.t;
   forest : Vo.forest;
@@ -47,17 +62,40 @@ type t = {
       (* negative base entries, 0 iff the database is valid (Sec. 2);
          current only while [counted], which plain updates clear *)
   mutable counted : bool;
-  fast_path : (string, unit) Hashtbl.t;
-      (* relations whose single-tuple updates propagate by pure lookups:
-         at every node on the leaf-to-root path all sibling views and
-         atoms are keyed within the fixed variables — the O(1) update
-         property of q-hierarchical queries, detected statically. *)
+  plans : (string, plan) Hashtbl.t;
+      (* hop plans of the relations whose single-tuple updates propagate
+         by pure lookups: at every node on the leaf-to-root path all
+         sibling views and atoms are keyed within the fixed variables —
+         the O(1) update property of q-hierarchical queries, detected
+         statically. *)
+  env : Value.t array; (* the plans' slot environment; writer-only *)
 }
 
 let base_view t rel =
-  match Hashtbl.find_opt t.base rel with
-  | Some v -> v
-  | None -> invalid_arg ("View_tree.base_view: unknown relation " ^ rel)
+  match Hashtbl.find t.base rel with
+  | v -> v
+  | exception Not_found -> invalid_arg ("View_tree.base_view: unknown relation " ^ rel)
+
+let slot_table (q : Cq.t) =
+  let tbl = Hashtbl.create 16 in
+  List.iteri (fun i v -> Hashtbl.replace tbl v i) (Cq.vars q);
+  tbl
+
+let slots slot_of schema =
+  Array.of_list (List.map (Hashtbl.find slot_of) (Schema.to_list schema))
+
+let site slot_of view schema =
+  let sl = slots slot_of schema in
+  { sview = view; sslots = sl; skey = Tuple.scratch (Array.length sl) }
+
+let fill env s =
+  for i = 0 to Array.length s.sslots - 1 do
+    Tuple.set s.skey i env.(s.sslots.(i))
+  done
+
+let lookup env s =
+  fill env s;
+  View.get s.sview s.skey
 
 let node_count t = Array.length t.nodes
 
@@ -159,16 +197,49 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
      lookups iff at every node the sibling aggregates and local atoms
      are keyed within the variables fixed by the delta. This is the
      [constant_path] condition of the static/dynamic checker with every
-     relation dynamic. *)
-  let fast_path = Hashtbl.create 8 in
-  let deps_list = deps in
+     relation dynamic. Such a path compiles to a hop plan. *)
+  let slot_of = slot_table query in
+  let plans = Hashtbl.create 8 in
   List.iteri
     (fun i (a : Cq.atom) ->
-      let ok =
-        Ivm_query.Static_dynamic.constant_path ~q:query ~anchors ~deps:deps_list ~forest
-          ~atom_idx:i
-      in
-      if ok then Hashtbl.replace fast_path a.Cq.rel ())
+      if Ivm_query.Static_dynamic.constant_path ~q:query ~anchors ~deps ~forest ~atom_idx:i
+      then begin
+        let rel = a.Cq.rel in
+        let rec hops id came_from acc =
+          if id < 0 then Array.of_list (List.rev acc)
+          else
+            let n = nodes.(id) in
+            let locals =
+              List.filter_map
+                (fun r ->
+                  if came_from = -1 && String.equal r rel then None
+                  else
+                    let bv = Hashtbl.find base r in
+                    Some (site slot_of bv (View.schema bv)))
+                n.local_atoms
+            and kids =
+              List.filter_map
+                (fun c ->
+                  if c = came_from then None
+                  else Some (site slot_of nodes.(c).agg nodes.(c).dep))
+                n.children
+            in
+            let hop =
+              {
+                factors = Array.of_list (locals @ kids);
+                at_view = site slot_of n.view n.full;
+                at_agg = site slot_of n.agg n.dep;
+              }
+            in
+            hops n.parent id (hop :: acc)
+        in
+        Hashtbl.replace plans rel
+          {
+            base_of = Hashtbl.find base rel;
+            atom_slots = Array.of_list (List.map (Hashtbl.find slot_of) a.Cq.vars);
+            hops = hops (Hashtbl.find anchor_of rel) (-1) [];
+          }
+      end)
     query.Cq.atoms;
   let t =
     {
@@ -182,7 +253,8 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
       delta_walk = None;
       negatives = 0;
       counted = false;
-      fast_path;
+      plans;
+      env = Array.make (Hashtbl.length slot_of) (Value.Int 0);
     }
   in
   (* Populate views bottom-up (preprocessing, O(N) for q-hierarchical).
@@ -240,42 +312,37 @@ let apply_delta (t : t) (rel : string) (d : Rel.t) : unit =
   up anchor (-1) (Rel.project_onto d (Schema.of_list (Cq.find_atom t.query rel).Cq.vars))
 
 (* Fast path for single-tuple updates on relations whose propagation is
-   pure lookups: no intermediate relations are allocated; each hop is a
-   handful of hash operations. This is the constant the paper's
-   "constant update time" refers to. *)
-let apply_single_fast (t : t) rel (tuple : Tuple.t) (payload : int) : unit =
-  let atom = Cq.find_atom t.query rel in
-  let env = Hashtbl.create 8 in
-  List.iteri (fun i v -> Hashtbl.replace env v (Tuple.get tuple i)) atom.Cq.vars;
-  let proj schema = Tuple.of_list (List.map (Hashtbl.find env) (Schema.to_list schema)) in
-  let bview = base_view t rel in
-  View.update bview (proj (View.schema bview)) payload;
-  let rec up id came_from p =
-    if id >= 0 && p <> 0 then begin
-      let n = t.nodes.(id) in
-      let p =
-        List.fold_left
-          (fun acc r ->
-            if came_from = -1 && String.equal r rel then acc
-            else
-              let bv = Hashtbl.find t.base r in
-              acc * View.get bv (proj (View.schema bv)))
-          p n.local_atoms
-      in
-      let p =
-        List.fold_left
-          (fun acc c ->
-            if c = came_from then acc else acc * View.get t.nodes.(c).agg (proj t.nodes.(c).dep))
-          p n.children
-      in
-      if p <> 0 then begin
-        View.update n.view (proj n.full) p;
-        View.update n.agg (proj n.dep) p;
-        up n.parent id p
-      end
+   pure lookups: the compiled hop plan. The update tuple's fields go
+   into the slot environment, and each hop fills scratch keys from it —
+   no intermediate relation, environment or projection is allocated;
+   only tuples that become new view entries are. The base view stores
+   the update's own tuple (its schema is the atom's variables). This is
+   the constant the paper's "constant update time" refers to. *)
+let rec hop_factors env factors k p =
+  if p = 0 || k = Array.length factors then p
+  else hop_factors env factors (k + 1) (p * lookup env factors.(k))
+
+let store env s p =
+  fill env s;
+  View.update s.sview s.skey p
+
+let rec run_hops env hops k p =
+  if k < Array.length hops && p <> 0 then begin
+    let h = hops.(k) in
+    let p = hop_factors env h.factors 0 p in
+    if p <> 0 then begin
+      store env h.at_view p;
+      store env h.at_agg p;
+      run_hops env hops (k + 1) p
     end
-  in
-  up (Hashtbl.find t.anchor_of rel) (-1) payload
+  end
+
+let apply_plan t plan (tuple : Tuple.t) (payload : int) =
+  for i = 0 to Array.length plan.atom_slots - 1 do
+    t.env.(plan.atom_slots.(i)) <- Tuple.get tuple i
+  done;
+  View.update plan.base_of tuple payload;
+  run_hops t.env plan.hops 0 payload
 
 (** Single-tuple update (insert for positive payload, delete for
     negative). Uses the lookup-only fast path when the static analysis
@@ -283,14 +350,13 @@ let apply_single_fast (t : t) rel (tuple : Tuple.t) (payload : int) : unit =
 let apply_update (t : t) (u : int Ivm_data.Update.t) : unit =
   t.counted <- false;
   let rel = u.Ivm_data.Update.rel in
-  if Hashtbl.mem t.fast_path rel then
-    apply_single_fast t rel u.Ivm_data.Update.tuple u.Ivm_data.Update.payload
-  else begin
+  match Hashtbl.find t.plans rel with
+  | plan -> apply_plan t plan u.Ivm_data.Update.tuple u.Ivm_data.Update.payload
+  | exception Not_found ->
     let schema = Schema.of_list (Cq.find_atom t.query rel).Cq.vars in
     let d = Rel.create ~size:1 schema in
     Rel.add_entry d u.Ivm_data.Update.tuple u.Ivm_data.Update.payload;
     apply_delta t rel d
-  end
 
 (** Full aggregate of a query with no free variables (e.g. the triangle
     count): the product of the root aggregates. *)
@@ -375,61 +441,38 @@ let output_walker (t : t) ~(pins : Value.t option array) : (Tuple.t -> int -> un
   if not t.enumerable then
     invalid_arg "View_tree.iter_output: free variables are not a connex top fragment";
   let free_roots, bound_roots = List.partition (fun r -> t.nodes.(r).free) t.roots in
-  let all_vars = Cq.vars t.query in
-  let slot_tbl = Hashtbl.create 16 in
-  List.iteri (fun i v -> Hashtbl.add slot_tbl v i) all_vars;
-  let env = Array.make (max 1 (List.length all_vars)) (Value.Int 0) in
-  let slots schema =
-    Array.of_list (List.map (Hashtbl.find slot_tbl) (Schema.to_list schema))
-  in
-  (* A lookup site: a view, the slots of its key schema, and a scratch
-     buffer reused across lookups. *)
-  let site view schema =
-    let sl = slots schema in
-    (view, sl, Tuple.scratch (Array.length sl))
-  in
-  let fill (buf : Tuple.t) (sl : int array) =
-    for i = 0 to Array.length sl - 1 do
-      Tuple.set buf i env.(sl.(i))
-    done
-  in
-  let lookup (view, sl, buf) =
-    fill buf sl;
-    View.get view buf
-  in
+  let slot_of = slot_table t.query in
+  let env = Array.make (max 1 (Hashtbl.length slot_of)) (Value.Int 0) in
   (* Per-free-node enumeration state: all lookup sites as arrays so
      the per-tuple loop allocates nothing but the emitted tuple. *)
   let enodes =
     Array.map
       (fun n ->
-        let ix = View.index_on n.view n.dep in
-        let dep_sl = slots n.dep in
         let sites =
           Array.of_list
             (List.map
                (fun r ->
                  let bv = Hashtbl.find t.base r in
-                 site bv (View.schema bv))
+                 site slot_of bv (View.schema bv))
                n.local_atoms
             @ List.filter_map
                 (fun c ->
                   let cn = t.nodes.(c) in
-                  if cn.free then None else Some (site cn.agg cn.dep))
+                  if cn.free then None else Some (site slot_of cn.agg cn.dep))
                 n.children)
         in
-        ( ix,
-          dep_sl,
-          Tuple.scratch (Array.length dep_sl),
-          Hashtbl.find slot_tbl n.var,
+        ( View.index_on n.view n.dep,
+          site slot_of n.view n.dep,
+          Hashtbl.find slot_of n.var,
           Schema.position n.full n.var,
           sites,
           List.filter (fun c -> t.nodes.(c).free) n.children,
           (* A pinned free node probes its own view for the one
              binding instead of scanning its group. *)
-          if n.free && Array.length pins > 0 then Some (site n.view n.full) else None ))
+          if n.free && Array.length pins > 0 then Some (site slot_of n.view n.full) else None ))
       t.nodes
   in
-  let out_slots = slots (Schema.of_list t.query.Cq.free) in
+  let out_slots = slots slot_of (Schema.of_list t.query.Cq.free) in
   fun f ->
     let scalar_factor =
       List.fold_left (fun acc r -> acc * View.scalar t.nodes.(r).agg) 1 bound_roots
@@ -439,14 +482,14 @@ let output_walker (t : t) ~(pins : Value.t option array) : (Tuple.t -> int -> un
       | [] ->
           f (Tuple.init (Array.length out_slots) (fun i -> env.(out_slots.(i)))) (acc * scalar_factor)
       | id :: rest -> (
-          let ix, dep_sl, dep_buf, xslot, xpos, sites, free_kids, probe = enodes.(id) in
+          let ix, dep, xslot, xpos, sites, free_kids, probe = enodes.(id) in
           match (probe, if Array.length pins = 0 then None else pins.(id)) with
           | Some probe, Some v ->
               env.(xslot) <- v;
-              if lookup probe <> 0 then descend sites free_kids rest acc
+              if lookup env probe <> 0 then descend sites free_kids rest acc
           | _ ->
-              fill dep_buf dep_sl;
-              Rel.Index.iter_group ix dep_buf (fun full_t _ ->
+              fill env dep;
+              Rel.Index.iter_group ix dep.skey (fun full_t _ ->
                   env.(xslot) <- Tuple.get full_t xpos;
                   descend sites free_kids rest acc))
       (* NB: iter_group iterates a hash bucket; [visit] must not mutate
@@ -454,14 +497,8 @@ let output_walker (t : t) ~(pins : Value.t option array) : (Tuple.t -> int -> un
     (* The variable of the node just bound: multiply in its atoms and
        bound children, then go on to its free children. *)
     and descend sites free_kids rest acc =
-      let factor = ref 1 in
-      let k = ref 0 in
-      let nsites = Array.length sites in
-      while !factor <> 0 && !k < nsites do
-        factor := !factor * lookup sites.(!k);
-        incr k
-      done;
-      if !factor <> 0 then visit (free_kids @ rest) (acc * !factor)
+      let factor = hop_factors env sites 0 1 in
+      if factor <> 0 then visit (free_kids @ rest) (acc * factor)
     in
     if scalar_factor <> 0 then visit free_roots 1
 

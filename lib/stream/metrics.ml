@@ -13,14 +13,12 @@ module Hist = struct
   let ratio = 1.25
   let log_ratio = log ratio
 
-  type t = {
-    counts : int array;
-    mutable n : int;
-    mutable sum : float;
-    mutable max : float;
-  }
+  (* [sum]/[max] sit in a float-only record, which OCaml stores flat:
+     as mutable fields of a mixed record every [add] would box them. *)
+  type floats = { mutable sum : float; mutable max : float }
+  type t = { counts : int array; mutable n : int; f : floats }
 
-  let create () = { counts = Array.make buckets 0; n = 0; sum = 0.; max = 0. }
+  let create () = { counts = Array.make buckets 0; n = 0; f = { sum = 0.; max = 0. } }
 
   let bucket_of dt =
     if dt <= floor_ns then 0
@@ -31,14 +29,15 @@ module Hist = struct
   let value_of i = if i = 0 then floor_ns else floor_ns *. (ratio ** float_of_int i)
 
   let add t dt =
-    t.counts.(bucket_of dt) <- t.counts.(bucket_of dt) + 1;
+    let b = bucket_of dt in
+    t.counts.(b) <- t.counts.(b) + 1;
     t.n <- t.n + 1;
-    t.sum <- t.sum +. dt;
-    if dt > t.max then t.max <- dt
+    t.f.sum <- t.f.sum +. dt;
+    if dt > t.f.max then t.f.max <- dt
 
   let count t = t.n
-  let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
-  let max_value t = t.max
+  let mean t = if t.n = 0 then 0. else t.f.sum /. float_of_int t.n
+  let max_value t = t.f.max
 
   (** [percentile t q] for [q] in [0,1]: the upper edge of the bucket
       holding the [q]-quantile sample, 0 when empty. *)
@@ -63,10 +62,10 @@ module Hist = struct
   let merge_into ~into t =
     Array.iteri (fun i c -> into.counts.(i) <- into.counts.(i) + c) t.counts;
     into.n <- into.n + t.n;
-    into.sum <- into.sum +. t.sum;
-    if t.max > into.max then into.max <- t.max
+    into.f.sum <- into.f.sum +. t.f.sum;
+    if t.f.max > into.f.max then into.f.max <- t.f.max
 
-  let sum t = t.sum
+  let sum t = t.f.sum
 
   (** The non-empty buckets as [(upper_edge_seconds, count)], ascending —
       what a text exposition renders cumulatively. *)

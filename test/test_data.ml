@@ -282,8 +282,7 @@ let agree flat oracle =
   Flat.length flat = T.Tbl.length oracle
   && T.Tbl.fold
        (fun k v ok ->
-         ok && Flat.find_opt flat k = Some v
-         && Flat.find_default flat k min_int = v
+         ok && Flat.find_default flat k min_int = v
          && Flat.mem flat k)
        oracle true
   && Flat.fold (fun k v ok -> ok && T.Tbl.find_opt oracle k = Some v) flat true
@@ -346,6 +345,34 @@ let flat_iter_matches_fold =
       let sum_oracle = T.Tbl.fold (fun _ v acc -> acc + v) oracle 0 in
       !count = Flat.length flat && !sum_iter = sum_fold && sum_fold = sum_oracle)
 
+(* [merge] through one reused scratch key against a zero-eliding
+   oracle: the same contents, no stored scratch key, and the returned
+   key equal to the probe and storable. Every 17th op also reserves. *)
+let flat_merge_lockstep =
+  let ops =
+    QCheck.list_of_size (QCheck.Gen.int_range 0 400)
+      (QCheck.triple (QCheck.int_range 0 5) (QCheck.int_range 0 5) (QCheck.int_range (-2) 2))
+  in
+  QCheck.Test.make ~name:"Flat_tbl.merge lockstep with a zero-eliding oracle" ops (fun ops ->
+      let flat = Flat.create ~size:0 0 in
+      let oracle = T.Tbl.create 16 in
+      let k = T.scratch 2 in
+      let returned_ok = ref true in
+      List.iteri
+        (fun i (a, b, d) ->
+          if i mod 17 = 0 then Flat.reserve flat (i mod 5);
+          T.set k 0 (V.of_int a);
+          T.set k 1 (V.of_int b);
+          let stored = Flat.merge flat k d ~add:( + ) ~is_zero:(fun x -> x = 0) in
+          if d <> 0 then returned_ok := !returned_ok && T.equal stored k && not (T.is_scratch stored);
+          let key = tup [ a; b ] in
+          let s = Option.value (T.Tbl.find_opt oracle key) ~default:0 + d in
+          if s = 0 then T.Tbl.remove oracle key else T.Tbl.replace oracle key s)
+        ops;
+      !returned_ok
+      && Flat.fold (fun key _ ok -> ok && not (T.is_scratch key)) flat true
+      && agree flat oracle)
+
 let qt t = QCheck_alcotest.to_alcotest ~long:false t
 
 let () =
@@ -371,6 +398,7 @@ let () =
           qt flat_lockstep_churn;
           qt flat_copy_independent;
           qt flat_iter_matches_fold;
+          qt flat_merge_lockstep;
         ] );
       ( "properties",
         [

@@ -178,6 +178,43 @@ let window_sliding () =
   (* watermark 11: pane [0,10) closes; [5,15) and [10,20) stay live *)
   check_entries "slide retains overlapping live panes" g "w" [ ([ 5 ], 5); ([ 10 ], 2) ]
 
+(* Within one batch, lateness is decided against the watermark at its
+   start and expiry against its end: a row in a pane the batch itself
+   expires neither drops nor lingers, whatever order the batch's rows
+   are visited in. *)
+let window_epoch_order () =
+  for x = 0 to 9 do
+    let g = G.create () in
+    let r = G.source g ~rel:"E" ~schema:[ "t"; "g" ] in
+    G.output g ~name:"w" (G.window g ~time:"t" ~size:10 ~group:[ "g" ] r);
+    G.apply g [ up "E" [ x; 1 ] 1; up "E" [ 12; 1 ] 1 ];
+    check_entries (Printf.sprintf "x=%d: only the open pane" x) g "w" [ ([ 10; 1 ], 1) ];
+    Alcotest.(check int) (Printf.sprintf "x=%d: no late drop" x) 0 (G.late_drops g);
+    Alcotest.(check int) (Printf.sprintf "x=%d: pane retracted once" x) 1 (G.retracted_panes g)
+  done
+
+(* Any permutation of each batch: equal entries, late drops and
+   retracted panes. *)
+let window_permutation =
+  let row = QCheck.Gen.(triple (int_range 0 40) (int_range 0 2) (oneofl [ 1; 1; 2; -1 ])) in
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 0 3) (oneofl [ 10; 5 ])
+        (list_size (int_range 1 5) (list_size (int_range 1 12) row)))
+  in
+  QCheck.Test.make ~count:300 ~name:"window: batch order does not matter" (QCheck.make gen)
+    (fun (lateness, slide, batches) ->
+      let run batches =
+        let g = G.create () in
+        let r = G.source g ~rel:"E" ~schema:[ "t"; "g" ] in
+        G.output g ~name:"w" (G.window g ~slide ~lateness ~time:"t" ~size:10 ~group:[ "g" ] r);
+        List.iter (fun b -> G.apply g (List.map (fun (t, k, p) -> up "E" [ t; k ] p) b)) batches;
+        (canon (G.entries g "w"), G.late_drops g, G.retracted_panes g)
+      in
+      let rng = Random.State.make [| List.length batches |] in
+      let shuffled = List.map (fun b -> QCheck.Gen.shuffle_l b rng) batches in
+      run batches = run shuffled && run batches = run (List.map List.rev batches))
+
 (* ---- sharing and introspection --------------------------------------- *)
 
 let shared_sources () =
@@ -238,6 +275,8 @@ let () =
         [
           Alcotest.test_case "watermark retraction + late drops" `Quick window_watermark;
           Alcotest.test_case "sliding panes" `Quick window_sliding;
+          Alcotest.test_case "lateness fixed per epoch" `Quick window_epoch_order;
+          QCheck_alcotest.to_alcotest window_permutation;
         ] );
       ( "graph",
         [

@@ -734,7 +734,17 @@ let epoch_cost_flat_in_views () =
    budget is 1.25x [stream_words_baseline]; when a change lowers the
    reading on purpose, re-measure by running this test and copying the
    "measured" value it prints into [stream_words_baseline]. *)
-let stream_words_baseline = 432.720
+let stream_words_baseline = 53.531
+
+(* A printed-reading allocation gate: fails above 1.25x [baseline].
+   When a change lowers a reading on purpose, copy the "measured" value
+   it prints into the baseline. *)
+let alloc_gate what ~baseline measured =
+  let limit = baseline *. 1.25 in
+  Printf.printf "%s: measured %.3f words/update (baseline %.3f, limit %.1f)\n" what measured
+    baseline limit;
+  if measured > limit then
+    Alcotest.failf "%s: %.3f minor words/update exceeds the budget of %.1f" what measured limit
 
 let stream_alloc_budget () =
   let module G = Ivm_workload.Graph_gen in
@@ -762,11 +772,71 @@ let stream_alloc_budget () =
   done;
   let measured = (Gc.minor_words () -. w0) /. float_of_int total in
   Alcotest.(check int) "every update applied" total (Scheduler.applied sched);
-  let limit = stream_words_baseline *. 1.25 in
-  Printf.printf "stream allocation: measured %.3f words/update (baseline %.3f, limit %.1f)\n"
-    measured stream_words_baseline limit;
-  if measured > limit then
-    Alcotest.failf "%.3f minor words/update exceeds the budget of %.1f" measured limit
+  alloc_gate "stream allocation" ~baseline:stream_words_baseline measured
+
+(* Per-engine gates: minor words per update of one engine's apply on
+   tuples it already stores, in the epoch shape the registry hands it.
+   [batches] must leave the state as they found it, so the unmeasured
+   first pass sizes every table and the measured second pass repeats
+   it exactly. *)
+let engine_words (m : M.t) batches =
+  Array.iter m.M.apply_batch batches;
+  let w0 = Gc.minor_words () in
+  Array.iter m.M.apply_batch batches;
+  let measured = Gc.minor_words () -. w0 in
+  measured /. float_of_int (Array.fold_left (fun n b -> n + List.length b) 0 batches)
+
+let view_tree_words_baseline = 5.000
+let economy_words_baseline = 2.750
+let triangle_words_baseline = 19.000
+
+module Mx = Ivm_workload.Mixed
+
+(* A mixed-workload tenant of [kind] — the engine ivmbench serves —
+   built over its own tables holding [rows t]. *)
+let mixed_engine kind rows =
+  let t = Mx.tenant ~index:0 kind ~keys:64 in
+  let db = D.Database.Z.create () in
+  List.iter (fun (n, cols) -> ignore (D.Database.Z.declare db n (S.of_list cols))) t.Mx.tables;
+  D.Database.Z.apply_batch db (rows t);
+  (t, Mx.factory t db)
+
+(* [payload] on each of [rows] (table suffix, ints), one update per
+   batch. *)
+let singles t payload rows =
+  List.map (fun (r, vs) -> [ U.make ~rel:(Mx.table t r) ~tuple:(tup vs) ~payload ]) rows
+
+(* +1 then -1 on each stored tuple: every probe and store of the
+   q-hierarchical view tree hits an existing entry. *)
+let view_tree_alloc () =
+  let stored =
+    List.init 32 (fun i -> ("R", [ i mod 16; i ])) @ List.init 32 (fun i -> ("S", [ i; i mod 8 ]))
+  in
+  let t, m = mixed_engine Mx.Join (fun t -> List.concat (singles t 1 stored)) in
+  let batches = Array.of_list (singles t 1 stored @ singles t (-1) stored) in
+  alloc_gate "view-tree update" ~baseline:view_tree_words_baseline (engine_words m batches)
+
+(* Transfer pairs between stored accounts in 16-update epochs, then the
+   reverse transfers: the economy's source -> SUM -> view graph. *)
+let economy_alloc () =
+  let t, m = mixed_engine Mx.Economy (Mx.init_updates ~accounts:64) in
+  let pair k dir =
+    let acct i = U.make ~rel:(Mx.table t "A") ~tuple:(tup [ 1 + (i mod 64) ]) in
+    [ acct k ~payload:(-dir); acct ((k * 7) + 3) ~payload:dir ]
+  in
+  let epoch e dir = List.concat (List.init 8 (fun k -> pair ((e * 8) + k) dir)) in
+  let batches = Array.init 64 (fun e -> if e < 32 then epoch e 1 else epoch (e - 32) (-1)) in
+  alloc_gate "economy graph update" ~baseline:economy_words_baseline (engine_words m batches)
+
+(* +1 then -1 on stored edges (multiplicity 2, so none is removed): the
+   delta kernel's intersection and its edge update, both on hits. *)
+let triangle_alloc () =
+  let edges =
+    List.init 96 (fun i -> ([| "R"; "S"; "T" |].(i mod 3), [ i mod 12; i * 5 mod 12 ]))
+  in
+  let t, m = mixed_engine Mx.Triangle (fun t -> List.concat (singles t 2 edges)) in
+  let batches = Array.of_list (singles t 1 edges @ singles t (-1) edges) in
+  alloc_gate "triangle delta update" ~baseline:triangle_words_baseline (engine_words m batches)
 
 (* An epoch whose payloads cancel to zero entirely must still count as
    an epoch (durably logged, applied-counter advanced, adaptive limit
@@ -1115,6 +1185,9 @@ let () =
           qt coalesce_matches_fold_all;
           Alcotest.test_case "1-update epoch cost flat in views" `Quick epoch_cost_flat_in_views;
           Alcotest.test_case "stream allocation budget" `Quick stream_alloc_budget;
+          Alcotest.test_case "view-tree update allocation" `Quick view_tree_alloc;
+          Alcotest.test_case "economy graph allocation" `Quick economy_alloc;
+          Alcotest.test_case "triangle delta allocation" `Quick triangle_alloc;
           Alcotest.test_case "zero-cancel epoch" `Quick zero_cancel_epoch;
           Alcotest.test_case "serve, kill, restart" `Quick serve_kill_restart;
         ] );
