@@ -4,7 +4,7 @@
 --
 -- Statements end with ';'. Tables are bags of rows; joins are natural
 -- (tables sharing a column name join on it). CREATE MATERIALIZED VIEW
--- hands the query to the cost-based planner, which classifies it along
+-- hands the query to the planner, which classifies it along
 -- the paper's taxonomy (hierarchical / q-hierarchical / free-connex /
 -- static-dynamic) and compiles it onto the best maintenance engine;
 -- EXPLAIN shows the decision and the facts behind it.
@@ -14,7 +14,8 @@ CREATE TABLE Stores (store, zip);
 CREATE TABLE Items (item, cat);
 
 -- q-hierarchical: constant-time updates with constant-delay
--- enumeration, maintained by the eager delta-query strategy.
+-- enumeration, maintained by the factorized view tree (the eager-fact
+-- strategy), which also reports each batch's output delta.
 CREATE MATERIALIZED VIEW store_items AS
   SELECT store, zip, item FROM Sales, Stores;
 EXPLAIN SELECT store, zip, item FROM Sales, Stores;

@@ -32,16 +32,11 @@ module Views = struct
     let forest = Option.get (Ivm_query.Variable_order.canonical q) in
     M.of_view_tree ~name q (Ivm_engine.View_tree.build q forest db)
 
-  let strategy_factory kind q name (db : Db.t) : M.t =
-    let forest = Option.get (Ivm_query.Variable_order.canonical q) in
-    M.of_strategy ~name (Ivm_engine.Strategy.create kind q forest db)
-
   let standard =
     [
       ("tri-count", tri_factory);
       ("paths-rs", tree_factory q_rs "paths-rs");
-      ("paths-st", strategy_factory Ivm_engine.Strategy.Lazy_fact q_st "paths-st");
-      ("paths-rs-eager", strategy_factory Ivm_engine.Strategy.Eager_fact q_rs "paths-rs-eager");
+      ("paths-st", tree_factory q_st "paths-st");
     ]
 
   let names = List.map fst standard
@@ -50,11 +45,12 @@ module Views = struct
      Its factory succeeds, so recovery rebuilds it — and it fails
      again, until the registry quarantines it. *)
   let flaky_factory (_ : Db.t) : M.t =
+    let fail _ = failwith "flaky engine: injected apply failure" in
     {
       M.name = "flaky";
       relations = [ "R" ];
-      apply_batch = (fun _ -> failwith "flaky engine: injected apply failure");
-      apply_delta = None;
+      apply_batch = fail;
+      apply_delta = fail;
       output_count = (fun () -> 0);
       fingerprint = (fun () -> 0);
       enumerate = (fun () -> []);
@@ -327,9 +323,9 @@ let run_single ~label ~dir ~stream ~flaky =
    the join column B, so every R join S match is shard-local; T is
    broadcast, sound because each view uses T in a single atom (views are
    multilinear: split several relations on a shared key, or at most one
-   by arbitrary hash). paths-rs and paths-rs-eager enumerate B first,
-   so bound-prefix reads go straight to B's owner (Keyed); tri-count and
-   paths-st fan out and ring-sum (Scattered). *)
+   by arbitrary hash). paths-rs enumerates B first, so bound-prefix
+   reads go straight to B's owner (Keyed); tri-count and paths-st fan
+   out and ring-sum (Scattered). *)
 let topology ~shards =
   Cl.Topology.create ~shards
     ~policies:
@@ -339,7 +335,6 @@ let topology ~shards =
         ("tri-count", Cl.Topology.Scattered);
         ("paths-rs", Cl.Topology.Keyed);
         ("paths-st", Cl.Topology.Scattered);
-        ("paths-rs-eager", Cl.Topology.Keyed);
       ]
 
 (* The fault-free single-node reference: the same updates through one

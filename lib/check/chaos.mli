@@ -15,7 +15,7 @@
 
 (** The serving workload [serve], [chaos] and [cluster] share: three
     binary edge relations and a heterogeneous set of views over them
-    (delta kernel, view tree, two recomputation strategies). *)
+    (the triangle delta kernel and two view trees). *)
 module Views : sig
   val names : string list
   (** The standard views, in registration order. *)

@@ -201,16 +201,8 @@ let start (spec : spec) : (t, string) result =
   (* The wire's Create_view/Explain ops run against one SQL session
      grafted onto the registry. Handler domains may issue SQL
      concurrently and the session catalog is not domain-safe, so the
-     callbacks serialize on one mutex. The planner's read/write mix
-     comes from the live metrics. *)
-  let sql =
-    Ivm_sql.Exec.create ~registry:reg
-      ~stats:(fun () ->
-        let count name = St.Metrics.Hist.count (St.Metrics.op metrics name) in
-        { Ivm_sql.Planner.reads = count "lookup" + count "snapshot";
-          writes = metrics.St.Metrics.ingested })
-      ()
-  in
+     callbacks serialize on one mutex. *)
+  let sql = Ivm_sql.Exec.create ~registry:reg () in
   let sql_mutex = Mutex.create () in
   let create_view text =
     Mutex.protect sql_mutex (fun () ->

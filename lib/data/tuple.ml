@@ -40,8 +40,8 @@ let hash t =
     h
   end
 
-(* Top-level, not an inner [let rec] over the arrays: the non-flambda
-   compiler would allocate that closure on every probe. *)
+(* Top-level, not inner [let rec]s over the arrays: the non-flambda
+   compiler would allocate those closures on every call. *)
 let rec equal_from va vb i =
   i < 0 || (Value.equal va.(i) vb.(i) && equal_from va vb (i - 1))
 
@@ -51,18 +51,15 @@ let equal a b =
      && (a.h < 0 || b.h < 0 || Int.equal a.h b.h)
      && equal_from a.vals b.vals (Array.length a.vals - 1))
 
-let compare a b =
-  let va = a.vals and vb = b.vals in
-  let c = Int.compare (Array.length va) (Array.length vb) in
-  if c <> 0 then c
+let rec compare_from va vb i =
+  if i >= Array.length va then 0
   else
-    let rec go i =
-      if i >= Array.length va then 0
-      else
-        let c = Value.compare va.(i) vb.(i) in
-        if c <> 0 then c else go (i + 1)
-    in
-    go 0
+    let c = Value.compare va.(i) vb.(i) in
+    if c <> 0 then c else compare_from va vb (i + 1)
+
+let compare a b =
+  let c = Int.compare (Array.length a.vals) (Array.length b.vals) in
+  if c <> 0 then c else compare_from a.vals b.vals 0
 
 (* [project t idxs] picks the fields of [t] at positions [idxs]. Always
    a fresh immutable tuple, even when [t] is a scratch buffer — so

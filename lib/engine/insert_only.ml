@@ -97,6 +97,32 @@ let insert_t t ~c ~d m =
   Edges.update t.tt c d m;
   if first then revive_s t c
 
+(* Insert (x, y) into slot R, S or T and, given [emit], report the
+   output tuples the insert added: the new tuple joined with its
+   partners — the walk of {!With_deletes.update}, run after activation,
+   when every partner sits in the calibrated indexes (an S-tuple whose
+   C is in T is alive, an R-tuple whose B is alive is active). *)
+let insert ?emit t slot ~x ~y m =
+  (match slot with
+  | `R -> insert_r t ~a:x ~b:y m
+  | `S -> insert_s t ~b:x ~c:y m
+  | `T -> insert_t t ~c:x ~d:y m);
+  match emit with
+  | None -> ()
+  | Some emit -> (
+      let out a b c d p = emit (Tuple.of_ints [ a; b; c; d ]) p in
+      match slot with
+      | `R ->
+          Edges.iter_fst t.s_alive y (fun c q ->
+              Edges.iter_fst t.tt c (fun d s -> out x y c d (m * q * s)))
+      | `S ->
+          if c_present t y then
+            Edges.iter_snd t.r_active x (fun a p ->
+                Edges.iter_fst t.tt y (fun d s -> out a x y d (p * m * s)))
+      | `T ->
+          Edges.iter_snd t.s_alive x (fun b q ->
+              Edges.iter_snd t.r_active b (fun a p -> out a b x y (p * q * m))))
+
 (** Constant-delay enumeration of Q(A,B,C,D): every visited entry emits
     at least one output tuple, by the calibration invariants. *)
 let enumerate (t : t) : (Tuple.t * int) Seq.t =

@@ -19,6 +19,13 @@ val insert_s : t -> b:int -> c:int -> int -> unit
 val insert_t : t -> c:int -> d:int -> int -> unit
 (** Inserts only; negative multiplicities are rejected. *)
 
+val insert :
+  ?emit:(Tuple.t -> int -> unit) -> t -> [ `R | `S | `T ] -> x:int -> y:int -> int -> unit
+(** [insert t slot ~x ~y m] inserts (x, y) into [slot] like {!insert_r},
+    {!insert_s} or {!insert_t}. [emit], when given, is then called on
+    every output tuple the insert added, with its multiplicity: the
+    output delta, at the cost of its size. *)
+
 val enumerate : t -> (Tuple.t * int) Seq.t
 (** Constant-delay: every visited entry emits, by the calibration
     invariants. *)

@@ -1,6 +1,6 @@
 (** A uniform handle over every maintenance engine in this library, so
     the multi-view server of [lib/stream] can keep N heterogeneous views
-    (factorized view trees, Fig. 4 strategies, triangle engines) current
+    (factorized view trees, dataflow graphs, triangle engines) current
     off one shared update stream.
 
     A maintainable is a record of closures rather than a first-class
@@ -13,9 +13,10 @@
     Every engine can also report the change a batch made to its output
     (the paper's footnote 2): view trees by delta enumeration, dataflow
     graphs by their view node's epoch delta, triangle engines as the old
-    count retracted and the new one inserted. Engines without one (the
-    Fig. 4 strategies) leave [apply_delta] empty, and a consumer of
-    their output rebuilds it instead. *)
+    count retracted and the new one inserted. Every constructor reports
+    one, so a consumer of a view's output never re-enumerates it after a
+    batch. The Fig. 4 strategies ({!Strategy}) are the paper's
+    comparison, not served engines: eager-fact is {!of_view_tree}. *)
 
 module Rel = Ivm_data.Relation.Z
 module Db = Ivm_data.Database.Z
@@ -31,11 +32,10 @@ type t = {
   relations : string list;  (** base relations this view consumes *)
   apply_batch : int Update.t list -> unit;
       (** Apply a batch of single-tuple updates, all on [relations]. *)
-  apply_delta : (int Update.t list -> delta) option;
+  apply_delta : int Update.t list -> delta;
       (** [apply_batch] that also reports the change the batch made to
           the output, as Z-set entries (a tuple may repeat; consumers
-          fold). Only views with a delta consumer are applied this way.
-          [None] when the engine has no native output delta. *)
+          fold). Only views with a delta consumer are applied this way. *)
   output_count : unit -> int;  (** current output size (tuples or count) *)
   fingerprint : unit -> int;
       (** Order-independent digest of the current output state, for
@@ -45,9 +45,7 @@ type t = {
       (** Materialize the current output — what the network layer
           serves for snapshots and CQAP lookups. A scalar view (e.g. a
           count) reports itself as the single entry [(Tuple.unit, v)].
-          Safe to call from concurrent reader domains: constructors
-          whose enumeration mutates engine state (lazy strategies
-          refreshing pending deltas) serialize internally. *)
+          Safe to call from concurrent reader domains. *)
 }
 
 (* The per-entry digest every fingerprint sums: summing makes the fold
@@ -66,15 +64,12 @@ let iter_fingerprint iter =
   iter (fun tp p -> acc := mix !acc tp p);
   !acc land max_int
 
-let relation_entries (r : Rel.t) = Rel.fold (fun tp p acc -> (tp, p) :: acc) r []
-
 (* Skips the inner engine when the rewrite leaves nothing. *)
 let map_batch f m =
   {
     m with
     apply_batch = (fun batch -> match f batch with [] -> () | b -> m.apply_batch b);
-    apply_delta =
-      Option.map (fun apply_delta batch -> match f batch with [] -> [] | b -> apply_delta b) m.apply_delta;
+    apply_delta = (fun batch -> match f batch with [] -> [] | b -> m.apply_delta b);
   }
 
 (* The output delta is the paper's footnote-2 delta enumeration; reads
@@ -84,7 +79,7 @@ let of_view_tree ~name (q : Cq.t) (tree : View_tree.t) : t =
     name;
     relations = Cq.relation_names q;
     apply_batch = (fun batch -> List.iter (View_tree.apply_update tree) batch);
-    apply_delta = Some (View_tree.apply_batch_enumerating tree);
+    apply_delta = View_tree.apply_batch_enumerating tree;
     output_count = (fun () -> View_tree.output_count tree);
     fingerprint = (fun () -> iter_fingerprint (View_tree.iter_output tree));
     enumerate =
@@ -92,24 +87,6 @@ let of_view_tree ~name (q : Cq.t) (tree : View_tree.t) : t =
         let out = ref [] in
         View_tree.iter_output tree (fun tp p -> out := (tp, p) :: !out);
         !out);
-  }
-
-let of_strategy ~name (s : Strategy.t) : t =
-  (* Lazy strategies refresh pending deltas when their output is read,
-     so every read-side closure mutates engine state. Under the
-     registry's shared read lock two handler domains may read one view
-     concurrently — the per-view mutex serializes them (writers are
-     already excluded by the registry's exclusive lock). *)
-  let m = Mutex.create () in
-  let locked f = Mutex.protect m f in
-  {
-    name;
-    relations = Cq.relation_names (Strategy.query s);
-    apply_batch = List.iter (Strategy.apply s);
-    apply_delta = None;
-    output_count = (fun () -> locked (fun () -> Strategy.count_output s));
-    fingerprint = (fun () -> locked (fun () -> relation_fingerprint (Strategy.output s)));
-    enumerate = (fun () -> locked (fun () -> relation_entries (Strategy.output s)));
   }
 
 (* A dataflow graph already speaks batch updates and materialized
@@ -126,7 +103,7 @@ let of_dataflow ~name (g : Ivm_dataflow.Graph.t) : t =
     name;
     relations = G.relations g;
     apply_batch = (fun batch -> G.apply g batch);
-    apply_delta = Some (fun batch -> G.apply_delta g batch ~view:name);
+    apply_delta = (fun batch -> G.apply_delta g batch ~view:name);
     output_count = (fun () -> G.output_count g name);
     fingerprint = (fun () -> iter_fingerprint (G.iter_output g name));
     enumerate = (fun () -> G.entries g name);
@@ -166,13 +143,12 @@ let of_triangle ~name ?(relations = ("R", "S", "T")) (module E : Triangle.ENGINE
     relations = [ r; s; t ];
     apply_batch;
     apply_delta =
-      Some
-        (fun batch ->
-          (* The old count retracted, the new one inserted. *)
-          let before = E.count eng in
-          apply_batch batch;
-          let after = E.count eng in
-          if after = before then [] else [ (Tuple.unit, -before); (Tuple.unit, after) ]);
+      (fun batch ->
+        (* The old count retracted, the new one inserted. *)
+        let before = E.count eng in
+        apply_batch batch;
+        let after = E.count eng in
+        if after = before then [] else [ (Tuple.unit, -before); (Tuple.unit, after) ]);
     output_count = (fun () -> E.count eng);
     fingerprint = (fun () -> E.count eng land max_int);
     enumerate = (fun () -> [ (Tuple.unit, E.count eng) ]);

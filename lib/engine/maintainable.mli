@@ -1,7 +1,7 @@
 (** A uniform handle over every maintenance engine in this library, so
     the multi-view server of [lib/stream] can keep N heterogeneous views
-    (view trees, Fig. 4 strategies, triangle engines) current off
-    one shared update stream. *)
+    (view trees, dataflow graphs, triangle engines) current off one
+    shared update stream. *)
 
 module Rel = Ivm_data.Relation.Z
 module Cq = Ivm_query.Cq
@@ -14,12 +14,10 @@ type t = {
   relations : string list;  (** base relations this view consumes *)
   apply_batch : int Ivm_data.Update.t list -> unit;
       (** Apply a batch of single-tuple updates, all on [relations]. *)
-  apply_delta : (int Ivm_data.Update.t list -> delta) option;
+  apply_delta : int Ivm_data.Update.t list -> delta;
       (** Apply a batch exactly like [apply_batch] and return the change
           it made to the output ({!enumerate} after = before + delta).
-          A tuple may occur more than once; consumers fold. [None] when
-          the engine has no native output delta: a consumer of its
-          output must re-enumerate it after a batch. *)
+          A tuple may occur more than once; consumers fold. *)
   output_count : unit -> int;  (** current output size (tuples or count) *)
   fingerprint : unit -> int;
       (** Order-independent digest of the current output state, for
@@ -29,9 +27,8 @@ type t = {
       (** Materialize the current output — what the network layer
           serves for snapshots and CQAP lookups. A scalar view (e.g. a
           count) reports itself as the single entry [(Tuple.unit, v)].
-          Constructors whose enumeration mutates engine state (lazy
-          strategies) serialize internally, so concurrent readers are
-          safe; readers must still exclude writers externally. *)
+          Concurrent readers are safe; readers must exclude writers
+          externally. *)
 }
 
 val relation_fingerprint : Rel.t -> int
@@ -55,10 +52,6 @@ val of_view_tree : name:string -> Cq.t -> View_tree.t -> t
 (** Wrap a factorized view tree; the query supplies the consumed
     relation names. Output deltas come from
     {!View_tree.apply_batch_enumerating}. *)
-
-val of_strategy : name:string -> Strategy.t -> t
-(** Wrap one of the four Fig. 4 maintenance strategies. They report no
-    output delta ([apply_delta] is [None]). *)
 
 val of_dataflow : name:string -> Ivm_dataflow.Graph.t -> t
 (** Wrap a compiled operator graph, reading the view registered on it

@@ -6,7 +6,6 @@ module Update = Ivm_data.Update
 module Cq = Ivm_query.Cq
 module M = Ivm_engine.Maintainable
 module View_tree = Ivm_engine.View_tree
-module Strategy = Ivm_engine.Strategy
 module Triangle = Ivm_engine.Triangle
 module Insert_only = Ivm_engine.Insert_only
 module G = Ivm_dataflow.Graph
@@ -57,8 +56,7 @@ let wrap_reads (l : Lower.t) (m : M.t) =
     {
       m with
       (* The fold is linear, so it maps the inner delta too. *)
-      M.apply_delta =
-        Option.map (fun apply_delta batch -> fold_sum ~out_arity (apply_delta batch)) m.M.apply_delta;
+      M.apply_delta = (fun batch -> fold_sum ~out_arity (m.M.apply_delta batch));
       M.enumerate = folded;
       M.output_count = (fun () -> List.length (folded ()));
       M.fingerprint = (fun () -> M.entries_fingerprint (folded ()));
@@ -267,17 +265,6 @@ let build ~name (l : Lower.t) (plan : Planner.plan) source =
         (M.of_view_tree ~name l.Lower.cq tree
         |> wrap_writes l ~static ~relations ~translate:identity
         |> wrap_reads l)
-  | Planner.Delta (kind, forest) ->
-      let* db = initial_database l source in
-      let* strat =
-        match Strategy.create kind l.Lower.cq forest db with
-        | s -> Ok s
-        | exception Invalid_argument m -> fail "delta strategy: %s" m
-      in
-      Ok
-        (M.of_strategy ~name strat
-        |> wrap_writes l ~static ~relations ~translate:identity
-        |> wrap_reads l)
   | Planner.Triangle { r; s; t } ->
       let inner = M.of_triangle ~name (module Triangle.Delta) (Db.create ()) in
       let slots =
@@ -300,26 +287,26 @@ let build ~name (l : Lower.t) (plan : Planner.plan) source =
           (t.Planner.rel, (`T, t.Planner.flipped));
         ]
       in
-      let apply (u : int Update.t) =
+      let apply ?emit (u : int Update.t) =
         match List.assoc_opt u.Update.rel slots with
         | None -> invalid_arg ("unexpected relation " ^ u.Update.rel)
         | Some (slot, flipped) ->
             let x = Value.to_int (Tuple.get u.Update.tuple 0) in
             let y = Value.to_int (Tuple.get u.Update.tuple 1) in
             let x, y = if flipped then (y, x) else (x, y) in
-            let m = u.Update.payload in
-            (match slot with
-            | `R -> Insert_only.insert_r io ~a:x ~b:y m
-            | `S -> Insert_only.insert_s io ~b:x ~c:y m
-            | `T -> Insert_only.insert_t io ~c:x ~d:y m)
+            Insert_only.insert ?emit io slot ~x ~y u.Update.payload
       in
       let enumerate () = List.of_seq (Insert_only.enumerate io) in
       let inner =
         {
           M.name;
           relations;
-          apply_batch = (fun batch -> List.iter apply batch);
-          apply_delta = None;
+          apply_batch = List.iter apply;
+          apply_delta =
+            (fun batch ->
+              let delta = ref [] in
+              List.iter (apply ~emit:(fun tp p -> delta := (tp, p) :: !delta)) batch;
+              !delta);
           output_count = (fun () -> Insert_only.output_size io);
           fingerprint = (fun () -> M.entries_fingerprint (enumerate ()));
           enumerate;

@@ -19,7 +19,6 @@ type view = {
 
 type t = {
   reg : Registry.t;
-  stats : (unit -> Planner.stats) option;
   mutable tables : (string * table) list;
   mutable views : (string * view) list;
 }
@@ -27,13 +26,13 @@ type t = {
 let ( let* ) = Result.bind
 let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
 
-let create ?registry ?stats () =
+let create ?registry () =
   let reg =
     match registry with
     | Some r -> r
     | None -> Registry.create (Db.create ())
   in
-  { reg; stats; tables = []; views = [] }
+  { reg; tables = []; views = [] }
 
 let registry t = t.reg
 
@@ -111,11 +110,7 @@ let sizes t =
 
 let plan_select t ~name ~opts select =
   let* lower, fds = Lower.select (catalog t) ~fds:(fds_catalog t) ~name select in
-  let* plan =
-    Planner.plan
-      ?stats:(Option.map (fun f -> f ()) t.stats)
-      ~sizes:(sizes t) ~fds ~opts lower
-  in
+  let* plan = Planner.plan ~sizes:(sizes t) ~fds ~opts lower in
   Ok (lower, plan)
 
 let create_view t view opts select =

@@ -11,11 +11,8 @@ module Value = Ivm_data.Value
 
 type t
 
-val create :
-  ?registry:Registry.t -> ?stats:(unit -> Planner.stats) -> unit -> t
-(** Without [registry], a private one over an empty database. [stats]
-    supplies the observed read/write mix at planning time (e.g. derived
-    from {!Ivm_stream.Metrics} op counters). *)
+val create : ?registry:Registry.t -> unit -> t
+(** Without [registry], a private one over an empty database. *)
 
 val registry : t -> Registry.t
 

@@ -2,24 +2,19 @@ module Cq = Ivm_query.Cq
 module Vo = Ivm_query.Variable_order
 module Sd = Ivm_query.Static_dynamic
 module Tx = Ivm_query.Taxonomy
-module Strategy = Ivm_engine.Strategy
 
 type role = { rel : string; flipped : bool }
 
 type choice =
-  | Delta of Strategy.kind * Vo.forest
   | Tree of Vo.forest
   | Triangle of { r : role; s : role; t : role }
   | Monotone_path of { r : role; s : role; t : role }
   | Dataflow
 
-type stats = { reads : int; writes : int }
-
 type plan = { choice : choice; static : string list; facts : string list }
 
 let engine_name p =
   match p.choice with
-  | Delta (k, _) -> Printf.sprintf "%s delta strategy" (Strategy.kind_name k)
   | Tree _ when p.static <> [] -> "static/dynamic view tree"
   | Tree _ -> "factorized view tree"
   | Triangle _ -> "first-order delta triangle kernel"
@@ -113,7 +108,7 @@ let path_shape (cq : Cq.t) =
 
 let fact = Printf.sprintf
 
-let plan ?stats ?(sizes = []) ?(fds = []) ~opts (l : Lower.t) =
+let plan ?(sizes = []) ?(fds = []) ~opts (l : Lower.t) =
   let cq = l.Lower.cq in
   let statics =
     List.filter_map (function Ast.Static t -> Some t | _ -> None) opts
@@ -249,35 +244,18 @@ let plan ?stats ?(sizes = []) ?(fds = []) ~opts (l : Lower.t) =
                  amortized in the worst case";
             ]
       | _, Tx.Best_possible { order = Some forest; _ } when a.Tx.q_hierarchical ->
-          let kind, why =
-            match stats with
-            | Some { reads; writes } when writes > 8 * max reads 1 ->
-                ( Strategy.Lazy_fact,
-                  fact
-                    "observed workload is write-heavy (%d writes vs %d reads): lazy \
-                     defers view work to enumeration"
-                    writes reads )
-            | Some { reads; writes } ->
-                ( Strategy.Eager_fact,
-                  fact
-                    "observed workload reads often enough (%d reads vs %d writes) to \
-                     keep views eagerly current"
-                    reads writes )
-            | None ->
-                (Strategy.Eager_fact, fact "no workload statistics: defaulting to eager")
-          in
-          planned
-            (Delta (kind, forest))
+          planned (Tree forest)
             [
               fact
                 "q-hierarchical: O(1) single-tuple updates and O(1) enumeration \
                  delay over the canonical free-top order (Thm. 4.1)";
-              why;
+              fact
+                "the view tree is Fig. 4's eager-fact strategy (F-IVM); it reports \
+                 each batch's output delta by delta enumeration";
             ]
       | _, Tx.Best_possible { order = Some forest; _ } ->
           (* Without an adornment, only the Σ-reduct verdict is left. *)
-          planned
-            (Delta (Strategy.Eager_fact, forest))
+          planned (Tree forest)
             [
               fact
                 "not q-hierarchical as written, but its Sigma-reduct under the \
@@ -287,13 +265,13 @@ let plan ?stats ?(sizes = []) ?(fds = []) ~opts (l : Lower.t) =
             ]
       | _ when a.Tx.q_hierarchical_under_fds ->
           planned
-            (Delta (Strategy.Eager_fact, chain_forest cq))
+            (Tree (chain_forest cq))
             [
               fact
                 "not q-hierarchical as written; its Sigma-reduct under the \
                  declared FDs is (Thm. 4.11), but the reduct's order puts a bound \
-                 variable above a free one, so eager-fact runs over a free-first \
-                 chain and updates pay the join cost";
+                 variable above a free one, so the view tree runs over a \
+                 free-first chain and updates pay the join cost";
               fds_fact;
             ]
       | _ ->

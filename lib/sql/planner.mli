@@ -1,11 +1,11 @@
-(** The cost-based strategy planner: given a lowered query, the declared
-    FDs, the view options and (optionally) the observed read/write mix,
-    classify the query once with {!Ivm_query.Taxonomy.analyze}, map the
-    verdict to a maintenance engine and variable order, and record the
-    classification facts that justify the choice — the substance of
-    [EXPLAIN]. The planner adds only SQL decisions on top of the
-    taxonomy: dataflow routing, kernel slot matching and the eager/lazy
-    read-mix choice.
+(** The strategy planner: given a lowered query, the declared FDs and
+    the view options, classify the query once with
+    {!Ivm_query.Taxonomy.analyze}, map the verdict to a maintenance
+    engine and variable order, and record the classification facts that
+    justify the choice — the substance of [EXPLAIN]. The planner adds
+    only SQL decisions on top of the taxonomy: dataflow routing and
+    kernel slot matching. Every engine it picks reports each batch's
+    output delta ({!Ivm_engine.Maintainable.apply_delta}).
 
     Decision table (first match wins):
 
@@ -26,14 +26,12 @@
     + The query is the triangle count
       ["COUNT(*)" over R(A,B), S(B,C), T(C,A)] → the first-order delta
       kernel, O(N) per single-tuple update (Sec. 3.1).
-    + q-hierarchical → a Fig. 4 delta strategy over the canonical
-      free-top order: eager-fact normally, lazy-fact when the observed
-      workload is write-heavy (reads < ~1/8 of writes) — lazy defers all
-      view work to the rare enumeration points.
-    + The Σ-reduct under the declared FDs is q-hierarchical
-      (Thm. 4.11) → eager-fact over the Σ-reduct's canonical order, or
-      over a free-first chain when that order puts a bound variable
-      above a free one (constant-delay enumeration needs a free top).
+    + q-hierarchical, or its Σ-reduct under the declared FDs is
+      (Thm. 4.11) → factorized view tree (F-IVM, the eager-fact
+      strategy of Fig. 4) over the canonical free-top order — of the
+      query or of the Σ-reduct — or over a free-first chain when the
+      reduct's order puts a bound variable above a free one
+      (constant-delay enumeration needs a free top).
     + Otherwise → factorized view tree over a free-first chain order
       (always valid, free-top by construction); updates may cost more
       than O(1) but enumeration stays constant-delay. *)
@@ -48,7 +46,6 @@ type role = { rel : string; flipped : bool }
     kernel's schema for that slot. *)
 
 type choice =
-  | Delta of Ivm_engine.Strategy.kind * Vo.forest
   | Tree of Vo.forest
   | Triangle of { r : role; s : role; t : role }
       (** First-order delta triangle kernel: roles R(A,B), S(B,C),
@@ -59,9 +56,6 @@ type choice =
       (** Operator-graph runtime ({!Ivm_dataflow.Graph}): mandatory for
           MIN/MAX, DISTINCT and WINDOW — {!Lower.needs_dataflow}. *)
 
-type stats = { reads : int; writes : int }
-(** Observed workload mix, e.g. from {!Ivm_stream.Metrics} op counters. *)
-
 type plan = {
   choice : choice;
   static : string list;  (** relations excluded from the update stream *)
@@ -71,15 +65,13 @@ type plan = {
 val engine_name : plan -> string
 
 val plan :
-  ?stats:stats ->
   ?sizes:(string * int) list ->
   ?fds:Ivm_query.Fd.t list ->
   opts:Ast.view_opt list ->
   Lower.t ->
   (plan, string) result
 (** [sizes] are current base-relation cardinalities (recorded as a
-    planning fact); [stats] the observed read/write mix steering the
-    eager/lazy choice. *)
+    planning fact). *)
 
 val explain : plan -> string
 (** Multi-line report: [engine: <name>] then one [- fact] per line. *)

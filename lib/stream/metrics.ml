@@ -80,9 +80,7 @@ end
 (** Per-view counters: how many updates and batches this view absorbed,
     the distribution of its batch-apply times, and the supervision
     counters (failures observed, recovery rebuilds, dead-lettered poison
-    updates, updates skipped while the view was not healthy), and the
-    epochs that forced a delta consumer to rebuild because the engine
-    reports no output delta. *)
+    updates, updates skipped while the view was not healthy). *)
 type view = {
   mutable updates : int;
   mutable batches : int;
@@ -90,7 +88,6 @@ type view = {
   mutable rebuilds : int;
   mutable dead_letters : int;
   mutable skipped : int;
-  mutable delta_fallbacks : int;
   apply : Hist.t;
 }
 
@@ -146,7 +143,6 @@ let view t name =
           rebuilds = 0;
           dead_letters = 0;
           skipped = 0;
-          delta_fallbacks = 0;
           apply = Hist.create ();
         }
       in
@@ -294,7 +290,6 @@ let render t =
       add_counter seen buf "ivm_view_rebuilds_total" l v.rebuilds;
       add_counter seen buf "ivm_view_dead_letters_total" l v.dead_letters;
       add_counter seen buf "ivm_view_skipped_total" l v.skipped;
-      add_counter seen buf "ivm_view_delta_fallbacks_total" l v.delta_fallbacks;
       add_histogram seen buf "ivm_view_apply_seconds" l v.apply)
     (view_names t);
   List.iter

@@ -32,10 +32,6 @@ type view = {
   mutable rebuilds : int;  (** successful recovery / self-check rebuilds *)
   mutable dead_letters : int;  (** poison updates quarantined out of the view *)
   mutable skipped : int;  (** updates skipped while degraded or quarantined *)
-  mutable delta_fallbacks : int;
-      (** epochs that dropped a tracked view's pending delta because
-          the engine reports no output delta: each forces the
-          consumer's next read to rebuild *)
   apply : Hist.t;
 }
 

@@ -41,10 +41,9 @@
     it instead of re-enumerating the view. Views nobody tracks are
     applied exactly as before and hold nothing. A pending delta larger
     than a rewrite of the whole view (twice its size at the last
-    [track], plus a small floor) is dropped, and an epoch on a view
-    whose engine has no output delta, a failure, recovery, {!heal}, a
-    {!self_check} reinstall or a dead-letter rebuild breaks it too: the
-    consumer's next read rebuilds. *)
+    [track], plus a small floor) is dropped, and a failure, recovery,
+    {!heal}, a {!self_check} reinstall or a dead-letter rebuild breaks
+    it too: the consumer's next read rebuilds. *)
 
 module Db = Ivm_data.Database.Z
 module Rel = Ivm_data.Relation.Z
@@ -140,13 +139,14 @@ let read t f = Rwlock.read t.lock f
 let now () = Unix.gettimeofday ()
 
 (* A placeholder installed when even the initial build fails: consumes
-   nothing, serves empty state, until recovery rebuilds the real view. *)
+   nothing, serves empty state (so its output delta is exactly empty),
+   until recovery rebuilds the real view. *)
 let stub name =
   {
     M.name;
     relations = [];
     apply_batch = (fun _ -> ());
-    apply_delta = None;
+    apply_delta = (fun _ -> []);
     output_count = (fun () -> 0);
     fingerprint = (fun () -> 0);
     enumerate = (fun () -> []);
@@ -399,22 +399,9 @@ let fold_pending p (delta : M.delta) =
 (* Apply a view's sub-front; a view whose consumer is tracking it also
    reports its output delta. Readers are locked out while it runs. *)
 let apply_view e sub =
-  match (e.pending, e.view.M.apply_delta) with
-  | Some p, Some apply_delta when p.since >= 0 -> fold_pending p (apply_delta sub)
+  match e.pending with
+  | Some p when p.since >= 0 -> fold_pending p (e.view.M.apply_delta sub)
   | _ -> e.view.M.apply_batch sub
-
-(* An engine with no output delta cannot feed its consumer: break the
-   pending delta, so the consumer's next read rebuilds — what it paid
-   untracked — and count that fallback. Breaking once covers every
-   epoch until the consumer re-tracks. *)
-let fall_back t e =
-  match (e.pending, e.view.M.apply_delta) with
-  | Some p, None when p.since >= 0 ->
-      break p;
-      Option.iter
-        (fun v -> v.Metrics.delta_fallbacks <- v.Metrics.delta_fallbacks + 1)
-        (metrics_view t e.name)
-  | _ -> ()
 
 let counts t = List.map (fun (name, m) -> (name, m.M.output_count ())) (views t)
 let fingerprints t = List.map (fun (name, m) -> (name, m.M.fingerprint ())) (views t)
@@ -500,7 +487,6 @@ let apply_front_locked t (front : (string * int Update.t list) list) =
       | [] -> ()
       | sub -> (
           Atomic.incr e.stamp;
-          fall_back t e;
           let t0 = now () in
           match apply_view e sub with
           | () ->

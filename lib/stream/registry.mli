@@ -89,18 +89,14 @@ val track : t -> string -> size:int -> unit
     From now on every epoch that touches the view folds the output
     change it reports into the pending delta. A pending delta with
     more than [2 * size + 16] entries — more than a rewrite of every
-    row, each a retraction plus an insertion — is dropped. An engine
-    with no output delta ([apply_delta = None]) drops it at the first
-    epoch that touches the view, counted in the view's
-    [delta_fallbacks].
-    Views never tracked collect nothing.
+    row, each a retraction plus an insertion — is dropped. Views never
+    tracked collect nothing.
     @raise Invalid_argument when absent. *)
 
 val pending_delta : t -> string -> since:int -> (Ivm_data.Tuple.t * int) list option
 (** Under {!read}: the view's folded output change since stamp value
     [since] — [None] when it cannot be patched: the view is not tracked
-    from [since], its pending delta went over the bound or was dropped
-    because the engine has no output delta, or it failed
+    from [since], its pending delta went over the bound, or it failed
     or was reinstalled (recovery, {!heal}, a {!self_check} reinstall,
     a dead-letter rebuild) since. The caller then rebuilds and
     re-{!track}s.

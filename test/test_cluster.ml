@@ -733,11 +733,15 @@ let test_checkpoint_parked_kill () =
   let declare_gated reg =
     declare reg;
     St.Registry.register reg ~name:"gate" (fun _ ->
+        let apply_batch _ = while Atomic.get gate do Unix.sleepf 0.001 done in
         {
           M.name = "gate";
           relations = [ "R" ];
-          apply_batch = (fun _ -> while Atomic.get gate do Unix.sleepf 0.001 done);
-          apply_delta = None;
+          apply_batch;
+          apply_delta =
+            (fun batch ->
+              apply_batch batch;
+              []);
           output_count = (fun () -> 0);
           fingerprint = (fun () -> 0);
           enumerate = (fun () -> []);

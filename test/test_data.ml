@@ -33,6 +33,21 @@ let tuple_unit () =
   Alcotest.(check int) "compare by prefix" (-1)
     (compare (T.compare (tup [ 1; 2 ]) (tup [ 1; 3 ])) 0)
 
+(* [compare] runs in every snapshot sort and [equal] in every hash
+   probe: neither may allocate (e.g. a closure per call). *)
+let tuple_no_alloc () =
+  let a = tup [ 1; 2; 3 ] and b = tup [ 1; 2; 4 ] and a' = tup [ 1; 2; 3 ] in
+  let words f x y =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      ignore (Sys.opaque_identity (f x y))
+    done;
+    Gc.minor_words () -. w0
+  in
+  let floor = words (fun _ _ -> 0) a b in
+  Alcotest.(check (float 0.)) "compare: 0 words" floor (words T.compare a b);
+  Alcotest.(check (float 0.)) "equal: 0 words" floor (words T.equal a a')
+
 let schema_unit () =
   let s = S.of_list [ "A"; "B"; "C" ] in
   Alcotest.(check int) "arity" 3 (S.arity s);
@@ -382,6 +397,7 @@ let () =
         [
           Alcotest.test_case "values" `Quick value_unit;
           Alcotest.test_case "tuples" `Quick tuple_unit;
+          Alcotest.test_case "tuple compare and equal allocate nothing" `Quick tuple_no_alloc;
           Alcotest.test_case "schemas" `Quick schema_unit;
           Alcotest.test_case "relations" `Quick relation_unit;
           Alcotest.test_case "join (Fig. 2)" `Quick join_unit;

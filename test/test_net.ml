@@ -415,7 +415,7 @@ let metrics_render () =
   Atomic.incr m.Metrics.cache_patches;
   Atomic.incr m.Metrics.cache_patches;
   Atomic.incr m.Metrics.cache_stale_serves;
-  (Metrics.view m "tri").Metrics.delta_fallbacks <- 2;
+  (Metrics.view m "tri").Metrics.skipped <- 2;
   let text = Metrics.render m in
   let contains needle =
     let nl = String.length needle and hl = String.length text in
@@ -445,8 +445,8 @@ let metrics_render () =
       "ivm_snapshot_cache_patches_total 3";
       "# TYPE ivm_snapshot_cache_stale_serves_total counter";
       "ivm_snapshot_cache_stale_serves_total 1";
-      "# TYPE ivm_view_delta_fallbacks_total counter";
-      "ivm_view_delta_fallbacks_total{view=\"tri\"} 2";
+      "# TYPE ivm_view_skipped_total counter";
+      "ivm_view_skipped_total{view=\"tri\"} 2";
     ];
   (* One # TYPE header per metric name, even with several op labels. *)
   let count_type =
@@ -1697,9 +1697,8 @@ let e2e_prefix_lookups_match_filter () =
 
 (* --- snapshot patching from view output deltas ------------------------ *)
 
-(* The same join as paths-rs three more ways: a dataflow graph (native
-   delta), an eager strategy (no output delta), and a view tree that
-   fails while [broken] is set. *)
+(* The same join as paths-rs two more ways: a dataflow graph, and a
+   view tree that fails while [broken] is set. *)
 let paths_df (db : D.Database.Z.t) : M.t =
   let module Dfg = Ivm_dataflow.Graph in
   let g = Dfg.create () in
@@ -1714,14 +1713,10 @@ let paths_df (db : D.Database.Z.t) : M.t =
        [ "R"; "S" ]);
   M.of_dataflow ~name:"paths-df" g
 
-let paths_eager (db : D.Database.Z.t) : M.t =
-  let forest = Option.get (Ivm_query.Variable_order.canonical q_rs) in
-  M.of_strategy ~name:"paths-eager" (Ivm_engine.Strategy.create Ivm_engine.Strategy.Eager_fact q_rs forest db)
-
 let fragile broken db =
   M.map_batch (fun b -> if !broken then failwith "fragile: injected failure" else b) (paths_factory db)
 
-(* The views whose engines report output deltas. *)
+(* One view per engine kind. *)
 let patch_views = [ "tri"; "paths-rs"; "paths-df" ]
 
 (* A server over a registry the test applies epochs to directly, so
@@ -1731,7 +1726,6 @@ let with_patch_server ?(broken = ref false) f =
   let reg = Registry.create ~metrics ~backoff_base:1e3 (make_triangle_db ()) in
   register_views reg;
   Registry.register reg ~name:"paths-df" paths_df;
-  Registry.register reg ~name:"paths-eager" paths_eager;
   Registry.register reg ~name:"fragile" (fragile broken);
   let srv = ok_wire (Server.start ~port:0 ~handlers:2 ~chunk_size:8 ~registry:reg ~metrics ()) in
   Fun.protect ~finally:(fun () -> Server.stop ~grace:0. srv) (fun () -> f srv reg metrics)
@@ -1769,7 +1763,7 @@ let engine_deltas_exact () =
         (fun batch ->
           let batch = List.filter (fun (u : int U.t) -> List.mem u.U.rel m.M.relations) batch in
           let before = m.M.enumerate () in
-          let delta = Option.get m.M.apply_delta batch in
+          let delta = m.M.apply_delta batch in
           Alcotest.(check bool) (name ^ ": before + delta = after") true
             (zset (before @ delta) = zset (m.M.enumerate ())))
         (batches_of 7 (edge_stream ~seed:9 140)))
@@ -1798,9 +1792,7 @@ let fingerprints_unchanged () =
 
 (* An epoch on a view yields its new frames by a patch, not a rebuild,
    for every engine kind, across many epochs; a one-update epoch
-   re-frames only the chunks it touches. The strategy view has no
-   output delta: an epoch on it breaks its pending delta, counted once
-   as a fallback, and its next read rebuilds. *)
+   re-frames only the chunks it touches. *)
 let e2e_epochs_patch () =
   with_patch_server (fun srv reg metrics ->
       Registry.apply_batch reg (edge_stream 300);
@@ -1835,20 +1827,7 @@ let e2e_epochs_patch () =
       Alcotest.(check int) "no rebuild" r0 (rebuilds metrics);
       Alcotest.(check bool) "new frames" false (same_frames before after);
       Alcotest.(check bool) "untouched chunks shared" true
-        (List.length before < 3 || List.exists (fun f -> List.memq f before) after);
-      let fallbacks v = (Metrics.view metrics v).Metrics.delta_fallbacks in
-      List.iter (fun v -> Alcotest.(check int) (v ^ ": no fallback") 0 (fallbacks v)) patch_views;
-      ignore (read_checked srv reg "paths-eager");
-      Alcotest.(check int) "strategy: untracked until read" 0 (fallbacks "paths-eager");
-      let p0 = patches metrics and r0 = rebuilds metrics in
-      Registry.apply_batch reg [ U.make ~rel:"R" ~tuple:(tup [ 101; b ]) ~payload:1 ];
-      Registry.apply_batch reg [ U.make ~rel:"S" ~tuple:(tup [ b; 102 ]) ~payload:1 ];
-      Alcotest.(check (option int)) "strategy: nothing pending" (Some 0)
-        (Registry.pending_size reg "paths-eager");
-      ignore (read_checked srv reg "paths-eager");
-      Alcotest.(check int) "strategy: one fallback" 1 (fallbacks "paths-eager");
-      Alcotest.(check int) "strategy: rebuilt" (r0 + 1) (rebuilds metrics);
-      Alcotest.(check int) "strategy: not patched" p0 (patches metrics))
+        (List.length before < 3 || List.exists (fun f -> List.memq f before) after))
 
 (* Every reinstall forces the next read to rebuild, never patch: heal
    of a failed view, a self-check reinstall, and the dead-letter

@@ -10,7 +10,8 @@ module Parser = Sql.Parser
 module Lower = Sql.Lower
 module Planner = Sql.Planner
 module Exec = Sql.Exec
-module Strategy = Ivm_engine.Strategy
+module Compile = Sql.Compile
+module M = Ivm_engine.Maintainable
 module Fd = Ivm_query.Fd
 module Vo = Ivm_query.Variable_order
 module Value = Ivm_data.Value
@@ -196,15 +197,29 @@ let facts_of report =
     (fun l -> String.length l > 3 && String.sub l 0 4 = "  - ")
     (String.split_on_char '\n' report)
 
-(* Fig. 3's q-hierarchical query: eager delta-query maintenance. *)
+let select_of text =
+  match ok (Parser.stmt text) with
+  | Ast.Select s -> s
+  | _ -> Alcotest.fail "expected a SELECT"
+
+(* Fig. 3's q-hierarchical query: eager-fact maintenance, i.e. the
+   factorized view tree over the canonical free-top order. *)
 let planner_q_hierarchical () =
   let sess = Exec.create () in
   ignore (ok (Exec.exec_text sess "CREATE TABLE R (y, x); CREATE TABLE S (y, z);"));
-  let report = explain_of sess "SELECT y, x, z FROM R, S" in
-  checkb "q-hierarchical -> eager delta strategy" true
-    (contains report "engine: eager-fact delta strategy");
+  let text = "SELECT y, x, z FROM R, S" in
+  let report = explain_of sess text in
+  checkb "q-hierarchical -> factorized view tree" true
+    (contains report "engine: factorized view tree");
   checkb "carries at least 2 facts" true (List.length (facts_of report) >= 2);
-  checkb "names q-hierarchical" true (contains report "q-hierarchical: true")
+  checkb "names q-hierarchical" true (contains report "q-hierarchical: true");
+  let l, _ =
+    ok (Lower.select [ ("R", [ "y"; "x" ]); ("S", [ "y"; "z" ]) ] ~name:"v" (select_of text))
+  in
+  match (ok (Planner.plan ~opts:[] l)).Planner.choice with
+  | Planner.Tree forest ->
+      checkb "over the canonical free-top order" true (Some forest = Vo.canonical l.Lower.cq)
+  | _ -> Alcotest.fail "expected a view-tree plan"
 
 (* The A-C path with both endpoints free: hierarchical but not
    free-connex, so constant-delay maintenance is impossible (Thm. 4.1)
@@ -251,7 +266,7 @@ let planner_triangle () =
 
 (* Ex. 4.12 under the FDs x -> y and y -> z: not q-hierarchical as
    written, but its Σ-reduct is (Thm. 4.11). In either SELECT order the
-   planner must run eager-fact over the reduct's canonical order — a
+   planner must run the view tree over the reduct's canonical order — a
    chain in column order costs O(N) per T update — and the view must
    match a from-scratch recompute over FD-satisfying data. *)
 let fd_tables =
@@ -264,25 +279,20 @@ let planner_fd_reduct () =
   List.iter
     (fun cols ->
       let text = Printf.sprintf "SELECT %s FROM R, S, T" cols in
-      let select =
-        match ok (Parser.stmt text) with
-        | Ast.Select s -> s
-        | _ -> Alcotest.fail "expected a SELECT"
-      in
-      let l, fds = ok (Lower.select catalog ~fds:declared ~name:"v" select) in
+      let l, fds = ok (Lower.select catalog ~fds:declared ~name:"v" (select_of text)) in
       let cq = l.Lower.cq in
       let reduct_order = Vo.canonical (Fd.sigma_reduct fds cq) in
       checkb (cols ^ ": reduct order valid for the query") true
         (Option.map (Vo.validate cq) reduct_order = Some (Ok ()));
       let p = ok (Planner.plan ~fds ~opts:[] l) in
       (match p.Planner.choice with
-      | Planner.Delta (Strategy.Eager_fact, forest) ->
+      | Planner.Tree forest ->
           checkb (cols ^ ": over the Σ-reduct's canonical order") true
             (Some forest = reduct_order)
-      | _ -> Alcotest.failf "%s: expected an eager-fact delta plan" cols);
+      | _ -> Alcotest.failf "%s: expected a view-tree plan" cols);
       let report = Planner.explain p in
-      checkb (cols ^ ": eager-fact engine") true
-        (contains report "engine: eager-fact delta strategy");
+      checkb (cols ^ ": view-tree engine") true
+        (contains report "engine: factorized view tree");
       checkb (cols ^ ": carries at least 2 facts") true (List.length (facts_of report) >= 2);
       checkb (cols ^ ": cites Thm. 4.11") true (contains report "Thm. 4.11");
       let sess = Exec.create () in
@@ -313,6 +323,106 @@ let planner_fd_reduct () =
         && Ck.Oracle.equal_entries (Ck.Oracle.normalize maintained)
              (Ck.Oracle.normalize recomputed)))
     [ "w, x, y, z"; "z, y, x, w" ]
+
+(* --- output deltas -------------------------------------------------- *)
+
+let zset entries =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun (tp, p) ->
+      let k = Ivm_data.Tuple.to_list tp in
+      Hashtbl.replace tbl k (p + Option.value (Hashtbl.find_opt tbl k) ~default:0))
+    entries;
+  Hashtbl.fold (fun k p acc -> if p = 0 then acc else (k, p) :: acc) tbl [] |> List.sort compare
+
+(* Seeded batches over [tables] with values in 1..3: inserts, and
+   (unless [inserts_only]) deletes of rows present at that point, so
+   every base table stays a bag. *)
+let seeded_batches ~seed ~inserts_only tables =
+  let rng = Random.State.make [| seed |] in
+  let present = ref [] in
+  List.init 30 (fun _ ->
+      List.init (1 + Random.State.int rng 6) (fun _ ->
+          let rel, cols = List.nth tables (Random.State.int rng (List.length tables)) in
+          match !present with
+          | (r, tp) :: rest when (not inserts_only) && Random.State.int rng 3 = 0 ->
+              present := rest;
+              Ivm_data.Update.make ~rel:r ~tuple:tp ~payload:(-1)
+          | _ ->
+              let tp =
+                Ivm_data.Tuple.of_ints (List.map (fun _ -> 1 + Random.State.int rng 3) cols)
+              in
+              present := (rel, tp) :: !present;
+              Ivm_data.Update.make ~rel ~tuple:tp ~payload:1))
+
+(* One view per planner choice, each compiled through [Compile.build]
+   over seeded tables (a static one is only loaded): enumerating before a batch plus the batch's
+   [apply_delta] must equal enumerating after it, as Z-sets. *)
+let every_choice_reports_exact_delta () =
+  let views =
+    [
+      ( "view tree (SUM, filter)",
+        [ ("R", [ "a"; "q" ]); ("S", [ "a"; "c" ]) ],
+        "SELECT a, SUM(q) FROM R, S WHERE c = 1 GROUP BY a",
+        [],
+        "factorized view tree" );
+      ( "static/dynamic tree",
+        [ ("R", [ "a"; "d" ]); ("S", [ "a"; "b" ]); ("T", [ "b"; "c" ]) ],
+        "SELECT a, b, c FROM R, S, T",
+        [ Ast.Static "T" ],
+        "static/dynamic view tree" );
+      ( "triangle, flipped T",
+        [ ("R", [ "a"; "b" ]); ("S", [ "b"; "c" ]); ("T", [ "a"; "c" ]) ],
+        "SELECT COUNT(*) FROM R, S, T",
+        [],
+        "first-order delta triangle kernel" );
+      ( "insert-only path",
+        [ ("R", [ "a"; "b" ]); ("S", [ "b"; "c" ]); ("T", [ "c"; "d" ]) ],
+        "SELECT a, b, c, d FROM R, S, T",
+        [ Ast.Insert_only ],
+        "insert-only monotone path join" );
+      ( "dataflow",
+        [ ("R", [ "a"; "b" ]); ("S", [ "b"; "c" ]) ],
+        "SELECT a, MAX(c) FROM R, S GROUP BY a",
+        [],
+        "dataflow operator graph" );
+    ]
+  in
+  List.iteri
+    (fun i (what, catalog, text, opts, engine) ->
+      let l, fds = ok (Lower.select catalog ~name:"v" (select_of text)) in
+      let plan = ok (Planner.plan ~fds ~opts l) in
+      checkb (what ^ ": " ^ engine) true (Planner.engine_name plan = engine);
+      (match plan.Planner.choice with
+      | Planner.Triangle { t; _ } -> checkb (what ^ ": T slot flipped") true t.Planner.flipped
+      | _ -> ());
+      let rng = Random.State.make [| i |] in
+      let source =
+        List.map
+          (fun (t, cols) ->
+            let rel = Ivm_data.Relation.Z.create (Ivm_data.Schema.of_list cols) in
+            for _ = 1 to 4 do
+              Ivm_data.Relation.Z.add_entry rel
+                (Ivm_data.Tuple.of_ints (List.map (fun _ -> 1 + Random.State.int rng 3) cols))
+                1
+            done;
+            (t, rel))
+          catalog
+      in
+      let m = ok (Compile.build ~name:"v" l plan source) in
+      let dynamic = List.filter (fun (t, _) -> List.mem t m.M.relations) catalog in
+      let inserts_only = List.mem Ast.Insert_only opts in
+      let changed = ref false in
+      List.iter
+        (fun batch ->
+          let before = m.M.enumerate () in
+          let delta = m.M.apply_delta batch in
+          let after = m.M.enumerate () in
+          if zset delta <> [] then changed := true;
+          checkb (what ^ ": before + delta = after") true (zset (before @ delta) = zset after))
+        (seeded_batches ~seed:(40 + i) ~inserts_only dynamic);
+      checkb (what ^ ": some batch changed the output") true !changed)
+    views
 
 (* --- executor semantics ----------------------------------------------- *)
 
@@ -419,6 +529,11 @@ let () =
           Alcotest.test_case "triangle -> first-order delta kernel" `Quick planner_triangle;
           Alcotest.test_case "FDs -> eager-fact over the Σ-reduct order" `Quick
             planner_fd_reduct;
+        ] );
+      ( "deltas",
+        [
+          Alcotest.test_case "every plan choice reports an exact output delta" `Quick
+            every_choice_reports_exact_delta;
         ] );
       ( "exec",
         [

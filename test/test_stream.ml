@@ -529,14 +529,10 @@ let view_tree_factory q name (db : D.Database.Z.t) : M.t =
   let forest = Option.get (Ivm_query.Variable_order.canonical q) in
   M.of_view_tree ~name q (Ivm_engine.View_tree.build q forest db)
 
-let strategy_factory q name (db : D.Database.Z.t) : M.t =
-  let forest = Option.get (Ivm_query.Variable_order.canonical q) in
-  M.of_strategy ~name (Ivm_engine.Strategy.create Ivm_engine.Strategy.Lazy_fact q forest db)
-
 let register_standard_views reg =
   Registry.register reg ~name:"tri" tri_factory;
   Registry.register reg ~name:"paths-rs" (view_tree_factory q_rs "paths-rs");
-  Registry.register reg ~name:"paths-st" (strategy_factory q_st "paths-st")
+  Registry.register reg ~name:"paths-st" (view_tree_factory q_st "paths-st")
 
 let edge_stream n =
   let gen =
@@ -668,11 +664,15 @@ let coalesce_matches_fold_all =
 let counter_view rel name : D.Database.Z.t -> M.t =
  fun _ ->
   let n = ref 0 in
+  let apply_batch = List.iter (fun (u : int U.t) -> n := !n + u.U.payload) in
   {
     M.name;
     relations = [ rel ];
-    apply_batch = List.iter (fun (u : int U.t) -> n := !n + u.U.payload);
-    apply_delta = None;
+    apply_batch;
+    apply_delta =
+      (fun batch ->
+        apply_batch batch;
+        []);
     output_count = (fun () -> !n);
     fingerprint = (fun () -> !n);
     enumerate = (fun () -> []);
@@ -728,7 +728,7 @@ let epoch_cost_flat_in_views () =
 
 (* Minor words per update of the whole maintenance loop (pop, coalesce,
    registry apply) over the three standard views: the first-order delta
-   triangle kernel, a view tree and a Lazy_fact strategy. The stream is
+   triangle kernel and two view trees. The stream is
    pre-queued and driven in this domain with no WAL and fixed 256-update
    epochs, so the count does not depend on timing or machine load. The
    budget is 1.25x [stream_words_baseline]; when a change lowers the
@@ -885,11 +885,12 @@ let zero_cancel_epoch () =
 
 let flaky_view name : D.Database.Z.t -> M.t =
  fun _ ->
+  let fail _ = failwith "flaky: injected apply failure" in
   {
     M.name;
     relations = [ "R" ];
-    apply_batch = (fun _ -> failwith "flaky: injected apply failure");
-    apply_delta = None;
+    apply_batch = fail;
+    apply_delta = fail;
     output_count = (fun () -> 0);
     fingerprint = (fun () -> 0);
     enumerate = (fun () -> []);
@@ -1000,7 +1001,7 @@ let skipped_counts_own_relations () =
   let metrics = Metrics.create () in
   let reg = Registry.create ~metrics ~backoff_base:1e3 (make_triangle_db ()) in
   Registry.register reg ~name:"flaky" (flaky_view "flaky");
-  Registry.register reg ~name:"paths-st" (strategy_factory q_st "paths-st");
+  Registry.register reg ~name:"paths-st" (view_tree_factory q_st "paths-st");
   Registry.register reg ~name:"broken" (fun _ -> failwith "initial build fails");
   let skipped name = (Metrics.view metrics name).Metrics.skipped in
   Registry.apply_batch reg [ U.make ~rel:"R" ~tuple:(tup [ 1; 2 ]) ~payload:1 ];
