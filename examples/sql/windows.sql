@@ -51,3 +51,13 @@ INSERT INTO Tasks VALUES (100, 'lab'), (101, 'lab'), (102, 'office');
 INSERT INTO Assignments VALUES (7, 100), (7, 101), (8, 102);
 DELETE FROM Assignments VALUES (7, 100);
 SELECT DISTINCT room FROM Assignments, Tasks;
+
+-- Extrema over the whole table: without GROUP BY, one extrema node
+-- keyed on the empty group serves a single (MIN, MAX) row from one
+-- shared value multiset. Deleting the served maximum (30) re-reads it.
+CREATE MATERIALIZED VIEW temp_range AS
+  SELECT MIN(temp), MAX(temp) FROM Readings;
+EXPLAIN SELECT MIN(temp), MAX(temp) FROM Readings;
+SELECT MIN(temp), MAX(temp) FROM Readings;
+DELETE FROM Readings VALUES (2, 3, 30);
+SELECT MIN(temp), MAX(temp) FROM Readings;

@@ -192,9 +192,8 @@ let dataflow_query_driver (case : Case.t) =
     (fun () -> norm (Df.entries g "v"))
 
 (* The minmax view, shaped exactly like the SQL compiler's lowering of
-   SELECT g, MIN(v), MAX(v) ... GROUP BY g: one shared source feeding a
-   minimum and a maximum node, each renamed to its output column so the
-   natural join keys on the group alone. *)
+   SELECT g, MIN(v), MAX(v) ... GROUP BY g: one extrema node over the
+   shared source. *)
 let minmax_graph (case : Case.t) db =
   let rel, cols = List.hd case.Case.schemas in
   let gcol, vcol =
@@ -202,13 +201,8 @@ let minmax_graph (case : Case.t) db =
   in
   let g = Df.create () in
   let src = Df.source g ~rel ~schema:cols in
-  let rename agg node =
-    let col = agg ^ "(" ^ vcol ^ ")" in
-    Df.map g ~label:("as " ^ col) ~schema:[ gcol; col ] Fun.id node
-  in
-  let mn = rename "MIN" (Df.minimum g ~col:vcol ~group:[ gcol ] src) in
-  let mx = rename "MAX" (Df.maximum g ~col:vcol ~group:[ gcol ] src) in
-  Df.output g ~name:"v" (Df.join g mn mx);
+  Df.output g ~name:"v"
+    (Df.extrema g ~group:[ gcol ] ~aggs:[ (Df.Asc, vcol); (Df.Desc, vcol) ] src);
   seed_graph g db case.Case.schemas;
   g
 

@@ -13,9 +13,9 @@
     - [Static_dynamic]: the Sec. 4.5 engine, its all-dynamic twin, a
       plain view tree over the same order, and the dataflow operator
       graph over the fixed (connected) query.
-    - [Minmax]: the dataflow operator graph (shared source feeding MIN
-      and MAX extremum nodes, renamed and natural-joined on the group —
-      with a from-scratch state-fingerprint rebuild as its
+    - [Minmax]: the dataflow operator graph (one extrema node serving
+      MIN and MAX from the group's shared value multiset — with a
+      from-scratch state-fingerprint rebuild as its
       {!driver.self_check}), the same graph behind the streaming,
       net and cluster paths (group-hash partitioned, scattered reads),
       and the SQL front end lowering [SELECT g, MIN(v), MAX(v)].

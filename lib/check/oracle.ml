@@ -76,8 +76,8 @@ let kclique_count t k =
   choose [] vs 0
 
 (* Per-group (g, min v, max v) rows, payload 1, straight off the
-   integral of the single base relation — the shape the dataflow
-   extremum join emits. *)
+   integral of the single base relation — the row the dataflow extrema
+   node emits. *)
 let minmax_rows_in t rel_name =
   let rel = Db.find t.db rel_name in
   let tbl = Hashtbl.create 16 in

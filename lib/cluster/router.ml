@@ -367,48 +367,6 @@ let merge_entries (lists : (Tuple.t * int) list list) =
   |> List.sort (fun (t1, p1) (t2, p2) ->
          match Tuple.compare t1 t2 with 0 -> compare p1 p2 | c -> c)
 
-(* Extremum/top-k merge — NOT a ring sum. Each shard reports its local
-   first-k slots per group as [(group..., value)] rows whose payload is
-   the number of slots the value holds locally. Summing those reports
-   per (group, value) and recomputing the first k slots of the merged
-   value multiset is exact: a shard under-reports a value only when
-   better local values fill its k slots, and those values also precede
-   it globally, so Σ_s min(m_s, k − better_s) ≥ min(Σ_s m_s,
-   k − better_global) — every globally winning slot is covered, and the
-   recompute caps the (possibly over-reported) rest. *)
-module Vmap = Map.Make (D.Value)
-
-let merge_extremal ~desc ~k (lists : (Tuple.t * int) list list) =
-  let groups = Tuple.Tbl.create 64 in
-  List.iter
-    (List.iter (fun (tp, p) ->
-         if p > 0 && Tuple.arity tp >= 1 then begin
-           let a = Tuple.arity tp in
-           let g = Tuple.project tp (Array.init (a - 1) Fun.id) in
-           let v = Tuple.get tp (a - 1) in
-           let vm = Option.value (Tuple.Tbl.find_opt groups g) ~default:Vmap.empty in
-           let cur = Option.value (Vmap.find_opt v vm) ~default:0 in
-           Tuple.Tbl.replace groups g (Vmap.add v (cur + p) vm)
-         end))
-    lists;
-  Tuple.Tbl.fold
-    (fun g vm acc ->
-      let seq = if desc then Vmap.to_rev_seq vm else Vmap.to_seq vm in
-      let rec take left acc seq =
-        if left <= 0 then acc
-        else
-          match Seq.uncons seq with
-          | None -> acc
-          | Some ((v, m), rest) ->
-              let slots = min m left in
-              let row = Tuple.of_list (Tuple.to_list g @ [ v ]) in
-              take (left - slots) ((row, slots) :: acc) rest
-      in
-      take k acc seq)
-    groups []
-  |> List.sort (fun (t1, p1) (t2, p2) ->
-         match Tuple.compare t1 t2 with 0 -> compare p1 p2 | c -> c)
-
 let read_all t f =
   Array.fold_left
     (fun acc slot ->
@@ -443,9 +401,6 @@ let read_view t ~view ~prefix =
         (read_slot t slot (fun c -> Client.lookup c ~view ~prefix))
   | Topology.Replicated ->
       Result.map drop_zeros (read_any t (fun c -> Client.lookup c ~view ~prefix))
-  | Topology.Extremal { desc; k } ->
-      Result.map (merge_extremal ~desc ~k)
-        (read_all t (fun c -> Client.lookup c ~view ~prefix))
   | Topology.Keyed | Topology.Scattered ->
       Result.map merge_entries (read_all t (fun c -> Client.lookup c ~view ~prefix))
 

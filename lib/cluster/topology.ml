@@ -36,12 +36,6 @@ type route =
           lookup goes to exactly one owner shard *)
   | Scattered  (** outputs are disjoint across shards: read all, ring-sum *)
   | Replicated  (** every shard holds the full answer: read one healthy node *)
-  | Extremal of { desc : bool; k : int }
-      (** extremum/top-k view: per-shard rows are [(group..., value)]
-          with payload = slots occupied among the shard's local first
-          [k]; reads merge by {e recomputing} the first [k] slots of
-          the per-group value multiset union — an extremum is not a
-          ring sum *)
 
 let policy_name = function
   | Hash_col i -> Printf.sprintf "hash_col(%d)" i
@@ -52,8 +46,6 @@ let route_name = function
   | Keyed -> "keyed"
   | Scattered -> "scattered"
   | Replicated -> "replicated"
-  | Extremal { desc; k } ->
-      Printf.sprintf "extremal(%s, k=%d)" (if desc then "max" else "min") k
 
 type t = {
   shards : int;

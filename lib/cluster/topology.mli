@@ -11,7 +11,10 @@
     per-shard answers ({!Scattered}) or lives wholly on an owner shard
     ({!Keyed}). Views whose relations are all {!Broadcast} are fully
     replicated on every shard and must read {!Replicated} — one
-    healthy node, never a sum. *)
+    healthy node, never a sum. An extremum is not a ring sum, so a
+    MIN/MAX view partitions its input by the group column
+    ({!Hash_col}): each group lives wholly on one shard, and the
+    {!Scattered} sum of the shards' disjoint rows is exact. *)
 
 module Tuple = Ivm_data.Tuple
 module Value = Ivm_data.Value
@@ -32,16 +35,6 @@ type route =
           routes to its one owner shard *)
   | Scattered  (** per-shard partial answers; reads ring-sum them *)
   | Replicated  (** full copy everywhere; reads pick one healthy node *)
-  | Extremal of { desc : bool; k : int }
-      (** extremum/top-k view over a partitioned input: per-shard rows
-          are [(group..., value)] with payload = slots held among the
-          shard's local first [k] ([desc] false = MIN/smallest-k, true
-          = MAX/largest-k); reads recompute the first [k] slots of the
-          merged per-group value multiset instead of ring-summing.
-          Sound because a shard only under-reports a value when better
-          local values fill its [k] slots — values that also precede it
-          globally — so summed reports cover every globally winning
-          slot. *)
 
 val policy_name : policy -> string
 val route_name : route -> string

@@ -5,14 +5,15 @@
     [(tuple, multiplicity)] maps over the integer ring, positive for
     inserts and negative for deletes, exactly the update language of the
     rest of the repo (Sec. 2 batch commutativity). Linear operators
-    (filter, map, project, aggregate-with-lift) are stateless — their
+    (filter, project, aggregate-with-lift) are stateless — their
     delta rule is the operator itself. Bilinear join keeps both input
     integrals indexed on the shared columns and applies
     ΔQ = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS. The non-linear operators carry exactly
     the state their delta rule needs: [distinct] the input multiset
     (its output lives in the Boolean semiring image — presence, not
-    count), [extremum] a per-group ordered multiset index with a
-    re-scan fallback when the current extremum is deleted, [window]
+    count), [extrema] one ordered value multiset per group and value
+    column — MIN/MAX has no additive inverse, so a deleted served
+    extremum is answered by re-reading the multiset — and [window]
     per-pane accumulators plus a watermark that retracts expired panes.
 
     A {!t} is a DAG of such operators. Nodes are created referencing
@@ -25,7 +26,7 @@
     its materialized output Z-set.
 
     Zero elision invariant: materialized state (join indexes, distinct
-    multiset, extremum indexes, pane accumulators, view outputs) never
+    multiset, extrema multisets, pane accumulators, view outputs) never
     stores a zero payload, so absence and zero coincide everywhere. *)
 
 module Value = Ivm_data.Value
@@ -55,24 +56,32 @@ type join_state = {
   right_rest : int array; (* right's non-shared columns, appended to the left tuple *)
 }
 
-(* Per-group state of an extremum operator: the ordered multiset of
-   values (the index the re-scan walks) and the [(value, slots)] rows
-   currently emitted, newest extremum first. *)
-type ext_group = { mutable mults : int Vmap.t; mutable emitted : (Value.t * int) list }
+(* Per-group state of an extrema operator: one ordered multiplicity map
+   per distinct value column (MIN(v) and MAX(v) read the same one), and
+   the row currently emitted. A value's count is a mutable cell, so
+   re-counting a stored value allocates nothing. *)
+type ext_group = {
+  gkey : Tuple.t; (* the stored group key *)
+  vals : int ref Vmap.t array;
+  mutable row : Tuple.t; (* the emitted (group..., extremum...) row, or [no_row] *)
+  mutable dirty : bool; (* already on [touched] this epoch *)
+}
 
 type ext_state = {
-  dir : dir;
-  k : int;
-  vcol : int; (* position of the value column in the input schema *)
   egroup : int array; (* positions of the grouping columns *)
-  groups : ext_group Tuple.Tbl.t;
-  mutable rescans : int; (* deletions of a current extremum that forced a re-scan *)
+  ecols : int array; (* positions of the distinct value columns *)
+  aggs : (dir * int) array; (* per output column: direction, index into [ecols] *)
+  ekey : Tuple.t; (* scratch group key every input entry probes with *)
+  erow : Tuple.t; (* scratch output row *)
+  groups : ext_group Flat_tbl.t;
+  elabel : string; (* [min(v),max(v)], for {!describe} *)
+  mutable touched : ext_group list; (* groups the epoch's delta reached *)
+  mutable rescans : int; (* deletions of a served extremum that forced a re-read *)
 }
 
 type win_state = {
   tcol : int; (* position of the event-time column *)
   size : int;
-  slide : int; (* = size for tumbling windows *)
   lateness : int; (* grace beyond pane end before the watermark expires it *)
   wgroup : int array;
   wrow : Tuple.t; (* scratch output row (pane start, group...) *)
@@ -86,12 +95,11 @@ type win_state = {
 type op =
   | Source of { rel : string }
   | Filter of { pred : Tuple.t -> bool; flabel : string }
-  | Map of { f : Tuple.t -> Tuple.t; mlabel : string }
   | Aggregate of { agroup : int array; lift : Tuple.t -> int; alabel : string; akey : Tuple.t }
       (* [akey]: the scratch group key every input entry probes with *)
   | Join of join_state
   | Distinct of { mult : int Flat_tbl.t }
-  | Extremum of ext_state
+  | Extrema of ext_state
   | Window of win_state
 
 type node = {
@@ -155,9 +163,6 @@ let source g ~rel ~schema =
 let filter g ?(label = "pred") pred input =
   add g input.schema (Filter { pred; flabel = label }) [ input ]
 
-let map g ?(label = "fn") ~schema f input =
-  add g (Schema.of_list schema) (Map { f; mlabel = label }) [ input ]
-
 let positions schema cols =
   Array.of_list (List.map (fun c -> Schema.position schema c) cols)
 
@@ -189,34 +194,41 @@ let join g l r =
 let distinct g input =
   add g input.schema (Distinct { mult = Flat_tbl.create ~size:64 0 }) [ input ]
 
-let extremum g ?(k = 1) ~dir ~col ~group input =
-  if k < 1 then invalid_arg "Graph.extremum: k must be >= 1";
+(* The empty-slot filler of [groups] and the "nothing emitted" row:
+   physical sentinels, never stored as a real group or row. *)
+let no_row = Tuple.of_list []
+let no_group = { gkey = no_row; vals = [||]; row = no_row; dirty = false }
+
+let agg_name (dir, col) = Printf.sprintf "%s(%s)" (match dir with Asc -> "MIN" | Desc -> "MAX") col
+let agg_label (dir, col) = Printf.sprintf "%s(%s)" (match dir with Asc -> "min" | Desc -> "max") col
+
+let extrema g ~group ~aggs input =
+  if aggs = [] then invalid_arg "Graph.extrema: no aggregate";
+  let cols =
+    List.fold_left (fun acc (_, c) -> if List.mem c acc then acc else acc @ [ c ]) [] aggs
+  in
+  let index c = Option.get (List.find_index (String.equal c) cols) in
   let st =
     {
-      dir;
-      k;
-      vcol = Schema.position input.schema col;
       egroup = positions input.schema group;
-      groups = Tuple.Tbl.create 64;
+      ecols = positions input.schema cols;
+      aggs = Array.of_list (List.map (fun (dir, c) -> (dir, index c)) aggs);
+      ekey = Tuple.scratch (List.length group);
+      erow = Tuple.scratch (List.length group + List.length aggs);
+      groups = Flat_tbl.create ~size:64 no_group;
+      elabel = String.concat "," (List.map agg_label aggs);
+      touched = [];
       rescans = 0;
     }
   in
-  add g (Schema.of_list (group @ [ col ])) (Extremum st) [ input ]
+  add g (Schema.of_list (group @ List.map agg_name aggs)) (Extrema st) [ input ]
 
-let minimum g ~col ~group input = extremum g ~dir:Asc ~col ~group input
-let maximum g ~col ~group input = extremum g ~dir:Desc ~col ~group input
-
-let window g ?slide ?(lateness = 0) ?(lift = fun (_ : Tuple.t) -> 1) ~time ~size ~group
-    input =
+let window g ?(lateness = 0) ?(lift = fun (_ : Tuple.t) -> 1) ~time ~size ~group input =
   if size < 1 then invalid_arg "Graph.window: size must be >= 1";
-  let slide = Option.value slide ~default:size in
-  if slide < 1 || slide > size then
-    invalid_arg "Graph.window: need 1 <= slide <= size";
   let st =
     {
       tcol = Schema.position input.schema time;
       size;
-      slide;
       lateness;
       wgroup = positions input.schema group;
       wrow = Tuple.scratch (1 + List.length group);
@@ -334,73 +346,79 @@ let eval_distinct mult d out =
       | _ -> ())
     d
 
-(* The first [k] slots of the ordered multiset: a value with
-   multiplicity [m] occupies [min m remaining] of them. k = 1 is MIN
-   (Asc) or MAX (Desc); general k is per-group top-k. *)
-let take_slots dir k mults =
-  let seq = match dir with Asc -> Vmap.to_seq mults | Desc -> Vmap.to_rev_seq mults in
-  let rec go rem s acc =
-    if rem <= 0 then List.rev acc
-    else
-      match s () with
-      | Seq.Nil -> List.rev acc
-      | Seq.Cons ((v, m), tl) ->
-          let slots = min m rem in
-          go (rem - slots) tl ((v, slots) :: acc)
-  in
-  go k seq []
-
-let eval_extremum st d out =
-  let dirty = Tuple.Tbl.create 8 in
+(* Fold the delta into each touched group's value multisets, then
+   re-read the extrema of those groups only. Reading the first binding
+   of an ordered map is the re-scan fallback: a delete of a served value
+   is answered from the multiset, which an output-only state could not
+   do. A group whose multisets empty retracts its row and is dropped. *)
+let eval_extrema st d out =
+  let ng = Array.length st.egroup in
   Flat_tbl.iter
     (fun tp m ->
-      let gt = Tuple.project tp st.egroup in
+      for i = 0 to ng - 1 do
+        Tuple.set st.ekey i (Tuple.get tp st.egroup.(i))
+      done;
       let gs =
-        match Tuple.Tbl.find_opt st.groups gt with
-        | Some gs -> gs
-        | None ->
-            let gs = { mults = Vmap.empty; emitted = [] } in
-            Tuple.Tbl.add st.groups gt gs;
+        match Flat_tbl.find_default st.groups st.ekey no_group with
+        | gs when gs != no_group -> gs
+        | _ ->
+            let gkey = Tuple.freeze st.ekey in
+            let vals = Array.make (Array.length st.ecols) Vmap.empty in
+            let gs = { gkey; vals; row = no_row; dirty = false } in
+            Flat_tbl.set st.groups gkey gs;
             gs
       in
-      let v = Tuple.get tp st.vcol in
-      let old = match Vmap.find_opt v gs.mults with Some q -> q | None -> 0 in
-      let nw = old + m in
-      gs.mults <- (if nw <= 0 then Vmap.remove v gs.mults else Vmap.add v nw gs.mults);
-      Tuple.Tbl.replace dirty gt ())
+      for c = 0 to Array.length st.ecols - 1 do
+        let v = Tuple.get tp st.ecols.(c) and vs = gs.vals.(c) in
+        match Vmap.find v vs with
+        | r -> if !r + m <= 0 then gs.vals.(c) <- Vmap.remove v vs else r := !r + m
+        | exception Not_found -> if m > 0 then gs.vals.(c) <- Vmap.add v (ref m) vs
+      done;
+      if not gs.dirty then begin
+        gs.dirty <- true;
+        st.touched <- gs :: st.touched
+      end)
     d;
-  Tuple.Tbl.iter
-    (fun gt () ->
-      let gs = Tuple.Tbl.find st.groups gt in
-      (* Re-scan fallback (cynos): only when a delete removed a value
-         the operator currently serves does the ordered index get
-         walked again; inserts and deletes below the frontier diff
-         against the cached [emitted] rows without a scan. *)
-      let served_removed =
-        List.exists (fun (v, _) -> not (Vmap.mem v gs.mults)) gs.emitted
-      in
-      if served_removed then st.rescans <- st.rescans + 1;
-      let fresh = take_slots st.dir st.k gs.mults in
-      let row v = Tuple.append gt (Tuple.of_list [ v ]) in
-      List.iter
-        (fun (v, slots) ->
-          let now = match List.assoc_opt v fresh with Some s -> s | None -> 0 in
-          if now <> slots then zadd out (row v) (now - slots))
-        gs.emitted;
-      List.iter
-        (fun (v, slots) -> if not (List.mem_assoc v gs.emitted) then zadd out (row v) slots)
-        fresh;
-      gs.emitted <- fresh;
-      if Vmap.is_empty gs.mults then Tuple.Tbl.remove st.groups gt)
-    dirty
+  List.iter
+    (fun gs ->
+      gs.dirty <- false;
+      let old = gs.row in
+      if old != no_row then
+        for i = 0 to Array.length st.aggs - 1 do
+          if not (Vmap.mem (Tuple.get old (ng + i)) gs.vals.(snd st.aggs.(i))) then
+            st.rescans <- st.rescans + 1
+        done;
+      if Array.exists Vmap.is_empty gs.vals then begin
+        if old != no_row then zadd out old (-1);
+        Flat_tbl.remove st.groups gs.gkey
+      end
+      else begin
+        for i = 0 to ng - 1 do
+          Tuple.set st.erow i (Tuple.get gs.gkey i)
+        done;
+        for i = 0 to Array.length st.aggs - 1 do
+          let dir, c = st.aggs.(i) in
+          let v, _ =
+            match dir with
+            | Asc -> Vmap.min_binding gs.vals.(c)
+            | Desc -> Vmap.max_binding gs.vals.(c)
+          in
+          Tuple.set st.erow (ng + i) v
+        done;
+        if old == no_row || not (Tuple.equal st.erow old) then begin
+          if old != no_row then zadd out old (-1);
+          let row = Tuple.freeze st.erow in
+          gs.row <- row;
+          zadd out row 1
+        end
+      end)
+    st.touched;
+  st.touched <- []
 
 let fdiv a b = if a >= 0 then a / b else -((-a + b - 1) / b)
 
-(* Pane starts covering event time [v]: multiples of [slide] in
-   (v - size, v]. Tumbling windows (slide = size) yield exactly one. *)
-let pane_starts st v =
-  let rec go p acc = if p > v - st.size then go (p - st.slide) (p :: acc) else acc in
-  go (fdiv v st.slide * st.slide) []
+(* The start of the tumbling pane covering event time [v]. *)
+let pane_start st v = fdiv v st.size * st.size
 
 let expired st w p = p + st.size + st.lateness <= w
 
@@ -431,26 +449,24 @@ let eval_window st d out =
   Flat_tbl.iter
     (fun tp m ->
       let w = m * st.wlift tp in
-      List.iter
-        (fun p ->
-          if expired st w0 p then st.late_drops <- st.late_drops + 1
-          else if expired st w1 p then begin
-            if not (Hashtbl.mem st.panes p) then Hashtbl.add st.panes p born_dead
-          end
-          else begin
-            let tbl =
-              match Hashtbl.find st.panes p with
-              | tbl -> tbl
-              | exception Not_found ->
-                  let tbl = zset () in
-                  Hashtbl.add st.panes p tbl;
-                  tbl
-            in
-            let gt = Tuple.project tp st.wgroup in
-            zadd tbl gt w;
-            zadd out (pane_row st p gt) w
-          end)
-        (pane_starts st (Value.to_int (Tuple.get tp st.tcol))))
+      let p = pane_start st (Value.to_int (Tuple.get tp st.tcol)) in
+      if expired st w0 p then st.late_drops <- st.late_drops + 1
+      else if expired st w1 p then begin
+        if not (Hashtbl.mem st.panes p) then Hashtbl.add st.panes p born_dead
+      end
+      else begin
+        let tbl =
+          match Hashtbl.find st.panes p with
+          | tbl -> tbl
+          | exception Not_found ->
+              let tbl = zset () in
+              Hashtbl.add st.panes p tbl;
+              tbl
+        in
+        let gt = Tuple.project tp st.wgroup in
+        zadd tbl gt w;
+        zadd out (pane_row st p gt) w
+      end)
     d;
   st.watermark <- w1;
   (* Watermark-driven retraction: the epoch's final watermark expires
@@ -473,7 +489,6 @@ let eval_node n =
       let d = input 0 in
       Flat_tbl.reserve n.acc (Flat_tbl.length d);
       Flat_tbl.iter (fun tp m -> if pred tp then zadd n.acc tp m) d
-  | Map { f; _ } -> Flat_tbl.iter (fun tp m -> zadd n.acc (f tp) m) (input 0)
   | Aggregate { agroup; lift; akey; _ } ->
       Flat_tbl.iter
         (fun tp m ->
@@ -484,7 +499,7 @@ let eval_node n =
         (input 0)
   | Join st -> eval_join st (input 0) (input 1) n.acc
   | Distinct { mult } -> eval_distinct mult (input 0) n.acc
-  | Extremum st -> eval_extremum st (input 0) n.acc
+  | Extrema st -> eval_extrema st (input 0) n.acc
   | Window st -> eval_window st (input 0) n.acc
 
 (* --- epoch propagation -------------------------------------------------- *)
@@ -559,7 +574,7 @@ let node_count g = List.length g.nodes
 
 let rescans g =
   List.fold_left
-    (fun acc n -> match n.op with Extremum st -> acc + st.rescans | _ -> acc)
+    (fun acc n -> match n.op with Extrema st -> acc + st.rescans | _ -> acc)
     0 g.nodes
 
 let late_drops g =
@@ -575,15 +590,13 @@ let retracted_panes g =
 let op_name = function
   | Source { rel } -> Printf.sprintf "source(%s)" rel
   | Filter { flabel; _ } -> Printf.sprintf "filter[%s]" flabel
-  | Map { mlabel; _ } -> Printf.sprintf "map[%s]" mlabel
   | Aggregate { alabel; _ } -> Printf.sprintf "aggregate[%s]" alabel
   | Join st ->
       Printf.sprintf "join[key arity %d]" (Array.length st.left.key)
   | Distinct _ -> "distinct"
-  | Extremum st ->
-      Printf.sprintf "%s[k=%d]" (match st.dir with Asc -> "min" | Desc -> "max") st.k
+  | Extrema st -> Printf.sprintf "extrema[%s]" st.elabel
   | Window st ->
-      Printf.sprintf "window[size=%d slide=%d%s]" st.size st.slide
+      Printf.sprintf "window[size=%d%s]" st.size
         (if st.lateness = 0 then "" else Printf.sprintf " late=%d" st.lateness)
 
 let describe g =
@@ -614,7 +627,7 @@ let state_fingerprint g =
   let zset_fp seed z = Flat_tbl.fold (entry_fp seed) z 0 in
   let node_fp n =
     match n.op with
-    | Source _ | Filter _ | Map _ | Aggregate _ -> 0
+    | Source _ | Filter _ | Aggregate _ -> 0
     | Join st ->
         let side_fp seed s =
           Tuple.Tbl.fold (fun _key group acc -> (acc + tbl_fp seed group) land max_int)
@@ -622,11 +635,13 @@ let state_fingerprint g =
         in
         (side_fp 0x5bd1 st.left + side_fp 0x7f4a st.right) land max_int
     | Distinct { mult } -> zset_fp 0x632b mult
-    | Extremum st ->
-        Tuple.Tbl.fold
+    | Extrema st ->
+        Flat_tbl.fold
           (fun gt gs acc ->
             let vfp =
-              Vmap.fold (fun v m a -> mix a (Value.hash v) m) gs.mults (Tuple.hash gt)
+              Array.fold_left
+                (fun a vs -> Vmap.fold (fun v m a -> mix a (Value.hash v) !m) vs a)
+                (Tuple.hash gt) gs.vals
             in
             (acc + vfp) land max_int)
           st.groups 0

@@ -3,22 +3,23 @@
     Operators consume and emit Z-set deltas — coalesced
     [(tuple, multiplicity)] maps over the integer ring, one reusable
     accumulator per node — pushing each epoch's batch through the
-    nodes in topological order. Linear operators (filter, map,
-    project, aggregate-with-lift) are stateless; [join] keeps both
-    input integrals indexed on the shared columns and applies
+    nodes in topological order. Linear operators (filter, project,
+    aggregate-with-lift) are stateless; [join] keeps both input
+    integrals indexed on the shared columns and applies
     ΔQ = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS; [distinct] integrates its input and
     emits the ±1 zero-crossings of the Boolean-semiring image;
-    [extremum] (MIN/MAX, and top-k for k > 1) keeps a per-group ordered
-    multiset index with a re-scan fallback when a currently served
-    extremum is deleted; [window] buckets rows into tumbling/sliding
-    panes by an integer event-time column and retracts whole panes once
-    the watermark (max event time seen on inserts) passes their end
-    plus the allowed lateness — late arrivals for retracted panes are
-    dropped. A batch is judged late against the watermark at its start
-    and expired against the one at its end, so its order is moot.
+    [extrema] (every MIN/MAX of one select) keeps one ordered value
+    multiset per group and value column and re-reads it when a
+    currently served extremum is deleted; [window] buckets rows into
+    tumbling panes by an integer event-time column and retracts whole
+    panes once the watermark (max event time seen on inserts) passes
+    their end plus the allowed lateness — late arrivals for retracted
+    panes are dropped. A batch is judged late against the watermark at
+    its start and expired against the one at its end, so its order is
+    moot.
 
     Zero-elision invariant: no materialized state (join indexes, the
-    distinct multiset, extremum indexes, pane accumulators, view
+    distinct multiset, extrema multisets, pane accumulators, view
     outputs) ever stores a zero payload.
 
     Nodes may feed any number of consumers and sources are hash-consed
@@ -42,10 +43,6 @@ val source : t -> rel:string -> schema:string list -> node
 val filter : t -> ?label:string -> (Ivm_data.Tuple.t -> bool) -> node -> node
 (** Stateless predicate; [label] only decorates {!describe}. *)
 
-val map :
-  t -> ?label:string -> schema:string list -> (Ivm_data.Tuple.t -> Ivm_data.Tuple.t) -> node -> node
-(** Stateless tuple-to-tuple map onto the given output schema. *)
-
 val project : t -> cols:string list -> node -> node
 (** Multiplicity-summing projection onto [cols] — aggregation with the
     unit lift. *)
@@ -65,18 +62,18 @@ val distinct : t -> node -> node
 (** Boolean-semiring image: a tuple is present with payload 1 iff its
     integrated input multiplicity is positive. *)
 
-val extremum : t -> ?k:int -> dir:dir -> col:string -> group:string list -> node -> node
-(** Per-group extremum of [col]: the first [k] (default 1) slots of the
-    group's ordered value multiset, emitted as [(group..., value)] rows
-    whose payload is the number of slots the value occupies. [Asc] is
-    MIN / smallest-k, [Desc] is MAX / largest-k. *)
-
-val minimum : t -> col:string -> group:string list -> node -> node
-val maximum : t -> col:string -> group:string list -> node -> node
+val extrema : t -> group:string list -> aggs:(dir * string) list -> node -> node
+(** Every MIN/MAX of one select over [group]: per group, one ordered
+    value multiset per distinct column of [aggs] (MIN(v) and MAX(v)
+    share one), emitted as the single row [(group..., extremum...)]
+    with payload 1 — [Asc] is MIN, [Desc] is MAX, in [aggs] order —
+    and retracted when the group empties. The aggregate columns are
+    named [MIN(col)] / [MAX(col)]. [group] may be empty: one scalar
+    row over the whole input.
+    @raise Invalid_argument when [aggs] is empty. *)
 
 val window :
   t ->
-  ?slide:int ->
   ?lateness:int ->
   ?lift:(Ivm_data.Tuple.t -> int) ->
   time:string ->
@@ -85,9 +82,9 @@ val window :
   node ->
   node
 (** Windowed ring aggregate over integer event-time column [time]:
-    output rows are [(pane_start, group..., )] with the aggregated
-    payload, one pane per [slide] (default [size], i.e. tumbling)
-    covering [[pane_start, pane_start + size)]. Once the watermark
+    output rows are [(pane_start, group...)] with the aggregated
+    payload, one tumbling pane per [size] ticks covering
+    [[pane_start, pane_start + size)]. Once the watermark
     passes a pane's end plus [lateness], the pane's rows are retracted
     from the output, its state dropped, and later arrivals for it are
     counted in {!late_drops} instead of applied. *)
@@ -134,7 +131,8 @@ val relations : t -> string list
 val node_count : t -> int
 
 val rescans : t -> int
-(** Extremum re-scans forced by deleting a currently served value. *)
+(** Extrema re-reads forced by deleting a currently served value, one
+    per aggregate whose value left its multiset. *)
 
 val late_drops : t -> int
 (** Window rows dropped because their pane was already retracted. *)

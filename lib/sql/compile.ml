@@ -168,8 +168,8 @@ let joined_atoms (l : Lower.t) g =
       in
       go (node_of_atom a0) rest
 
-(* The operator tail above the join: distinct, extremum(s) or a windowed
-   aggregate, grouped on the plain select columns. *)
+(* The operator tail above the join: distinct, one extrema node for every
+   MIN/MAX, or a windowed aggregate, grouped on the plain select columns. *)
 let build_graph ~name (l : Lower.t) =
   let g = G.create () in
   let* base = joined_atoms l g in
@@ -191,32 +191,15 @@ let build_graph ~name (l : Lower.t) =
         in
         Ok
           (G.window g ?lift ~time:w.Lower.time ~size:w.Lower.size ~group base)
-    | None, (_ :: _ as extrema) -> (
-        let enode (e : Lower.extremum) =
-          G.extremum g
-            ~dir:(if e.Lower.minimize then G.Asc else G.Desc)
-            ~col:e.Lower.ecol ~group base
-        in
-        match extrema with
-        | [ e ] -> Ok (enode e)
-        | es ->
-            (* Several extrema: rename each aggregate column to its
-               user-facing name so the natural join below keys on the
-               group columns alone, then join them left-deep — they all
-               share the same (non-empty) group. *)
-            let rename node new_col =
-              G.map g ~label:("as " ^ new_col)
-                ~schema:(group @ [ new_col ])
-                (fun tp -> tp)
-                node
-            in
-            let name_of (e : Lower.extremum) =
-              Printf.sprintf "%s(%s)"
-                (if e.Lower.minimize then "MIN" else "MAX")
-                e.Lower.ecol
-            in
-            let nodes = List.map (fun e -> rename (enode e) (name_of e)) es in
-            Ok (List.fold_left (G.join g) (List.hd nodes) (List.tl nodes)))
+    | None, (_ :: _ as extrema) ->
+        Ok
+          (G.extrema g ~group
+             ~aggs:
+               (List.map
+                  (fun (e : Lower.extremum) ->
+                    ((if e.Lower.minimize then G.Asc else G.Desc), e.Lower.ecol))
+                  extrema)
+             base)
     | None, [] ->
         if l.Lower.distinct then Ok (G.distinct g (G.project g ~cols:group base))
         else fail "internal: %s is not a dataflow select" name

@@ -18,7 +18,7 @@
     - a {!Planner.Dataflow} plan compiles onto an
       {!Ivm_dataflow.Graph}: sources (with filter nodes for constant
       predicates), left-deep natural joins, then the distinct /
-      extremum / window tail, grouped on the plain select columns.
+      extrema / window tail, grouped on the plain select columns.
       Initial data is pushed through the graph directly so [STATIC]
       tables reach the operators. *)
 

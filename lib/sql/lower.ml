@@ -227,11 +227,6 @@ let select catalog ?(fds = []) ~name (sel : Ast.select) =
     | None -> Ok ()
   in
   let* () =
-    if List.length extrema > 1 && out_vars = [] then
-      fail "multiple MIN/MAX aggregates require a GROUP BY"
-    else Ok ()
-  in
-  let* () =
     if sel.Ast.distinct && aggs <> [] then
       fail "DISTINCT cannot be combined with aggregates"
     else if sel.Ast.distinct && sel.Ast.group_by <> [] then

@@ -174,10 +174,11 @@ let plan ?(sizes = []) ?(fds = []) ~opts (l : Lower.t) =
               (the per-query engines maintain ring aggregates only)"
              (String.concat ", " features);
            fact
-             "joins propagate the bilinear delta ΔQ = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS; extrema \
-              keep a per-group ordered multiset with a re-scan fallback when a \
-              served value is deleted; windows retract panes once the watermark \
-              passes them";
+             "joins propagate the bilinear delta ΔQ = ΔR⋈S + R⋈ΔS + ΔR⋈ΔS; one \
+              extrema node keeps an ordered value multiset per group and column, \
+              shared by every MIN/MAX of the select, and re-reads it when a served \
+              value is deleted; windows retract panes once the watermark passes \
+              them";
          ]
         @ static_facts
         @

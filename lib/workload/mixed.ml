@@ -169,19 +169,14 @@ let cascade_factory t : Db.t -> M.t =
     seed_graph g db t.tables;
     M.of_dataflow ~name:t.name g
 
-(* (G, MIN(V), MAX(V)) via one shared source feeding both extrema, each
-   renamed so the join keys on the group alone. *)
+(* (G, MIN(V), MAX(V)): one extrema node over the shared V multiset. *)
 let minmax_factory t : Db.t -> M.t =
   let r = table t "R" in
   fun db ->
     let g = Df.create () in
     let src = Df.source g ~rel:r ~schema:[ "G"; "V" ] in
-    let rename agg node =
-      Df.map g ~label:("as " ^ agg) ~schema:[ "G"; agg ^ "(V)" ] Fun.id node
-    in
-    let mn = rename "MIN" (Df.minimum g ~col:"V" ~group:[ "G" ] src)
-    and mx = rename "MAX" (Df.maximum g ~col:"V" ~group:[ "G" ] src) in
-    Df.output g ~name:t.name (Df.join g mn mx);
+    Df.output g ~name:t.name
+      (Df.extrema g ~group:[ "G" ] ~aggs:[ (Df.Asc, "V"); (Df.Desc, "V") ] src);
     seed_graph g db t.tables;
     M.of_dataflow ~name:t.name g
 

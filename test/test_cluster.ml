@@ -178,136 +178,6 @@ let test_cluster_converges () =
               (M.entries_fingerprint want) (M.entries_fingerprint got)
       done)
 
-(* --- the extremal route: per-shard extrema merged by recompute --------- *)
-
-module Df = Ivm_dataflow.Graph
-
-(* Per-node views over Temps(G, V) on the dataflow operator graph:
-   smallest-2 and grouped MAX. Temps is hash_tuple-partitioned, so a
-   group's value multiset SPANS shards — each node serves only its
-   local first-k slots, and the read must recompute the global slots
-   from their union (an extremum is not a ring sum). *)
-let minmax_graph (db : D.Database.Z.t) =
-  let g = Df.create () in
-  let src = Df.source g ~rel:"Temps" ~schema:[ "G"; "V" ] in
-  Df.output g ~name:"coldest" (Df.extremum g ~k:2 ~dir:Df.Asc ~col:"V" ~group:[ "G" ] src);
-  Df.output g ~name:"hottest" (Df.maximum g ~col:"V" ~group:[ "G" ] src);
-  let seed =
-    D.Relation.Z.fold
-      (fun tp p acc -> U.make ~rel:"Temps" ~tuple:tp ~payload:p :: acc)
-      (D.Database.Z.find db "Temps") []
-  in
-  Df.apply g seed;
-  g
-
-let declare_minmax reg =
-  ignore (St.Registry.declare_table reg "Temps" (S.of_list [ "G"; "V" ]));
-  let graph = minmax_graph in
-  St.Registry.register reg ~name:"coldest" (fun db ->
-      M.of_dataflow ~name:"coldest" (graph db));
-  St.Registry.register reg ~name:"hottest" (fun db ->
-      M.of_dataflow ~name:"hottest" (graph db))
-
-let topology_minmax ~shards =
-  Cl.Topology.create ~shards
-    ~policies:[ ("Temps", Cl.Topology.Hash_tuple) ]
-    ~routes:
-      [
-        ("coldest", Cl.Topology.Extremal { desc = false; k = 2 });
-        ("hottest", Cl.Topology.Extremal { desc = true; k = 1 });
-      ]
-
-(* Random inserts plus deletes aimed at the currently live extremum of
-   a random group — the stream that keeps forcing each node's re-scan
-   fallback and keeps the merged slots moving. *)
-let make_minmax_stream n =
-  let st = Random.State.make [| 0xE1; n |] in
-  let live = Hashtbl.create 64 in
-  let bump key d =
-    let c = Option.value (Hashtbl.find_opt live key) ~default:0 + d in
-    if c = 0 then Hashtbl.remove live key else Hashtbl.replace live key c
-  in
-  Array.init n (fun _ ->
-      let aimed =
-        if Random.State.int st 100 < 35 then begin
-          (* delete one copy of some group's live min or max *)
-          let want_max = Random.State.bool st in
-          let best = ref None in
-          Hashtbl.iter
-            (fun (g, v) _ ->
-              match !best with
-              | Some (g', v') when g' = g ->
-                  if (want_max && v > v') || ((not want_max) && v < v') then
-                    best := Some (g, v)
-              | Some _ -> ()
-              | None -> best := Some (g, v))
-            live;
-          !best
-        end
-        else None
-      in
-      match aimed with
-      | Some (g, v) ->
-          bump (g, v) (-1);
-          U.make ~rel:"Temps" ~tuple:(tup [ g; v ]) ~payload:(-1)
-      | None ->
-          let g = 1 + Random.State.int st 4 and v = Random.State.int st 12 in
-          let payload = 1 + Random.State.int st 2 in
-          bump (g, v) payload;
-          U.make ~rel:"Temps" ~tuple:(tup [ g; v ]) ~payload)
-
-let minmax_reference_fp updates view =
-  let db = D.Database.Z.create () in
-  let reg = St.Registry.create db in
-  declare_minmax reg;
-  St.Registry.apply_batch reg (Array.to_list updates);
-  let entries =
-    List.filter (fun (_, p) -> p <> 0) ((St.Registry.find reg view).M.enumerate ())
-  in
-  M.entries_fingerprint entries
-
-let test_extremal_route () =
-  let stream = make_minmax_stream 400 in
-  let router =
-    ok_router
-      (Cl.Router.start ~standby:false ~probe_interval:0. ~auto_failover:false
-         ~timeout:5. ~base_dir:(fresh_dir "extremal")
-         ~topology:(topology_minmax ~shards:2) ~declare:declare_minmax ())
-  in
-  Fun.protect
-    ~finally:(fun () -> Cl.Router.stop router)
-    (fun () ->
-      feed_router router stream;
-      List.iter
-        (fun view ->
-          let expect = minmax_reference_fp stream view in
-          match Cl.Router.fingerprint router ~view with
-          | Ok fp ->
-              Alcotest.(check int)
-                (Printf.sprintf "extremal merge of %s matches single-node reference" view)
-                expect fp
-          | Error m -> Alcotest.failf "fingerprint %s: %s" view m)
-        [ "coldest"; "hottest" ];
-      (* The merged smallest-2 really did come from more than one
-         shard's local slots somewhere in this stream — otherwise the
-         recompute path was never exercised. Spot-check the shape: at
-         most 2 slots per group, payloads positive. *)
-      match Cl.Router.snapshot router ~view:"coldest" with
-      | Error m -> Alcotest.failf "snapshot coldest: %s" m
-      | Ok rows ->
-          let per_group = Hashtbl.create 8 in
-          List.iter
-            (fun (t, p) ->
-              Alcotest.(check bool) "slot payloads are positive" true (p > 0);
-              let g = D.Value.to_int (D.Tuple.get t 0) in
-              Hashtbl.replace per_group g
-                (Option.value (Hashtbl.find_opt per_group g) ~default:0 + p))
-            rows;
-          Hashtbl.iter
-            (fun _ slots ->
-              Alcotest.(check bool) "at most k=2 slots per group" true (slots <= 2))
-            per_group)
-
 (* --- abrupt kill mid-ingest: exactly-once re-send ---------------------- *)
 
 let test_kill_mid_ingest () =
@@ -813,7 +683,6 @@ let () =
       ( "routing",
         [
           Alcotest.test_case "2-shard convergence vs reference" `Quick test_cluster_converges;
-          Alcotest.test_case "extremal route merges by recompute" `Quick test_extremal_route;
         ] );
       ( "failover",
         [

@@ -1029,12 +1029,8 @@ let e2e_minmax_over_tcp () =
              the final base contents. *)
           let g = Dfg.create () in
           let src = Dfg.source g ~rel:"R" ~schema:[ "G"; "V" ] in
-          let rename col node =
-            Dfg.map g ~label:("as " ^ col) ~schema:[ "G"; col ] Fun.id node
-          in
-          let mn = rename "MIN(V)" (Dfg.minimum g ~col:"V" ~group:[ "G" ] src) in
-          let mx = rename "MAX(V)" (Dfg.maximum g ~col:"V" ~group:[ "G" ] src) in
-          Dfg.output g ~name:"extremes" (Dfg.join g mn mx);
+          Dfg.output g ~name:"extremes"
+            (Dfg.extrema g ~group:[ "G" ] ~aggs:[ (Dfg.Asc, "V"); (Dfg.Desc, "V") ] src);
           Dfg.apply g
             (List.map
                (fun (gk, v) -> U.make ~rel:"R" ~tuple:(tup [ gk; v ]) ~payload:1)

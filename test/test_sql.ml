@@ -386,6 +386,11 @@ let every_choice_reports_exact_delta () =
         "SELECT a, MAX(c) FROM R, S GROUP BY a",
         [],
         "dataflow operator graph" );
+      ( "dataflow, MIN and MAX without GROUP BY",
+        [ ("R", [ "a"; "b" ]); ("S", [ "b"; "c" ]) ],
+        "SELECT MIN(c), MAX(c) FROM R, S WHERE a = 1",
+        [],
+        "dataflow operator graph" );
     ]
   in
   List.iteri
@@ -453,6 +458,33 @@ let exec_view_and_lookup () =
   checkb "count aggregates multiplicities" true (count = [ ([], 4) ]);
   let zero = rows "SELECT COUNT(*) FROM R, S WHERE a = 42" in
   checkb "empty count is a 0 row" true (zero = [ ([], 0) ])
+
+(* Several extrema over the whole table: one extrema node keyed on the
+   empty group serves a single (MIN, MAX) row, retracted once the table
+   empties. *)
+let exec_extrema_without_group_by () =
+  let sess = Exec.create () in
+  ignore
+    (ok
+       (Exec.exec_text sess
+          "CREATE TABLE T (v);\n\
+           CREATE MATERIALIZED VIEW bounds AS SELECT MIN(v), MAX(v) FROM T;\n\
+           INSERT INTO T VALUES (5), (3), (9);\n\
+           DELETE FROM T VALUES (9);"));
+  let rows () =
+    match ok (Exec.exec sess (ok (Parser.stmt "SELECT MIN(v), MAX(v) FROM T"))) with
+    | Exec.Rows r -> r.Exec.rows
+    | _ -> Alcotest.fail "expected rows"
+  in
+  checkb "one (MIN, MAX) row; the deleted max re-scans" true
+    (rows () = [ ([ Value.Int 3; Value.Int 5 ], 1) ]);
+  (match ok (Exec.exec sess (ok (Parser.stmt "EXPLAIN SELECT MIN(v), MAX(v) FROM T"))) with
+  | Exec.Explained text ->
+      checkb "EXPLAIN shows one extrema node" true
+        (contains text "extrema[min(v),max(v)]")
+  | _ -> Alcotest.fail "expected an explanation");
+  ignore (ok (Exec.exec_text sess "DELETE FROM T VALUES (5), (3);"));
+  checkb "an empty table has no extremum row" true (rows () = [])
 
 let exec_sum_group_by () =
   let sess = Exec.create () in
@@ -539,6 +571,8 @@ let () =
         [
           Alcotest.test_case "view + parameterized lookup" `Quick exec_view_and_lookup;
           Alcotest.test_case "SUM with GROUP BY" `Quick exec_sum_group_by;
+          Alcotest.test_case "MIN and MAX without GROUP BY" `Quick
+            exec_extrema_without_group_by;
         ] );
       ( "oracle",
         [

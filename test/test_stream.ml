@@ -789,6 +789,7 @@ let engine_words (m : M.t) batches =
 let view_tree_words_baseline = 5.000
 let economy_words_baseline = 2.750
 let triangle_words_baseline = 19.000
+let minmax_words_baseline = 30.741
 
 module Mx = Ivm_workload.Mixed
 
@@ -837,6 +838,32 @@ let triangle_alloc () =
   let t, m = mixed_engine Mx.Triangle (fun t -> List.concat (singles t 2 edges)) in
   let batches = Array.of_list (singles t 1 edges @ singles t (-1) edges) in
   alloc_gate "triangle delta update" ~baseline:triangle_words_baseline (engine_words m batches)
+
+(* One Mixed minmax tenant over 4096 keys, loaded by 2,500 seeded
+   generator steps, then 20,000 more steps in 10-update epochs: the
+   generator's inserts and its deletes of live rows, some of them a
+   group's served extremum. The batches are built before measuring. *)
+let minmax_alloc () =
+  let keys = 4096 and seed_steps = 2_500 and total = 20_000 and epoch = 10 in
+  let t = Mx.tenant ~index:0 Mx.Minmax ~keys in
+  let gen = Mx.Tgen.create t ~drift:(Mx.Drift.create ~seed:1 ~keys ~period:0) ~seed:1 () in
+  let db = D.Database.Z.create () in
+  List.iter (fun (n, cols) -> ignore (D.Database.Z.declare db n (S.of_list cols))) t.Mx.tables;
+  for op = 1 to seed_steps do
+    D.Database.Z.apply_batch db (Mx.Tgen.next gen ~op)
+  done;
+  let m = Mx.factory t db in
+  let batches =
+    Array.init (total / epoch) (fun e ->
+        List.concat_map
+          (fun i -> Mx.Tgen.next gen ~op:(seed_steps + (e * epoch) + i + 1))
+          (List.init epoch Fun.id))
+  in
+  let w0 = Gc.minor_words () in
+  Array.iter m.M.apply_batch batches;
+  let measured = Gc.minor_words () -. w0 in
+  alloc_gate "minmax graph update" ~baseline:minmax_words_baseline
+    (measured /. float_of_int (Array.fold_left (fun n b -> n + List.length b) 0 batches))
 
 (* An epoch whose payloads cancel to zero entirely must still count as
    an epoch (durably logged, applied-counter advanced, adaptive limit
@@ -1189,6 +1216,7 @@ let () =
           Alcotest.test_case "view-tree update allocation" `Quick view_tree_alloc;
           Alcotest.test_case "economy graph allocation" `Quick economy_alloc;
           Alcotest.test_case "triangle delta allocation" `Quick triangle_alloc;
+          Alcotest.test_case "minmax graph allocation" `Quick minmax_alloc;
           Alcotest.test_case "zero-cancel epoch" `Quick zero_cancel_epoch;
           Alcotest.test_case "serve, kill, restart" `Quick serve_kill_restart;
         ] );
