@@ -518,9 +518,9 @@ let sql_cmd =
   let connect_arg =
     Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"HOST:PORT"
            ~doc:"Run against a live server over the wire protocol instead \
-                 of an in-process session. DDL/DML go through the \
-                 create_view op, EXPLAIN through the explain op; SELECT is \
-                 served by the lookup/snapshot ops and is not routed here.")
+                 of an in-process session: each script is sent whole \
+                 through the sql op and runs in the server's SQL session, \
+                 SELECT and EXPLAIN included.")
   in
   let params_arg =
     Arg.(value & opt_all string [] & info [ "param" ] ~docv:"V"
@@ -572,47 +572,26 @@ let sql_cmd =
           | Ok c -> Some c
           | Error err -> fail (Ivm_net.Wire.error_to_string err))
     in
-    let ok = ref true in
-    let exec_text =
+    let run_text =
       match remote with
       | Some c ->
           fun text ->
-            (match Sql.Parser.script text with
-            | Error e ->
-                Printf.eprintf "error: %s\n%!" e;
-                ok := false
-            | Ok stmts ->
-                List.iter
-                  (fun stmt ->
-                    if !ok then
-                      let r =
-                        match stmt with
-                        | Sql.Ast.Explain _ ->
-                            Ivm_net.Client.explain c (Sql.Ast.print stmt)
-                        | Sql.Ast.Select _ ->
-                            Error
-                              (Ivm_net.Wire.Remote
-                                 "SELECT over --connect is not routed through \
-                                  the SQL ops; use the lookup/snapshot wire \
-                                  ops against the view name")
-                        | _ -> Ivm_net.Client.create_view c (Sql.Ast.print stmt)
-                      in
-                      match r with
-                      | Ok out -> print_endline out
-                      | Error err ->
-                          Printf.eprintf "error: %s\n%!"
-                            (Ivm_net.Wire.error_to_string err);
-                          ok := false)
-                  stmts)
+            Result.map_error Ivm_net.Wire.error_to_string (Ivm_net.Client.sql c text)
       | None ->
           let sess = Sql.Exec.create () in
           fun text ->
-            (match Sql.Exec.exec_text sess ~params text with
-            | Ok outs ->
-                List.iter (fun o -> print_endline (Sql.Exec.render o)) outs
-            | Error e ->
-                Printf.eprintf "error: %s\n%!" e;
-                ok := false)
+            Result.map
+              (fun outs -> String.concat "\n" (List.map Sql.Exec.render outs))
+              (Sql.Exec.exec_text sess ~params text)
+    in
+    let ok = ref true in
+    let exec_text text =
+      match run_text text with
+      | Ok "" -> ()
+      | Ok out -> print_endline out
+      | Error e ->
+          Printf.eprintf "error: %s\n%!" e;
+          ok := false
     in
     (match text with
     | Some t -> exec_text t

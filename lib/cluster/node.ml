@@ -57,7 +57,7 @@ type health = Running | Stopped | Failed of string
    and registry state coincide, and answers every request it covers.
    Stopping, killing or failing the node answers the rest with an
    error. *)
-type parked = { mutable target : int; mutable result : (int, string) result option }
+type parked = { target : int; mutable result : (int, string) result option }
 
 type rendezvous = {
   rv_mutex : Mutex.t;
@@ -86,16 +86,28 @@ let close_rendezvous rv why =
   in
   answer rv due (Error why)
 
+(* Widens the window between the tick's push and the requester's wait,
+   where an epoch may already apply the tick. *)
+let push_fp = "node.checkpoint.push"
+
+(* The target is known before the tick is pushed: the tick lands at or
+   after [pushed + 1], so the epoch that applies it covers the request,
+   and so does any earlier one that reaches [pushed + 1] (it is past
+   every update admitted before the request). [rv_mutex] is not held
+   across the push, which may block: the scheduler takes it in
+   [take_due] before it pops again. *)
 let request_checkpoint rv queue =
-  let p = { target = max_int; result = None } in
+  let p = { target = St.Queue.pushed queue + 1; result = None } in
   if not (Mutex.protect rv.rv_mutex (fun () ->
               if not rv.closed then rv.parked <- p :: rv.parked;
               not rv.closed))
   then Error "node is stopping"
   else begin
-    if St.Queue.push queue (St.Scheduler.item tick) then
-      Mutex.protect rv.rv_mutex (fun () -> p.target <- St.Queue.pushed queue)
-    else close_rendezvous rv "node is stopping";
+    if not (St.Queue.push queue (St.Scheduler.item tick)) then
+      close_rendezvous rv "node is stopping";
+    (match Ivm_fault.Failpoint.hit push_fp with
+    | Some (Ivm_fault.Failpoint.Delay d) -> Unix.sleepf d
+    | _ -> ());
     Mutex.protect rv.rv_mutex (fun () ->
         while p.result = None do
           Condition.wait rv.rv_cond rv.rv_mutex
@@ -198,32 +210,23 @@ let start (spec : spec) : (t, string) result =
     let admitted, dropped = ingest ups in
     (admitted, dropped, recovered + St.Queue.pushed queue)
   in
-  (* The wire's Create_view/Explain ops run against one SQL session
-     grafted onto the registry. Handler domains may issue SQL
-     concurrently and the session catalog is not domain-safe, so the
-     callbacks serialize on one mutex. *)
-  let sql = Ivm_sql.Exec.create ~registry:reg () in
+  (* The wire's Sql op runs against one SQL session grafted onto the
+     registry. Handler domains may issue SQL concurrently and the session
+     catalog is not domain-safe, so the callback serializes on a mutex. *)
+  let session = Ivm_sql.Exec.create ~registry:reg () in
   let sql_mutex = Mutex.create () in
-  let create_view text =
+  let sql text =
     Mutex.protect sql_mutex (fun () ->
         Result.map
           (fun outs -> String.concat "\n" (List.map Ivm_sql.Exec.render outs))
-          (Ivm_sql.Exec.exec_text sql text))
-  in
-  let explain text =
-    Mutex.protect sql_mutex (fun () ->
-        let* stmt = Ivm_sql.Parser.stmt text in
-        let stmt =
-          match stmt with Ivm_sql.Ast.Explain _ -> stmt | s -> Ivm_sql.Ast.Explain s
-        in
-        Result.map Ivm_sql.Exec.render (Ivm_sql.Exec.exec sql stmt))
+          (Ivm_sql.Exec.exec_text session text))
   in
   match
     Server.start ~port:spec.port ~handlers:spec.handlers ~ingest ~ingest_rw
       ~served:(fun () -> recovered + St.Scheduler.applied sched)
       ~barrier:(fun () -> St.Scheduler.barrier sched)
       ~checkpoint:(fun () -> request_checkpoint rv queue)
-      ~create_view ~explain
+      ~sql
       ~on_shutdown:(fun () -> St.Queue.close queue)
       ~registry:reg ~metrics ()
   with

@@ -10,7 +10,7 @@
     one on an idle stream) and answers the WAL offset the checkpoint is
     current through, or an error if the node stops, is killed or fails
     first. The tick counts as a stream record, in {!applied},
-    {!recovered} and the watermarks alike. [Create_view]/[Explain] run
+    {!recovered} and the watermarks alike. [Sql] runs
     against one SQL session over the node's registry. The epoch-token
     watermarks ([Ingest_rw]'s token and the served watermark) continue
     from {!recovered}, so a session token survives a restart (DESIGN

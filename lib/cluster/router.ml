@@ -82,12 +82,6 @@ type t = {
 
 let err_str e = Wire.error_to_string e
 
-let trace_on = lazy (Sys.getenv_opt "IVM_CLUSTER_TRACE" <> None)
-
-let trace msg =
-  if Lazy.force trace_on then
-    Printf.eprintf "[%.4f router] %s\n%!" (Unix.gettimeofday ()) (msg ())
-
 (* --- standby ----------------------------------------------------------- *)
 
 let stop_feeder slot =
@@ -169,12 +163,6 @@ let fail_over_slot t slot : (float * int, string) result =
         | Error m -> Error (Printf.sprintf "shard %d promotion failed: %s" slot.index m)
         | Ok node ->
             let recovered = Node.recovered node in
-            trace (fun () ->
-                Printf.sprintf "shard %d promoted: recovered=%d sent=%d lost=%s"
-                  slot.index recovered slot.sent
-                  (if recovered < slot.sent then
-                     Printf.sprintf "(%d,%d)" recovered slot.sent
-                   else "none"));
             if recovered < slot.sent then slot.lost <- (recovered, slot.sent) :: slot.lost;
             slot.sent <- recovered;
             slot.primary <- node;
@@ -223,18 +211,10 @@ let rec send_to_slot t slot batch ~rerouted : (int, string) result =
   match
     Mutex.protect slot.sm (fun () ->
         match Pool.run_once t.pool slot.endpoint (fun c -> Client.ingest c batch) with
-        | Ok (admitted, dropped) ->
+        | Ok (admitted, _dropped) ->
             slot.sent <- slot.sent + admitted;
-            if dropped > 0 || admitted < List.length batch then
-              trace (fun () ->
-                  Printf.sprintf "shard %d ingest short: batch=%d admitted=%d sent=%d"
-                    slot.index (List.length batch) admitted slot.sent);
             Ok admitted
-        | Error e ->
-            trace (fun () ->
-                Printf.sprintf "shard %d ingest error: batch=%d sent=%d err=%s"
-                  slot.index (List.length batch) slot.sent (err_str e));
-            Error e)
+        | Error e -> Error e)
   with
   | Ok admitted -> Ok admitted
   | Error e when (not rerouted) && Client.retryable e && confirmed_dead slot
@@ -331,9 +311,6 @@ let rec reconcile_sent t ~shard : (int, string) result =
           | Error e -> Error (Printf.sprintf "shard %d fence: %s" shard (err_str e))
           | Ok (_ : int) ->
               let absorbed = Node.recovered slot.primary + Node.applied slot.primary in
-              trace (fun () ->
-                  Printf.sprintf "shard %d reconcile_sent: absorbed=%d sent_was=%d"
-                    shard absorbed slot.sent);
               slot.sent <- absorbed;
               Ok absorbed)
   end
@@ -390,6 +367,10 @@ let read_any t f =
    explicit 0-count row, which a ring sum cancels away). *)
 let drop_zeros entries = List.filter (fun (_, p) -> p <> 0) entries
 
+(* An ungated read of one shard; the router merges entries, not
+   watermarks. *)
+let entries c ~view ~prefix = Result.map snd (Client.lookup c ~view ~prefix)
+
 let read_view t ~view ~prefix =
   match Topology.route t.topo view with
   | Topology.Keyed when Tuple.arity prefix >= 1 ->
@@ -398,11 +379,11 @@ let read_view t ~view ~prefix =
       Result.fold
         ~ok:(fun e -> Ok (drop_zeros e))
         ~error:(fun e -> Error (err_str e))
-        (read_slot t slot (fun c -> Client.lookup c ~view ~prefix))
+        (read_slot t slot (entries ~view ~prefix))
   | Topology.Replicated ->
-      Result.map drop_zeros (read_any t (fun c -> Client.lookup c ~view ~prefix))
+      Result.map drop_zeros (read_any t (entries ~view ~prefix))
   | Topology.Keyed | Topology.Scattered ->
-      Result.map merge_entries (read_all t (fun c -> Client.lookup c ~view ~prefix))
+      Result.map merge_entries (read_all t (entries ~view ~prefix))
 
 let lookup t ~view ~prefix = St.Rwlock.read t.ingest_lock (fun () -> read_view t ~view ~prefix)
 

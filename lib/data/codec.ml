@@ -140,37 +140,13 @@ let tuple s pos =
   let n = u16 s pos in
   Tuple.of_list (List.init n (fun _ -> value s pos))
 
-(** A payload codec: how to write and read one ring element. The
-    streaming layers are functorized over this, so any ring with a
-    binary form (Z, floats, products of those, ...) gets a durable log
-    and checkpoints for free. *)
-module type PAYLOAD = sig
-  type t
-
-  val write : Buffer.t -> t -> unit
-  val read : string -> int ref -> t
-end
-
-module Int_payload = struct
-  type t = int
-
-  let write = add_i64
-  let read = i64
-end
-
-module Float_payload = struct
-  type t = float
-
-  let write = add_f64
-  let read = f64
-end
-
-let add_update (type p) (module P : PAYLOAD with type t = p) b (u : p Update.t) =
+(* An update's payload is its Z-ring multiplicity, an i64. *)
+let add_update b (u : int Update.t) =
   add_str b u.Update.rel;
   add_tuple b u.Update.tuple;
-  P.write b u.Update.payload
+  add_i64 b u.Update.payload
 
-let update (type p) (module P : PAYLOAD with type t = p) s pos : p Update.t =
+let update s pos : int Update.t =
   (* The decode failpoint: lets a chaos harness poison the decode path
      itself (a record whose bytes pass the CRC but fail to parse), which
      the framing layers must translate into a clean Corrupt error. One
@@ -180,5 +156,5 @@ let update (type p) (module P : PAYLOAD with type t = p) s pos : p Update.t =
   | None -> ());
   let rel = str s pos in
   let t = tuple s pos in
-  let payload = P.read s pos in
+  let payload = i64 s pos in
   Update.make ~rel ~tuple:t ~payload

@@ -47,18 +47,7 @@ val value : string -> int ref -> Value.t
 val add_tuple : Buffer.t -> Tuple.t -> unit
 val tuple : string -> int ref -> Tuple.t
 
-(** A payload codec: how to write and read one ring element. The
-    streaming layers are functorized over this, so any ring with a
-    binary form gets a durable log and checkpoints for free. *)
-module type PAYLOAD = sig
-  type t
+val add_update : Buffer.t -> int Update.t -> unit
+(** Relation name, tuple, then the payload as an i64 multiplicity. *)
 
-  val write : Buffer.t -> t -> unit
-  val read : string -> int ref -> t
-end
-
-module Int_payload : PAYLOAD with type t = int
-module Float_payload : PAYLOAD with type t = float
-
-val add_update : (module PAYLOAD with type t = 'p) -> Buffer.t -> 'p Update.t -> unit
-val update : (module PAYLOAD with type t = 'p) -> string -> int ref -> 'p Update.t
+val update : string -> int ref -> int Update.t

@@ -15,11 +15,7 @@ let ( let* ) = Result.bind
    socket links this module. *)
 let () = try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
-type t = {
-  fd : Unix.file_descr;
-  mutable closed : bool;
-  mutable peer_version : int option;  (** cached [Version] probe result *)
-}
+type t = { fd : Unix.file_descr; mutable closed : bool }
 
 (* [SO_RCVTIMEO]/[SO_SNDTIMEO] bound every blocking socket call,
    including [connect] itself on Linux — the expired deadline surfaces
@@ -40,7 +36,7 @@ let connect ?(host = "127.0.0.1") ?timeout ~port () =
         Unix.setsockopt fd Unix.TCP_NODELAY true;
         apply_timeout fd timeout;
         Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-        Ok { fd; closed = false; peer_version = None }
+        Ok { fd; closed = false }
       with Unix.Unix_error (e, _, _) ->
         (try Unix.close fd with Unix.Unix_error _ -> ());
         (match e with
@@ -87,8 +83,7 @@ let rpc t req =
   let* () = send t req in
   recv t
 
-(* Drain [Chunk] frames until the [last] one; the first frame may be an
-   [Err] when the view is unknown. *)
+(* Drain [Chunk] frames until the [last] one. *)
 let read_entries t =
   let rec go acc =
     let* resp = recv t in
@@ -108,13 +103,16 @@ let ping t =
   | Wire.Err msg -> Error (Wire.Remote msg)
   | resp -> unexpected resp
 
-let lookup t ~view ~prefix =
-  let* () = send t (Wire.Lookup { view; prefix }) in
-  read_entries t
+let lookup ?(token = 0) ?(timeout_ms = 5_000) t ~view ~prefix =
+  let* resp = rpc t (Wire.Lookup { view; prefix; token; timeout_ms }) in
+  match resp with
+  | Wire.Token { watermark } ->
+      let* entries = read_entries t in
+      Ok (watermark, entries)
+  | Wire.Err msg -> Error (Wire.Remote msg)
+  | resp -> unexpected resp
 
-let snapshot t ~view =
-  let* () = send t (Wire.Snapshot { view }) in
-  read_entries t
+let snapshot t ~view = Result.map snd (lookup t ~view ~prefix:Tuple.unit)
 
 let ingest t updates =
   let* resp = rpc t (Wire.Ingest updates) in
@@ -186,68 +184,17 @@ let barrier t =
   | Wire.Err msg -> Error (Wire.Remote msg)
   | resp -> unexpected resp
 
-(* A v1 server answers [Version] with an unknown-opcode [Err] frame —
-   report that peer as version 1 rather than an error, and cache the
-   answer so the probe costs one round trip per connection. *)
-let version t =
-  match t.peer_version with
-  | Some v -> Ok v
-  | None ->
-      let* resp = rpc t Wire.Version in
-      let* v =
-        match resp with
-        | Wire.Version_info { version } -> Ok version
-        | Wire.Err _ -> Ok 1
-        | resp -> unexpected resp
-      in
-      t.peer_version <- Some v;
-      Ok v
-
-(* The v2 text ops share one shape: probe the peer first so talking to
-   an old server yields a clean, explanatory [Remote] error instead of
-   its raw unknown-opcode message. *)
-let sql_text_op t ~opname req =
-  let* v = version t in
-  if v < 2 then
-    Error
-      (Wire.Remote
-         (Printf.sprintf "server speaks protocol v%d, %s needs v2" v opname))
-  else
-    let* resp = rpc t req in
-    match resp with
-    | Wire.Text s -> Ok s
-    | Wire.Err msg -> Error (Wire.Remote msg)
-    | resp -> unexpected resp
-
-let create_view t sql = sql_text_op t ~opname:"create_view" (Wire.Create_view sql)
-let explain t sql = sql_text_op t ~opname:"explain" (Wire.Explain sql)
-
-(* The v4 epoch-token ops, with the same clean degradation against old
-   servers as the SQL text ops. *)
-let v4_op t ~opname =
-  let* v = version t in
-  if v < 4 then
-    Error
-      (Wire.Remote
-         (Printf.sprintf "server speaks protocol v%d, %s needs v4" v opname))
-  else Ok ()
-
-let ingest_rw t updates =
-  let* () = v4_op t ~opname:"ingest_rw" in
-  let* resp = rpc t (Wire.Ingest_rw updates) in
+let sql t text =
+  let* resp = rpc t (Wire.Sql text) in
   match resp with
-  | Wire.Ack_token { admitted; dropped; token } -> Ok (admitted, dropped, token)
+  | Wire.Text s -> Ok s
   | Wire.Err msg -> Error (Wire.Remote msg)
   | resp -> unexpected resp
 
-let lookup_at ?(timeout_ms = 5_000) t ~view ~prefix ~token =
-  let* () = v4_op t ~opname:"lookup_at" in
-  let* () = send t (Wire.Lookup_at { view; prefix; token; timeout_ms }) in
-  let* resp = recv t in
+let ingest_rw t updates =
+  let* resp = rpc t (Wire.Ingest_rw updates) in
   match resp with
-  | Wire.Token { watermark } ->
-      let* entries = read_entries t in
-      Ok (watermark, entries)
+  | Wire.Ack_token { admitted; dropped; token } -> Ok (admitted, dropped, token)
   | Wire.Err msg -> Error (Wire.Remote msg)
   | resp -> unexpected resp
 
@@ -270,9 +217,7 @@ module Session = struct
     Ok (admitted, dropped)
 
   let read ?timeout_ms s ~view ~prefix =
-    let* watermark, entries =
-      lookup_at ?timeout_ms s.client ~view ~prefix ~token:s.token
-    in
+    let* watermark, entries = lookup ~token:s.token ?timeout_ms s.client ~view ~prefix in
     if watermark < s.token then
       Error
         (Wire.Remote

@@ -29,12 +29,22 @@ val close : t -> unit
 val ping : t -> (unit, Wire.error) result
 
 val lookup :
-  t -> view:string -> prefix:Ivm_data.Tuple.t -> ((Ivm_data.Tuple.t * int) list, Wire.error) result
-(** CQAP point access: entries of [view] whose first [arity prefix]
-    output columns equal [prefix], collected across chunk frames. *)
+  ?token:int ->
+  ?timeout_ms:int ->
+  t ->
+  view:string ->
+  prefix:Ivm_data.Tuple.t ->
+  (int * (Ivm_data.Tuple.t * int) list, Wire.error) result
+(** CQAP point access: the entries of [view] whose first
+    [arity prefix] output columns equal [prefix], collected across
+    chunk frames, with the served watermark they were materialized at.
+    A [token > 0] (default 0: ungated) gates the read on the server's
+    served watermark reaching it, waiting server-side up to
+    [timeout_ms] (default 5000). *)
 
 val snapshot : t -> view:string -> ((Ivm_data.Tuple.t * int) list, Wire.error) result
-(** The full output of [view] at one epoch boundary. *)
+(** The full output of [view] at one epoch boundary: an ungated
+    {!lookup} with the empty prefix. *)
 
 val ingest : t -> int Ivm_data.Update.t list -> (int * int, Wire.error) result
 (** Feed updates to the server's queue; [(admitted, dropped)]. *)
@@ -70,40 +80,16 @@ val barrier : t -> (int, Wire.error) result
     result is the scheduler epoch at which the fence held — the cluster
     router compares these across nodes for consistent snapshots. *)
 
-val version : t -> (int, Wire.error) result
-(** The peer's protocol version, probed once per connection and cached.
-    A v1 server (which answers the probe with an unknown-opcode error)
-    reports as [Ok 1]. *)
-
-val create_view : t -> string -> (string, Wire.error) result
-(** Execute a SQL script ([CREATE TABLE]/[CREATE MATERIALIZED VIEW]/
-    [INSERT]/...) on the server; returns the acknowledgement text.
-    Probes {!version} first: against a v1 server this fails with a
-    clean [Remote] error naming the required protocol version. *)
-
-val explain : t -> string -> (string, Wire.error) result
-(** Run SQL [EXPLAIN] on the server: the chosen engine plus the
-    classification facts. Same version-probe behaviour as
-    {!create_view}. *)
+val sql : t -> string -> (string, Wire.error) result
+(** Execute a SQL script on the server ([CREATE TABLE], [CREATE
+    MATERIALIZED VIEW], [INSERT], [DELETE], [SELECT], [EXPLAIN]);
+    returns every statement's output, one after the other. *)
 
 val ingest_rw : t -> int Ivm_data.Update.t list -> (int * int * int, Wire.error) result
 (** Like {!ingest}, but returns [(admitted, dropped, token)] where
     [token] is the server's ingest-queue watermark after this batch:
     once the served watermark reaches it, every update of the batch is
-    visible to reads. Needs a v4 server (clean [Remote] error
-    otherwise). *)
-
-val lookup_at :
-  ?timeout_ms:int ->
-  t ->
-  view:string ->
-  prefix:Ivm_data.Tuple.t ->
-  token:int ->
-  ((int * (Ivm_data.Tuple.t * int) list), Wire.error) result
-(** A read gated on the server's served watermark reaching [token]
-    (waiting server-side up to [timeout_ms], default 5000): returns the
-    watermark the answer was materialized at plus the entries. Needs a
-    v4 server. *)
+    visible to reads. *)
 
 (** Read-your-writes sessions over one connection: the epoch token of
     the session's last acknowledged write rides every read, and the
@@ -137,7 +123,7 @@ module Session : sig
     view:string ->
     prefix:Ivm_data.Tuple.t ->
     ((Ivm_data.Tuple.t * int) list, Wire.error) result
-  (** {!lookup_at} with the session token; fails with [Remote] if the
+  (** {!lookup} gated on the session token; fails with [Remote] if the
       served answer's watermark is behind the token — the
       read-your-writes guarantee, enforced on both ends. *)
 end

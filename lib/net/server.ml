@@ -1,7 +1,7 @@
 (** The TCP view server: one accept loop plus per-connection handlers
     scheduled over a fixed pool of handler domains.
 
-    Reads ([Lookup], [Snapshot]) are served from a per-view snapshot
+    Reads (the one [Lookup] op) are served from a per-view snapshot
     cache keyed by the view's own change stamp
     ({!Ivm_stream.Registry.stamp}), so an epoch that touches other
     views leaves a view's cached answer in place: the snapshot is
@@ -16,9 +16,9 @@
     snapshot's first keyed lookup. Under a live producer the semantics
     are latest-completed-epoch with stale-while-revalidate: one request
     per view pays the refresh, concurrent ones serve the previous
-    epoch. A read-your-writes [Lookup_at] whose token is ahead of an
-    unchanged view's cached watermark re-stamps that watermark in O(1)
-    instead of rebuilding. [Health] and
+    epoch. A gated [Lookup] whose token is ahead of an unchanged view's
+    cached watermark re-stamps that watermark in O(1) instead of
+    rebuilding. [Health] and
     [Fingerprints] still read the registry directly under the shared
     lock. Writes go through the [ingest] callback
     into the scheduler's bounded queue, whose policy (block / drop) is
@@ -72,7 +72,7 @@ type snapshot = {
   at : int;
   watermark : int Atomic.t;
       (* the served watermark (queue items applied) this snapshot is
-         known to reflect — what a [Lookup_at] compares its token to *)
+         known to reflect — what a gated [Lookup] compares its token to *)
   answer : Chunked.t;
   keyed : keyed option Atomic.t;
   key_mutex : Mutex.t;
@@ -124,11 +124,10 @@ type t = {
       (* like [ingest], plus the queue watermark after admission — the
          epoch token handed back to read-your-writes sessions *)
   served : (unit -> int) option;
-      (* the scheduler's served watermark (items applied); [Lookup_at]
-         gates on it and snapshots are stamped with it *)
+      (* the scheduler's served watermark (items applied); a gated
+         [Lookup] waits on it and snapshots are stamped with it *)
   checkpoint : (unit -> (int, string) result) option;
-  create_view : (string -> (string, string) result) option;
-  explain : (string -> (string, string) result) option;
+  sql : (string -> (string, string) result) option;
   barrier : (unit -> (int, string) result) option;
   on_shutdown : (unit -> unit) option;
   pool : Handler_pool.t;
@@ -199,10 +198,6 @@ let matches_prefix prefix tp =
   &&
   let rec go i = i >= k || (Value.equal (Tuple.get tp i) (Tuple.get prefix i) && go (i + 1)) in
   go 0
-
-(* The slow path for answers that must be assembled per request
-   (multi-field prefix filters): encode and frame each chunk now. *)
-let send_chunks t conn entries = send_frames conn (build_frames ~chunk_size:t.chunk_size entries)
 
 let note t source =
   let m = t.metrics in
@@ -364,48 +359,87 @@ let readable_now fd =
   | _ -> true
   | exception Unix.Unix_error _ -> true
 
-(* One snapshot answer for a given prefix: the shared tail of [Lookup]
-   and [Lookup_at]. Answers are sent outside [Registry.read]. *)
-let answer_prefix t conn snap prefix =
-  if Tuple.arity prefix = 0 then send_frames conn (frames snap)
+(* The chunk frames answering [prefix] from a snapshot. *)
+let answer_frames t snap prefix =
+  if Tuple.arity prefix = 0 then frames snap
   else if Tuple.arity prefix = 1 then
     (* Bound first variable: the whole answer is already framed per
        key — serve the prebuilt bytes (or the shared empty
        terminator). *)
-    send_frames conn (key_frames t snap (Tuple.get prefix 0))
+    key_frames t snap (Tuple.get prefix 0)
   else
     (* Longer prefixes need filtering — the one per-request encoding
        path left. *)
     let group =
       Option.value (Hashtbl.find_opt (keyed t snap).by_key (Tuple.get prefix 0)) ~default:[]
     in
-    send_chunks t conn (List.filter (fun (tp, _) -> matches_prefix prefix tp) group)
+    build_frames ~chunk_size:t.chunk_size
+      (List.filter (fun (tp, _) -> matches_prefix prefix tp) group)
 
 (* The failpoint of the read-your-writes e2e test: an armed
-   ["net.stale_read"] makes [Lookup_at] skip its watermark gate and
+   ["net.stale_read"] makes a gated [Lookup] skip its watermark gate and
    serve whatever snapshot is current — the watermark it reports stays
    honest, which is exactly how the client-side session catches the
    violation. *)
 let stale_read_fp = "net.stale_read"
 
+(* The snapshot a [Lookup] answers from. Ungated ([token <= 0]): the
+   latest completed epoch. Gated: a two-stage wait, bounded by
+   [timeout_ms]. First wait for the scheduler to apply past the token;
+   then fetch until the snapshot itself carries that watermark —
+   re-stamped in O(1) when the view is unchanged, patched or rebuilt
+   when it changed; a stale-while-revalidate cache may briefly keep
+   serving the previous epoch. *)
+let read_snapshot t view ~token ~timeout_ms =
+  if token <= 0 || Failpoint.hit stale_read_fp <> None then snapshot t view
+  else
+    match t.served with
+    | None -> Error "server has no served-epoch source"
+    | Some served ->
+        let deadline = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.) in
+        let rec wait () =
+          if served () >= token then true
+          else if Unix.gettimeofday () >= deadline then false
+          else begin
+            Unix.sleepf 0.001;
+            wait ()
+          end
+        in
+        let rec fetch () =
+          match snapshot t view with
+          | Error _ as e -> e
+          | Ok (snap, _) as hit when Atomic.get snap.watermark >= token -> hit
+          | Ok (snap, _)
+            when Registry.read t.registry (fun () -> revalidate snap served)
+                 && Atomic.get snap.watermark >= token ->
+              Ok (snap, Revalidated)
+          | Ok _ ->
+              if Unix.gettimeofday () >= deadline then
+                Error "read-your-writes deadline: snapshot behind token"
+              else begin
+                Unix.sleepf 0.001;
+                fetch ()
+              end
+        in
+        if wait () then fetch ()
+        else Error "read-your-writes deadline: served watermark behind token"
+
 let handle t conn (req : Wire.request) : outcome =
   let respond resp = match send conn resp with Ok () -> Continue | Error _ -> Close in
   match req with
   | Wire.Ping -> respond Wire.Pong
-  | Wire.Lookup { view; prefix } -> (
-      match snapshot t view with
-      | Error msg -> respond (Wire.Err msg)
-      | Ok (snap, source) ->
-          note t source;
-          (match answer_prefix t conn snap prefix with
-          | Ok () -> Continue
-          | Error _ -> Close))
-  | Wire.Snapshot { view } -> (
-      match snapshot t view with
+  | Wire.Lookup { view; prefix; token; timeout_ms } -> (
+      match read_snapshot t view ~token ~timeout_ms with
       | Error msg -> respond (Wire.Err msg)
       | Ok (snap, source) -> (
           note t source;
-          match send_frames conn (frames snap) with
+          (* The watermark frame and the chunks go out under one hold
+             of the write mutex, after the lock is released. *)
+          let mark = Wire.Token { watermark = Atomic.get snap.watermark } in
+          match
+            send_frames conn
+              (Wire.frame_bytes (Wire.encode_response mark) :: answer_frames t snap prefix)
+          with
           | Ok () -> Continue
           | Error _ -> Close))
   | Wire.Ingest updates -> (
@@ -424,62 +458,6 @@ let handle t conn (req : Wire.request) : outcome =
         | Some ingest ->
             let admitted, dropped, token = ingest updates in
             respond (Wire.Ack_token { admitted; dropped; token }))
-  | Wire.Lookup_at { view; prefix; token; timeout_ms } -> (
-      let deadline = Unix.gettimeofday () +. (float_of_int timeout_ms /. 1000.) in
-      let serve snap source =
-        note t source;
-        match send conn (Wire.Token { watermark = Atomic.get snap.watermark }) with
-        | Error _ -> Close
-        | Ok () -> (
-            match answer_prefix t conn snap prefix with
-            | Ok () -> Continue
-            | Error _ -> Close)
-      in
-      let ungated () =
-        match snapshot t view with
-        | Error msg -> respond (Wire.Err msg)
-        | Ok (snap, source) -> serve snap source
-      in
-      if token <= 0 || Failpoint.hit stale_read_fp <> None then ungated ()
-      else
-        match t.served with
-        | None -> respond (Wire.Err "server has no served-epoch source")
-        | Some served ->
-            (* Two-stage gate. First wait for the scheduler to apply
-               past the token; then fetch until the snapshot itself
-               carries that watermark — re-stamped in O(1) when the
-               view is unchanged, patched or rebuilt when it changed; a
-               stale-while-revalidate cache may briefly keep serving
-               the previous epoch. *)
-            let rec wait () =
-              if served () >= token then Ok ()
-              else if Unix.gettimeofday () >= deadline then Error ()
-              else begin
-                Unix.sleepf 0.001;
-                wait ()
-              end
-            in
-            let rec fetch () =
-              match snapshot t view with
-              | Error msg -> respond (Wire.Err msg)
-              | Ok (snap, source) when Atomic.get snap.watermark >= token -> serve snap source
-              | Ok (snap, _)
-                when Registry.read t.registry (fun () -> revalidate snap served)
-                     && Atomic.get snap.watermark >= token ->
-                  serve snap Revalidated
-              | Ok _ ->
-                  if Unix.gettimeofday () >= deadline then
-                    respond (Wire.Err "read-your-writes deadline: snapshot behind token")
-                  else begin
-                    Unix.sleepf 0.001;
-                    fetch ()
-                  end
-            in
-            (match wait () with
-            | Error () ->
-                respond
-                  (Wire.Err "read-your-writes deadline: served watermark behind token")
-            | Ok () -> fetch ()))
   | Wire.Subscribe -> (
       match send conn Wire.Subscribed with
       | Error _ -> Close
@@ -511,7 +489,6 @@ let handle t conn (req : Wire.request) : outcome =
           match ck () with
           | Ok wal_offset -> respond (Wire.Checkpointed { wal_offset })
           | Error msg -> respond (Wire.Err msg)))
-  | Wire.Version -> respond (Wire.Version_info { version = Wire.protocol_version })
   | Wire.Barrier -> (
       match t.barrier with
       | None -> respond (Wire.Err "server has no scheduler to fence")
@@ -519,22 +496,15 @@ let handle t conn (req : Wire.request) : outcome =
           match fence () with
           | Ok epoch -> respond (Wire.Barrier_done { epoch })
           | Error msg -> respond (Wire.Err msg)))
-  | Wire.Create_view sql -> (
+  | Wire.Sql text -> (
       if stopping t then respond (Wire.Err "server is shutting down")
       else
-        match t.create_view with
+        match t.sql with
         | None -> respond (Wire.Err "server has no SQL session")
         | Some f -> (
-            match f sql with
-            | Ok msg -> respond (Wire.Text msg)
+            match f text with
+            | Ok out -> respond (Wire.Text out)
             | Error msg -> respond (Wire.Err msg)))
-  | Wire.Explain sql -> (
-      match t.explain with
-      | None -> respond (Wire.Err "server has no SQL session")
-      | Some f -> (
-          match f sql with
-          | Ok report -> respond (Wire.Text report)
-          | Error msg -> respond (Wire.Err msg)))
   | Wire.Shutdown ->
       (* Ack first: the client's [shutdown] call deserves its [Bye] even
          though the server starts tearing down immediately after. *)
@@ -606,9 +576,7 @@ let rec serve_conn t conn =
           (* View-addressed ops also feed the per-tenant (view, op)
              series, so one tenant's tail is visible on its own. *)
           (match req with
-          | Wire.Lookup { view; _ }
-          | Wire.Snapshot { view }
-          | Wire.Lookup_at { view; _ } ->
+          | Wire.Lookup { view; _ } ->
               Metrics.record_view_op t.metrics ~view ~op:(Wire.request_name req) dt
           | _ -> ());
           match outcome with
@@ -733,8 +701,8 @@ let rec accept_loop t =
       end
 
 let start ?(host = "127.0.0.1") ~port ?(chunk_size = 512) ?(snd_timeout = 5.0)
-    ?(handlers = 4) ?ingest ?ingest_rw ?served ?checkpoint ?create_view ?explain
-    ?barrier ?on_shutdown ~registry ~metrics () =
+    ?(handlers = 4) ?ingest ?ingest_rw ?served ?checkpoint ?sql ?barrier
+    ?on_shutdown ~registry ~metrics () =
   if chunk_size < 1 then invalid_arg "Server.start: chunk_size < 1";
   if handlers < 1 then invalid_arg "Server.start: handlers < 1";
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
@@ -762,8 +730,7 @@ let start ?(host = "127.0.0.1") ~port ?(chunk_size = 512) ?(snd_timeout = 5.0)
             ingest_rw;
             served;
             checkpoint;
-            create_view;
-            explain;
+            sql;
             barrier;
             on_shutdown;
             (* The accept loop lives on its own domain and only ever

@@ -2,10 +2,10 @@
     a fixed pool of handler domains, serving the {!Wire} protocol against a
     {!Ivm_stream.Registry}.
 
-    Lookups and snapshots serve the latest completed materialization of
-    the view: a per-view snapshot cache keyed by the view's own change
-    stamp ({!Ivm_stream.Registry.stamp}), so epochs that touch only
-    other views never invalidate it. A stale entry is refreshed
+    The one read op, [Lookup], serves the latest completed
+    materialization of the view: a per-view snapshot cache keyed by the
+    view's own change stamp ({!Ivm_stream.Registry.stamp}), so epochs
+    that touch only other views never invalidate it. A stale entry is refreshed
     stale-while-revalidate (one request pays the refresh under
     {!Ivm_stream.Registry.read}, the shared side of the registry's
     writer-preferring lock; concurrent ones serve the previous epoch's
@@ -21,10 +21,12 @@
     an epoch boundary, never a half-applied batch. Point lookups with a
     bound first variable answer in O(answer) from a hash index on that
     field, built once per snapshot on its first keyed lookup; whole-view
-    reads never build it. A [Lookup_at] whose token is ahead of an
-    unchanged view's cached watermark re-stamps the watermark in O(1)
-    rather than rebuilding. Cache hits, stale serves, revalidations,
-    patches, rebuilds and index builds are counted in
+    reads never build it. Every answer opens with a [Token] frame: the
+    served watermark the entries were materialized at. A gated [Lookup]
+    whose token is ahead of an unchanged view's cached watermark
+    re-stamps the watermark in O(1) rather than rebuilding. Cache hits,
+    stale serves, revalidations, patches, rebuilds and index builds are
+    counted in
     {!Ivm_stream.Metrics}. Bytes go out
     after the lock is released. Ingested updates flow through the [ingest] callback into
     the scheduler's bounded queue — the queue policy is the server's
@@ -46,8 +48,7 @@ val start :
   ?ingest_rw:(int Ivm_data.Update.t list -> int * int * int) ->
   ?served:(unit -> int) ->
   ?checkpoint:(unit -> (int, string) result) ->
-  ?create_view:(string -> (string, string) result) ->
-  ?explain:(string -> (string, string) result) ->
+  ?sql:(string -> (string, string) result) ->
   ?barrier:(unit -> (int, string) result) ->
   ?on_shutdown:(unit -> unit) ->
   registry:Ivm_stream.Registry.t ->
@@ -64,20 +65,20 @@ val start :
     [(admitted, dropped)] — without it the server is read-only.
     [ingest_rw] additionally returns the queue watermark after the
     batch was admitted — the epoch token answered to [Ingest_rw] that a
-    read-your-writes session threads into [Lookup_at]; [served] reports
-    the scheduler's served watermark (items applied), which gates
-    [Lookup_at] and stamps every snapshot. Wire them to
-    {!Ivm_stream.Queue.pushed} after the push and
-    {!Ivm_stream.Scheduler.applied} respectively; without them the
-    token ops answer [Err]. An armed ["net.stale_read"] failpoint makes
-    [Lookup_at] skip its gate while still reporting the honest
-    watermark — the injection seam for read-your-writes violation
-    tests.
+    read-your-writes session threads into a gated [Lookup]; [served]
+    reports the scheduler's served watermark (items applied), which
+    gates [Lookup]s with [token > 0] and stamps every snapshot (0
+    without it). Wire them to {!Ivm_stream.Queue.pushed} after the push
+    and {!Ivm_stream.Scheduler.applied} respectively; without them
+    [Ingest_rw] and gated reads answer [Err]. An armed
+    ["net.stale_read"] failpoint makes a gated [Lookup] skip its gate
+    while still reporting the honest watermark — the injection seam
+    for read-your-writes violation tests.
     [checkpoint] runs the admin checkpoint and returns the WAL offset
-    it is current through. [create_view] executes a [Create_view] SQL
-    script against the server's SQL session and returns the
-    acknowledgement text; [explain] answers [Explain] with the planner
-    report — without them the corresponding ops answer [Err].
+    it is current through. [sql] executes a [Sql] script (DDL, DML,
+    [SELECT] and [EXPLAIN] alike) against the server's SQL session and
+    returns its output text — without them the corresponding ops
+    answer [Err].
     [barrier] answers the [Barrier] op: it must return only once every
     update admitted before the call has been applied, yielding the
     epoch at which the fence held — wire it to
@@ -97,14 +98,14 @@ val subscriber_count : t -> int
 val stopping : t -> bool
 
 val snapshot_frames : t -> string -> (Bytes.t list, string) result
-(** The preserialized chunk frames a cache-hit [Snapshot] answer
-    writes, refreshing the cache (and counting the read) exactly as a
-    request would. While the view's stamp is unchanged, repeated calls
+(** The preserialized chunk frames a cache-hit ungated [Lookup] with
+    an empty prefix writes after its [Token] frame, refreshing the cache
+    (and counting the read) exactly as a request would. While the view's stamp is unchanged, repeated calls
     return the {e physically} same buffers — the zero-copy property;
     exposed so tests can assert it. *)
 
 val lookup_frames : t -> string -> Ivm_data.Value.t -> (Bytes.t list, string) result
-(** Same, for a [Lookup] with bound first field [key] (building the
+(** Same, for a [Lookup] of the one-field prefix [key] (building the
     snapshot's key index if this is its first keyed lookup); a key with
     no group returns the server-lifetime shared empty terminator
     frame. *)

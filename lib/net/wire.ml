@@ -24,15 +24,6 @@ module Update = Ivm_data.Update
 let header_len = Codec.frame_header
 let max_body = 16 * 1024 * 1024
 
-(* Version 1 was the initial opcode set (0x01-0x0B); version 2 added
-   [Version], [Create_view] and [Explain]; version 3 added [Barrier]
-   (the cluster router's epoch fence); version 4 adds the epoch-token
-   session pair [Ingest_rw]/[Lookup_at] (read-your-writes). A v1 server
-   answers any of the new opcodes with [Err "unknown opcode ..."] at
-   the message layer (its framing already recovers from unknown
-   opcodes), which clients surface as a clean [Remote] error — so the
-   probe itself degrades gracefully against old servers. *)
-let protocol_version = 4
 
 type error =
   | Eof  (** peer closed cleanly at a frame boundary *)
@@ -162,10 +153,16 @@ let read_frame fd =
 
 (* --- messages --------------------------------------------------------- *)
 
+(* The first body byte is the opcode: requests in 0x01-0x10, responses
+   in 0x81-0x90. The bytes of deleted ops (0x03, 0x0C, 0x0E, 0x11 and
+   0x8D) stay unassigned, so a stale peer gets [Bad_op], never a
+   misread body. *)
 type request =
   | Ping
-  | Lookup of { view : string; prefix : Tuple.t }
-  | Snapshot of { view : string }
+  | Lookup of { view : string; prefix : Tuple.t; token : int; timeout_ms : int }
+      (** Bind the first [arity prefix] output columns and enumerate the
+          rest; a [token > 0] gates the read on the served watermark
+          reaching it. Answered with a {!Token} frame then chunks. *)
   | Ingest of int Update.t list
   | Subscribe
   | Stats
@@ -174,16 +171,11 @@ type request =
   | Heal
   | Checkpoint
   | Shutdown
-  | Version
-  | Create_view of string
-  | Explain of string
+  | Sql of string
   | Barrier
   | Ingest_rw of int Update.t list
       (** Like [Ingest], but acknowledged with an {!Ack_token} carrying
-          the epoch token a session threads into {!Lookup_at}. *)
-  | Lookup_at of { view : string; prefix : Tuple.t; token : int; timeout_ms : int }
-      (** A read gated on the server's served watermark reaching
-          [token]; answered with a {!Token} frame then entry chunks. *)
+          the epoch token a session threads into a gated {!Lookup}. *)
 
 type response =
   | Pong
@@ -198,19 +190,17 @@ type response =
   | Err of string
   | Bye
   | Subscribed
-  | Version_info of { version : int }
   | Barrier_done of { epoch : int }
   | Ack_token of { admitted : int; dropped : int; token : int }
       (** [token] is the queue watermark after this batch was admitted:
           once the served watermark reaches it, the batch is visible. *)
   | Token of { watermark : int }
-      (** Prefix of a gated read's chunk stream: the served watermark
-          the following entries were materialized at. *)
+      (** Prefix of every [Lookup] answer's chunk stream: the served
+          watermark the following entries were materialized at. *)
 
 let request_name = function
   | Ping -> "ping"
-  | Lookup _ -> "lookup"
-  | Snapshot _ -> "snapshot"
+  | Lookup { token; _ } -> if token > 0 then "lookup_at" else "lookup"
   | Ingest _ -> "ingest"
   | Subscribe -> "subscribe"
   | Stats -> "stats"
@@ -219,12 +209,9 @@ let request_name = function
   | Heal -> "heal"
   | Checkpoint -> "checkpoint"
   | Shutdown -> "shutdown"
-  | Version -> "version"
-  | Create_view _ -> "create_view"
-  | Explain _ -> "explain"
+  | Sql _ -> "sql"
   | Barrier -> "barrier"
   | Ingest_rw _ -> "ingest_rw"
-  | Lookup_at _ -> "lookup_at"
 
 let response_name = function
   | Pong -> "pong"
@@ -239,12 +226,9 @@ let response_name = function
   | Err _ -> "err"
   | Bye -> "bye"
   | Subscribed -> "subscribed"
-  | Version_info _ -> "version_info"
   | Barrier_done _ -> "barrier_done"
   | Ack_token _ -> "ack_token"
   | Token _ -> "token"
-
-let int_payload = (module Codec.Int_payload : Codec.PAYLOAD with type t = int)
 
 let add_list add buf xs =
   Codec.add_u32 buf (List.length xs);
@@ -264,23 +248,19 @@ let entry s cur =
   let p = Codec.i64 s cur in
   (tp, p)
 
-let add_update buf u = Codec.add_update int_payload buf u
-let update s cur = Codec.update int_payload s cur
-
 let encode_request (r : request) : string =
   let buf = Buffer.create 64 in
   (match r with
   | Ping -> Codec.add_u8 buf 0x01
-  | Lookup { view; prefix } ->
+  | Lookup { view; prefix; token; timeout_ms } ->
       Codec.add_u8 buf 0x02;
       Codec.add_str buf view;
-      Codec.add_tuple buf prefix
-  | Snapshot { view } ->
-      Codec.add_u8 buf 0x03;
-      Codec.add_str buf view
+      Codec.add_tuple buf prefix;
+      Codec.add_i64 buf token;
+      Codec.add_u32 buf timeout_ms
   | Ingest updates ->
       Codec.add_u8 buf 0x04;
-      add_list add_update buf updates
+      add_list Codec.add_update buf updates
   | Subscribe -> Codec.add_u8 buf 0x05
   | Stats -> Codec.add_u8 buf 0x06
   | Health -> Codec.add_u8 buf 0x07
@@ -288,23 +268,13 @@ let encode_request (r : request) : string =
   | Heal -> Codec.add_u8 buf 0x09
   | Checkpoint -> Codec.add_u8 buf 0x0A
   | Shutdown -> Codec.add_u8 buf 0x0B
-  | Version -> Codec.add_u8 buf 0x0C
-  | Create_view sql ->
+  | Sql text ->
       Codec.add_u8 buf 0x0D;
-      Codec.add_str buf sql
-  | Explain sql ->
-      Codec.add_u8 buf 0x0E;
-      Codec.add_str buf sql
+      Codec.add_str buf text
   | Barrier -> Codec.add_u8 buf 0x0F
   | Ingest_rw updates ->
       Codec.add_u8 buf 0x10;
-      add_list add_update buf updates
-  | Lookup_at { view; prefix; token; timeout_ms } ->
-      Codec.add_u8 buf 0x11;
-      Codec.add_str buf view;
-      Codec.add_tuple buf prefix;
-      Codec.add_i64 buf token;
-      Codec.add_u32 buf timeout_ms);
+      add_list Codec.add_update buf updates);
   Buffer.contents buf
 
 (* The body of a [Chunk] response: its tag, the last flag, then
@@ -373,15 +343,12 @@ let encode_response (r : response) : string =
   | Delta { epoch; updates } ->
       Codec.add_u8 buf 0x89;
       Codec.add_i64 buf epoch;
-      add_list add_update buf updates
+      add_list Codec.add_update buf updates
   | Err msg ->
       Codec.add_u8 buf 0x8A;
       Codec.add_str buf msg
   | Bye -> Codec.add_u8 buf 0x8B
   | Subscribed -> Codec.add_u8 buf 0x8C
-  | Version_info { version } ->
-      Codec.add_u8 buf 0x8D;
-      Codec.add_u32 buf version
   | Barrier_done { epoch } ->
       Codec.add_u8 buf 0x8E;
       Codec.add_i64 buf epoch
@@ -415,9 +382,10 @@ let decode_request body : (request, error) result =
       | 0x02 ->
           let view = Codec.str body cur in
           let prefix = Codec.tuple body cur in
-          Lookup { view; prefix }
-      | 0x03 -> Snapshot { view = Codec.str body cur }
-      | 0x04 -> Ingest (read_list update body cur)
+          let token = Codec.i64 body cur in
+          let timeout_ms = Codec.u32 body cur in
+          Lookup { view; prefix; token; timeout_ms }
+      | 0x04 -> Ingest (read_list Codec.update body cur)
       | 0x05 -> Subscribe
       | 0x06 -> Stats
       | 0x07 -> Health
@@ -425,17 +393,9 @@ let decode_request body : (request, error) result =
       | 0x09 -> Heal
       | 0x0A -> Checkpoint
       | 0x0B -> Shutdown
-      | 0x0C -> Version
-      | 0x0D -> Create_view (Codec.str body cur)
-      | 0x0E -> Explain (Codec.str body cur)
+      | 0x0D -> Sql (Codec.str body cur)
       | 0x0F -> Barrier
-      | 0x10 -> Ingest_rw (read_list update body cur)
-      | 0x11 ->
-          let view = Codec.str body cur in
-          let prefix = Codec.tuple body cur in
-          let token = Codec.i64 body cur in
-          let timeout_ms = Codec.u32 body cur in
-          Lookup_at { view; prefix; token; timeout_ms }
+      | 0x10 -> Ingest_rw (read_list Codec.update body cur)
       | _ -> raise Exit
     in
     match decoding body read with exception Exit -> Error (Bad_op op) | r -> r
@@ -480,12 +440,11 @@ let decode_response body : (response, error) result =
       | 0x88 -> Checkpointed { wal_offset = Codec.i64 body cur }
       | 0x89 ->
           let epoch = Codec.i64 body cur in
-          let updates = read_list update body cur in
+          let updates = read_list Codec.update body cur in
           Delta { epoch; updates }
       | 0x8A -> Err (Codec.str body cur)
       | 0x8B -> Bye
       | 0x8C -> Subscribed
-      | 0x8D -> Version_info { version = Codec.u32 body cur }
       | 0x8E -> Barrier_done { epoch = Codec.i64 body cur }
       | 0x8F ->
           let admitted = Codec.u32 body cur in

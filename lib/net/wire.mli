@@ -16,14 +16,6 @@ val max_body : int
 (** Hard cap on a frame body (16 MiB): a reader never trusts the peer
     for its allocation size. *)
 
-val protocol_version : int
-(** Version 4: v2 added [Version], [Create_view] and [Explain] to the
-    v1 opcode set; v3 added [Barrier], the cluster router's epoch
-    fence; v4 adds the epoch-token session pair [Ingest_rw]/[Lookup_at]
-    for read-your-writes. An old server answers the new opcodes with a
-    clean [Err] frame (unknown opcode at the message layer), so clients
-    probe with [Version] and degrade gracefully. *)
-
 type error =
   | Eof  (** peer closed cleanly at a frame boundary *)
   | Truncated  (** stream ended mid-frame *)
@@ -85,10 +77,14 @@ val read_frame : Unix.file_descr -> (string, error) result
 
 type request =
   | Ping
-  | Lookup of { view : string; prefix : Tuple.t }
-      (** CQAP point access: bind the first [arity prefix] output
-          columns and enumerate the matching entries. *)
-  | Snapshot of { view : string }  (** full output enumeration *)
+  | Lookup of { view : string; prefix : Tuple.t; token : int; timeout_ms : int }
+      (** The one read (CQAP access request): bind the first
+          [arity prefix] output columns and enumerate the matching
+          entries; an empty prefix reads the whole view. A [token <= 0]
+          reads the latest completed epoch; a [token > 0] waits (up to
+          [timeout_ms]) for the served watermark to reach it — the
+          read-your-writes gate. Answered with a {!Token} frame then
+          entry chunks, or an {!Err}. *)
   | Ingest of int Update.t list  (** feed the server's update queue *)
   | Subscribe  (** push one {!Delta} per applied epoch from now on *)
   | Stats  (** Prometheus text exposition of the server metrics *)
@@ -97,29 +93,22 @@ type request =
   | Heal
   | Checkpoint
   | Shutdown
-  | Version  (** negotiate: the server answers {!Version_info} *)
-  | Create_view of string
-      (** SQL [CREATE TABLE ...; CREATE MATERIALIZED VIEW ... AS
-          SELECT ...] text, executed against the server's registry *)
-  | Explain of string
-      (** SQL [EXPLAIN ...] text; answers [Text] with the engine choice
-          and the classification facts *)
+  | Sql of string
+      (** a SQL script ([CREATE TABLE], [CREATE MATERIALIZED VIEW],
+          [INSERT], [DELETE], [SELECT], [EXPLAIN]) executed against the
+          server's SQL session; answered with one [Text] holding every
+          statement's output *)
   | Barrier
       (** fence: answer {!Barrier_done} only once every update admitted
           before this request has been applied and made durable *)
   | Ingest_rw of int Update.t list
       (** like [Ingest], but acknowledged with an {!Ack_token} carrying
-          the epoch token a session threads into {!Lookup_at} *)
-  | Lookup_at of { view : string; prefix : Tuple.t; token : int; timeout_ms : int }
-      (** a read gated on the server's served watermark reaching
-          [token] (waiting up to [timeout_ms]); answered with a
-          {!Token} frame then entry chunks — the read-your-writes
-          primitive *)
+          the epoch token a session threads into a gated {!Lookup} *)
 
 type response =
   | Pong
   | Chunk of { last : bool; entries : (Tuple.t * int) list }
-      (** one slice of a [Lookup]/[Snapshot] enumeration *)
+      (** one slice of a [Lookup] enumeration *)
   | Ack of { admitted : int; dropped : int }
   | Text of string
   | Health_list of (string * string * string option) list
@@ -131,7 +120,6 @@ type response =
   | Err of string
   | Bye
   | Subscribed
-  | Version_info of { version : int }
   | Barrier_done of { epoch : int }
       (** the scheduler epoch at which the fence held *)
   | Ack_token of { admitted : int; dropped : int; token : int }
@@ -139,11 +127,13 @@ type response =
           admitted: once the served watermark reaches it, every update
           of the batch is visible to reads *)
   | Token of { watermark : int }
-      (** prefix of a gated read's chunk stream: the served watermark
-          the entries that follow were materialized at *)
+      (** prefix of every [Lookup] answer's chunk stream: the served
+          watermark the entries that follow were materialized at *)
 
 val request_name : request -> string
-(** Stable lowercase tag, the per-op latency label in {!Ivm_stream.Metrics}. *)
+(** Stable lowercase tag, the per-op latency label in
+    {!Ivm_stream.Metrics}. A gated [Lookup] ([token > 0]) is
+    ["lookup_at"], an ungated one ["lookup"]. *)
 
 val response_name : response -> string
 

@@ -32,10 +32,11 @@ let io_err r = Result.map_error (fun e -> Errors.Io e) r
 
 type cursor = { records : int; wal_offset : int }
 
-module Make (R : Ivm_ring.Sigs.SEMIRING) (P : Codec.PAYLOAD with type t = R.t) =
-struct
-  module Db = Ivm_data.Database.Make (R)
-  module Rel = Ivm_data.Relation.Make (R)
+(* The base database over the Z ring of tuple multiplicities, each
+   payload an i64. *)
+module Z = struct
+  module Db = Ivm_data.Database.Z
+  module Rel = Db.Rel
 
   let save path ~(db : Db.t) ~records ~wal_offset : (unit, Errors.t) result =
     let b = Buffer.create 4096 in
@@ -53,7 +54,7 @@ struct
         Rel.iter
           (fun tuple p ->
             Codec.add_tuple b tuple;
-            P.write b p)
+            Codec.add_i64 b p)
           rel)
       rels;
     let frame = Codec.frame ~into:Bytes.empty b in
@@ -120,7 +121,7 @@ struct
           let rel = Db.declare db name schema in
           for _ = 1 to entries do
             let tuple = Codec.tuple body pos in
-            let p = P.read body pos in
+            let p = Codec.i64 body pos in
             Rel.set_entry rel tuple p
           done
         done;
@@ -130,6 +131,3 @@ struct
       | exception Codec.Corrupt detail -> Error (Errors.Corrupt { path; detail })
     end
 end
-
-(** The default instance: the Z ring of tuple multiplicities. *)
-module Z = Make (Ivm_ring.Int_ring) (Codec.Int_payload)

@@ -10,27 +10,19 @@
     {!Ivm_fault.Io} under the ["ckpt"] tag, and every failure is a
     result over {!Errors.t}, not an exception. *)
 
-module Codec = Ivm_data.Codec
-
 type cursor = {
   records : int;  (** stream records the state covers, counted from the stream's start *)
   wal_offset : int;  (** WAL byte offset just past the last of them: where replay resumes *)
 }
 
-module Make (R : Ivm_ring.Sigs.SEMIRING) (P : Codec.PAYLOAD with type t = R.t) : sig
-  module Db : module type of Ivm_data.Database.Make (R)
-
-  val save : string -> db:Db.t -> records:int -> wal_offset:int -> (unit, Errors.t) result
-
-  val load : string -> (Db.t * cursor, Errors.t) result
-  (** [Error (Bad_magic _)] when the file is not a checkpoint,
-      [Error (Corrupt _)] on a checksum or parse failure, [Error (Io _)]
-      when the file cannot be read. *)
-end
-
-(** The default instance: the Z ring of tuple multiplicities. *)
+(** Checkpoints of the base database over the Z ring of tuple
+    multiplicities. *)
 module Z : sig
   val save :
     string -> db:Ivm_data.Database.Z.t -> records:int -> wal_offset:int -> (unit, Errors.t) result
+
   val load : string -> (Ivm_data.Database.Z.t * cursor, Errors.t) result
+  (** [Error (Bad_magic _)] when the file is not a checkpoint,
+      [Error (Corrupt _)] on a checksum or parse failure, [Error (Io _)]
+      when the file cannot be read. *)
 end

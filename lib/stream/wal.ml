@@ -34,7 +34,9 @@ let header_len = String.length magic
 let tag = "wal"
 let ( let* ) = Result.bind
 
-module Make (P : Codec.PAYLOAD) = struct
+(* Integer-multiplicity updates (the Z ring): the one payload the log
+   carries. *)
+module Z = struct
   type t = {
     path : string;
     out : Io.out;
@@ -57,7 +59,7 @@ module Make (P : Codec.PAYLOAD) = struct
          let crc = Codec.u32 contents pos in
          if !cursor + 8 + len > file_len then raise Exit;
          if Codec.crc32 contents ~pos:!pos ~len <> crc then raise Exit;
-         let u = Codec.update (module P) contents pos in
+         let u = Codec.update contents pos in
          (* A checksum-valid body must also parse to exactly its length. *)
          if !pos <> !cursor + 8 + len then raise Exit;
          cursor := !pos;
@@ -116,7 +118,7 @@ module Make (P : Codec.PAYLOAD) = struct
      is encoded into [buf] and sealed into the reused [frame]. *)
   let write_record t u =
     Buffer.clear t.buf;
-    Codec.add_update (module P) t.buf u;
+    Codec.add_update t.buf u;
     let len = Codec.frame_header + Buffer.length t.buf in
     t.frame <- Codec.frame ~into:t.frame t.buf;
     match Io.write_bytes t.out t.frame ~len with
@@ -125,7 +127,7 @@ module Make (P : Codec.PAYLOAD) = struct
         Ok ()
     | Error _ as e -> e
 
-  let append t (u : P.t Update.t) : (int, Errors.t) result =
+  let append t (u : int Update.t) : (int, Errors.t) result =
     match write_record t u with Ok () -> Ok t.offset | Error e -> Errors.io e
 
   (* Stops at the first failed write, like a run of {!append}s. *)
@@ -170,6 +172,3 @@ module Make (P : Codec.PAYLOAD) = struct
     let* _ = replay path ~from:0 (fun _ -> incr n) in
     Ok !n
 end
-
-(** The default instance: integer-multiplicity updates (the Z ring). *)
-module Z = Make (Codec.Int_payload)

@@ -1,6 +1,6 @@
 (** A durable append-only update log with explicit byte offsets,
     CRC-checked records and replay. A {!Checkpoint} stores the offset
-    {!Make.offset} had when it was taken, and [restore + replay] from
+    {!Z.offset} had when it was taken, and [restore + replay] from
     there is equivalent to having applied the log directly
     ({!Durable.recover}). A torn tail (record cut short by a crash, or
     failing its checksum) ends replay at the last complete record and
@@ -11,12 +11,11 @@
     fault harness can inject short writes, failed fsyncs and bit flips
     at the exact syscall boundaries. *)
 
-module Codec = Ivm_data.Codec
-
 val header_len : int
 (** Bytes of file magic; the offset of the first record. *)
 
-module Make (P : Codec.PAYLOAD) : sig
+(** The log of integer-multiplicity updates (the Z ring). *)
+module Z : sig
   type t
 
   val open_log : ?from:int -> string -> (t, Errors.t) result
@@ -34,11 +33,11 @@ module Make (P : Codec.PAYLOAD) : sig
 
   val path : t -> string
 
-  val append : t -> P.t Ivm_data.Update.t -> (int, Errors.t) result
+  val append : t -> int Ivm_data.Update.t -> (int, Errors.t) result
   (** Append one record, returning the offset after it. Buffered; call
       {!sync} to make it durable (the scheduler syncs once per epoch). *)
 
-  val append_batch : t -> P.t Ivm_data.Update.t list -> (int, Errors.t) result
+  val append_batch : t -> int Ivm_data.Update.t list -> (int, Errors.t) result
 
   val sync : t -> (unit, Errors.t) result
   (** Flush and [fsync]: on [Ok ()] every appended record survives a
@@ -50,7 +49,7 @@ module Make (P : Codec.PAYLOAD) : sig
   (** Simulate a crash: drop buffered (never-synced) bytes and close the
       descriptor, leaving on disk exactly the durable prefix. *)
 
-  val replay : string -> from:int -> (P.t Ivm_data.Update.t -> unit) -> (int, Errors.t) result
+  val replay : string -> from:int -> (int Ivm_data.Update.t -> unit) -> (int, Errors.t) result
   (** [replay path ~from f] feeds every complete record at offset
       [>= from] to [f], returning the offset after the last one. A torn
       or corrupt tail silently ends the replay; a missing or foreign
@@ -61,6 +60,3 @@ module Make (P : Codec.PAYLOAD) : sig
   (** Number of complete records in the log — what a crash harness uses
       as "how many updates are durable". *)
 end
-
-(** The default instance: integer-multiplicity updates (the Z ring). *)
-module Z : module type of Make (Codec.Int_payload)

@@ -217,9 +217,9 @@ let tuple_roundtrip =
 let update_roundtrip =
   QCheck.Test.make ~count:500 ~name:"codec update roundtrip" (qgen Gen.update) (fun u ->
       let b = Buffer.create 48 in
-      Codec.add_update (module Codec.Int_payload) b u;
+      Codec.add_update b u;
       let pos = ref 0 in
-      let u' = Codec.update (module Codec.Int_payload) (Buffer.contents b) pos in
+      let u' = Codec.update (Buffer.contents b) pos in
       u'.Update.rel = u.Update.rel
       && Tuple.equal u'.Update.tuple u.Update.tuple
       && u'.Update.payload = u.Update.payload)

@@ -595,6 +595,32 @@ let test_checkpoint_rendezvous () =
   Sys.remove (Cl.Node.ckpt_file dir);
   restart "from the log alone"
 
+(* The rendezvous race, made deterministic: the failpoint holds the
+   requester for 0.3 s after it pushed its tick, so the idle node's
+   epoch applies the tick first. The request is still answered, because
+   its target was known before the tick was pushed. *)
+let test_checkpoint_rendezvous_race () =
+  let dir = fresh_dir "ckpt_race" in
+  let node = start_spec (Cl.Node.spec ~name:"race" ~dir declare) in
+  let offset =
+    Fun.protect
+      ~finally:(fun () ->
+        Fp.reset ();
+        Cl.Node.stop node)
+      (fun () ->
+        Fp.enable ~seed:1 ();
+        Fp.arm "node.checkpoint.push" (Fp.Delay 0.3);
+        let c = ok_wire (Client.connect ~timeout:3. ~port:(Cl.Node.port node) ()) in
+        Fun.protect
+          ~finally:(fun () -> Client.close c)
+          (fun () ->
+            let offset = ok_wire (Client.checkpoint c) in
+            Alcotest.(check int) "the delay fired" 1 (Fp.fired "node.checkpoint.push");
+            offset))
+  in
+  Alcotest.(check int) "the offset is the synced log's end" offset
+    (Unix.stat (Cl.Node.wal_file dir)).Unix.st_size
+
 (* A checkpoint request parked behind a stuck epoch when the node is
    killed gets an error instead of hanging its client. *)
 let test_checkpoint_parked_kill () =
@@ -707,6 +733,8 @@ let () =
             test_session_token_across_restart;
           Alcotest.test_case "admin checkpoint rendezvous on an idle node" `Quick
             test_checkpoint_rendezvous;
+          Alcotest.test_case "checkpoint rendezvous when the epoch wins the race" `Quick
+            test_checkpoint_rendezvous_race;
           Alcotest.test_case "parked checkpoint fails when the node is killed" `Quick
             test_checkpoint_parked_kill;
         ] );

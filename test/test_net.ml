@@ -33,6 +33,8 @@ let ok_wire = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected wire error: %s" (Wire.error_to_string e)
 
+let ok_entries r = snd (ok_wire r)
+
 let ok_stream = function
   | Ok v -> v
   | Error e ->
@@ -126,12 +128,15 @@ let sample_updates =
     U.make ~rel:"S" ~tuple:(tup [ 4; 5 ]) ~payload:(-1);
   ]
 
+(* An ungated read, the kind every client call without a token sends. *)
+let lookup view prefix = Wire.Lookup { view; prefix; token = 0; timeout_ms = 5_000 }
+
 let all_requests =
   [
     Wire.Ping;
-    Wire.Lookup { view = "paths-rs"; prefix = tup [ 7 ] };
-    Wire.Lookup { view = "v"; prefix = D.Tuple.unit };
-    Wire.Snapshot { view = "tri" };
+    lookup "paths-rs" (tup [ 7 ]);
+    lookup "v" D.Tuple.unit;
+    Wire.Lookup { view = "tri"; prefix = D.Tuple.unit; token = 1 lsl 40; timeout_ms = 250 };
     Wire.Ingest sample_updates;
     Wire.Ingest [];
     Wire.Subscribe;
@@ -141,9 +146,11 @@ let all_requests =
     Wire.Heal;
     Wire.Checkpoint;
     Wire.Shutdown;
-    Wire.Version;
-    Wire.Create_view "CREATE TABLE R (a, b); CREATE MATERIALIZED VIEW v AS SELECT a FROM R";
-    Wire.Explain "EXPLAIN SELECT a, b FROM R";
+    Wire.Sql
+      "CREATE TABLE R (a, b); CREATE MATERIALIZED VIEW v AS SELECT a FROM R; EXPLAIN \
+       SELECT a, b FROM R";
+    Wire.Barrier;
+    Wire.Ingest_rw sample_updates;
   ]
 
 let all_responses =
@@ -162,7 +169,9 @@ let all_responses =
     Wire.Err "no such view";
     Wire.Bye;
     Wire.Subscribed;
-    Wire.Version_info { version = Wire.protocol_version };
+    Wire.Barrier_done { epoch = 7 };
+    Wire.Ack_token { admitted = 2; dropped = 0; token = 1 lsl 40 };
+    Wire.Token { watermark = 12 };
   ]
 
 let request_roundtrip () =
@@ -207,11 +216,36 @@ let unknown_opcode () =
   | Error (Wire.Bad_op 0x05) -> ()
   | _ -> Alcotest.fail "unknown response opcode must be Bad_op"
 
+(* Exactly the 13 request and 15 response opcodes decode (an opcode
+   with a body fails as [Decode] on the bare byte); every other first
+   byte is [Bad_op] of itself. The decoding bytes are the ones the
+   message lists above encode, so both lists cover every op. *)
+let opcode_table () =
+  let check what decode encode msgs n =
+    let known =
+      List.filter
+        (fun b ->
+          match decode (String.make 1 (Char.chr b)) with
+          | Error (Wire.Bad_op op) ->
+              if op <> b then Alcotest.failf "%s byte 0x%02x reported as 0x%02x" what b op;
+              false
+          | Ok _ | Error _ -> true)
+        (List.init 256 Fun.id)
+    in
+    Alcotest.(check int) (what ^ " opcodes") n (List.length known);
+    Alcotest.(check (list int))
+      (what ^ " opcodes = the encoded ones")
+      (List.sort_uniq compare (List.map (fun m -> Char.code (encode m).[0]) msgs))
+      known
+  in
+  check "request" Wire.decode_request Wire.encode_request all_requests 13;
+  check "response" Wire.decode_response Wire.encode_response all_responses 15
+
 let truncated_message () =
   (* A valid message cut mid-body: the frame layer passes it through
      (its checksum is computed over the cut body by the writer in this
      scenario), so the message decoder must report it as Decode. *)
-  let body = Wire.encode_request (Wire.Lookup { view = "paths"; prefix = tup [ 1; 2 ] }) in
+  let body = Wire.encode_request (lookup "paths" (tup [ 1; 2 ])) in
   for cut = 1 to String.length body - 1 do
     match Wire.decode_request (String.sub body 0 cut) with
     | Error _ -> ()
@@ -227,7 +261,7 @@ let with_failpoints f =
 let faulty_short_write () =
   with_failpoints (fun () ->
       with_tmp ".frame" (fun path ->
-          let body = Wire.encode_request (Wire.Snapshot { view = "tri" }) in
+          let body = Wire.encode_request (lookup "tri" D.Tuple.unit) in
           let full = Wire.frame body in
           Failpoint.arm "netio.write" (Failpoint.Short_write (String.length full / 2));
           let out =
@@ -255,7 +289,7 @@ let faulty_short_write () =
 let faulty_bit_flip () =
   with_failpoints (fun () ->
       with_tmp ".frame" (fun path ->
-          let body = Wire.encode_request (Wire.Snapshot { view = "tri" }) in
+          let body = Wire.encode_request (lookup "tri" D.Tuple.unit) in
           let full = Wire.frame body in
           (* Flip the first bit of the body: the length field stays
              intact, so the corruption is exactly what the CRC covers. *)
@@ -596,7 +630,7 @@ let e2e_concurrent_clients () =
                   ~finally:(fun () -> Client.close c)
                   (fun () ->
                     for i = 0 to 30 do
-                      ignore (ok_wire (Client.lookup c ~view:"paths-rs" ~prefix:(tup [ (i + k) mod 12 ])));
+                      ignore (ok_entries (Client.lookup c ~view:"paths-rs" ~prefix:(tup [ (i + k) mod 12 ])));
                       ignore (ok_wire (Client.snapshot c ~view:"tri"))
                     done)))
       in
@@ -640,7 +674,7 @@ let e2e_concurrent_clients () =
           Alcotest.(check bool) "snapshot = direct enumeration" true
             (entries_equal direct served);
           let key = 3 in
-          let looked = ok_wire (Client.lookup c ~view:"paths-rs" ~prefix:(tup [ key ])) in
+          let looked = ok_entries (Client.lookup c ~view:"paths-rs" ~prefix:(tup [ key ])) in
           let expected =
             List.filter (fun (tp, _) -> D.Value.to_int (D.Tuple.get tp 0) = key) direct
           in
@@ -849,8 +883,15 @@ let e2e_zero_copy_snapshot () =
           let m2 = ok_msg (Server.lookup_frames srv "paths-rs" (D.Value.of_int (-998))) in
           Alcotest.(check bool) "missing keys share one terminator frame" true
             (match (m1, m2) with [ a ], [ b ] -> a == b | _ -> false);
-          (* And the wire bytes of a Snapshot answer are exactly the
-             cached buffers, byte for byte. *)
+          (* An ungated whole-view Lookup returns exactly the entries
+             of those frames, and its wire bytes are a Token frame then
+             the cached buffers, byte for byte. *)
+          let same_entries a b =
+            List.equal (fun (t1, p1) (t2, p2) -> D.Tuple.equal t1 t2 && p1 = p2) a b
+          in
+          Alcotest.(check bool) "lookup entries = snapshot_frames entries" true
+            (same_entries (served ~chunk_size:64 f1)
+               (ok_entries (Client.lookup c ~view:"paths-rs" ~prefix:D.Tuple.unit)));
           let expected = String.concat "" (List.map Bytes.to_string f1) in
           let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
           Fun.protect
@@ -858,8 +899,11 @@ let e2e_zero_copy_snapshot () =
             (fun () ->
               Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
               ok_wire
-                (Wire.write_frame fd
-                   (Wire.encode_request (Wire.Snapshot { view = "paths-rs" })));
+                (Wire.write_frame fd (Wire.encode_request (lookup "paths-rs" D.Tuple.unit)));
+              (match Result.bind (Wire.read_frame fd) Wire.decode_response with
+              | Ok (Wire.Token { watermark = 0 }) -> ()
+              | Ok r -> Alcotest.failf "expected Token 0 first, got %s" (Wire.response_name r)
+              | Error e -> Alcotest.failf "token frame: %s" (Wire.error_to_string e));
               let n = String.length expected in
               let buf = Bytes.create n in
               let rec fill pos =
@@ -872,18 +916,18 @@ let e2e_zero_copy_snapshot () =
               Alcotest.(check bool) "wire bytes = cached frames" true
                 (Bytes.to_string buf = expected))))
 
-(* --- the v2 SQL ops over TCP ------------------------------------------ *)
+(* --- the SQL op over TCP ---------------------------------------------- *)
 
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
-(* A server whose create_view/explain callbacks run a SQL session over
-   its own registry, exactly as [ivm_cli serve --listen] wires them. The
-   view a wire-delivered script creates must serve Lookup and Snapshot
-   answers identical to the same query built directly on the engine
-   layer from the same data. *)
+(* A server whose sql callback runs a SQL session over its own
+   registry, as {!Ivm_cluster.Node} wires it. The view a wire-delivered
+   script creates must serve whole-view and prefix lookups identical to
+   the same query built directly on the engine layer from the same
+   data. *)
 let e2e_sql_over_tcp () =
   let metrics = Metrics.create () in
   let reg = Registry.create ~metrics (D.Database.Z.create ()) in
@@ -900,8 +944,7 @@ let e2e_sql_over_tcp () =
   in
   let srv =
     ok_wire
-      (Server.start ~port:0 ~handlers:2 ~create_view:run_sql ~explain:run_sql
-         ~registry:reg ~metrics ())
+      (Server.start ~port:0 ~handlers:2 ~sql:run_sql ~registry:reg ~metrics ())
   in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
@@ -910,18 +953,16 @@ let e2e_sql_over_tcp () =
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          Alcotest.(check int) "peer speaks v2" Wire.protocol_version
-            (ok_wire (Client.version c));
           let ack =
             ok_wire
-              (Client.create_view c
+              (Client.sql c
                  "CREATE TABLE R (a, b); CREATE TABLE S (b, c); CREATE \
                   MATERIALIZED VIEW paths AS SELECT a, c FROM R, S;")
           in
           Alcotest.(check bool) "ack names the engine" true (contains ack "engine:");
           ignore
             (ok_wire
-               (Client.create_view c
+               (Client.sql c
                   "INSERT INTO R VALUES (1, 2), (3, 2), (5, 9); INSERT INTO S \
                    VALUES (2, 7), (2, 8), (9, 1); DELETE FROM R VALUES (5, 9);"));
           (* The same query and data built directly on the engine layer. *)
@@ -957,14 +998,14 @@ let e2e_sql_over_tcp () =
           let got = canon (ok_wire (Client.snapshot c ~view:"paths")) in
           Alcotest.(check bool) "snapshot = direct engine build" true (got = expected);
           let looked =
-            canon (ok_wire (Client.lookup c ~view:"paths" ~prefix:(tup [ 1 ])))
+            canon (ok_entries (Client.lookup c ~view:"paths" ~prefix:(tup [ 1 ])))
           in
           let expected_1 =
             List.filter (fun (vs, _) -> List.hd vs = D.Value.of_int 1) expected
           in
           Alcotest.(check bool) "lookup = filtered direct build" true
             (looked = expected_1);
-          let report = ok_wire (Client.explain c "EXPLAIN SELECT a, c FROM R, S") in
+          let report = ok_wire (Client.sql c "EXPLAIN SELECT a, c FROM R, S") in
           Alcotest.(check bool) "explain names an engine" true
             (contains report "engine: ");
           let facts =
@@ -997,8 +1038,7 @@ let e2e_minmax_over_tcp () =
   in
   let srv =
     ok_wire
-      (Server.start ~port:0 ~handlers:2 ~create_view:run_sql ~explain:run_sql
-         ~registry:reg ~metrics ())
+      (Server.start ~port:0 ~handlers:2 ~sql:run_sql ~registry:reg ~metrics ())
   in
   Fun.protect
     ~finally:(fun () -> Server.stop srv)
@@ -1009,7 +1049,7 @@ let e2e_minmax_over_tcp () =
         (fun () ->
           let ack =
             ok_wire
-              (Client.create_view c
+              (Client.sql c
                  "CREATE TABLE R (G, V); CREATE MATERIALIZED VIEW extremes AS \
                   SELECT G, MIN(V), MAX(V) FROM R GROUP BY G;")
           in
@@ -1020,7 +1060,7 @@ let e2e_minmax_over_tcp () =
              dies. Every delete of a served extremum re-scans. *)
           ignore
             (ok_wire
-               (Client.create_view c
+               (Client.sql c
                   "INSERT INTO R VALUES (1, 5), (1, 3), (1, 9), (2, 7), (2, 7), \
                    (2, 2); DELETE FROM R VALUES (1, 3); DELETE FROM R VALUES \
                    (1, 9); DELETE FROM R VALUES (2, 7); DELETE FROM R VALUES \
@@ -1056,55 +1096,46 @@ let e2e_minmax_over_tcp () =
                 "served fingerprint = from-scratch recompute after extremum deletes"
                 fresh_fp fp))
 
-(* A v1 peer: answers every request with the message-layer Err an old
-   server produces for an unknown opcode. The client must degrade
-   cleanly — report version 1 and fail the SQL ops with an explanatory
-   Remote error, not a raw opcode message. *)
-let v1_server_clean_error () =
-  let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt lfd Unix.SO_REUSEADDR true;
-  Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  Unix.listen lfd 1;
-  let port =
-    match Unix.getsockname lfd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> Alcotest.fail "no port"
-  in
-  let stub =
-    Domain.spawn (fun () ->
-        let conn, _ = Unix.accept lfd in
-        let rec serve () =
-          match Wire.read_frame conn with
-          | Ok _ -> (
-              match
-                Wire.write_frame conn
-                  (Wire.encode_response (Wire.Err "bad request: unknown opcode 0x0c"))
-              with
-              | Ok () -> serve ()
-              | Error _ -> ())
-          | Error _ -> ()
-        in
-        serve ();
-        try Unix.close conn with Unix.Unix_error _ -> ())
+(* One [Client.sql] script against a {!Ivm_cluster.Node}: DDL, DML, a
+   SELECT and an EXPLAIN in one call come back as one text holding the
+   view's joined row and the planner report, and the view serves the
+   same row over [Lookup]. *)
+let e2e_sql_script_on_node () =
+  let module Node = Ivm_cluster.Node in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "ivm_test_net_sql_node" in
+  Ivm_check.Engines.rm_rf dir;
+  let node =
+    match Node.start (Node.spec ~name:"sql" ~dir ignore) with
+    | Ok n -> n
+    | Error m -> Alcotest.failf "node start: %s" m
   in
   Fun.protect
     ~finally:(fun () ->
-      ignore (Domain.join stub);
-      try Unix.close lfd with Unix.Unix_error _ -> ())
+      Node.stop node;
+      Ivm_check.Engines.rm_rf dir)
     (fun () ->
-      let c = ok_wire (Client.connect ~port ()) in
+      let c = ok_wire (Client.connect ~timeout:10. ~port:(Node.port node) ()) in
       Fun.protect
         ~finally:(fun () -> Client.close c)
         (fun () ->
-          Alcotest.(check int) "v1 peer detected" 1 (ok_wire (Client.version c));
-          match Client.create_view c "CREATE TABLE R (a)" with
-          | Error (Wire.Remote msg) ->
-              Alcotest.(check bool) "error names the required version" true
-                (contains msg "needs v2")
-          | Ok _ -> Alcotest.fail "create_view against a v1 peer must fail"
-          | Error e ->
-              Alcotest.failf "want a clean Remote error, got %s"
-                (Wire.error_to_string e)))
+          let out =
+            ok_wire
+              (Client.sql c
+                 "CREATE TABLE Sales (store, item, qty); CREATE TABLE Stores (store, zip); \
+                  CREATE MATERIALIZED VIEW store_items AS SELECT store, zip, item FROM \
+                  Sales, Stores; INSERT INTO Sales VALUES (1, 10, 2), (2, 11, 1); INSERT \
+                  INTO Stores VALUES (1, 94000); SELECT store, zip, item FROM Sales, \
+                  Stores; EXPLAIN SELECT store, zip, item FROM Sales, Stores;")
+          in
+          Alcotest.(check bool) "the SELECT returns the view's one row" true
+            (contains out "store | zip | item\n1 | 94000 | 10\n");
+          Alcotest.(check bool) "the EXPLAIN report follows" true
+            (contains out "engine: factorized view tree");
+          Alcotest.(check (list (pair (list int) int)))
+            "the view serves the row" [ ([ 1; 94000; 10 ], 1) ]
+            (List.map
+               (fun (tp, p) -> (List.map D.Value.to_int (D.Tuple.to_list tp), p))
+               (ok_wire (Client.snapshot c ~view:"store_items")))))
 
 (* --- read-your-writes sessions (epoch tokens) ------------------------- *)
 
@@ -1521,8 +1552,8 @@ let e2e_shutdown () =
       ok_wire (Client.ping again);
       let reader =
         Domain.spawn (fun () ->
-            Client.lookup_at ~timeout_ms:10_000 b ~view:"paths-rs" ~prefix:(tup [ hub ])
-              ~token:1)
+            Client.lookup ~token:1 ~timeout_ms:10_000 b ~view:"paths-rs"
+              ~prefix:(tup [ hub ]))
       in
       let deadline = Unix.gettimeofday () +. 10. in
       while Atomic.get polls = 0 && Unix.gettimeofday () < deadline do
@@ -1613,7 +1644,7 @@ let e2e_gated_read_revalidates () =
           let t0 = Unix.gettimeofday () in
           let watermark, entries =
             ok_wire
-              (Client.lookup_at ~timeout_ms:2000 c ~view:"paths-rs" ~prefix:(tup []) ~token)
+              (Client.lookup ~token ~timeout_ms:2000 c ~view:"paths-rs" ~prefix:(tup []))
           in
           Alcotest.(check bool) "answered well before the deadline" true
             (Unix.gettimeofday () -. t0 < 1.);
@@ -1682,13 +1713,13 @@ let e2e_prefix_lookups_match_filter () =
             Alcotest.(check bool)
               (Printf.sprintf "arity-%d lookup %s = filter" k (D.Tuple.to_string prefix))
               true
-              (norm (ok_wire (Client.lookup c ~view:"paths-rs" ~prefix)) = norm expected)
+              (norm (ok_entries (Client.lookup c ~view:"paths-rs" ~prefix)) = norm expected)
           in
           Alcotest.(check bool) "paths-rs is not empty" true (all <> []);
           List.iter (fun (tp, _) -> check 1 tp; check 2 tp) all;
           Alcotest.(check int) "a missing key answers empty" 0
             (List.length
-               (ok_wire (Client.lookup c ~view:"paths-rs" ~prefix:(tup [ -999 ]))))))
+               (ok_entries (Client.lookup c ~view:"paths-rs" ~prefix:(tup [ -999 ]))))))
 
 
 (* --- snapshot patching from view output deltas ------------------------ *)
@@ -1912,6 +1943,7 @@ let () =
           Alcotest.test_case "response roundtrip" `Quick response_roundtrip;
           qt garbage_bodies;
           Alcotest.test_case "unknown opcode" `Quick unknown_opcode;
+          Alcotest.test_case "opcode table" `Quick opcode_table;
           Alcotest.test_case "truncated message" `Quick truncated_message;
         ] );
       ( "fault injection",
@@ -1937,8 +1969,8 @@ let () =
           Alcotest.test_case "SQL view over TCP = direct build" `Quick e2e_sql_over_tcp;
           Alcotest.test_case "MIN/MAX over TCP = from-scratch rebuild" `Quick
             e2e_minmax_over_tcp;
-          Alcotest.test_case "v1 server -> clean Remote error" `Quick
-            v1_server_clean_error;
+          Alcotest.test_case "SQL script on a node: SELECT and EXPLAIN" `Quick
+            e2e_sql_script_on_node;
           Alcotest.test_case "corrupt frame keeps serving" `Quick
             e2e_corrupt_frame_keeps_serving;
           Alcotest.test_case "shutdown acks once, drains in-flight" `Quick e2e_shutdown;

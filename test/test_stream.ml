@@ -1,7 +1,7 @@
 (* The streaming maintenance runtime: codec roundtrips, WAL durability
    and torn-tail tolerance, queue backpressure policies, checkpoint +
    replay crash recovery (the load-bearing property: restore + replay
-   from the saved offset ≡ direct apply, for Z and float rings), the
+   from the saved offset ≡ direct apply, over the Z ring), the
    multi-view registry, and the end-to-end kill-and-restart equivalence
    the `serve` runtime promises. *)
 
@@ -67,10 +67,10 @@ let codec_roundtrip =
     (QCheck.make QCheck.Gen.(list_size (int_range 0 20) update_gen))
     (fun updates ->
       let b = Buffer.create 256 in
-      List.iter (Codec.add_update (module Codec.Int_payload) b) updates;
+      List.iter (Codec.add_update b) updates;
       let s = Buffer.contents b in
       let pos = ref 0 in
-      let back = List.map (fun _ -> Codec.update (module Codec.Int_payload) s pos) updates in
+      let back = List.map (fun _ -> Codec.update s pos) updates in
       !pos = String.length s && List.for_all2 update_eq updates back)
 
 let codec_corrupt () =
@@ -187,7 +187,7 @@ let golden_log = "49564d57414c30313b0000009c9591a6" ^ golden_body
 
 let codec_golden_bytes () =
   let b = Buffer.create 64 in
-  Codec.add_update (module Codec.Int_payload) b golden_update;
+  Codec.add_update b golden_update;
   Alcotest.(check string) "update body" golden_body (to_hex (Buffer.contents b));
   with_tmp ".wal" (fun path ->
       let w = ok (Wal.Z.open_log path) in
@@ -239,7 +239,7 @@ let wal_malformed_body () =
       let off = Wal.Z.offset w in
       Wal.Z.close w;
       let b = Buffer.create 32 in
-      Codec.add_update (module Codec.Int_payload) b (U.make ~rel:"S" ~tuple:(tup [ 3 ]) ~payload:1);
+      Codec.add_update b (U.make ~rel:"S" ~tuple:(tup [ 3 ]) ~payload:1);
       Codec.add_u8 b 0;
       let frame = Codec.frame ~into:Bytes.empty b in
       Out_channel.with_open_gen [ Open_append; Open_binary ] 0o644 path (fun oc ->
@@ -427,16 +427,15 @@ let metrics_view_labels () =
 
 (* --- checkpoint + replay crash recovery ------------------------------ *)
 
-(* The property, for a ring with a payload codec: for any update stream
-   and any split point, [checkpoint at the split + WAL replay of the
-   suffix] reproduces the directly-maintained database — including when
-   the log has a torn tail *after* the replayed suffix. *)
-module Crash_recovery (R : Ivm_ring.Sigs.SEMIRING) (P : Codec.PAYLOAD with type t = R.t) =
-struct
-  module Db = Ivm_data.Database.Make (R)
-  module CRel = Ivm_data.Relation.Make (R)
-  module W = Wal.Make (P)
-  module C = Checkpoint.Make (R) (P)
+(* The property: for any update stream and any split point,
+   [checkpoint at the split + WAL replay of the suffix] reproduces the
+   directly-maintained database — including when the log has a torn
+   tail *after* the replayed suffix. *)
+module Crash_z = struct
+  module Db = Ivm_data.Database.Z
+  module CRel = Db.Rel
+  module W = Wal.Z
+  module C = Checkpoint.Z
 
   let schemas = [ ("R", [ "A"; "B" ]); ("S", [ "B"; "C" ]); ("T", [ "C"; "A" ]) ]
 
@@ -445,7 +444,7 @@ struct
     List.iter (fun (n, vars) -> ignore (Db.declare db n (S.of_list vars))) schemas;
     db
 
-  let run (updates : P.t U.t list) (split : int) (torn : bool) =
+  let run (updates : int U.t list) (split : int) (torn : bool) =
     with_tmp ".wal" (fun wal_path ->
         with_tmp ".ckpt" (fun ckpt_path ->
             let split = if updates = [] then 0 else split mod (List.length updates + 1) in
@@ -479,30 +478,19 @@ struct
               schemas))
 end
 
-module Crash_z = Crash_recovery (Ivm_ring.Int_ring) (Codec.Int_payload)
-module Crash_f = Crash_recovery (Ivm_ring.Float_ring) (Codec.Float_payload)
-
-let crash_gen payload_gen =
-  QCheck.make
-    QCheck.Gen.(
-      triple
-        (list_size (int_range 0 60)
-           (map3
-              (fun rel (a, b) payload -> U.make ~rel ~tuple:(tup [ a; b ]) ~payload)
-              (oneofl [ "R"; "S"; "T" ])
-              (pair (int_range 0 4) (int_range 0 4))
-              payload_gen))
-        small_nat bool)
-
 let crash_recovery_z =
   QCheck.Test.make ~name:"checkpoint+replay = direct apply (Z ring, incl. torn tail)"
-    (crash_gen QCheck.Gen.(int_range (-2) 2))
+    (QCheck.make
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 60)
+              (map3
+                 (fun rel (a, b) payload -> U.make ~rel ~tuple:(tup [ a; b ]) ~payload)
+                 (oneofl [ "R"; "S"; "T" ])
+                 (pair (int_range 0 4) (int_range 0 4))
+                 (int_range (-2) 2)))
+           small_nat bool))
     (fun (updates, split, torn) -> Crash_z.run updates split torn)
-
-let crash_recovery_float =
-  QCheck.Test.make ~name:"checkpoint+replay = direct apply (float ring, incl. torn tail)"
-    (crash_gen QCheck.Gen.(map (fun i -> float_of_int i /. 2.) (int_range (-4) 4)))
-    (fun (updates, split, torn) -> Crash_f.run updates split torn)
 
 (* --- the multi-view registry ----------------------------------------- *)
 
@@ -1200,7 +1188,7 @@ let () =
           Alcotest.test_case "percentiles" `Quick metrics_percentiles;
           Alcotest.test_case "per-view op labels disjoint" `Quick metrics_view_labels;
         ] );
-      ("crash recovery", [ qt crash_recovery_z; qt crash_recovery_float ]);
+      ("crash recovery", [ qt crash_recovery_z ]);
       ( "registry",
         [
           Alcotest.test_case "multi-view = direct" `Quick registry_matches_direct;
