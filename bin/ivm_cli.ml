@@ -525,7 +525,10 @@ let sql_cmd =
   let params_arg =
     Arg.(value & opt_all string [] & info [ "param" ] ~docv:"V"
            ~doc:"Value for the next ? placeholder, in order (repeatable). \
-                 Parsed as an integer or real when possible, else a string.")
+                 Parsed as an integer or real when possible, else a string. \
+                 In-process sessions only: the sql wire op carries no \
+                 parameters, so $(b,--param) with $(b,--connect) is refused \
+                 (exit 2).")
   in
   let parse_param s =
     match int_of_string_opt s with
@@ -539,6 +542,8 @@ let sql_cmd =
       Printf.eprintf "ivm_cli: %s\n" msg;
       exit 2
     in
+    if connect <> None && params <> [] then
+      fail "--param cannot be used with --connect: the sql wire op carries no parameters";
     let text =
       match (e, file) with
       | Some s, _ -> Some s

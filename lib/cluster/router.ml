@@ -329,61 +329,78 @@ let read_slot t slot f =
       | Ok _ -> Pool.run t.pool slot.endpoint f)
   | Error e -> Error e
 
-(* Ring-sum merge of per-shard partial enumerations: associativity and
-   commutativity of the payload ring make the fold order irrelevant,
-   zero sums are elided, and the result is sorted into the canonical
-   entry order. *)
-let merge_entries (lists : (Tuple.t * int) list list) =
-  let tbl = Tuple.Tbl.create 256 in
-  List.iter
-    (List.iter (fun (tp, p) ->
-         let s = (match Tuple.Tbl.find_opt tbl tp with Some q -> q | None -> 0) + p in
-         if s = 0 then Tuple.Tbl.remove tbl tp else Tuple.Tbl.replace tbl tp s))
-    lists;
-  Tuple.Tbl.fold (fun tp p acc -> (tp, p) :: acc) tbl []
-  |> List.sort (fun (t1, p1) (t2, p2) ->
-         match Tuple.compare t1 t2 with 0 -> compare p1 p2 | c -> c)
+(* The answers a node serves are canonical: strictly ascending by
+   [Tuple.compare], so one entry per tuple, and no zero payload. *)
+let rec canonical = function
+  | [] -> true
+  | [ (_, p) ] -> p <> 0
+  | (a, p) :: ((b, _) :: _ as rest) -> p <> 0 && Tuple.compare a b < 0 && canonical rest
 
+(* One linear pass over two canonical answers, ascending: equal tuples
+   add their payloads and a zero sum drops out, so the result is
+   canonical too. The tail left when one side runs out is shared, not
+   copied. *)
+let rec merge2 acc a b =
+  match (a, b) with
+  | [], rest | rest, [] -> List.rev_append acc rest
+  | ((ta, pa) as ea) :: ra, ((tb, pb) as eb) :: rb ->
+      let c = Tuple.compare ta tb in
+      if c < 0 then merge2 (ea :: acc) ra b
+      else if c > 0 then merge2 (eb :: acc) a rb
+      else
+        let s = pa + pb in
+        merge2 (if s = 0 then acc else (ta, s) :: acc) ra rb
+
+(* The ring sum of per-shard partial answers. Associativity and
+   commutativity of the payload ring make the merge order irrelevant.
+   An answer that is not canonical fails the read, naming its shard:
+   merging it would return a wrong answer without a sign. *)
+let merge_entries answers =
+  match List.find_opt (fun (_, entries) -> not (canonical entries)) answers with
+  | Some (shard, _) ->
+      Error
+        (Printf.sprintf
+           "shard %d answer is not strictly ascending and zero-free; read refused" shard)
+  | None -> Ok (List.fold_left (fun acc (_, entries) -> merge2 [] acc entries) [] answers)
+
+(* Every shard's answer, tagged with its shard index. *)
 let read_all t f =
-  Array.fold_left
-    (fun acc slot ->
-      let* lists = acc in
+  Array.fold_right
+    (fun slot acc ->
+      let* answers = acc in
       let* entries = Result.map_error err_str (read_slot t slot f) in
-      Ok (entries :: lists))
-    (Ok []) t.slots
+      Ok ((slot.index, entries) :: answers))
+    t.slots (Ok [])
 
+(* The first healthy shard's answer, tagged with its shard index. *)
 let read_any t f =
   let rec go i last =
     if i >= Array.length t.slots then Error last
     else
       match read_slot t t.slots.(i) f with
-      | Ok v -> Ok v
+      | Ok v -> Ok [ (i, v) ]
       | Error e -> go (i + 1) (err_str e)
   in
   go 0 "no shards"
-
-(* Single-node reads are filtered to the same canonical form the merge
-   produces: no zero-payload entries (some engines enumerate an
-   explicit 0-count row, which a ring sum cancels away). *)
-let drop_zeros entries = List.filter (fun (_, p) -> p <> 0) entries
 
 (* An ungated read of one shard; the router merges entries, not
    watermarks. *)
 let entries c ~view ~prefix = Result.map snd (Client.lookup c ~view ~prefix)
 
+(* A one-shard read goes through the merge too: a merge of one answer
+   is that answer, checked. *)
 let read_view t ~view ~prefix =
-  match Topology.route t.topo view with
-  | Topology.Keyed when Tuple.arity prefix >= 1 ->
-      (* The first output column is the partition key: one owner. *)
-      let slot = t.slots.(Topology.key_owner t.topo (Tuple.get prefix 0)) in
-      Result.fold
-        ~ok:(fun e -> Ok (drop_zeros e))
-        ~error:(fun e -> Error (err_str e))
-        (read_slot t slot (entries ~view ~prefix))
-  | Topology.Replicated ->
-      Result.map drop_zeros (read_any t (entries ~view ~prefix))
-  | Topology.Keyed | Topology.Scattered ->
-      Result.map merge_entries (read_all t (entries ~view ~prefix))
+  let* answers =
+    match Topology.route t.topo view with
+    | Topology.Keyed when Tuple.arity prefix >= 1 ->
+        (* The first output column is the partition key: one owner. *)
+        let shard = Topology.key_owner t.topo (Tuple.get prefix 0) in
+        Result.map_error err_str (read_slot t t.slots.(shard) (entries ~view ~prefix))
+        |> Result.map (fun e -> [ (shard, e) ])
+    | Topology.Replicated -> read_any t (entries ~view ~prefix)
+    | Topology.Keyed | Topology.Scattered -> read_all t (entries ~view ~prefix)
+  in
+  merge_entries answers
 
 let lookup t ~view ~prefix = St.Rwlock.read t.ingest_lock (fun () -> read_view t ~view ~prefix)
 

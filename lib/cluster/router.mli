@@ -90,8 +90,21 @@ val lookup :
   t -> view:string -> prefix:D.Tuple.t -> ((D.Tuple.t * int) list, string) result
 (** Route by the view's {!Topology.route}: [Keyed] with a non-empty
     prefix goes to the key's owner; [Replicated] reads any one healthy
-    node; otherwise fan out and ring-sum merge. Best-effort with
-    respect to in-flight ingest (no barrier). *)
+    node; otherwise fan out and ring-sum merge ({!merge_entries}). The
+    answer is ascending and zero-free; a shard answer that is not fails
+    the read. Best-effort with respect to in-flight ingest (no
+    barrier). *)
+
+val merge_entries :
+  (int * (D.Tuple.t * int) list) list -> ((D.Tuple.t * int) list, string) result
+(** [merge_entries [(shard, answer); …]] is the ring sum of per-shard
+    answers, the merge every read above runs (a one-shard read merges
+    one answer). Each answer must be canonical, as a node serves it:
+    strictly ascending by {!D.Tuple.compare} and free of zero payloads.
+    The merge is then one linear pass per answer: equal tuples add
+    their payloads and zero sums drop out, so the result is canonical
+    too. An answer that is not canonical is an [Error] naming its shard
+    (the [int]), never a wrong answer. *)
 
 val snapshot : t -> view:string -> ((D.Tuple.t * int) list, string) result
 (** Cluster-consistent enumeration: pause routed ingest (phase 1),

@@ -136,9 +136,16 @@ let add_tuple b t =
     add_value b (Tuple.get t i)
   done
 
+(* The values go straight into the tuple's own array: no list, no
+   closure, no copy. The filler is a static constant, so a wide tuple's
+   array never forces a minor collection ({!Array.make} does when a
+   major-heap array is filled with a young value). *)
 let tuple s pos =
-  let n = u16 s pos in
-  Tuple.of_list (List.init n (fun _ -> value s pos))
+  let vals = Array.make (u16 s pos) (Value.Int 0) in
+  for i = 0 to Array.length vals - 1 do
+    vals.(i) <- value s pos
+  done;
+  Tuple.of_array vals
 
 (* An update's payload is its Z-ring multiplicity, an i64. *)
 let add_update b (u : int Update.t) =

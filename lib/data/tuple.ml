@@ -25,6 +25,7 @@ type t = {
 let wrap vals = { vals; h = -1; is_scratch = false }
 let unit : t = wrap [||]
 let of_list vs = wrap (Array.of_list vs)
+let of_array vs = wrap vs
 let to_list t = Array.to_list t.vals
 let of_ints is = wrap (Array.of_list (List.map Value.of_int is))
 let init n f = wrap (Array.init n f)

@@ -10,6 +10,12 @@ val unit : t
 (** The empty tuple [()]. *)
 
 val of_list : Value.t list -> t
+
+val of_array : Value.t array -> t
+(** [of_array vs] is the tuple of [vs], without a copy: the caller
+    hands the array over and must never write to it again. For
+    decoders that fill a fresh array. *)
+
 val to_list : t -> Value.t list
 
 val of_ints : int list -> t

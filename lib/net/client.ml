@@ -70,11 +70,11 @@ let send t req =
   if t.closed then Error Wire.Closed
   else Wire.write_frame t.fd (Wire.encode_request req)
 
+let recv_body t = if t.closed then Error Wire.Closed else Wire.read_frame t.fd
+
 let recv t =
-  if t.closed then Error Wire.Closed
-  else
-    let* body = Wire.read_frame t.fd in
-    Wire.decode_response body
+  let* body = recv_body t in
+  Wire.decode_response body
 
 let unexpected resp =
   Error (Wire.Decode ("unexpected response " ^ Wire.response_name resp))
@@ -83,16 +83,13 @@ let rpc t req =
   let* () = send t req in
   recv t
 
-(* Drain [Chunk] frames until the [last] one. *)
+(* Drain [Chunk] frames until the [last] one: every chunk's entries go
+   onto one reversed accumulator, reversed once at the end. *)
 let read_entries t =
   let rec go acc =
-    let* resp = recv t in
-    match resp with
-    | Wire.Chunk { last; entries } ->
-        let acc = List.rev_append entries acc in
-        if last then Ok (List.rev acc) else go acc
-    | Wire.Err msg -> Error (Wire.Remote msg)
-    | resp -> unexpected resp
+    let* body = recv_body t in
+    let* last, acc = Wire.decode_chunk body acc in
+    if last then Ok (List.rev acc) else go acc
   in
   go []
 

@@ -248,6 +248,15 @@ let entry s cur =
   let p = Codec.i64 s cur in
   (tp, p)
 
+(* A [Chunk] body after its tag: the last flag, then the entries, each
+   pushed onto [acc] — so [acc] comes back with this chunk's entries in
+   reverse order in front. The one chunk decoder: {!decode_response}
+   and {!decode_chunk} both run it. *)
+let chunk_body s cur acc =
+  let last = Codec.u8 s cur <> 0 in
+  let rec go k acc = if k = 0 then acc else go (k - 1) (entry s cur :: acc) in
+  (last, go (Codec.u32 s cur) acc)
+
 let encode_request (r : request) : string =
   let buf = Buffer.create 64 in
   (match r with
@@ -409,9 +418,8 @@ let decode_response body : (response, error) result =
       match op with
       | 0x81 -> Pong
       | 0x82 ->
-          let last = Codec.u8 body cur <> 0 in
-          let entries = read_list entry body cur in
-          Chunk { last; entries }
+          let last, rev = chunk_body body cur [] in
+          Chunk { last; entries = List.rev rev }
       | 0x83 ->
           let admitted = Codec.u32 body cur in
           let dropped = Codec.u32 body cur in
@@ -455,3 +463,14 @@ let decode_response body : (response, error) result =
       | _ -> raise Exit
     in
     match decoding body read with exception Exit -> Error (Bad_op op) | r -> r
+
+let decode_chunk body acc =
+  if body <> "" && Char.code body.[0] = 0x82 then
+    decoding body (fun body cur ->
+        Codec.u8 body cur |> ignore;
+        chunk_body body cur acc)
+  else
+    match decode_response body with
+    | Ok (Err msg) -> Error (Remote msg)
+    | Ok resp -> Error (Decode ("unexpected response " ^ response_name resp))
+    | Error e -> Error e

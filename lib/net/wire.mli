@@ -141,3 +141,15 @@ val encode_request : request -> string
 val decode_request : string -> (request, error) result
 val encode_response : response -> string
 val decode_response : string -> (response, error) result
+
+val decode_chunk :
+  string ->
+  (Tuple.t * int) list ->
+  (bool * (Tuple.t * int) list, error) result
+(** [decode_chunk body acc] decodes a [Chunk] body without building the
+    [Chunk] value: [Ok (last, acc')], where [acc'] is the chunk's
+    entries in reverse order pushed onto [acc]. Draining a whole answer
+    is then one accumulator across its chunks, reversed once. An [Err]
+    body is [Error (Remote msg)], any other response an [Error (Decode _)]
+    naming it. The checks of {!decode_response} hold: a malformed body
+    or trailing bytes are a [Decode] error. *)

@@ -178,6 +178,112 @@ let test_cluster_converges () =
               (M.entries_fingerprint want) (M.entries_fingerprint got)
       done)
 
+(* --- the read merge -------------------------------------------------- *)
+
+(* The merge the router ran before answers were known to be sorted:
+   ring-sum through a hash table, drop zeros, sort. The reference the
+   linear merge must agree with. *)
+let reference_merge answers =
+  let tbl = D.Tuple.Tbl.create 64 in
+  List.iter
+    (List.iter (fun (tp, p) ->
+         let s = Option.value (D.Tuple.Tbl.find_opt tbl tp) ~default:0 + p in
+         if s = 0 then D.Tuple.Tbl.remove tbl tp else D.Tuple.Tbl.replace tbl tp s))
+    answers;
+  D.Tuple.Tbl.fold (fun tp p acc -> (tp, p) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> D.Tuple.compare a b)
+
+(* A canonical answer, as a node serves it: random entries of arity
+   1–3 over a small domain (so shards collide), summed, zero-free and
+   sorted. *)
+let answer_gen =
+  QCheck.Gen.(
+    map
+      (fun raw -> reference_merge [ raw ])
+      (list_size (int_range 0 40)
+         (pair
+            (map tup (list_size (int_range 1 3) (int_range 0 3)))
+            (int_range (-3) 3))))
+
+let print_answers answers =
+  String.concat " | "
+    (List.map
+       (fun es ->
+         String.concat " "
+           (List.map (fun (tp, p) -> Printf.sprintf "%s:%d" (D.Tuple.to_string tp) p) es))
+       answers)
+
+let answers_arb =
+  QCheck.make ~print:print_answers QCheck.Gen.(list_size (int_range 1 4) answer_gen)
+
+let indexed answers = List.mapi (fun i es -> (i, es)) answers
+
+let merge_matches_reference =
+  QCheck.Test.make ~name:"linear merge = hash-and-sort merge" ~count:500 answers_arb
+    (fun answers ->
+      match Cl.Router.merge_entries (indexed answers) with
+      | Error m -> QCheck.Test.fail_reportf "refused canonical answers: %s" m
+      | Ok got -> got = reference_merge answers)
+
+(* Break one answer three ways — two entries swapped, one duplicated, a
+   zero payload — and the merge must refuse, naming that shard. *)
+let merge_refuses_non_canonical =
+  QCheck.Test.make ~name:"a non-canonical shard answer is an Error" ~count:300
+    QCheck.(pair answers_arb (pair small_nat (int_bound 2)))
+    (fun (answers, (pick, how)) ->
+      let shard = pick mod List.length answers in
+      let broken es =
+        match (how, es) with
+        | 0, a :: b :: rest -> Some (b :: a :: rest)
+        | 1, a :: rest -> Some (a :: a :: rest)
+        | 2, (tp, _) :: rest -> Some ((tp, 0) :: rest)
+        | _ -> None
+      in
+      match broken (List.nth answers shard) with
+      | None -> QCheck.assume_fail ()
+      | Some bad -> (
+          let answers = List.mapi (fun i es -> if i = shard then bad else es) answers in
+          match Cl.Router.merge_entries (indexed answers) with
+          | Ok _ -> QCheck.Test.fail_report "merged a non-canonical answer"
+          | Error m ->
+              let name = Printf.sprintf "shard %d " shard in
+              String.length m >= String.length name
+              && String.sub m 0 (String.length name) = name))
+
+(* Minor words the calling domain allocates per entry of a scattered
+   [Router.lookup]: both shards' answers decoded and merged. The reading
+   is exact for this fixture; the gate fails past 1.25x it. *)
+let router_read_words_baseline = 27.795
+
+let test_router_read_alloc () =
+  let router = start_router ~label:"read_alloc" () in
+  Fun.protect
+    ~finally:(fun () -> Cl.Router.stop router)
+    (fun () ->
+      feed_router router (make_stream 400);
+      (match Cl.Router.barrier router with
+      | Ok _ -> ()
+      | Error m -> Alcotest.failf "barrier failed: %s" m);
+      let read () =
+        match Cl.Router.lookup router ~view:"paths-sum" ~prefix:D.Tuple.unit with
+        | Ok es -> List.length es
+        | Error m -> Alcotest.failf "lookup: %s" m
+      in
+      let entries = read () in
+      Alcotest.(check bool) "a few hundred rows" true (entries >= 200);
+      let reads = 50 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to reads do
+        ignore (read ())
+      done;
+      let measured = (Gc.minor_words () -. w0) /. float_of_int (reads * entries) in
+      let limit = router_read_words_baseline *. 1.25 in
+      Printf.printf "router read allocation: measured %.3f words/entry (baseline %.3f, limit %.1f)\n"
+        measured router_read_words_baseline limit;
+      if measured > limit then
+        Alcotest.failf "router read: %.3f minor words/entry exceeds the budget of %.1f" measured
+          limit)
+
 (* --- abrupt kill mid-ingest: exactly-once re-send ---------------------- *)
 
 let test_kill_mid_ingest () =
@@ -709,7 +815,12 @@ let () =
       ( "routing",
         [
           Alcotest.test_case "2-shard convergence vs reference" `Quick test_cluster_converges;
+          Alcotest.test_case "router read allocation" `Quick test_router_read_alloc;
         ] );
+      ( "merge",
+        List.map
+          (QCheck_alcotest.to_alcotest ~long:false)
+          [ merge_matches_reference; merge_refuses_non_canonical ] );
       ( "failover",
         [
           Alcotest.test_case "abrupt kill mid-ingest, exactly-once" `Quick test_kill_mid_ingest;

@@ -206,7 +206,9 @@ let garbage_bodies =
     (QCheck.make ~print:String.escaped body_gen)
     (fun body ->
       let forced = function Ok _ | Error _ -> true in
-      forced (Wire.decode_request body) && forced (Wire.decode_response body))
+      forced (Wire.decode_request body)
+      && forced (Wire.decode_response body)
+      && forced (Wire.decode_chunk body []))
 
 let unknown_opcode () =
   (match Wire.decode_request "\xee" with
@@ -342,6 +344,28 @@ let chunk_frame_identical =
       Bytes.equal
         (Wire.chunk_frame ~last a ~off ~len)
         (Wire.frame_bytes (Wire.encode_response (Wire.Chunk { last; entries = slice }))))
+
+let same_entries = List.equal (fun (a, p) (b, q) -> D.Tuple.equal a b && p = q)
+
+(* The accumulating chunk decoder agrees with [decode_response]: the
+   chunk's entries come back reversed in front of the accumulator. Any
+   other response is an error, an [Err] one the server's message. *)
+let decode_chunk_agrees =
+  QCheck.Test.make ~name:"decode_chunk = decode_response's Chunk, reversed" ~count:200
+    QCheck.(triple bool (make ~print:print_entries entries_gen) (make ~print:print_entries entries_gen))
+    (fun (last, entries, acc) ->
+      let body = Wire.encode_response (Wire.Chunk { last; entries }) in
+      (match (Wire.decode_chunk body acc, Wire.decode_response body) with
+      | Ok (l, got), Ok (Wire.Chunk c) ->
+          l = last && c.last = last
+          && same_entries got (List.rev_append entries acc)
+          && same_entries c.entries entries
+      | _ -> false)
+      && Wire.decode_chunk (Wire.encode_response (Wire.Err "gone")) acc = Error (Wire.Remote "gone")
+      &&
+      match Wire.decode_chunk (Wire.encode_response Wire.Pong) acc with
+      | Error (Wire.Decode _) -> true
+      | _ -> false)
 
 (* The frame layout itself: u32 length, u32 CRC, body. *)
 let frame_layout =
@@ -886,9 +910,6 @@ let e2e_zero_copy_snapshot () =
           (* An ungated whole-view Lookup returns exactly the entries
              of those frames, and its wire bytes are a Token frame then
              the cached buffers, byte for byte. *)
-          let same_entries a b =
-            List.equal (fun (t1, p1) (t2, p2) -> D.Tuple.equal t1 t2 && p1 = p2) a b
-          in
           Alcotest.(check bool) "lookup entries = snapshot_frames entries" true
             (same_entries (served ~chunk_size:64 f1)
                (ok_entries (Client.lookup c ~view:"paths-rs" ~prefix:D.Tuple.unit)));
@@ -1924,6 +1945,96 @@ let pending_only_for_consumers () =
       Alcotest.(check bool) "a read tracks its view only" true
         (pending () = [ ("tri", None); ("paths-rs", Some 0) ]))
 
+(* --- the answer contract ------------------------------------------------ *)
+
+(* Strictly ascending by [Tuple.compare], so one entry per tuple, and
+   no zero payload: the form the cluster router's linear merge relies
+   on. *)
+let rec canonical = function
+  | [] -> true
+  | [ (_, p) ] -> p <> 0
+  | (a, p) :: ((b, _) :: _ as rest) -> p <> 0 && D.Tuple.compare a b < 0 && canonical rest
+
+(* Every served engine kind, the six mixed-workload tenants and the
+   triangle, view-tree and dataflow-join views, over seeded random
+   streams. After each run of epochs, every answer read through
+   8-entry chunks is canonical: the whole view, each arity-1 prefix
+   present (the prebuilt per-key frames) and each arity-2 prefix
+   present (the filtered key group). A prefix answer is the whole
+   answer's matching entries, in order. *)
+let answers_canonical () =
+  List.iter
+    (fun seed ->
+      let metrics = Metrics.create () in
+      let reg = Registry.create ~metrics (make_triangle_db ()) in
+      register_views reg;
+      Registry.register reg ~name:"paths-df" paths_df;
+      let tenants = Mx.tenants ~views:6 ~keys:12 in
+      List.iter
+        (fun (tn : Mx.tenant) ->
+          List.iter
+            (fun (name, cols) -> ignore (Registry.declare_table reg name (S.of_list cols)))
+            tn.Mx.tables;
+          Registry.register reg ~name:tn.Mx.name (Mx.factory tn))
+        tenants;
+      Registry.apply_batch reg
+        (List.concat_map (fun tn -> Mx.init_updates tn ~accounts:16) tenants);
+      let drift = Mx.Drift.create ~seed ~keys:12 ~period:40 in
+      let gens =
+        Array.of_list (List.map (fun tn -> Mx.Tgen.create ~accounts:16 tn ~drift ~seed ()) tenants)
+      in
+      let rng = Random.State.make [| seed |] in
+      let op = ref 0 in
+      let epoch edges =
+        let steps =
+          List.init 60 (fun _ ->
+              incr op;
+              Mx.Tgen.next gens.(Random.State.int rng (Array.length gens)) ~op:!op)
+        in
+        Registry.apply_batch reg (List.concat steps @ edges)
+      in
+      let views = patch_views @ List.map (fun (tn : Mx.tenant) -> tn.Mx.name) tenants in
+      let srv = ok_wire (Server.start ~port:0 ~handlers:1 ~chunk_size:8 ~registry:reg ~metrics ()) in
+      let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+      let read view prefix =
+        let es = ok_entries (Client.lookup c ~view ~prefix) in
+        if not (canonical es) then
+          Alcotest.failf "seed %d, %s at prefix %s: answer not ascending and zero-free" seed view
+            (D.Tuple.to_string prefix);
+        es
+      in
+      let check view =
+        let all = read view D.Tuple.unit in
+        List.iter
+          (fun k ->
+            let prefix_of tp = D.Tuple.init k (D.Tuple.get tp) in
+            List.filter_map
+              (fun (tp, _) -> if D.Tuple.arity tp >= k then Some (prefix_of tp) else None)
+              all
+            |> List.sort_uniq D.Tuple.compare
+            |> List.iter (fun prefix ->
+                   let want =
+                     List.filter
+                       (fun (tp, _) -> D.Tuple.arity tp >= k && D.Tuple.equal (prefix_of tp) prefix)
+                       all
+                   in
+                   if not (same_entries (read view prefix) want) then
+                     Alcotest.failf "seed %d, %s: prefix %s answer is not the filtered view" seed
+                       view (D.Tuple.to_string prefix)))
+          [ 1; 2 ]
+      in
+      Fun.protect
+        ~finally:(fun () ->
+          Client.close c;
+          Server.stop ~grace:0. srv)
+        (fun () ->
+          List.iter
+            (fun epochs ->
+              List.iter epoch epochs;
+              List.iter check views)
+            (batches_of 4 (batches_of 12 (edge_stream ~seed 192)))))
+    [ 1; 2; 3 ]
+
 let () =
   Alcotest.run ~and_exit:false "net"
     [
@@ -1935,6 +2046,7 @@ let () =
           qt frame_bit_flip;
           qt frame_layout;
           qt chunk_frame_identical;
+          qt decode_chunk_agrees;
           Alcotest.test_case "oversized rejected" `Quick oversized_rejected;
         ] );
       ( "messages",
@@ -1987,6 +2099,7 @@ let () =
             e2e_oversized_delta_rebuilds;
           Alcotest.test_case "pending deltas only for consumers" `Quick
             pending_only_for_consumers;
+          Alcotest.test_case "every answer ascending and zero-free" `Quick answers_canonical;
         ] );
       ( "sessions (read-your-writes)",
         [
