@@ -2,7 +2,9 @@
     tree and differing on two axes:
 
     - eager vs lazy: propagate updates through the view tree immediately,
-      or only touch the base relations and refresh on enumeration;
+      or defer the work to the next enumeration (lazy-fact queues the
+      updates and replays them through the tree, lazy-list touches only
+      the base relations and recomputes);
     - fact vs list: keep the output factorized over the views, or
       materialize it as a flat list of tuples.
 
@@ -30,7 +32,7 @@ type t = {
   query : Cq.t;
   tree : View_tree.t;
   out : Rel.t; (* flat output, list strategies only *)
-  mutable pending : (string * Rel.t) list; (* per-relation queued deltas, lazy-fact *)
+  mutable queued : int Update.t list; (* lazy-fact's updates since refresh, newest first *)
 }
 
 let create kind query forest db =
@@ -40,28 +42,14 @@ let create kind query forest db =
     | Eager_list -> View_tree.output_relation tree
     | Eager_fact | Lazy_fact | Lazy_list -> Rel.create (Schema.of_list query.Cq.free)
   in
-  { kind; query; tree; out; pending = [] }
+  { kind; query; tree; out; queued = [] }
 
 let kind t = t.kind
 let query t = t.query
 
-(** The shared view tree (its leaves are the maintained base relations,
-    whatever the strategy). *)
+(** The shared view tree (its leaves are the maintained base relations;
+    lazy-fact's lag behind until its next refresh). *)
 let tree t = t.tree
-
-(* The per-relation pending delta of lazy-fact, created on first use. *)
-let pending_for t rel =
-  match List.assoc_opt rel t.pending with
-  | Some d -> d
-  | None ->
-      let schema = Schema.of_list (Cq.find_atom t.query rel).Cq.vars in
-      let d = Rel.create schema in
-      t.pending <- (rel, d) :: t.pending;
-      d
-
-(* Queue a delta for lazy-fact: merge into the per-relation pending
-   relation, so a later refresh propagates one batch per relation. *)
-let queue t rel tuple payload = Rel.add_entry (pending_for t rel) tuple payload
 
 let apply (t : t) (u : int Update.t) : unit =
   match t.kind with
@@ -84,26 +72,15 @@ let apply (t : t) (u : int Update.t) : unit =
       let bv = View_tree.base_view t.tree u.Update.rel in
       View.update bv u.Update.tuple u.Update.payload
   | Lazy_fact ->
-      let bv = View_tree.base_view t.tree u.Update.rel in
-      View.update bv u.Update.tuple u.Update.payload;
-      queue t u.Update.rel u.Update.tuple u.Update.payload
+      (* Fail fast on a relation the query does not read. *)
+      ignore (View_tree.base_view t.tree u.Update.rel : View.t);
+      t.queued <- u :: t.queued
 
-(* Lazy-fact refresh: propagate the queued per-relation deltas through
-   the tree. The base relations already include the pending updates, so
-   the propagation joins deltas against up-to-date relations; this
-   over-counts cross-delta combinations unless deltas are propagated one
-   relation at a time against a state where *its own* delta is excluded.
-   We therefore subtract each delta from its base relation, propagate,
-   which re-adds it (View_tree.apply_delta updates the base too). *)
+(* Lazy-fact refresh: replay the queued updates through the tree. *)
 let refresh_lazy_fact t =
-  let pending = t.pending in
-  t.pending <- [];
-  List.iter
-    (fun (rel, d) ->
-      let bv = View_tree.base_view t.tree rel in
-      Rel.iter (fun tp p -> View.update bv tp (-p)) d)
-    pending;
-  List.iter (fun (rel, d) -> View_tree.apply_delta t.tree rel d) pending
+  let queued = t.queued in
+  t.queued <- [];
+  List.iter (View_tree.apply_update t.tree) (List.rev queued)
 
 let enumerate (t : t) : (Tuple.t * int) Seq.t =
   match t.kind with

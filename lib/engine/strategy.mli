@@ -1,7 +1,9 @@
 (** The four IVM strategies compared in Fig. 4, sharing one view tree:
 
-    - eager vs lazy: propagate updates immediately, or only touch the
-      base relations and refresh on enumeration;
+    - eager vs lazy: propagate updates immediately, or defer the work
+      to the next enumeration (lazy-fact queues the updates and replays
+      them through the view tree, lazy-list touches only the base
+      relations and recomputes);
     - fact vs list: keep the output factorized over the views, or
       materialize it flat.
 
@@ -24,14 +26,14 @@ val kind : t -> kind
 val query : t -> Cq.t
 
 val tree : t -> View_tree.t
-(** The shared view tree (its leaves are the maintained base relations,
-    whatever the strategy). *)
+(** The shared view tree (its leaves are the maintained base relations;
+    lazy-fact's lag behind until its next refresh). *)
 
 val apply : t -> int Ivm_data.Update.t -> unit
 
 val enumerate : t -> (Tuple.t * int) Seq.t
 (** An enumeration request: lazy strategies refresh first (lazy-fact by
-    propagating queued per-relation deltas, lazy-list by recomputing). *)
+    replaying its queued updates, lazy-list by recomputing). *)
 
 val count_output : t -> int
 (** Drain an enumeration request, returning the output size — the

@@ -38,10 +38,30 @@ type node = {
    output walk run on, so neither allocates per probe. *)
 type site = { sview : View.t; sslots : int array; skey : Tuple.t }
 
-(* One hop of a compiled single-tuple update: the sibling lookups
+(* A hop factor: a sibling view (another atom anchored at the node, or
+   the aggregate of a child off the path) multiplied in at a node on the
+   update's leaf-to-root path. When the variables bound so far key the
+   sibling, the factor is one lookup. Otherwise it iterates the
+   sibling's group on the bound variables, writes each entry's unbound
+   variables into their slots and runs the rest of the plan from there:
+   the index nested-loop join of the delta with the sibling. *)
+type factor = Lookup of site | Iterate of iterate
+
+and iterate = {
+  group_of : Rel.Index.t; (* the sibling's index on the bound variables *)
+  gkey : site; (* the slots of that index key, and its scratch key *)
+  from_pos : int array; (* positions of the unbound variables in an entry *)
+  to_slot : int array; (* and the slots they bind *)
+  mutable outer : int; (* the payload of the enclosing loops *)
+  mutable each : Tuple.t -> int -> unit;
+      (* the rest of the plan per entry, compiled at [build] so that an
+         update allocates no closure *)
+}
+
+(* One hop of a compiled single-tuple update: the sibling factors
    multiplied in at the node, then the stores into its view and
    aggregate. *)
-type hop = { factors : site array; at_view : site; at_agg : site }
+type hop = { factors : factor array; at_view : site; at_agg : site }
 
 (* The leaf-to-root path of one relation, compiled at [build]: where
    the update tuple's fields go in the environment, and the hops. *)
@@ -53,7 +73,6 @@ type t = {
   nodes : node array;
   roots : int list;
   base : (string, View.t) Hashtbl.t;
-  anchor_of : (string, int) Hashtbl.t;
   enumerable : bool;
   mutable delta_walk : (Value.t option array * ((Tuple.t -> int -> unit) -> unit)) option;
       (* the pinned output walk of delta enumeration, built on first use:
@@ -62,13 +81,9 @@ type t = {
       (* negative base entries, 0 iff the database is valid (Sec. 2);
          current only while [counted], which plain updates clear *)
   mutable counted : bool;
-  plans : (string, plan) Hashtbl.t;
-      (* hop plans of the relations whose single-tuple updates propagate
-         by pure lookups: at every node on the leaf-to-root path all
-         sibling views and atoms are keyed within the fixed variables —
-         the O(1) update property of q-hierarchical queries, detected
-         statically. *)
+  plans : (string, plan) Hashtbl.t; (* one per atom *)
   env : Value.t array; (* the plans' slot environment; writer-only *)
+  mutable work : int; (* index probes plus iterated entries of the plans *)
 }
 
 let base_view t rel =
@@ -97,36 +112,144 @@ let lookup env s =
   fill env s;
   View.get s.sview s.skey
 
+(* [p] times the lookups of [sites] from the [k]-th, stopping at zero. *)
+let rec product env sites k p =
+  if p = 0 || k = Array.length sites then p
+  else product env sites (k + 1) (p * lookup env sites.(k))
+
+let store env s p =
+  fill env s;
+  View.update s.sview s.skey p
+
 let node_count t = Array.length t.nodes
 
 (* Total size of all materialized views (excluding base relations). *)
 let views_size t =
   Array.fold_left (fun acc n -> acc + View.size n.view + View.size n.agg) 0 t.nodes
 
-(* Join the driver delta with a list of parts and reshape to [full]. *)
+(* The order in which [parts] join a driver bound on [bound]: a part
+   the bound variables key (a lookup) first, else the part overlapping
+   them most. Paired with the variables bound before each part. *)
+let rec join_order bound = function
+  | [] -> []
+  | first :: _ as parts ->
+      let next =
+        match List.find_opt (fun p -> Schema.subset (View.schema p) bound) parts with
+        | Some p -> p
+        | None ->
+            let score p = Schema.arity (Schema.inter (View.schema p) bound) in
+            List.fold_left (fun b p -> if score p > score b then p else b) first parts
+      in
+      (next, bound)
+      :: join_order (Schema.union bound (View.schema next)) (List.filter (( != ) next) parts)
+
+(* Bulk [build]'s join of a node's parts, reshaped to [full]. *)
 let join_parts (driver : Rel.t) (parts : View.t list) (full : Schema.t) : Rel.t =
-  (* Prefer parts that are fully bound by the driver (pure lookups). *)
-  let rec order bound acc = function
-    | [] -> List.rev acc
-    | parts ->
-        let fully_bound p = Schema.subset (View.schema p) bound in
-        let next =
-          match List.find_opt fully_bound parts with
-          | Some p -> p
-          | None ->
-              (* Pick the part overlapping the most. *)
-              let score p =
-                Schema.arity (Schema.inter (View.schema p) bound)
-              in
-              List.fold_left (fun b p -> if score p > score b then p else b) (List.hd parts)
-                parts
-        in
-        order (Schema.union bound (View.schema next)) (next :: acc)
-          (List.filter (fun p -> p != next) parts)
+  let parts = List.map fst (join_order (Rel.schema driver) parts) in
+  Rel.project_onto (List.fold_left Eval.extend driver parts) full
+
+(* The single-tuple update plans. An update writes its tuple's fields
+   into the environment, stores the tuple in its base view and runs the
+   hops: at each node from its anchor to the root, the factors in turn,
+   then the stores of the payload product into the node's view and
+   aggregate. An [Iterate] factor runs the rest of the plan once per
+   entry of its group, so the stores see every binding of the joined
+   variables — the delta view tree of Fig. 3 as a nested loop, with no
+   intermediate relation. Only entries new to a view allocate (their
+   copied key); an update of stored tuples allocates nothing.
+
+   Invariant: an iterated group belongs to a sibling, and no sibling is
+   on the update's leaf-to-root path. The base view written is the
+   updated atom's (queries are self-join free), the other atoms are
+   only read, and off-path aggregates are not written; the hops store
+   only into the path's views and aggregates. So no hop mutates an
+   index it is iterating. *)
+let rec run t hops h j p =
+  let hop = hops.(h) in
+  if j < Array.length hop.factors then begin
+    t.work <- t.work + 1;
+    match hop.factors.(j) with
+    | Lookup s ->
+        let p = p * lookup t.env s in
+        if p <> 0 then run t hops h (j + 1) p
+    | Iterate it ->
+        fill t.env it.gkey;
+        it.outer <- p;
+        Rel.Index.iter_group it.group_of it.gkey.skey it.each
+  end
+  else begin
+    store t.env hop.at_view p;
+    store t.env hop.at_agg p;
+    if h + 1 < Array.length hops then run t hops (h + 1) 0 p
+  end
+
+(* [Iterate it]'s continuation, the [j]-th factor of hop [h]. Nested
+   loops never re-enter a factor, so [it.outer] holds for the whole
+   iteration. *)
+let continue_after t hops h j it entry q =
+  t.work <- t.work + 1;
+  for i = 0 to Array.length it.from_pos - 1 do
+    t.env.(it.to_slot.(i)) <- Tuple.get entry it.from_pos.(i)
+  done;
+  run t hops h (j + 1) (it.outer * q)
+
+(* The factor of [part] under the variables [bound] before it. *)
+let factor slot_of part bound =
+  let schema = View.schema part in
+  if Schema.subset schema bound then Lookup (site slot_of part schema)
+  else
+    let key = Schema.inter schema bound and fresh = Schema.diff schema bound in
+    Iterate
+      {
+        group_of = View.index_on part key;
+        gkey = site slot_of part key;
+        from_pos = Schema.projection schema fresh;
+        to_slot = slots slot_of fresh;
+        outer = 0;
+        each = (fun _ _ -> ());
+      }
+
+(* The parts joined at node [n]: its atoms and its children's
+   aggregates, but the atom [except] and the child [from]. *)
+let parts t n ~except ~from =
+  List.filter_map
+    (fun r -> if Some r = except then None else Some (Hashtbl.find t.base r))
+    n.local_atoms
+  @ List.filter_map (fun c -> if c = from then None else Some t.nodes.(c).agg) n.children
+
+(* Compile the plan of [atom], anchored at node [anchor]. Its siblings
+   are the parts at each node of the path but the atom itself (anchored
+   only at [anchor]) and the child the update comes through. *)
+let compile t slot_of anchor (atom : Cq.atom) =
+  let rec hops id came_from bound acc =
+    if id < 0 then Array.of_list (List.rev acc)
+    else
+      let n = t.nodes.(id) in
+      let ordered = join_order bound (parts t n ~except:(Some atom.Cq.rel) ~from:came_from) in
+      let bound = List.fold_left (fun b (p, _) -> Schema.union b (View.schema p)) bound ordered in
+      let hop =
+        {
+          factors = Array.of_list (List.map (fun (p, b) -> factor slot_of p b) ordered);
+          at_view = site slot_of n.view n.full;
+          at_agg = site slot_of n.agg n.dep;
+        }
+      in
+      hops n.parent id bound (hop :: acc)
   in
-  let parts = order (Rel.schema driver) [] parts in
-  let joined = List.fold_left Eval.extend driver parts in
-  Rel.project_onto joined full
+  let hops = hops anchor (-1) (Schema.of_list atom.Cq.vars) [] in
+  Array.iteri
+    (fun h hop ->
+      Array.iteri
+        (fun j -> function
+          | Iterate it -> it.each <- (fun entry q -> continue_after t hops h j it entry q)
+          | Lookup _ -> ())
+        hop.factors)
+    hops;
+  {
+    base_of = Hashtbl.find t.base atom.Cq.rel;
+    atom_slots = slots slot_of (Schema.of_list atom.Cq.vars);
+    hops;
+  }
 
 let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
   (match Vo.validate query forest with
@@ -186,61 +309,7 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
     List.iter (fun n -> arr.(n.id) <- n) !nodes;
     arr
   in
-  let anchor_of = Hashtbl.create 8 in
-  List.iteri
-    (fun i (a : Cq.atom) ->
-      let var = anchors.(i) in
-      let nid = (Array.to_list nodes |> List.find (fun n -> String.equal n.var var)).id in
-      Hashtbl.replace anchor_of a.Cq.rel nid)
-    query.Cq.atoms;
-  (* Static fast-path analysis: the propagation path of [rel] is pure
-     lookups iff at every node the sibling aggregates and local atoms
-     are keyed within the variables fixed by the delta. This is the
-     [constant_path] condition of the static/dynamic checker with every
-     relation dynamic. Such a path compiles to a hop plan. *)
   let slot_of = slot_table query in
-  let plans = Hashtbl.create 8 in
-  List.iteri
-    (fun i (a : Cq.atom) ->
-      if Ivm_query.Static_dynamic.constant_path ~q:query ~anchors ~deps ~forest ~atom_idx:i
-      then begin
-        let rel = a.Cq.rel in
-        let rec hops id came_from acc =
-          if id < 0 then Array.of_list (List.rev acc)
-          else
-            let n = nodes.(id) in
-            let locals =
-              List.filter_map
-                (fun r ->
-                  if came_from = -1 && String.equal r rel then None
-                  else
-                    let bv = Hashtbl.find base r in
-                    Some (site slot_of bv (View.schema bv)))
-                n.local_atoms
-            and kids =
-              List.filter_map
-                (fun c ->
-                  if c = came_from then None
-                  else Some (site slot_of nodes.(c).agg nodes.(c).dep))
-                n.children
-            in
-            let hop =
-              {
-                factors = Array.of_list (locals @ kids);
-                at_view = site slot_of n.view n.full;
-                at_agg = site slot_of n.agg n.dep;
-              }
-            in
-            hops n.parent id (hop :: acc)
-        in
-        Hashtbl.replace plans rel
-          {
-            base_of = Hashtbl.find base rel;
-            atom_slots = Array.of_list (List.map (Hashtbl.find slot_of) a.Cq.vars);
-            hops = hops (Hashtbl.find anchor_of rel) (-1) [];
-          }
-      end)
-    query.Cq.atoms;
   let t =
     {
       query;
@@ -248,13 +317,13 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
       nodes;
       roots;
       base;
-      anchor_of;
       enumerable = Vo.free_top query forest;
       delta_walk = None;
       negatives = 0;
       counted = false;
-      plans;
+      plans = Hashtbl.create 8;
       env = Array.make (Hashtbl.length slot_of) (Value.Int 0);
+      work = 0;
     }
   in
   (* Populate views bottom-up (preprocessing, O(N) for q-hierarchical).
@@ -264,12 +333,8 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
   let rec populate id =
     let n = nodes.(id) in
     List.iter populate n.children;
-    let parts =
-      List.map (fun r -> Hashtbl.find base r) n.local_atoms
-      @ List.map (fun c -> nodes.(c).agg) n.children
-    in
     let v =
-      match parts with
+      match parts t n ~except:None ~from:(-1) with
       | [] -> invalid_arg "View_tree.build: node with no parts"
       | first :: rest -> join_parts (Rel.copy (View.relation first)) rest n.full
     in
@@ -278,85 +343,31 @@ let build (query : Cq.t) (forest : Vo.forest) (db : Ivm_data.Database.Z.t) : t =
     if t.enumerable then ignore (View.index_on n.view n.dep)
   in
   List.iter populate roots;
+  List.iteri
+    (fun i (a : Cq.atom) ->
+      let anchor = List.find (fun n -> String.equal n.var anchors.(i)) (Array.to_list nodes) in
+      Hashtbl.replace t.plans a.Cq.rel (compile t slot_of anchor.id a))
+    query.Cq.atoms;
   t
 
-(** [apply_delta t rel d] propagates the delta relation [d] (keyed by the
-    atom schema of [rel]) along the leaf-to-root path: the delta view
-    tree of Fig. 3. The base relation is updated as well. *)
-let apply_delta (t : t) (rel : string) (d : Rel.t) : unit =
+let work t = t.work
+
+(** Single-tuple update (insert for positive payload, delete for
+    negative) through the relation's compiled plan. *)
+let apply_update (t : t) (u : int Ivm_data.Update.t) : unit =
   t.counted <- false;
-  let bview = base_view t rel in
-  View.apply_delta bview (Rel.project_onto d (View.schema bview));
-  let rec up id came_from (d : Rel.t) =
-    if id >= 0 then begin
-      let n = t.nodes.(id) in
-      let local =
-        (* At the anchor node the updated relation itself is excluded:
-           δ(R · rest) = δR · rest for a single changed atom. *)
-        List.filter (fun r -> not (came_from = -1 && String.equal r rel)) n.local_atoms
-      in
-      let parts =
-        List.map (fun r -> Hashtbl.find t.base r) local
-        @ List.filter_map
-            (fun c -> if c = came_from then None else Some t.nodes.(c).agg)
-            n.children
-      in
-      let d_full = join_parts d parts n.full in
-      View.apply_delta n.view d_full;
-      let d_agg = Rel.project_onto d_full n.dep in
-      View.apply_delta n.agg d_agg;
-      up n.parent id d_agg
-    end
+  let rel = u.Ivm_data.Update.rel and tuple = u.Ivm_data.Update.tuple in
+  let plan =
+    match Hashtbl.find t.plans rel with
+    | plan -> plan
+    | exception Not_found -> invalid_arg ("View_tree.apply_update: no atom for relation " ^ rel)
   in
-  let anchor = Hashtbl.find t.anchor_of rel in
-  up anchor (-1) (Rel.project_onto d (Schema.of_list (Cq.find_atom t.query rel).Cq.vars))
-
-(* Fast path for single-tuple updates on relations whose propagation is
-   pure lookups: the compiled hop plan. The update tuple's fields go
-   into the slot environment, and each hop fills scratch keys from it —
-   no intermediate relation, environment or projection is allocated;
-   only tuples that become new view entries are. The base view stores
-   the update's own tuple (its schema is the atom's variables). This is
-   the constant the paper's "constant update time" refers to. *)
-let rec hop_factors env factors k p =
-  if p = 0 || k = Array.length factors then p
-  else hop_factors env factors (k + 1) (p * lookup env factors.(k))
-
-let store env s p =
-  fill env s;
-  View.update s.sview s.skey p
-
-let rec run_hops env hops k p =
-  if k < Array.length hops && p <> 0 then begin
-    let h = hops.(k) in
-    let p = hop_factors env h.factors 0 p in
-    if p <> 0 then begin
-      store env h.at_view p;
-      store env h.at_agg p;
-      run_hops env hops (k + 1) p
-    end
-  end
-
-let apply_plan t plan (tuple : Tuple.t) (payload : int) =
   for i = 0 to Array.length plan.atom_slots - 1 do
     t.env.(plan.atom_slots.(i)) <- Tuple.get tuple i
   done;
-  View.update plan.base_of tuple payload;
-  run_hops t.env plan.hops 0 payload
-
-(** Single-tuple update (insert for positive payload, delete for
-    negative). Uses the lookup-only fast path when the static analysis
-    allows it, the generic delta propagation otherwise. *)
-let apply_update (t : t) (u : int Ivm_data.Update.t) : unit =
-  t.counted <- false;
-  let rel = u.Ivm_data.Update.rel in
-  match Hashtbl.find t.plans rel with
-  | plan -> apply_plan t plan u.Ivm_data.Update.tuple u.Ivm_data.Update.payload
-  | exception Not_found ->
-    let schema = Schema.of_list (Cq.find_atom t.query rel).Cq.vars in
-    let d = Rel.create ~size:1 schema in
-    Rel.add_entry d u.Ivm_data.Update.tuple u.Ivm_data.Update.payload;
-    apply_delta t rel d
+  let p = u.Ivm_data.Update.payload in
+  View.update plan.base_of tuple p;
+  if p <> 0 then run t plan.hops 0 0 p
 
 (** Full aggregate of a query with no free variables (e.g. the triangle
     count): the product of the root aggregates. *)
@@ -497,7 +508,7 @@ let output_walker (t : t) ~(pins : Value.t option array) : (Tuple.t -> int -> un
     (* The variable of the node just bound: multiply in its atoms and
        bound children, then go on to its free children. *)
     and descend sites free_kids rest acc =
-      let factor = hop_factors env sites 0 1 in
+      let factor = product env sites 0 1 in
       if factor <> 0 then visit (free_kids @ rest) (acc * factor)
     in
     if scalar_factor <> 0 then visit free_roots 1

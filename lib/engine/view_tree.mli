@@ -4,11 +4,13 @@
     A view tree follows a variable order: each variable X carries a view
     V_X keyed by dep(X) ∪ {X} (the join of the atoms anchored at X and
     of the child aggregates) and an aggregate A_X keyed by dep(X) that
-    marginalizes X. Single-tuple updates propagate along the leaf-to-root
-    path; for q-hierarchical queries every hop is O(1) (a static fast
-    path detects this and propagates with pure lookups). The query
-    output is factorized over the views and enumerated with constant
-    delay when the free variables form a connex top fragment.
+    marginalizes X. Every atom's single-tuple update is compiled at
+    {!build} into a hop plan along its leaf-to-root path: at each node a
+    sibling view is either looked up on the bound variables or iterated
+    over its group on them. For q-hierarchical queries every factor is
+    a lookup and every hop is O(1). The query output is factorized over
+    the views and enumerated with constant delay when the free
+    variables form a connex top fragment.
 
     Maintenance guarantees assume *valid* update sequences (Sec. 2): all
     base multiplicities non-negative. *)
@@ -34,13 +36,16 @@ val node_count : t -> int
 val views_size : t -> int
 (** Total entries across all materialized views (excluding leaves). *)
 
-val apply_delta : t -> string -> Rel.t -> unit
-(** Propagate a delta relation for one base relation along its
-    leaf-to-root path (the delta view trees of Fig. 3). *)
-
 val apply_update : t -> int Ivm_data.Update.t -> unit
-(** Single-tuple insert (positive payload) or delete (negative). Uses
-    the lookup-only fast path when the static analysis allows it. *)
+(** Single-tuple insert (positive payload) or delete (negative) through
+    the relation's hop plan (the delta view tree of Fig. 3). An update
+    of stored tuples allocates nothing; only entries new to a view do.
+    @raise Invalid_argument when no atom reads the relation. *)
+
+val work : t -> int
+(** Index probes plus iterated group entries of all updates so far: the
+    update time, counted (a q-hierarchical update does a constant
+    number, Sec. 4.1). *)
 
 val total_aggregate : t -> int
 (** The value of a query with no free variables (e.g. a count). *)

@@ -13,16 +13,6 @@ val kind_of : adornment -> string -> kind
 
 val max_search_vars : int
 
-val constant_path :
-  q:Cq.t ->
-  anchors:string array ->
-  deps:(string * string list) list ->
-  forest:Variable_order.forest ->
-  atom_idx:int ->
-  bool
-(** Does a single-tuple update to the given atom propagate to the root
-    with constant-time steps under this order? (Also used by the view
-    tree's fast-path analysis.) *)
 
 val is_witness : Cq.t -> adornment -> Variable_order.forest -> bool
 (** The order is valid for the query, its free variables form a connex

@@ -230,6 +230,105 @@ let strategies_agree =
       | ref :: rest -> List.for_all (Rel.equal ref) rest
       | [] -> true)
 
+(* Every update checked against a fresh build over the current database:
+   the output and the total view size (which catches stale
+   intermediate entries an output check misses). About a quarter of the
+   drawn queries have an atom whose plan iterates a sibling's group. *)
+let view_tree_fresh_build =
+  QCheck.Test.make ~count:200 ~name:"view tree = fresh build after every update"
+    QCheck.(make Gen.int)
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let w = Ivm_workload.Random_queries.executable ~rng ~id:seed in
+      let q = w.Ivm_workload.Random_queries.query in
+      let db = empty_db q.Cq.atoms in
+      let tree = E.View_tree.build q w.Ivm_workload.Random_queries.order db in
+      let atoms = Array.of_list q.Cq.atoms in
+      let ops =
+        validize
+          (List.init 40 (fun _ ->
+               let a = atoms.(Random.State.int rng (Array.length atoms)) in
+               ( a.Cq.rel,
+                 List.map (fun _ -> Random.State.int rng 3) a.Cq.vars,
+                 Random.State.int rng 5 - 2 )))
+      in
+      List.for_all
+        (fun (rel, t, p) ->
+          let u = U.make ~rel ~tuple:(tup t) ~payload:p in
+          E.View_tree.apply_update tree u;
+          D.Database.Z.apply_batch db [ u ];
+          let fresh = E.View_tree.build q w.Ivm_workload.Random_queries.order db in
+          Rel.equal (E.View_tree.output_relation tree) (E.View_tree.output_relation fresh)
+          && E.View_tree.views_size tree = E.View_tree.views_size fresh)
+        ops)
+
+(* The work of one update: +1 on a stored tuple, then its -1 restoring
+   the state, halved. *)
+let update_work tree rel vs =
+  let w0 = E.View_tree.work tree in
+  E.View_tree.apply_update tree (U.make ~rel ~tuple:(tup vs) ~payload:1);
+  E.View_tree.apply_update tree (U.make ~rel ~tuple:(tup vs) ~payload:(-1));
+  (E.View_tree.work tree - w0) / 2
+
+let db_of rels =
+  let db = D.Database.Z.create () in
+  List.iter
+    (fun (name, cols, rows) ->
+      let r = D.Database.Z.declare db name (S.of_list cols) in
+      List.iter (fun vs -> Rel.add_entry r (tup vs) 1) rows)
+    rels;
+  db
+
+(* The update-time classes of Sec. 4 in counted index probes and
+   iterated entries, at N and 4N: constant for the dynamic relations of
+   Ex. 4.14 and for R and S of Ex. 4.12 under its FDs (Thm. 4.11),
+   linear for Ex. 4.14's T. *)
+let view_tree_work_classes () =
+  let ex414 n =
+    let module Sd = E.Static_dynamic_engine in
+    let tree =
+      E.View_tree.build Sd.query Sd.order
+        (db_of
+           [
+             ("R", [ "A"; "D" ], List.init n (fun a -> [ a; a mod 13 ]));
+             ("S", [ "A"; "B" ], List.init n (fun a -> [ a; 1 ]));
+             ("T", [ "B"; "C" ], [ [ 1; 1 ] ]);
+           ])
+    in
+    (update_work tree "R" [ 0; 0 ], update_work tree "S" [ 0; 1 ], update_work tree "T" [ 1; 1 ])
+  in
+  let r1, s1, t1 = ex414 1_000 and r4, s4, t4 = ex414 4_000 in
+  Printf.printf "Ex. 4.14 work: R %d, S %d, T %d at N and %d at 4N\n" r4 s4 t1 t4;
+  checki "Ex. 4.14 R work flat" r1 r4;
+  checki "Ex. 4.14 S work flat" s1 s4;
+  if t4 < 3 * t1 then Alcotest.failf "Ex. 4.14 T work %d at N, %d at 4N: not linear" t1 t4;
+  let ex412 n =
+    let q =
+      Cq.make ~name:"Q" ~free:[ "Z"; "Y"; "X"; "W" ]
+        [ Cq.atom "R" [ "X"; "W" ]; Cq.atom "S" [ "X"; "Y" ]; Cq.atom "T" [ "Y"; "Z" ] ]
+    in
+    let xs = List.init n (fun i -> i + 1) in
+    let db =
+      db_of
+        [
+          ("R", [ "X"; "W" ], List.map (fun x -> [ x; x mod 97 ]) xs);
+          ("S", [ "X"; "Y" ], List.map (fun x -> [ x; x + n ]) xs);
+          ("T", [ "Y"; "Z" ], List.map (fun x -> [ x + n; x + (2 * n) ]) xs);
+        ]
+    in
+    let fds = Q.Fd.[ make [ "X" ] [ "Y" ]; make [ "Y" ] [ "Z" ] ] in
+    let tree =
+      match E.Fd_reduct.build fds q db with
+      | Ok e -> E.Fd_reduct.tree e
+      | Error m -> Alcotest.fail m
+    in
+    (update_work tree "R" [ 7; 7 ], update_work tree "S" [ 7; 7 + n ])
+  in
+  let r1, s1 = ex412 1_000 and r4, s4 = ex412 4_000 in
+  Printf.printf "Ex. 4.12 work: R %d, S %d\n" r4 s4;
+  checki "Ex. 4.12 R work flat" r1 r4;
+  checki "Ex. 4.12 S work flat" s1 s4
+
 (* --- triangle engines -------------------------------------------------- *)
 
 let triangle_engines_agree =
@@ -607,6 +706,8 @@ let () =
           Alcotest.test_case "delta enumeration (footnote 2)" `Quick delta_enumeration;
           qt iter_output_matches_enumerate;
           qt view_tree_random;
+          qt view_tree_fresh_build;
+          Alcotest.test_case "work counter: update-time classes" `Quick view_tree_work_classes;
           Alcotest.test_case "negative multiplicities: deltas still exact" `Quick
             delta_enumeration_invalid_states;
         ] );

@@ -805,6 +805,100 @@ let view_tree_alloc () =
   let batches = Array.of_list (singles t 1 stored @ singles t (-1) stored) in
   alloc_gate "view-tree update" ~baseline:view_tree_words_baseline (engine_words m batches)
 
+(* The view trees whose plans iterate a sibling's group, with the
+   minor words per update the relation-delta propagation they replaced
+   took: every probe reads at most 1/20 of that. *)
+module VT = Ivm_engine.View_tree
+module Cq = Ivm_query.Cq
+
+(* A database of int relations: (name, columns, rows). *)
+let db_of rels =
+  let db = D.Database.Z.create () in
+  List.iter
+    (fun (name, cols, rows) ->
+      let r = D.Database.Z.declare db name (S.of_list cols) in
+      List.iter (fun vs -> Rel.add_entry r (tup vs) 1) rows)
+    rels;
+  db
+
+(* Minor words per update of +1 then -1 on each of [rows] of [rel],
+   which the tree stores: the prebuilt updates run once unmeasured,
+   sizing every table, then once measured. *)
+let tree_words tree rel rows =
+  let ups =
+    Array.of_list
+      (List.concat_map
+         (fun vs ->
+           [ U.make ~rel ~tuple:(tup vs) ~payload:1; U.make ~rel ~tuple:(tup vs) ~payload:(-1) ])
+         rows)
+  in
+  let pass () =
+    for i = 0 to Array.length ups - 1 do
+      VT.apply_update tree ups.(i)
+    done
+  in
+  pass ();
+  let w0 = Gc.minor_words () in
+  pass ();
+  (Gc.minor_words () -. w0) /. float_of_int (Array.length ups)
+
+let iterating_gate what ~before measured =
+  let limit = before /. 20. in
+  Printf.printf "%s: measured %.3f words/update (relation deltas %.1f, limit %.2f)\n" what
+    measured before limit;
+  if measured > limit then
+    Alcotest.failf "%s: %.3f minor words/update exceeds %.2f" what measured limit
+
+let view_tree_iterating_alloc () =
+  (* Ex. 4.14 with T dynamic: a T update iterates S's A-values. *)
+  let r = List.init 256 (fun i -> [ i mod 64; i / 64 ])
+  and s = List.init 64 (fun i -> [ i; i mod 16 ])
+  and t = List.init 64 (fun i -> [ i mod 16; i / 16 ]) in
+  let tree =
+    let module Sd = Ivm_engine.Static_dynamic_engine in
+    VT.build Sd.query Sd.order
+      (db_of [ ("R", [ "A"; "D" ], r); ("S", [ "A"; "B" ], s); ("T", [ "B"; "C" ], t) ])
+  in
+  iterating_gate "Ex. 4.14 T update" ~before:1652.1 (tree_words tree "T" t);
+  (* Ex. 4.12: the Sigma-reduct order over the original relations. *)
+  let n = 2_000 in
+  let xs = List.init n (fun i -> i + 1) in
+  let r = List.map (fun x -> [ x; x mod 97 ]) xs and s = List.map (fun x -> [ x; x + n ]) xs in
+  let q =
+    Cq.make ~name:"Q" ~free:[ "Z"; "Y"; "X"; "W" ]
+      [ Cq.atom "R" [ "X"; "W" ]; Cq.atom "S" [ "X"; "Y" ]; Cq.atom "T" [ "Y"; "Z" ] ]
+  in
+  let fds = Ivm_query.Fd.[ make [ "X" ] [ "Y" ]; make [ "Y" ] [ "Z" ] ] in
+  let db =
+    db_of
+      [
+        ("R", [ "X"; "W" ], r);
+        ("S", [ "X"; "Y" ], s);
+        ("T", [ "Y"; "Z" ], List.map (fun x -> [ x + n; x + (2 * n) ]) xs);
+      ]
+  in
+  let fd = match Ivm_engine.Fd_reduct.build fds q db with Ok e -> e | Error m -> failwith m in
+  let tree = Ivm_engine.Fd_reduct.tree fd in
+  let first l = List.filteri (fun i _ -> i < 256) l in
+  iterating_gate "Ex. 4.12 R update" ~before:1902.0 (tree_words tree "R" (first r));
+  iterating_gate "Ex. 4.12 S update" ~before:1466.0 (tree_words tree "S" (first s));
+  (* The cascade query over a chain order. *)
+  let r = List.init 256 (fun i -> [ i; i mod 64 ])
+  and s = List.init 64 (fun i -> [ i; i mod 16 ])
+  and t = List.init 64 (fun i -> [ i mod 16; i ]) in
+  let q =
+    Cq.make ~name:"Q" ~free:[ "A"; "D" ]
+      [ Cq.atom "R" [ "A"; "B" ]; Cq.atom "S" [ "B"; "C" ]; Cq.atom "T" [ "C"; "D" ] ]
+  in
+  let tree =
+    VT.build q
+      [ Ivm_query.Variable_order.chain [ "A"; "D"; "B"; "C" ] ]
+      (db_of [ ("R", [ "A"; "B" ], r); ("S", [ "B"; "C" ], s); ("T", [ "C"; "D" ], t) ])
+  in
+  iterating_gate "chain R update" ~before:1457.0 (tree_words tree "R" r);
+  iterating_gate "chain S update" ~before:3664.1 (tree_words tree "S" s);
+  iterating_gate "chain T update" ~before:4129.1 (tree_words tree "T" t)
+
 (* Transfer pairs between stored accounts in 16-update epochs, then the
    reverse transfers: the economy's source -> SUM -> view graph. *)
 let economy_alloc () =
@@ -1202,6 +1296,8 @@ let () =
           Alcotest.test_case "1-update epoch cost flat in views" `Quick epoch_cost_flat_in_views;
           Alcotest.test_case "stream allocation budget" `Quick stream_alloc_budget;
           Alcotest.test_case "view-tree update allocation" `Quick view_tree_alloc;
+          Alcotest.test_case "view-tree iterating update allocation" `Quick
+            view_tree_iterating_alloc;
           Alcotest.test_case "economy graph allocation" `Quick economy_alloc;
           Alcotest.test_case "triangle delta allocation" `Quick triangle_alloc;
           Alcotest.test_case "minmax graph allocation" `Quick minmax_alloc;
