@@ -459,13 +459,24 @@ let static_dynamic () =
         done;
         Rel.add_entry t (tup [ 1; 1 ]) 1;
         let eng = E.Static_dynamic_engine.create db in
+        (* Insert/delete pairs on the same tuple, as in fd-reduct: the
+           database stays valid (no negative multiplicities) and its
+           size fixed. *)
         let upd_dyn =
           U.per_call 20_000 (fun i ->
+              let tuple = tup [ 1 + (i mod n); i mod 13 ] in
               E.Static_dynamic_engine.apply_update eng
-                (D.Update.make ~rel:"R"
-                   ~tuple:(tup [ 1 + (i mod n); i mod 13 ])
-                   ~payload:(if i mod 2 = 0 then 1 else -1)))
+                (D.Update.make ~rel:"R" ~tuple ~payload:1);
+              E.Static_dynamic_engine.apply_update eng
+                (D.Update.make ~rel:"R" ~tuple ~payload:(-1)))
+          /. 2.
         in
+        Seq.iter
+          (fun (tp, p) ->
+            if p < 0 then
+              failwith
+                (Printf.sprintf "static-dynamic: output %s has payload %d" (D.Tuple.to_string tp) p))
+          (E.Static_dynamic_engine.enumerate eng);
         (* The all-dynamic engine pays O(n) for one update to T. *)
         let all = E.Static_dynamic_engine.All_dynamic.create db in
         let t_update =

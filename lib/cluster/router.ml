@@ -34,7 +34,17 @@
     dead node is fenced first (it can never later apply the ambiguous
     tail) and because ring batches commute (re-sent updates may arrive
     out of order with fresh ones). Quiescing ({!barrier}) before a
-    planned kill makes the gap empty. *)
+    planned kill makes the gap empty.
+
+    Whole-view reads are versioned: the router keeps each view's merged
+    answer (the ring sum of the shard answers) with the version of each
+    shard answer it sums, and sends each shard that version. A shard
+    whose snapshot is that version, or was patched from it, answers
+    with its output delta since — empty when nothing changed — and the
+    deltas add onto the merged answer in the same linear merge, since
+    ring payloads make a view's change a delta that adds. A version is
+    the node's start nonce combined with the view's change stamp, so a
+    promoted node never matches a version of the node it replaced. *)
 
 module D = Ivm_data
 module U = D.Update
@@ -61,6 +71,12 @@ type slot = {
   sm : Mutex.t;
 }
 
+(* A view's merged answer: the ring sum of the shard answers at
+   [versions] (per shard; 0 where no shard answer is included, as for
+   the shards a replicated read did not ask). Never mutated: a read
+   that moves it installs a new one. *)
+type merged = { versions : int array; entries : (Tuple.t * int) list }
+
 type t = {
   topo : Topology.t;
   pool : Pool.t;
@@ -76,6 +92,8 @@ type t = {
   ingest_lock : St.Rwlock.t;
   dead_mutex : Mutex.t;
   mutable dead : int U.t list;  (* newest first *)
+  cache_mutex : Mutex.t;
+  cache : (string, merged) Hashtbl.t;  (* whole-view reads, by view *)
   stop_flag : bool Atomic.t;
   mutable prober : unit Domain.t option;
 }
@@ -169,6 +187,13 @@ let fail_over_slot t slot : (float * int, string) result =
             slot.alive <- true;
             slot.failed_probes <- 0;
             slot.failovers <- slot.failovers + 1;
+            (* The promoted node never serves the old versions; drop
+               the merged answers that hold one, so the next read of
+               them re-reads every shard in full at once. *)
+            Mutex.protect t.cache_mutex (fun () ->
+                Hashtbl.filter_map_inplace
+                  (fun _ m -> if m.versions.(slot.index) = 0 then Some m else None)
+                  t.cache);
             Pool.redirect slot.endpoint ~port:(Node.port node);
             if t.standby then arm_standby t slot;
             Ok (Unix.gettimeofday () -. t0, recovered)
@@ -351,24 +376,29 @@ let rec merge2 acc a b =
         let s = pa + pb in
         merge2 (if s = 0 then acc else (ta, s) :: acc) ra rb
 
-(* The ring sum of per-shard partial answers. Associativity and
-   commutativity of the payload ring make the merge order irrelevant.
-   An answer that is not canonical fails the read, naming its shard:
-   merging it would return a wrong answer without a sign. *)
-let merge_entries answers =
+(* The ring sum of per-shard partial answers added onto [base], a
+   canonical answer. Associativity and commutativity of the payload
+   ring make the merge order irrelevant, and an output delta adds like
+   an answer. An answer or delta that is not canonical fails the read,
+   naming its shard: merging it would return a wrong answer without a
+   sign. *)
+let merge_onto base answers =
   match List.find_opt (fun (_, entries) -> not (canonical entries)) answers with
   | Some (shard, _) ->
       Error
         (Printf.sprintf
            "shard %d answer is not strictly ascending and zero-free; read refused" shard)
-  | None -> Ok (List.fold_left (fun acc (_, entries) -> merge2 [] acc entries) [] answers)
+  | None -> Ok (List.fold_left (fun acc (_, entries) -> merge2 [] acc entries) base answers)
 
-(* Every shard's answer, tagged with its shard index. *)
+let merge_entries answers = merge_onto [] answers
+
+(* Every shard's answer, tagged with its shard index; [f] is given the
+   index too. *)
 let read_all t f =
   Array.fold_right
     (fun slot acc ->
       let* answers = acc in
-      let* entries = Result.map_error err_str (read_slot t slot f) in
+      let* entries = Result.map_error err_str (read_slot t slot (f slot.index)) in
       Ok ((slot.index, entries) :: answers))
     t.slots (Ok [])
 
@@ -377,32 +407,88 @@ let read_any t f =
   let rec go i last =
     if i >= Array.length t.slots then Error last
     else
-      match read_slot t t.slots.(i) f with
+      match read_slot t t.slots.(i) (f i) with
       | Ok v -> Ok [ (i, v) ]
       | Error e -> go (i + 1) (err_str e)
   in
   go 0 "no shards"
 
-(* An ungated read of one shard; the router merges entries, not
-   watermarks. *)
-let entries c ~view ~prefix = Result.map snd (Client.lookup c ~view ~prefix)
-
-(* A one-shard read goes through the merge too: a merge of one answer
-   is that answer, checked. *)
-let read_view t ~view ~prefix =
+(* Every answer whole ([since = 0]) and merged: prefixed reads, and
+   the reference the cached whole-view read is checked against. A
+   one-shard read goes through the merge too: a merge of one answer is
+   that answer, checked. *)
+let read_full t ~view ~prefix =
+  let entries _ c = Result.map (fun a -> a.Client.entries) (Client.lookup c ~view ~prefix) in
   let* answers =
     match Topology.route t.topo view with
     | Topology.Keyed when Tuple.arity prefix >= 1 ->
         (* The first output column is the partition key: one owner. *)
         let shard = Topology.key_owner t.topo (Tuple.get prefix 0) in
-        Result.map_error err_str (read_slot t t.slots.(shard) (entries ~view ~prefix))
+        Result.map_error err_str (read_slot t t.slots.(shard) (entries shard))
         |> Result.map (fun e -> [ (shard, e) ])
-    | Topology.Replicated -> read_any t (entries ~view ~prefix)
-    | Topology.Keyed | Topology.Scattered -> read_all t (entries ~view ~prefix)
+    | Topology.Replicated -> read_any t entries
+    | Topology.Keyed | Topology.Scattered -> read_all t entries
   in
   merge_entries answers
 
+(* A whole-view read through the view's merged answer: each shard is
+   asked for the delta from the version the merged answer holds of it.
+   When every shard sends its delta, the deltas are added onto the
+   merged answer (nothing changed: the merged answer itself). A full
+   answer cannot be added onto it, so when any shard answers in full,
+   the shards that sent a delta are re-read in full and the answers
+   merged from scratch. A read that moved the merged answer installs
+   its result, unless a concurrent read or a failover replaced the
+   entry it started from. *)
+let read_cached t ~view =
+  let was = Mutex.protect t.cache_mutex (fun () -> Hashtbl.find_opt t.cache view) in
+  let whole ~since c = Client.lookup ~since c ~view ~prefix:Tuple.unit in
+  let versioned i = whole ~since:(match was with Some m -> m.versions.(i) | None -> 0) in
+  let* answers =
+    match Topology.route t.topo view with
+    | Topology.Replicated -> read_any t versioned
+    | Topology.Keyed | Topology.Scattered -> read_all t versioned
+  in
+  let* answers =
+    if List.for_all (fun (_, a) -> a.Client.delta) answers then Ok answers
+    else
+      List.fold_right
+        (fun (i, (a : Client.answer)) acc ->
+          let* rest = acc in
+          let* a =
+            if a.delta then Result.map_error err_str (read_slot t t.slots.(i) (whole ~since:0))
+            else Ok a
+          in
+          Ok ((i, a) :: rest))
+        answers (Ok [])
+  in
+  (* Now either every answer is a delta (so [was] holds a merged
+     answer) or none is. *)
+  let base, unchanged =
+    match was with
+    | Some m when List.for_all (fun (_, a) -> a.Client.delta) answers ->
+        (m.entries, List.for_all (fun (i, a) -> a.Client.version = m.versions.(i)) answers)
+    | _ -> ([], false)
+  in
+  if unchanged then Ok base
+  else
+    let* entries = merge_onto base (List.map (fun (i, a) -> (i, a.Client.entries)) answers) in
+    let versions = Array.make (Array.length t.slots) 0 in
+    List.iter (fun (i, a) -> versions.(i) <- a.Client.version) answers;
+    Mutex.protect t.cache_mutex (fun () ->
+        match (Hashtbl.find_opt t.cache view, was) with
+        | None, None -> Hashtbl.replace t.cache view { versions; entries }
+        | Some now, Some was when now == was -> Hashtbl.replace t.cache view { versions; entries }
+        | _ -> ());
+    Ok entries
+
+let read_view t ~view ~prefix =
+  if Tuple.arity prefix = 0 then read_cached t ~view else read_full t ~view ~prefix
+
 let lookup t ~view ~prefix = St.Rwlock.read t.ingest_lock (fun () -> read_view t ~view ~prefix)
+
+let lookup_full t ~view ~prefix =
+  St.Rwlock.read t.ingest_lock (fun () -> read_full t ~view ~prefix)
 
 (* --- the two-phase epoch barrier --------------------------------------- *)
 
@@ -563,6 +649,8 @@ let start ?(handlers = 2) ?(queue_capacity = 8192) ?(checkpoint_every = 2048)
           ingest_lock = St.Rwlock.create ();
           dead_mutex = Mutex.create ();
           dead = [];
+          cache_mutex = Mutex.create ();
+          cache = Hashtbl.create 64;
           stop_flag = Atomic.make false;
           prober = None;
         }

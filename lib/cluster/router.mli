@@ -1,8 +1,11 @@
 (** Fault-tolerant cluster router: shard-hash partitioned ingest over N
     {!Node}s, ring-sum merged reads, two-phase epoch-barrier consistent
     snapshots, health probing, and replica failover with exactly-once
-    re-send accounting. See the implementation header for the failure
-    model and the re-send soundness argument. *)
+    re-send accounting. Whole-view reads keep each view's merged answer
+    with the per-shard versions it was merged from, and ask each shard
+    only for its output delta since that version. See the
+    implementation header for the failure model and the re-send
+    soundness argument. *)
 
 module D = Ivm_data
 module Wire = Ivm_net.Wire
@@ -93,7 +96,25 @@ val lookup :
     node; otherwise fan out and ring-sum merge ({!merge_entries}). The
     answer is ascending and zero-free; a shard answer that is not fails
     the read. Best-effort with respect to in-flight ingest (no
-    barrier). *)
+    barrier).
+
+    A whole-view read (empty prefix) goes through the view's merged
+    answer: each shard it reads is sent the version the merged answer
+    holds of it ({!Ivm_net.Client.lookup}'s [since]), and the shard
+    deltas that come back are added onto it with the same checked
+    linear merge — an unchanged view costs each shard an empty answer.
+    When any shard answers in full (a first read, a dropped or
+    oversized pending delta, a reinstall, a restarted node), the shards
+    that sent deltas are re-read in full and the merged answer is
+    rebuilt from the full answers. A failover drops the merged answers
+    that hold a version of the failed shard. Prefixed reads always read
+    whole answers. *)
+
+val lookup_full :
+  t -> view:string -> prefix:D.Tuple.t -> ((D.Tuple.t * int) list, string) result
+(** {!lookup} with every shard answer read whole ([since = 0]) and
+    merged, leaving the merged answers alone: the cold read that a
+    cached whole-view read must equal. *)
 
 val merge_entries :
   (int * (D.Tuple.t * int) list) list -> ((D.Tuple.t * int) list, string) result

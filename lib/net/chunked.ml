@@ -11,7 +11,10 @@
     next chunk's first entry; one that outgrows [chunk_size] splits,
     one that empties disappears. When deletions leave many small chunks
     the whole answer is re-sliced, so the frame count stays within
-    twice the minimum. *)
+    twice the minimum. {!patch} also hands back the delta it applied,
+    in the canonical form it merged (sorted, summed, zero-free), which
+    {!of_canonical} slices into an answer of its own: the server sends
+    it to a reader that holds the previous version. *)
 
 module Tuple = Ivm_data.Tuple
 
@@ -175,7 +178,9 @@ let patch_sorted t (d : entry array) =
   else r
 
 let patch t (delta : entry list) =
-  match delta with
-  | [] -> t
-  | _ -> (
-      match normalize (array_of_list delta) with [||] -> t | d -> patch_sorted t d)
+  let d = match delta with [] -> [||] | _ -> normalize (array_of_list delta) in
+  ((if Array.length d = 0 then t else patch_sorted t d), d)
+
+let of_canonical ~chunk_size d =
+  if chunk_size < 1 then invalid_arg "Chunked.of_canonical: chunk_size < 1";
+  of_sorted ~chunk_size d

@@ -13,11 +13,18 @@ val build : chunk_size:int -> (Ivm_data.Tuple.t * int) list -> t
     zero payloads dropped). The empty answer is one empty final chunk.
     @raise Invalid_argument when [chunk_size < 1]. *)
 
-val patch : t -> (Ivm_data.Tuple.t * int) list -> t
-(** [patch t delta] is the answer over [t]'s entries plus [delta]
-    (Z-set addition; tuples may repeat). Chunks the delta does not
+val patch : t -> (Ivm_data.Tuple.t * int) list -> t * (Ivm_data.Tuple.t * int) array
+(** [patch t delta] is [(t', d)]: [t'] the answer over [t]'s entries
+    plus [delta] (Z-set addition; tuples may repeat), and [d] that
+    delta in canonical form — sorted, equal tuples summed, zeros
+    dropped — so that [t'] is [t] plus [d]. Chunks the delta does not
     touch keep their frames; an empty or all-zero delta returns [t]
-    itself. *)
+    itself and [[||]]. *)
+
+val of_canonical : chunk_size:int -> (Ivm_data.Tuple.t * int) array -> t
+(** The answer over entries already in canonical form (a {!patch}
+    delta), sliced without sorting again.
+    @raise Invalid_argument when [chunk_size < 1]. *)
 
 val size : t -> int
 (** Entries in the answer. *)

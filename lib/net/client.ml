@@ -100,16 +100,25 @@ let ping t =
   | Wire.Err msg -> Error (Wire.Remote msg)
   | resp -> unexpected resp
 
-let lookup ?(token = 0) ?(timeout_ms = 5_000) t ~view ~prefix =
-  let* resp = rpc t (Wire.Lookup { view; prefix; token; timeout_ms }) in
+type answer = {
+  watermark : int;
+  version : int;
+  delta : bool;
+  entries : (Tuple.t * int) list;
+}
+
+let lookup ?(token = 0) ?(timeout_ms = 5_000) ?(since = 0) t ~view ~prefix =
+  let* resp = rpc t (Wire.Lookup { view; prefix; token; timeout_ms; since }) in
   match resp with
-  | Wire.Token { watermark } ->
+  | Wire.Token { watermark; version; base } ->
       let* entries = read_entries t in
-      Ok (watermark, entries)
+      if base <> 0 && base <> since then
+        Error (Wire.Decode (Printf.sprintf "delta from version %d, not %d" base since))
+      else Ok { watermark; version; delta = base <> 0; entries }
   | Wire.Err msg -> Error (Wire.Remote msg)
   | resp -> unexpected resp
 
-let snapshot t ~view = Result.map snd (lookup t ~view ~prefix:Tuple.unit)
+let snapshot t ~view = Result.map (fun a -> a.entries) (lookup t ~view ~prefix:Tuple.unit)
 
 let ingest t updates =
   let* resp = rpc t (Wire.Ingest updates) in
@@ -214,7 +223,7 @@ module Session = struct
     Ok (admitted, dropped)
 
   let read ?timeout_ms s ~view ~prefix =
-    let* watermark, entries = lookup ~token:s.token ?timeout_ms s.client ~view ~prefix in
+    let* { watermark; entries; _ } = lookup ~token:s.token ?timeout_ms s.client ~view ~prefix in
     if watermark < s.token then
       Error
         (Wire.Remote

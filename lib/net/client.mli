@@ -1,7 +1,9 @@
 (** The blocking OCaml client for the view server. One connection per
     value; not domain-safe — give each domain its own connection.
     Every call is result-typed over {!Wire.error}; a server-reported
-    failure surfaces as [Error (Remote _)]. *)
+    failure surfaces as [Error (Remote _)]. A whole-view {!lookup} can
+    name the version of the answer it already holds and be sent only
+    the delta from it. *)
 
 type t
 
@@ -28,19 +30,35 @@ val close : t -> unit
 
 val ping : t -> (unit, Wire.error) result
 
+type answer = {
+  watermark : int;  (** the served watermark the entries were materialized at *)
+  version : int;  (** the version of the snapshot served (never 0) *)
+  delta : bool;
+      (** the entries are the delta from the requested [since] to
+          [version], not the whole answer *)
+  entries : (Ivm_data.Tuple.t * int) list;
+      (** ascending and zero-free, as the server sends them *)
+}
+
 val lookup :
   ?token:int ->
   ?timeout_ms:int ->
+  ?since:int ->
   t ->
   view:string ->
   prefix:Ivm_data.Tuple.t ->
-  (int * (Ivm_data.Tuple.t * int) list, Wire.error) result
+  (answer, Wire.error) result
 (** CQAP point access: the entries of [view] whose first
     [arity prefix] output columns equal [prefix], collected across
-    chunk frames, with the served watermark they were materialized at.
-    A [token > 0] (default 0: ungated) gates the read on the server's
-    served watermark reaching it, waiting server-side up to
-    [timeout_ms] (default 5000). *)
+    chunk frames, with the served watermark they were materialized at
+    and the snapshot's version. A [token > 0] (default 0: ungated)
+    gates the read on the server's served watermark reaching it,
+    waiting server-side up to [timeout_ms] (default 5000). A whole-view
+    read with [since] (default 0: none), the [version] of an answer
+    this caller holds from the same server, may come back as the delta
+    from it ([delta = true]; empty when nothing changed): the server
+    sends one only when [since] is the snapshot it serves or the one
+    that snapshot was patched from, and the whole answer otherwise. *)
 
 val snapshot : t -> view:string -> ((Ivm_data.Tuple.t * int) list, Wire.error) result
 (** The full output of [view] at one epoch boundary: an ungated

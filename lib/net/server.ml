@@ -54,7 +54,12 @@ type conn = { fd : Unix.file_descr; write_mutex : Mutex.t }
    had at materialization ([at]): the snapshot is current exactly while
    the two agree, a lock-free O(1) check. [watermark] only rises — an
    unchanged view's snapshot is re-stamped to the served watermark
-   instead of rebuilt.
+   instead of rebuilt. A snapshot patched from an older one keeps that
+   one's stamp value ([base]; -1 when it was enumerated) and the
+   canonical delta between them ([delta]): a reader that holds the
+   older version is sent only the delta. It is framed per request, not
+   kept framed: the reader that asks for it (the cluster router) asks
+   once per refresh, and sessions never do.
 
    The access-pattern index for bound-first-variable lookups ([keyed]:
    the entries grouped by first output field, each group preserialized
@@ -74,6 +79,8 @@ type snapshot = {
       (* the served watermark (queue items applied) this snapshot is
          known to reflect — what a gated [Lookup] compares its token to *)
   answer : Chunked.t;
+  base : int;
+  delta : (Tuple.t * int) array;
   keyed : keyed option Atomic.t;
   key_mutex : Mutex.t;
 }
@@ -115,6 +122,9 @@ type source = Cached | Stale | Revalidated | Patched | Rebuilt
 type t = {
   listen_fd : Unix.file_descr;
   port : int;
+  nonce : int;
+      (* drawn at [start]; a snapshot's version is the nonce combined
+         with its stamp value, so no other server instance serves it *)
   registry : Registry.t;
   metrics : Metrics.t;
   chunk_size : int;
@@ -163,6 +173,19 @@ type t = {
 }
 
 let port t = t.port
+
+(* The nonce's high bits count the server instances of this process
+   (never 0, so neither is a version); its low 40 bits, where stamp
+   values live, are random, for instances of other processes. *)
+let instances = Atomic.make 0
+
+let draw_nonce () =
+  let rng = Random.State.make_self_init () in
+  let low = (Random.State.bits rng lor (Random.State.bits rng lsl 30)) land ((1 lsl 40) - 1) in
+  ((Atomic.fetch_and_add instances 1 + 1) lsl 40) lor low
+
+let version t at = t.nonce lxor at
+
 let connections t = Mutex.protect t.mutex (fun () -> List.length t.conns)
 let subscriber_count t = Mutex.protect t.mutex (fun () -> List.length t.subscribers)
 let stopping t = Mutex.protect t.mutex (fun () -> t.stopping)
@@ -255,19 +278,22 @@ let snapshot t view : (snapshot * source, string) result =
                     match t.served with Some f -> f () | None -> 0
                   in
                   (* Patch the stale snapshot when the registry has
-                     folded every output change since it was built;
-                     otherwise (a first read, or the delta was dropped)
-                     re-enumerate. Either way the consumer's pending
-                     delta restarts at this stamp. *)
+                     folded every output change since it was built,
+                     keeping the canonical delta for readers of the
+                     stale one; otherwise (a first read, or the delta
+                     was dropped) re-enumerate. Either way the
+                     consumer's pending delta restarts at this stamp. *)
                   let rebuild () =
-                    (Chunked.build ~chunk_size:t.chunk_size (m.M.enumerate ()), Rebuilt)
+                    (Chunked.build ~chunk_size:t.chunk_size (m.M.enumerate ()), Rebuilt, -1, [||])
                   in
-                  let answer, source =
+                  let answer, source, base, delta =
                     match stale with
                     | None -> rebuild ()
                     | Some old -> (
                         match Registry.pending_delta t.registry view ~since:old.at with
-                        | Some delta -> (Chunked.patch old.answer delta, Patched)
+                        | Some d ->
+                            let answer, delta = Chunked.patch old.answer d in
+                            (answer, Patched, old.at, delta)
                         | None -> rebuild ())
                   in
                   Registry.track t.registry view ~size:(Chunked.size answer);
@@ -277,6 +303,8 @@ let snapshot t view : (snapshot * source, string) result =
                       at = Registry.stamp_value stamp;
                       watermark = Atomic.make watermark;
                       answer;
+                      base;
+                      delta;
                       keyed = Atomic.make None;
                       key_mutex = Mutex.create ();
                     }
@@ -320,24 +348,6 @@ let keyed t snap =
 let key_frames t snap key =
   Option.value (Hashtbl.find_opt (keyed t snap).key_frames key) ~default:empty_answer
 
-(* Test seam for the zero-copy property: the exact prebuilt buffers a
-   cache-hit answer writes. Physical identity of these across requests
-   while the view is unchanged is what "zero per-request encoding"
-   means, and what [test_net] asserts. *)
-let snapshot_frames t view =
-  Result.map
-    (fun (snap, source) ->
-      note t source;
-      frames snap)
-    (snapshot t view)
-
-let lookup_frames t view key =
-  Result.map
-    (fun (snap, source) ->
-      note t source;
-      key_frames t snap key)
-    (snapshot t view)
-
 type outcome = Continue | Close | Shutdown_server
 
 (* --- idle parking ------------------------------------------------------ *)
@@ -360,7 +370,7 @@ let readable_now fd =
   | exception Unix.Unix_error _ -> true
 
 (* The chunk frames answering [prefix] from a snapshot. *)
-let answer_frames t snap prefix =
+let prefix_frames t snap prefix =
   if Tuple.arity prefix = 0 then frames snap
   else if Tuple.arity prefix = 1 then
     (* Bound first variable: the whole answer is already framed per
@@ -424,22 +434,57 @@ let read_snapshot t view ~token ~timeout_ms =
         if wait () then fetch ()
         else Error "read-your-writes deadline: served watermark behind token"
 
+(* The [Token] and chunk frames a [Lookup] answers from a snapshot. A
+   whole-view read whose [since] is the snapshot's own version gets the
+   shared empty terminator, one whose [since] is the version it was
+   patched from gets the kept delta; any other read gets the whole
+   answer ([base = 0]). *)
+let lookup_answer t snap ~prefix ~since =
+  let served = version t snap.at in
+  let base, chunks =
+    if since = 0 || Tuple.arity prefix > 0 then (0, prefix_frames t snap prefix)
+    else if since = served then (since, empty_answer)
+    else if snap.base >= 0 && since = version t snap.base then
+      ( since,
+        if Array.length snap.delta = 0 then empty_answer
+        else Chunked.frames (Chunked.of_canonical ~chunk_size:t.chunk_size snap.delta) )
+    else (0, frames snap)
+  in
+  (Wire.Token { watermark = Atomic.get snap.watermark; version = served; base }, chunks)
+
+(* Test seams for the zero-copy property: the exact prebuilt buffers
+   an answer writes. Physical identity of these across requests while
+   the view is unchanged is what "zero per-request encoding" means, and
+   what [test_net] asserts. *)
+let answer_frames t view ~since =
+  Result.map
+    (fun (snap, source) ->
+      note t source;
+      lookup_answer t snap ~prefix:Tuple.unit ~since)
+    (snapshot t view)
+
+let snapshot_frames t view = Result.map snd (answer_frames t view ~since:0)
+
+let lookup_frames t view key =
+  Result.map
+    (fun (snap, source) ->
+      note t source;
+      key_frames t snap key)
+    (snapshot t view)
+
 let handle t conn (req : Wire.request) : outcome =
   let respond resp = match send conn resp with Ok () -> Continue | Error _ -> Close in
   match req with
   | Wire.Ping -> respond Wire.Pong
-  | Wire.Lookup { view; prefix; token; timeout_ms } -> (
+  | Wire.Lookup { view; prefix; token; timeout_ms; since } -> (
       match read_snapshot t view ~token ~timeout_ms with
       | Error msg -> respond (Wire.Err msg)
       | Ok (snap, source) -> (
           note t source;
-          (* The watermark frame and the chunks go out under one hold
-             of the write mutex, after the lock is released. *)
-          let mark = Wire.Token { watermark = Atomic.get snap.watermark } in
-          match
-            send_frames conn
-              (Wire.frame_bytes (Wire.encode_response mark) :: answer_frames t snap prefix)
-          with
+          (* The token frame and the chunks go out under one hold of
+             the write mutex, after the lock is released. *)
+          let mark, chunks = lookup_answer t snap ~prefix ~since in
+          match send_frames conn (Wire.frame_bytes (Wire.encode_response mark) :: chunks) with
           | Ok () -> Continue
           | Error _ -> Close))
   | Wire.Ingest updates -> (
@@ -459,15 +504,19 @@ let handle t conn (req : Wire.request) : outcome =
             let admitted, dropped, token = ingest updates in
             respond (Wire.Ack_token { admitted; dropped; token }))
   | Wire.Subscribe -> (
-      match send conn Wire.Subscribed with
+      (* Registered before the ack, under the connection's write mutex:
+         a delta published meanwhile waits for the ack, so the first
+         frame a subscriber reads is always [Subscribed], and every
+         epoch applied after the client has read it is pushed. *)
+      match
+        Mutex.protect conn.write_mutex (fun () ->
+            Mutex.protect t.mutex (fun () ->
+                if not (List.memq conn t.subscribers) then
+                  t.subscribers <- conn :: t.subscribers);
+            Wire.write_frame conn.fd (Wire.encode_response Wire.Subscribed))
+      with
       | Error _ -> Close
-      | Ok () ->
-          (* Registered only after the ack, so the first frame a
-             subscriber reads is always [Subscribed]. *)
-          Mutex.protect t.mutex (fun () ->
-              if not (List.memq conn t.subscribers) then
-                t.subscribers <- conn :: t.subscribers);
-          Continue)
+      | Ok () -> Continue)
   | Wire.Stats -> respond (Wire.Text (Metrics.render t.metrics))
   | Wire.Health ->
       let hs =
@@ -722,6 +771,7 @@ let start ?(host = "127.0.0.1") ~port ?(chunk_size = 512) ?(snd_timeout = 5.0)
           {
             listen_fd;
             port;
+            nonce = draw_nonce ();
             registry;
             metrics;
             chunk_size;

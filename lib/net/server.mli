@@ -24,7 +24,16 @@
     reads never build it. Every answer opens with a [Token] frame: the
     served watermark the entries were materialized at. A gated [Lookup]
     whose token is ahead of an unchanged view's cached watermark
-    re-stamps the watermark in O(1) rather than rebuilding. Cache hits,
+    re-stamps the watermark in O(1) rather than rebuilding. The [Token]
+    also names the snapshot's version: a nonce drawn at {!start}
+    combined with the view's stamp, so no other server instance (a
+    restart, a failed-over replacement) ever serves the same one. A
+    whole-view [Lookup] whose [since] is the served version is answered
+    with the shared empty terminator; one whose [since] is the version
+    the served snapshot was patched from gets the canonical delta that
+    patch applied (kept with the snapshot, framed on request). Every other
+    read — a first read, a dropped delta, a reinstall, an older
+    [since], a prefix — gets the whole answer. Cache hits,
     stale serves, revalidations, patches, rebuilds and index builds are
     counted in
     {!Ivm_stream.Metrics}. Bytes go out
@@ -103,6 +112,13 @@ val snapshot_frames : t -> string -> (Bytes.t list, string) result
     (and counting the read) exactly as a request would. While the view's stamp is unchanged, repeated calls
     return the {e physically} same buffers — the zero-copy property;
     exposed so tests can assert it. *)
+
+val answer_frames : t -> string -> since:int -> (Wire.response * Bytes.t list, string) result
+(** What an ungated whole-view [Lookup] with [since] writes: its
+    [Token] response and the chunk frames after it — the whole answer
+    ([base = 0]), the kept delta from [since], or, when [since] is the
+    served version, the server-lifetime shared empty terminator. Counts
+    the read as a request would. *)
 
 val lookup_frames : t -> string -> Ivm_data.Value.t -> (Bytes.t list, string) result
 (** Same, for a [Lookup] of the one-field prefix [key] (building the

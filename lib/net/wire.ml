@@ -159,10 +159,18 @@ let read_frame fd =
    misread body. *)
 type request =
   | Ping
-  | Lookup of { view : string; prefix : Tuple.t; token : int; timeout_ms : int }
+  | Lookup of {
+      view : string;
+      prefix : Tuple.t;
+      token : int;
+      timeout_ms : int;
+      since : int;
+    }
       (** Bind the first [arity prefix] output columns and enumerate the
           rest; a [token > 0] gates the read on the served watermark
-          reaching it. Answered with a {!Token} frame then chunks. *)
+          reaching it. [since] is the version of the whole view the
+          caller holds (0: none). Answered with a {!Token} frame then
+          chunks. *)
   | Ingest of int Update.t list
   | Subscribe
   | Stats
@@ -194,9 +202,12 @@ type response =
   | Ack_token of { admitted : int; dropped : int; token : int }
       (** [token] is the queue watermark after this batch was admitted:
           once the served watermark reaches it, the batch is visible. *)
-  | Token of { watermark : int }
+  | Token of { watermark : int; version : int; base : int }
       (** Prefix of every [Lookup] answer's chunk stream: the served
-          watermark the following entries were materialized at. *)
+          watermark the following entries were materialized at, the
+          version of the snapshot served, and [base]: 0 when the chunks
+          are the whole answer, the request's [since] when they are the
+          delta from it. *)
 
 let request_name = function
   | Ping -> "ping"
@@ -261,12 +272,13 @@ let encode_request (r : request) : string =
   let buf = Buffer.create 64 in
   (match r with
   | Ping -> Codec.add_u8 buf 0x01
-  | Lookup { view; prefix; token; timeout_ms } ->
+  | Lookup { view; prefix; token; timeout_ms; since } ->
       Codec.add_u8 buf 0x02;
       Codec.add_str buf view;
       Codec.add_tuple buf prefix;
       Codec.add_i64 buf token;
-      Codec.add_u32 buf timeout_ms
+      Codec.add_u32 buf timeout_ms;
+      Codec.add_i64 buf since
   | Ingest updates ->
       Codec.add_u8 buf 0x04;
       add_list Codec.add_update buf updates
@@ -366,9 +378,11 @@ let encode_response (r : response) : string =
       Codec.add_u32 buf admitted;
       Codec.add_u32 buf dropped;
       Codec.add_i64 buf token
-  | Token { watermark } ->
+  | Token { watermark; version; base } ->
       Codec.add_u8 buf 0x90;
-      Codec.add_i64 buf watermark);
+      Codec.add_i64 buf watermark;
+      Codec.add_i64 buf version;
+      Codec.add_i64 buf base);
   Buffer.contents buf
 
 (* Run a codec reader over a whole body: every [Codec.Corrupt] becomes a
@@ -393,7 +407,8 @@ let decode_request body : (request, error) result =
           let prefix = Codec.tuple body cur in
           let token = Codec.i64 body cur in
           let timeout_ms = Codec.u32 body cur in
-          Lookup { view; prefix; token; timeout_ms }
+          let since = Codec.i64 body cur in
+          Lookup { view; prefix; token; timeout_ms; since }
       | 0x04 -> Ingest (read_list Codec.update body cur)
       | 0x05 -> Subscribe
       | 0x06 -> Stats
@@ -459,7 +474,11 @@ let decode_response body : (response, error) result =
           let dropped = Codec.u32 body cur in
           let token = Codec.i64 body cur in
           Ack_token { admitted; dropped; token }
-      | 0x90 -> Token { watermark = Codec.i64 body cur }
+      | 0x90 ->
+          let watermark = Codec.i64 body cur in
+          let version = Codec.i64 body cur in
+          let base = Codec.i64 body cur in
+          Token { watermark; version; base }
       | _ -> raise Exit
     in
     match decoding body read with exception Exit -> Error (Bad_op op) | r -> r

@@ -4,7 +4,10 @@
     A frame is [u32 len | u32 crc | body] (little-endian); [crc] is the
     CRC-32 of the body, [len] its byte length, capped at {!max_body}.
     All decoding is result-typed over {!error} — corrupt, truncated or
-    oversized input yields a value, never an exception or a hang. *)
+    oversized input yields a value, never an exception or a hang.
+    Answers are versioned: every {!Lookup} answer names the snapshot it
+    serves ({!Token}), and a whole-view {!Lookup} that names the
+    version it holds ([since]) may be answered with the delta from it. *)
 
 module Tuple = Ivm_data.Tuple
 module Update = Ivm_data.Update
@@ -77,14 +80,24 @@ val read_frame : Unix.file_descr -> (string, error) result
 
 type request =
   | Ping
-  | Lookup of { view : string; prefix : Tuple.t; token : int; timeout_ms : int }
+  | Lookup of {
+      view : string;
+      prefix : Tuple.t;
+      token : int;
+      timeout_ms : int;
+      since : int;
+    }
       (** The one read (CQAP access request): bind the first
           [arity prefix] output columns and enumerate the matching
           entries; an empty prefix reads the whole view. A [token <= 0]
           reads the latest completed epoch; a [token > 0] waits (up to
           [timeout_ms]) for the served watermark to reach it — the
-          read-your-writes gate. Answered with a {!Token} frame then
-          entry chunks, or an {!Err}. *)
+          read-your-writes gate. [since] is the version ({!Token}) of
+          the whole view the caller already holds, 0 for none: a
+          whole-view read whose [since] names the served snapshot or
+          the one it was patched from is answered with the delta from
+          it. Answered with a {!Token} frame then entry chunks, or an
+          {!Err}. *)
   | Ingest of int Update.t list  (** feed the server's update queue *)
   | Subscribe  (** push one {!Delta} per applied epoch from now on *)
   | Stats  (** Prometheus text exposition of the server metrics *)
@@ -126,9 +139,16 @@ type response =
       (** [token] is the ingest-queue watermark after this batch was
           admitted: once the served watermark reaches it, every update
           of the batch is visible to reads *)
-  | Token of { watermark : int }
+  | Token of { watermark : int; version : int; base : int }
       (** prefix of every [Lookup] answer's chunk stream: the served
-          watermark the entries that follow were materialized at *)
+          watermark the entries that follow were materialized at;
+          [version], the snapshot served (a nonce drawn when the server
+          started combined with the view's change stamp, never 0, so a
+          restarted or failed-over server never repeats an old one);
+          and [base]. [base = 0]: the chunks are the whole answer.
+          [base = since] of the request: they are the delta from the
+          snapshot [since] to [version], ascending and zero-free like
+          an answer — empty when the view did not change. *)
 
 val request_name : request -> string
 (** Stable lowercase tag, the per-op latency label in

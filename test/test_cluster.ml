@@ -251,9 +251,15 @@ let merge_refuses_non_canonical =
               && String.sub m 0 (String.length name) = name))
 
 (* Minor words the calling domain allocates per entry of a scattered
-   [Router.lookup]: both shards' answers decoded and merged. The reading
-   is exact for this fixture; the gate fails past 1.25x it. *)
+   whole-answer read ([Router.lookup_full]): both shards' answers
+   decoded and merged. The reading is exact for this fixture; the gate
+   fails past 1.25x it. *)
 let router_read_words_baseline = 27.795
+
+let barrier_ok router =
+  match Cl.Router.barrier router with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "barrier failed: %s" m
 
 let test_router_read_alloc () =
   let router = start_router ~label:"read_alloc" () in
@@ -261,11 +267,9 @@ let test_router_read_alloc () =
     ~finally:(fun () -> Cl.Router.stop router)
     (fun () ->
       feed_router router (make_stream 400);
-      (match Cl.Router.barrier router with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "barrier failed: %s" m);
+      barrier_ok router;
       let read () =
-        match Cl.Router.lookup router ~view:"paths-sum" ~prefix:D.Tuple.unit with
+        match Cl.Router.lookup_full router ~view:"paths-sum" ~prefix:D.Tuple.unit with
         | Ok es -> List.length es
         | Error m -> Alcotest.failf "lookup: %s" m
       in
@@ -283,6 +287,285 @@ let test_router_read_alloc () =
       if measured > limit then
         Alcotest.failf "router read: %.3f minor words/entry exceeds the budget of %.1f" measured
           limit)
+
+(* Minor words the calling domain allocates per [Router.lookup] of an
+   unchanged scattered view, whose merged answer the router holds: each
+   shard answers with an empty delta, whatever the view's size. Exact
+   for this fixture; the gate fails past 1.25x it at both sizes. *)
+let router_repeat_read_words_baseline = 549.0
+
+let test_router_repeat_read_alloc () =
+  let router = start_router ~label:"repeat_read_alloc" () in
+  Fun.protect
+    ~finally:(fun () -> Cl.Router.stop router)
+    (fun () ->
+      let stream = make_stream 400 in
+      let words_per_read () =
+        barrier_ok router;
+        let read () =
+          match Cl.Router.lookup router ~view:"paths-sum" ~prefix:D.Tuple.unit with
+          | Ok es -> List.length es
+          | Error m -> Alcotest.failf "lookup: %s" m
+        in
+        let entries = read () in
+        let reads = 50 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to reads do
+          ignore (read ())
+        done;
+        (entries, (Gc.minor_words () -. w0) /. float_of_int reads)
+      in
+      feed_router router (Array.sub stream 0 40);
+      let small, at_small = words_per_read () in
+      feed_router router (Array.sub stream 40 360);
+      let large, at_large = words_per_read () in
+      Alcotest.(check bool) "a few hundred rows, then many more" true
+        (large >= 200 && large >= 4 * small);
+      let limit = router_repeat_read_words_baseline *. 1.25 in
+      Printf.printf
+        "router repeat read allocation: measured %.1f words/read at %d rows, %.1f at %d \
+         (baseline %.1f, limit %.1f)\n"
+        at_small small at_large large router_repeat_read_words_baseline limit;
+      List.iter
+        (fun (rows, measured) ->
+          if measured > limit then
+            Alcotest.failf "repeat read of %d rows: %.1f minor words/read exceeds the budget of %.1f"
+              rows measured limit)
+        [ (small, at_small); (large, at_large) ])
+
+(* --- the merged-answer cache ------------------------------------------- *)
+
+(* The fixture plus a broadcast T and "t-copy" over it, which every
+   shard holds whole and reads from one shard. *)
+let q_t = Ivm_query.Cq.make ~name:"Q" ~free:[ "A"; "B" ] [ Ivm_query.Cq.atom "T" [ "A"; "B" ] ]
+
+let declare_cached reg =
+  declare reg;
+  ignore (St.Registry.declare_table reg "T" (S.of_list [ "A"; "B" ]));
+  St.Registry.register reg ~name:"t-copy" (fun db ->
+      let forest = Option.get (Ivm_query.Variable_order.canonical q_t) in
+      M.of_view_tree ~name:"t-copy" q_t (Ivm_engine.View_tree.build q_t forest db))
+
+let cached_views = [ "paths-sum"; "t-copy"; "paths" ]
+
+let topology_cached =
+  Cl.Topology.create ~shards:2
+    ~policies:
+      [ ("R", Cl.Topology.Hash_col 1); ("S", Cl.Topology.Hash_col 0); ("T", Cl.Topology.Broadcast) ]
+    ~routes:
+      [
+        ("paths", Cl.Topology.Keyed);
+        ("paths-sum", Cl.Topology.Scattered);
+        ("t-copy", Cl.Topology.Replicated);
+      ]
+
+(* Inserts over R, S and T, and retractions of earlier inserts, so
+   shard deltas carry negative payloads and rows that vanish. *)
+let churn_stream ~seed n =
+  let st = Random.State.make [| 0xCA; seed |] in
+  let live = ref [] in
+  List.init n (fun _ ->
+      if !live <> [] && Random.State.int st 10 < 3 then begin
+        let k = Random.State.int st (List.length !live) in
+        let u = List.nth !live k in
+        live := List.filteri (fun i _ -> i <> k) !live;
+        U.make ~rel:u.U.rel ~tuple:u.U.tuple ~payload:(-u.U.payload)
+      end
+      else begin
+        let rel = [| "R"; "S"; "T" |].(Random.State.int st 3) in
+        let a = Random.State.int st 7 and b = Random.State.int st 7 in
+        let u = U.make ~rel ~tuple:(tup [ a; b ]) ~payload:(1 + Random.State.int st 2) in
+        live := u :: !live;
+        u
+      end)
+
+let batches_of k l =
+  let rec go acc cur n = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+        if n = k then go (List.rev cur :: acc) [ x ] 1 rest else go acc (x :: cur) (n + 1) rest
+  in
+  go [] [] 0 l
+
+let plain entries = List.map (fun (tp, p) -> (D.Tuple.to_list tp, p)) entries
+
+let read_or_fail what = function
+  | Ok es -> es
+  | Error m -> Alcotest.failf "%s: %s" what m
+
+(* After every batch the router's cached whole-view read equals a cold
+   merge of whole shard answers, through a failover, an abrupt kill the
+   read itself fails over, a self-check reinstall, pending deltas over
+   their bound and two domains reading while batches land; at the end
+   both equal a single registry fed the same stream. *)
+let test_cached_reads_equal_cold () =
+  List.iter
+    (fun seed ->
+      let router =
+        ok_router
+          (Cl.Router.start ~standby:false ~probe_interval:0. ~timeout:5.
+             ~base_dir:(fresh_dir (Printf.sprintf "cached%d" seed))
+             ~topology:topology_cached ~declare:declare_cached ())
+      in
+      let reg_of shard = Cl.Node.registry (Cl.Router.primary router ~shard) in
+      let rebuilds shard =
+        Atomic.get (Cl.Node.metrics (Cl.Router.primary router ~shard)).St.Metrics.cache_rebuilds
+      in
+      let cached view =
+        read_or_fail ("lookup " ^ view) (Cl.Router.lookup router ~view ~prefix:D.Tuple.unit)
+      in
+      let cold view =
+        read_or_fail ("cold " ^ view) (Cl.Router.lookup_full router ~view ~prefix:D.Tuple.unit)
+      in
+      let same label view =
+        let got = cached view in
+        Alcotest.(check bool)
+          (Printf.sprintf "seed %d, %s: %s cached = cold" seed label view)
+          true
+          (plain got = plain (cold view))
+      in
+      let check label =
+        barrier_ok router;
+        List.iter (same label) cached_views
+      in
+      let ingest batch =
+        match Cl.Router.ingest router batch with
+        | Ok (_, 0) -> ()
+        | Ok (_, d) -> Alcotest.failf "%d updates dead-lettered" d
+        | Error m -> Alcotest.failf "routed ingest failed: %s" m
+      in
+      let stream = churn_stream ~seed 480 in
+      let sent = ref [] in
+      let feed batch =
+        ingest batch;
+        sent := List.rev_append batch !sent
+      in
+      Fun.protect
+        ~finally:(fun () -> Cl.Router.stop router)
+        (fun () ->
+          List.iteri
+            (fun i batch ->
+              feed batch;
+              check (Printf.sprintf "batch %d" i);
+              match i with
+              | 4 ->
+                  (* A promoted node draws a new nonce: no version of
+                     the node it replaced matches its snapshots, even
+                     when their state and stamps agree. *)
+                  let shard_read ?since () =
+                    let c =
+                      match Client.connect ~port:(Cl.Router.shard_port router ~shard:0) () with
+                      | Ok c -> c
+                      | Error e -> Alcotest.failf "connect: %s" (Wire.error_to_string e)
+                    in
+                    Fun.protect
+                      ~finally:(fun () -> Client.close c)
+                      (fun () ->
+                        match Client.lookup ?since c ~view:"paths-sum" ~prefix:D.Tuple.unit with
+                        | Ok a -> a
+                        | Error e -> Alcotest.failf "shard read: %s" (Wire.error_to_string e))
+                  in
+                  let old = shard_read () in
+                  Alcotest.(check bool) "the old node answers its own version with a delta" true
+                    (shard_read ~since:old.Client.version ()).Client.delta;
+                  (match
+                     Cl.Router.quiesced router (fun () ->
+                         Cl.Router.kill_primary router ~shard:0;
+                         Cl.Router.fail_over router ~shard:0)
+                   with
+                  | Ok (Ok _) -> ()
+                  | Ok (Error m) | Error m -> Alcotest.failf "failover: %s" m);
+                  Alcotest.(check bool) "the promoted node answers an old version in full" false
+                    (shard_read ~since:old.Client.version ()).Client.delta;
+                  check "after failover"
+              | 7 ->
+                  (* No barrier after the kill: the read itself meets
+                     the dead primary, fails it over and re-asks the
+                     promoted node with a version it never served. *)
+                  (match
+                     Cl.Router.quiesced router (fun () -> Cl.Router.kill_primary router ~shard:1)
+                   with
+                  | Ok () -> ()
+                  | Error m -> Alcotest.failf "kill: %s" m);
+                  same "failover inside a read" "paths-sum";
+                  check "after a failover inside a read"
+              | 10 ->
+                  (* A reinstall drops the shard's pending delta: it
+                     answers in full. *)
+                  let reg = reg_of 1 in
+                  (St.Registry.find reg "paths-sum").M.apply_batch
+                    [ U.make ~rel:"R" ~tuple:(tup [ 3; 4 ]) ~payload:5 ];
+                  (St.Registry.find reg "t-copy").M.apply_batch
+                    [ U.make ~rel:"T" ~tuple:(tup [ 3; 4 ]) ~payload:5 ];
+                  Alcotest.(check (list string)) "reinstalled" [ "paths-sum"; "t-copy" ]
+                    (List.sort compare (St.Registry.self_check reg));
+                  let r0 = rebuilds 1 in
+                  check "after a reinstall";
+                  Alcotest.(check bool) "the reinstalled shard answered in full" true
+                    (rebuilds 1 > r0)
+              | 13 ->
+                  (* Pending deltas past 2 * size + 16 are dropped. *)
+                  let size view = List.length (cold view) in
+                  let b = 50 in
+                  let owner = Cl.Topology.key_owner topology_cached (D.Value.of_int b) in
+                  let big =
+                    U.make ~rel:"R" ~tuple:(tup [ 1; b ]) ~payload:1
+                    :: List.init
+                         ((2 * size "paths-sum") + 17)
+                         (fun c -> U.make ~rel:"S" ~tuple:(tup [ b; 100 + c ]) ~payload:1)
+                    @ List.init
+                        ((2 * size "t-copy") + 17)
+                        (fun c -> U.make ~rel:"T" ~tuple:(tup [ 100 + c; c ]) ~payload:1)
+                  in
+                  feed big;
+                  barrier_ok router;
+                  Alcotest.(check (option int)) "pending delta dropped" (Some 0)
+                    (St.Registry.pending_size (reg_of owner) "paths-sum");
+                  Alcotest.(check (option int)) "replicated pending delta dropped" (Some 0)
+                    (St.Registry.pending_size (reg_of 0) "t-copy");
+                  let r0 = rebuilds owner in
+                  check "after an oversized delta";
+                  Alcotest.(check bool) "the owner shard answered in full" true
+                    (rebuilds owner > r0)
+              | 16 ->
+                  (* Two domains read the same views while batches land;
+                     afterwards the merged answers are still exact. *)
+                  let stop = Atomic.make false in
+                  let reader () =
+                    Domain.spawn (fun () ->
+                        let n = ref 0 in
+                        while not (Atomic.get stop) || !n < 20 do
+                          List.iter
+                            (fun view ->
+                              match Cl.Router.lookup router ~view ~prefix:D.Tuple.unit with
+                              | Ok _ -> ()
+                              | Error m -> failwith (view ^ ": " ^ m))
+                            [ "paths-sum"; "t-copy" ];
+                          incr n
+                        done)
+                  in
+                  let readers = [ reader (); reader () ] in
+                  List.iter feed (batches_of 6 (churn_stream ~seed:(seed + 100) 60));
+                  Atomic.set stop true;
+                  List.iter Domain.join readers;
+                  check "after concurrent readers"
+              | _ -> ())
+            (batches_of 24 stream);
+          let db = D.Database.Z.create () in
+          let reg = St.Registry.create db in
+          declare_cached reg;
+          St.Registry.apply_batch reg (List.rev !sent);
+          List.iter
+            (fun view ->
+              let want =
+                List.filter (fun (_, p) -> p <> 0) ((St.Registry.find reg view).M.enumerate ())
+              in
+              Alcotest.(check int)
+                (Printf.sprintf "seed %d: %s = single registry" seed view)
+                (M.entries_fingerprint want)
+                (M.entries_fingerprint (cached view)))
+            cached_views))
+    [ 1; 2 ]
 
 (* --- abrupt kill mid-ingest: exactly-once re-send ---------------------- *)
 
@@ -816,6 +1099,10 @@ let () =
         [
           Alcotest.test_case "2-shard convergence vs reference" `Quick test_cluster_converges;
           Alcotest.test_case "router read allocation" `Quick test_router_read_alloc;
+          Alcotest.test_case "router repeat read allocation" `Quick
+            test_router_repeat_read_alloc;
+          Alcotest.test_case "cached whole-view reads = cold merge" `Quick
+            test_cached_reads_equal_cold;
         ] );
       ( "merge",
         List.map

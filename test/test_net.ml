@@ -33,7 +33,7 @@ let ok_wire = function
   | Ok v -> v
   | Error e -> Alcotest.failf "unexpected wire error: %s" (Wire.error_to_string e)
 
-let ok_entries r = snd (ok_wire r)
+let ok_entries r = (ok_wire r).Client.entries
 
 let ok_stream = function
   | Ok v -> v
@@ -129,14 +129,18 @@ let sample_updates =
   ]
 
 (* An ungated read, the kind every client call without a token sends. *)
-let lookup view prefix = Wire.Lookup { view; prefix; token = 0; timeout_ms = 5_000 }
+let lookup ?(since = 0) view prefix =
+  Wire.Lookup { view; prefix; token = 0; timeout_ms = 5_000; since }
 
 let all_requests =
   [
     Wire.Ping;
     lookup "paths-rs" (tup [ 7 ]);
     lookup "v" D.Tuple.unit;
-    Wire.Lookup { view = "tri"; prefix = D.Tuple.unit; token = 1 lsl 40; timeout_ms = 250 };
+    Wire.Lookup
+      { view = "tri"; prefix = D.Tuple.unit; token = 1 lsl 40; timeout_ms = 250; since = 0 };
+    lookup ~since:((7 lsl 40) lxor 12) "v" D.Tuple.unit;
+    lookup ~since:(-1) "v" D.Tuple.unit;
     Wire.Ingest sample_updates;
     Wire.Ingest [];
     Wire.Subscribe;
@@ -171,7 +175,8 @@ let all_responses =
     Wire.Subscribed;
     Wire.Barrier_done { epoch = 7 };
     Wire.Ack_token { admitted = 2; dropped = 0; token = 1 lsl 40 };
-    Wire.Token { watermark = 12 };
+    Wire.Token { watermark = 12; version = (3 lsl 40) lxor 9; base = 0 };
+    Wire.Token { watermark = 0; version = (3 lsl 40) lxor 10; base = (3 lsl 40) lxor 9 };
   ]
 
 let request_roundtrip () =
@@ -425,7 +430,10 @@ let chunked_patch_equals_rebuild =
     (fun (chunk_size, base, deltas) ->
       let module C = Ivm_net.Chunked in
       let step (answer, all) delta =
-        let next = C.patch answer delta and all = all @ delta in
+        let next, d = C.patch answer delta and all = all @ delta in
+        let d = served ~chunk_size (C.frames (C.of_canonical ~chunk_size d)) in
+        if List.map (fun (tp, p) -> (D.Tuple.to_list tp, p)) d <> zset delta then
+          QCheck.Test.fail_reportf "delta served as %s" (print_entries d);
         let got = served ~chunk_size (C.frames next) in
         if List.map (fun (tp, p) -> (D.Tuple.to_list tp, p)) got <> zset all then
           QCheck.Test.fail_reportf "patched %s" (print_entries got);
@@ -447,12 +455,12 @@ let chunked_shares_untouched () =
   let base = List.init 40 (fun i -> (tup [ i ], 1)) in
   let a = C.build ~chunk_size:8 base in
   Alcotest.(check int) "five chunks" 5 (List.length (C.frames a));
-  let b = C.patch a [ (tup [ 17 ], 4) ] in
+  let b, _ = C.patch a [ (tup [ 17 ], 4) ] in
   let shared = List.filter (fun f -> List.memq f (C.frames a)) (C.frames b) in
   Alcotest.(check int) "four chunks shared physically" 4 (List.length shared);
   Alcotest.(check bool) "the old answer is untouched" true
     (served ~chunk_size:8 (C.frames a) = base);
-  let c = C.patch b [ (tup [ 39 ], -1) ] in
+  let c, _ = C.patch b [ (tup [ 39 ], -1) ] in
   Alcotest.(check int) "deleting from the last chunk keeps the others" 4
     (List.length (List.filter (fun f -> List.memq f (C.frames b)) (C.frames c)))
 
@@ -922,7 +930,7 @@ let e2e_zero_copy_snapshot () =
               ok_wire
                 (Wire.write_frame fd (Wire.encode_request (lookup "paths-rs" D.Tuple.unit)));
               (match Result.bind (Wire.read_frame fd) Wire.decode_response with
-              | Ok (Wire.Token { watermark = 0 }) -> ()
+              | Ok (Wire.Token { watermark = 0; base = 0; _ }) -> ()
               | Ok r -> Alcotest.failf "expected Token 0 first, got %s" (Wire.response_name r)
               | Error e -> Alcotest.failf "token frame: %s" (Wire.error_to_string e));
               let n = String.length expected in
@@ -1600,7 +1608,7 @@ let e2e_shutdown () =
       List.iter Client.close [ a; b; again ];
       Alcotest.(check int) "on_shutdown ran exactly once" 1 (Atomic.get shutdowns);
       (match answer with
-      | Ok (w, entries) ->
+      | Ok { Client.watermark = w; entries; _ } ->
           Alcotest.(check int) "answered at the released watermark" 1 w;
           Alcotest.(check int) "in-flight answer complete" 1 (List.length entries)
       | Error e -> Alcotest.failf "in-flight answer cut off: %s" (Wire.error_to_string e));
@@ -1663,7 +1671,7 @@ let e2e_gated_read_revalidates () =
           let revalidations () = Atomic.get metrics.Metrics.cache_revalidations in
           let r0 = revalidations () in
           let t0 = Unix.gettimeofday () in
-          let watermark, entries =
+          let { Client.watermark; entries; _ } =
             ok_wire
               (Client.lookup ~token ~timeout_ms:2000 c ~view:"paths-rs" ~prefix:(tup []))
           in
@@ -1961,8 +1969,11 @@ let rec canonical = function
    8-entry chunks is canonical: the whole view, each arity-1 prefix
    present (the prebuilt per-key frames) and each arity-2 prefix
    present (the filtered key group). A prefix answer is the whole
-   answer's matching entries, in order. *)
+   answer's matching entries, in order. So is the delta a read of the
+   previous version gets, and added to the previous answer it is the
+   new one. *)
 let answers_canonical () =
+  let deltas = ref 0 in
   List.iter
     (fun seed ->
       let metrics = Metrics.create () in
@@ -1996,15 +2007,33 @@ let answers_canonical () =
       let views = patch_views @ List.map (fun (tn : Mx.tenant) -> tn.Mx.name) tenants in
       let srv = ok_wire (Server.start ~port:0 ~handlers:1 ~chunk_size:8 ~registry:reg ~metrics ()) in
       let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
-      let read view prefix =
-        let es = ok_entries (Client.lookup c ~view ~prefix) in
-        if not (canonical es) then
-          Alcotest.failf "seed %d, %s at prefix %s: answer not ascending and zero-free" seed view
-            (D.Tuple.to_string prefix);
-        es
+      let read_answer ?since view prefix =
+        let a = ok_wire (Client.lookup ?since c ~view ~prefix) in
+        if not (canonical a.Client.entries) then
+          Alcotest.failf "seed %d, %s at prefix %s: %s not ascending and zero-free" seed view
+            (D.Tuple.to_string prefix)
+            (if a.Client.delta then "delta" else "answer");
+        a
       in
+      let read view prefix = (read_answer view prefix).Client.entries in
+      let previous = Hashtbl.create 16 in
       let check view =
-        let all = read view D.Tuple.unit in
+        let delta =
+          Option.map
+            (fun (since, before) -> (before, read_answer ~since view D.Tuple.unit))
+            (Hashtbl.find_opt previous view)
+        in
+        let whole = read_answer view D.Tuple.unit in
+        let all = whole.Client.entries in
+        Hashtbl.replace previous view (whole.Client.version, all);
+        Option.iter
+          (fun (before, (d : Client.answer)) ->
+            if d.Client.delta then begin
+              incr deltas;
+              if zset (before @ d.Client.entries) <> zset all then
+                Alcotest.failf "seed %d, %s: previous answer + delta is not the answer" seed view
+            end)
+          delta;
         List.iter
           (fun k ->
             let prefix_of tp = D.Tuple.init k (D.Tuple.get tp) in
@@ -2033,7 +2062,98 @@ let answers_canonical () =
               List.iter epoch epochs;
               List.iter check views)
             (batches_of 4 (batches_of 12 (edge_stream ~seed 192)))))
-    [ 1; 2; 3 ]
+    [ 1; 2; 3 ];
+  Alcotest.(check bool) "reads of the previous version got deltas" true (!deltas > 0)
+
+(* --- versioned whole-view reads ------------------------------------------ *)
+
+(* A version names one server instance's snapshot: two servers over
+   registries with the same state and stamps, and a server restarted
+   over the same registry, never answer another instance's version with
+   a delta; each answers its own with one. *)
+let versions_per_instance () =
+  let build () =
+    let reg = Registry.create (make_triangle_db ()) in
+    register_views reg;
+    Registry.apply_batch reg (edge_stream 200);
+    reg
+  in
+  let start reg = ok_wire (Server.start ~port:0 ~handlers:1 ~registry:reg ~metrics:(Metrics.create ()) ()) in
+  let read ?since srv =
+    let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+    Fun.protect
+      ~finally:(fun () -> Client.close c)
+      (fun () -> ok_wire (Client.lookup ?since c ~view:"paths-rs" ~prefix:D.Tuple.unit))
+  in
+  let reg_a = build () and reg_b = build () in
+  let a = start reg_a and b = start reg_b in
+  Fun.protect
+    ~finally:(fun () -> List.iter (Server.stop ~grace:0.) [ a; b ])
+    (fun () ->
+      let va = (read a).Client.version and vb = (read b).Client.version in
+      Alcotest.(check bool) "versions differ across instances" true (va <> vb && va <> 0 && vb <> 0);
+      Alcotest.(check bool) "another instance's version reads in full" false
+        (read ~since:va b).Client.delta;
+      let batch = edge_stream ~seed:4 30 in
+      Registry.apply_batch reg_a batch;
+      Registry.apply_batch reg_b batch;
+      let whole = read ~since:va b in
+      Alcotest.(check bool) "still in full after an epoch" false whole.Client.delta;
+      Alcotest.(check bool) "the whole answer" true
+        (zset whole.Client.entries
+        = zset (Registry.read reg_b (fun () -> (Registry.find reg_b "paths-rs").M.enumerate ())));
+      let own = read ~since:vb b in
+      Alcotest.(check bool) "its own previous version reads as a delta" true own.Client.delta;
+      Alcotest.(check int) "to the same snapshot" whole.Client.version own.Client.version);
+  (* A restart over the same registry: same state, same stamps, a new
+     nonce. *)
+  let a = start reg_a in
+  let va = (read a).Client.version in
+  Server.stop ~grace:0. a;
+  let a' = start reg_a in
+  Fun.protect
+    ~finally:(fun () -> Server.stop ~grace:0. a')
+    (fun () ->
+      let again = read ~since:va a' in
+      Alcotest.(check bool) "a restarted server reads an old version in full" false again.Client.delta;
+      Alcotest.(check bool) "under a new version" true (again.Client.version <> va))
+
+(* An unchanged view answers a read of its own version with a Token
+   frame and the server's one shared empty terminator; a changed one
+   with the canonical delta, which added to the previous answer is the
+   new one. *)
+let unchanged_reads_share_terminator () =
+  with_patch_server (fun srv reg _metrics ->
+      Registry.apply_batch reg (edge_stream 300);
+      let answer since = ok_msg (Server.answer_frames srv "paths-rs" ~since) in
+      let token = function
+        | Wire.Token { version; base; _ } -> (version, base)
+        | r -> Alcotest.failf "expected a Token, got %s" (Wire.response_name r)
+      in
+      let mark, whole = answer 0 in
+      let v, base = token mark in
+      Alcotest.(check int) "a whole answer has base 0" 0 base;
+      let terminator =
+        match ok_msg (Server.lookup_frames srv "paths-rs" (D.Value.of_int (-999))) with
+        | [ f ] -> f
+        | _ -> Alcotest.fail "one terminator frame"
+      in
+      List.iter
+        (fun () ->
+          let mark, frames = answer v in
+          Alcotest.(check (pair int int)) "unchanged: base = since = version" (v, v) (token mark);
+          Alcotest.(check bool) "the shared empty terminator" true
+            (match frames with [ f ] -> f == terminator | _ -> false))
+        [ (); () ];
+      Registry.apply_batch reg (edge_stream ~seed:8 20);
+      let mark, delta = answer v in
+      let v', base = token mark in
+      Alcotest.(check int) "a delta's base is the since" v base;
+      Alcotest.(check bool) "a new version" true (v' <> v);
+      let before = served ~chunk_size:8 whole and d = served ~chunk_size:8 delta in
+      Alcotest.(check bool) "the delta is canonical" true (canonical d);
+      Alcotest.(check bool) "previous + delta = now" true
+        (zset (before @ d) = zset (served ~chunk_size:8 (snd (answer 0)))))
 
 let () =
   Alcotest.run ~and_exit:false "net"
@@ -2099,6 +2219,9 @@ let () =
             e2e_oversized_delta_rebuilds;
           Alcotest.test_case "pending deltas only for consumers" `Quick
             pending_only_for_consumers;
+          Alcotest.test_case "versions are per server instance" `Quick versions_per_instance;
+          Alcotest.test_case "unchanged reads share the terminator" `Quick
+            unchanged_reads_share_terminator;
           Alcotest.test_case "every answer ascending and zero-free" `Quick answers_canonical;
         ] );
       ( "sessions (read-your-writes)",
