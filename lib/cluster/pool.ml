@@ -27,10 +27,14 @@ module Client = Ivm_net.Client
 module Wire = Ivm_net.Wire
 module Fp = Ivm_fault.Failpoint
 
+(* A connection with the endpoint generation it was dialed at, so a
+   checkin can tell whether a failover superseded it. *)
+type pooled = { conn : Client.t; gen : int }
+
 type endpoint = {
   host : string;
   mutable port : int;
-  mutable idle : Client.t list;
+  mutable idle : pooled list;
   mutable generation : int;
   ep_mutex : Mutex.t;
 }
@@ -71,7 +75,7 @@ let drain ep =
       ep.idle <- [];
       idle)
   in
-  List.iter Client.close idle
+  List.iter (fun p -> Client.close p.conn) idle
 
 let redirect ep ~port =
   Mutex.protect ep.ep_mutex (fun () ->
@@ -81,72 +85,65 @@ let redirect ep ~port =
 
 (* Checkout: reuse an idle connection or dial a fresh one against the
    endpoint's current address, tagged with the generation it was dialed
-   at so a later checkin can tell whether a failover superseded it. *)
+   at. Reusing one allocates only the [Ok]. *)
 let checkout t ep =
   match Fp.hit "cluster.conn" with
   | Some Fp.Fail -> Error (Wire.Io "injected connection failure")
   | other -> (
       (match other with Some (Fp.Delay d) -> Unix.sleepf d | _ -> ());
-      let cached, port, gen =
-        Mutex.protect ep.ep_mutex (fun () ->
-            match ep.idle with
-            | c :: rest ->
-                ep.idle <- rest;
-                (Some c, ep.port, ep.generation)
-            | [] -> (None, ep.port, ep.generation))
-      in
-      match cached with
-      | Some c -> Ok (c, gen)
-      | None ->
-          Result.map
-            (fun c -> (c, gen))
-            (Client.connect ~host:ep.host ~timeout:t.timeout ~port ()))
+      Mutex.lock ep.ep_mutex;
+      match ep.idle with
+      | p :: rest ->
+          ep.idle <- rest;
+          Mutex.unlock ep.ep_mutex;
+          Ok p
+      | [] -> (
+          let port = ep.port and gen = ep.generation in
+          Mutex.unlock ep.ep_mutex;
+          match Client.connect ~host:ep.host ~timeout:t.timeout ~port () with
+          | Ok conn -> Ok { conn; gen }
+          | Error e -> Error e))
 
-let checkin t ep conn gen =
-  let keep =
-    Mutex.protect ep.ep_mutex (fun () ->
-        if gen = ep.generation && List.length ep.idle < t.max_idle then begin
-          ep.idle <- conn :: ep.idle;
-          true
-        end
-        else false)
-  in
-  if not keep then Client.close conn
+let checkin t ep p =
+  Mutex.lock ep.ep_mutex;
+  let keep = p.gen = ep.generation && List.length ep.idle < t.max_idle in
+  if keep then ep.idle <- p :: ep.idle;
+  Mutex.unlock ep.ep_mutex;
+  if not keep then Client.close p.conn
 
 let jittered_sleep t k =
   let r = Mutex.protect t.rng_mutex (fun () -> Random.State.float t.rng 1.0) in
   let d = t.backoff *. (2. ** float_of_int k) *. (0.5 +. r) in
   Unix.sleepf (Float.min d t.max_backoff)
 
+let rec attempt t ep f ~attempts k last =
+  if k >= attempts then Error last
+  else begin
+    if k > 0 then jittered_sleep t (k - 1);
+    match checkout t ep with
+    | Error e when Client.retryable e -> attempt t ep f ~attempts (k + 1) e
+    | Error e -> Error e
+    | Ok p -> (
+        match f p.conn with
+        | Ok _ when Fp.hit "cluster.ack" = Some Fp.Fail ->
+            Client.close p.conn;
+            attempt t ep f ~attempts (k + 1) (Wire.Io "injected lost answer")
+        | Ok _ as ok ->
+            checkin t ep p;
+            ok
+        | Error e when Client.retryable e ->
+            (* The connection is suspect (dead peer, torn stream):
+               never pool it again. *)
+            Client.close p.conn;
+            attempt t ep f ~attempts (k + 1) e
+        | Error _ as err ->
+            (* A remote/decode answer arrived over a healthy stream —
+               the connection is fine, the answer is final. *)
+            checkin t ep p;
+            err)
+  end
+
 let run ?attempts t ep f =
-  let attempts = Option.value attempts ~default:t.attempts in
-  let rec go k last =
-    if k >= attempts then Error last
-    else begin
-      if k > 0 then jittered_sleep t (k - 1);
-      match checkout t ep with
-      | Error e when Client.retryable e -> go (k + 1) e
-      | Error e -> Error e
-      | Ok (conn, gen) -> (
-          match f conn with
-          | Ok _ when Fp.hit "cluster.ack" = Some Fp.Fail ->
-              Client.close conn;
-              go (k + 1) (Wire.Io "injected lost answer")
-          | Ok v ->
-              checkin t ep conn gen;
-              Ok v
-          | Error e when Client.retryable e ->
-              (* The connection is suspect (dead peer, torn stream):
-                 never pool it again. *)
-              Client.close conn;
-              go (k + 1) e
-          | Error e ->
-              (* A remote/decode answer arrived over a healthy stream —
-                 the connection is fine, the answer is final. *)
-              checkin t ep conn gen;
-              Error e)
-    end
-  in
-  go 0 Wire.Closed
+  attempt t ep f ~attempts:(Option.value attempts ~default:t.attempts) 0 Wire.Closed
 
 let run_once t ep f = run ~attempts:1 t ep f

@@ -395,12 +395,14 @@ let merge_entries answers = merge_onto [] answers
 (* Every shard's answer, tagged with its shard index; [f] is given the
    index too. *)
 let read_all t f =
-  Array.fold_right
-    (fun slot acc ->
-      let* answers = acc in
-      let* entries = Result.map_error err_str (read_slot t slot (f slot.index)) in
-      Ok ((slot.index, entries) :: answers))
-    t.slots (Ok [])
+  let rec from i acc =
+    if i < 0 then Ok acc
+    else
+      match read_slot t t.slots.(i) (f i) with
+      | Ok v -> from (i - 1) ((i, v) :: acc)
+      | Error e -> Error (err_str e)
+  in
+  from (Array.length t.slots - 1) []
 
 (* The first healthy shard's answer, tagged with its shard index. *)
 let read_any t f =
@@ -431,6 +433,30 @@ let read_full t ~view ~prefix =
   in
   merge_entries answers
 
+let rec all_deltas = function
+  | [] -> true
+  | (_, a) :: rest -> a.Client.delta && all_deltas rest
+
+let rec same_versions m = function
+  | [] -> true
+  | (i, a) :: rest -> a.Client.version = m.versions.(i) && same_versions m rest
+
+(* The answers with every delta re-read in full, for when some shard
+   answered in full: a full answer cannot be added onto the merged
+   one. *)
+let rec in_full t ~view = function
+  | [] -> Ok []
+  | (i, (a : Client.answer)) :: rest -> (
+      let a =
+        if a.delta then
+          Result.map_error err_str
+            (read_slot t t.slots.(i) (fun c -> Client.lookup c ~view ~prefix:Tuple.unit))
+        else Ok a
+      in
+      match a with
+      | Error m -> Error m
+      | Ok a -> Result.map (fun rest -> (i, a) :: rest) (in_full t ~view rest))
+
 (* A whole-view read through the view's merged answer: each shard is
    asked for the delta from the version the merged answer holds of it.
    When every shard sends its delta, the deltas are added onto the
@@ -439,48 +465,48 @@ let read_full t ~view ~prefix =
    the shards that sent a delta are re-read in full and the answers
    merged from scratch. A read that moved the merged answer installs
    its result, unless a concurrent read or a failover replaced the
-   entry it started from. *)
+   entry it started from. The unchanged read, the common one, runs
+   without a [let*] chain or list-walking closures: it allocates one
+   read closure per shard and what the shards' answers decode to. *)
 let read_cached t ~view =
-  let was = Mutex.protect t.cache_mutex (fun () -> Hashtbl.find_opt t.cache view) in
-  let whole ~since c = Client.lookup ~since c ~view ~prefix:Tuple.unit in
-  let versioned i = whole ~since:(match was with Some m -> m.versions.(i) | None -> 0) in
-  let* answers =
+  Mutex.lock t.cache_mutex;
+  let was = Hashtbl.find_opt t.cache view in
+  Mutex.unlock t.cache_mutex;
+  let versioned i c =
+    let since = match was with Some m -> m.versions.(i) | None -> 0 in
+    Client.lookup ~since c ~view ~prefix:Tuple.unit
+  in
+  let answers =
     match Topology.route t.topo view with
     | Topology.Replicated -> read_any t versioned
     | Topology.Keyed | Topology.Scattered -> read_all t versioned
   in
-  let* answers =
-    if List.for_all (fun (_, a) -> a.Client.delta) answers then Ok answers
-    else
-      List.fold_right
-        (fun (i, (a : Client.answer)) acc ->
-          let* rest = acc in
-          let* a =
-            if a.delta then Result.map_error err_str (read_slot t t.slots.(i) (whole ~since:0))
-            else Ok a
-          in
-          Ok ((i, a) :: rest))
-        answers (Ok [])
-  in
-  (* Now either every answer is a delta (so [was] holds a merged
-     answer) or none is. *)
-  let base, unchanged =
-    match was with
-    | Some m when List.for_all (fun (_, a) -> a.Client.delta) answers ->
-        (m.entries, List.for_all (fun (i, a) -> a.Client.version = m.versions.(i)) answers)
-    | _ -> ([], false)
-  in
-  if unchanged then Ok base
-  else
-    let* entries = merge_onto base (List.map (fun (i, a) -> (i, a.Client.entries)) answers) in
-    let versions = Array.make (Array.length t.slots) 0 in
-    List.iter (fun (i, a) -> versions.(i) <- a.Client.version) answers;
-    Mutex.protect t.cache_mutex (fun () ->
-        match (Hashtbl.find_opt t.cache view, was) with
-        | None, None -> Hashtbl.replace t.cache view { versions; entries }
-        | Some now, Some was when now == was -> Hashtbl.replace t.cache view { versions; entries }
-        | _ -> ());
-    Ok entries
+  match answers with
+  | Error m -> Error m
+  | Ok answers -> (
+      let deltas = all_deltas answers in
+      match was with
+      | Some m when deltas && same_versions m answers -> Ok m.entries
+      | _ -> (
+          (* Now either every answer is a delta (so [was] holds a
+             merged answer) or none is. *)
+          let answers = if deltas then Ok answers else in_full t ~view answers in
+          let base = match was with Some m when deltas -> m.entries | _ -> [] in
+          match answers with
+          | Error m -> Error m
+          | Ok answers -> (
+              match merge_onto base (List.map (fun (i, a) -> (i, a.Client.entries)) answers) with
+              | Error m -> Error m
+              | Ok entries ->
+                  let versions = Array.make (Array.length t.slots) 0 in
+                  List.iter (fun (i, a) -> versions.(i) <- a.Client.version) answers;
+                  Mutex.protect t.cache_mutex (fun () ->
+                      match (Hashtbl.find_opt t.cache view, was) with
+                      | None, None -> Hashtbl.replace t.cache view { versions; entries }
+                      | Some now, Some was when now == was ->
+                          Hashtbl.replace t.cache view { versions; entries }
+                      | _ -> ());
+                  Ok entries)))
 
 let read_view t ~view ~prefix =
   if Tuple.arity prefix = 0 then read_cached t ~view else read_full t ~view ~prefix

@@ -28,21 +28,29 @@ let apply_timeout fd = function
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO d;
       Unix.setsockopt_float fd Unix.SO_SNDTIMEO d
 
+(* The fd is closed on every path that does not return it. *)
 let connect ?(host = "127.0.0.1") ?timeout ~port () =
-  match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error (e, _, _) -> Error (Wire.Io (Unix.error_message e))
-  | fd -> (
-      try
-        Unix.setsockopt fd Unix.TCP_NODELAY true;
-        apply_timeout fd timeout;
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-        Ok { fd; closed = false }
-      with Unix.Unix_error (e, _, _) ->
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        (match e with
-        | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINPROGRESS | Unix.ETIMEDOUT ->
-            Error Wire.Timeout
-        | _ -> Error (Wire.Io (Unix.error_message e))))
+  match Wire.address host port with
+  | Error e -> Error e
+  | Ok addr -> (
+      match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
+      | exception Unix.Unix_error (e, _, _) -> Error (Wire.Io (Unix.error_message e))
+      | fd -> (
+          match
+            Unix.setsockopt fd Unix.TCP_NODELAY true;
+            apply_timeout fd timeout;
+            Unix.connect fd addr
+          with
+          | () -> Ok { fd; closed = false }
+          | exception e -> (
+              (try Unix.close fd with Unix.Unix_error _ -> ());
+              match e with
+              | Unix.Unix_error
+                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINPROGRESS | Unix.ETIMEDOUT), _, _)
+                ->
+                  Error Wire.Timeout
+              | Unix.Unix_error (e, _, _) -> Error (Wire.Io (Unix.error_message e))
+              | e -> raise e)))
 
 let set_timeout t d =
   if not t.closed then
@@ -66,39 +74,39 @@ let close t =
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
-let send t req =
-  if t.closed then Error Wire.Closed
-  else Wire.write_frame t.fd (Wire.encode_request req)
-
+let send t req = if t.closed then Error Wire.Closed else Wire.write_request t.fd req
 let recv_body t = if t.closed then Error Wire.Closed else Wire.read_frame t.fd
 
 let recv t =
-  let* body = recv_body t in
-  Wire.decode_response body
+  match recv_body t with Ok body -> Wire.decode_response body | Error e -> Error e
 
 let unexpected resp =
   Error (Wire.Decode ("unexpected response " ^ Wire.response_name resp))
 
-let rpc t req =
-  let* () = send t req in
-  recv t
+let rpc t req = match send t req with Ok () -> recv t | Error e -> Error e
 
 (* Drain [Chunk] frames until the [last] one: every chunk's entries go
    onto one reversed accumulator, reversed once at the end. *)
-let read_entries t =
-  let rec go acc =
-    let* body = recv_body t in
-    let* last, acc = Wire.decode_chunk body acc in
-    if last then Ok (List.rev acc) else go acc
-  in
-  go []
+let rec read_entries t acc =
+  match recv_body t with
+  | Error e -> Error e
+  | Ok body -> (
+      match Wire.decode_chunk body acc with
+      | Error e -> Error e
+      | Ok (true, acc) -> Ok (List.rev acc)
+      | Ok (false, acc) -> read_entries t acc)
 
-let ping t =
-  let* resp = rpc t Wire.Ping in
-  match resp with
-  | Wire.Pong -> Ok ()
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+(* A response handed to [ok], which names the one it expects: an [Err]
+   answer is [Error (Remote _)], a transport error passes through. The
+   callers' [ok] functions capture nothing, so the call allocates no
+   closure. *)
+let answered r ok =
+  match r with
+  | Ok (Wire.Err msg) -> Error (Wire.Remote msg)
+  | Ok resp -> ok resp
+  | Error e -> Error e
+
+let ping t = answered (rpc t Wire.Ping) (function Wire.Pong -> Ok () | resp -> unexpected resp)
 
 type answer = {
   watermark : int;
@@ -108,101 +116,64 @@ type answer = {
 }
 
 let lookup ?(token = 0) ?(timeout_ms = 5_000) ?(since = 0) t ~view ~prefix =
-  let* resp = rpc t (Wire.Lookup { view; prefix; token; timeout_ms; since }) in
-  match resp with
-  | Wire.Token { watermark; version; base } ->
-      let* entries = read_entries t in
-      if base <> 0 && base <> since then
-        Error (Wire.Decode (Printf.sprintf "delta from version %d, not %d" base since))
-      else Ok { watermark; version; delta = base <> 0; entries }
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  match rpc t (Wire.Lookup { view; prefix; token; timeout_ms; since }) with
+  | Ok (Wire.Token { watermark; version; base }) -> (
+      match read_entries t [] with
+      | Error e -> Error e
+      | Ok _ when base <> 0 && base <> since ->
+          Error (Wire.Decode (Printf.sprintf "delta from version %d, not %d" base since))
+      | Ok entries -> Ok { watermark; version; delta = base <> 0; entries })
+  | Ok (Wire.Err msg) -> Error (Wire.Remote msg)
+  | Ok resp -> unexpected resp
+  | Error e -> Error e
 
 let snapshot t ~view = Result.map (fun a -> a.entries) (lookup t ~view ~prefix:Tuple.unit)
 
 let ingest t updates =
-  let* resp = rpc t (Wire.Ingest updates) in
-  match resp with
-  | Wire.Ack { admitted; dropped } -> Ok (admitted, dropped)
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t (Wire.Ingest updates)) (function
+    | Wire.Ack { admitted; dropped } -> Ok (admitted, dropped)
+    | resp -> unexpected resp)
 
 let subscribe t =
-  let* resp = rpc t Wire.Subscribe in
-  match resp with
-  | Wire.Subscribed -> Ok ()
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t Wire.Subscribe) (function Wire.Subscribed -> Ok () | resp -> unexpected resp)
 
 let next_delta t =
-  let* resp = recv t in
-  match resp with
-  | Wire.Delta { epoch; updates } -> Ok (epoch, updates)
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (recv t) (function
+    | Wire.Delta { epoch; updates } -> Ok (epoch, updates)
+    | resp -> unexpected resp)
 
-let stats t =
-  let* resp = rpc t Wire.Stats in
-  match resp with
-  | Wire.Text s -> Ok s
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+let stats t = answered (rpc t Wire.Stats) (function Wire.Text s -> Ok s | resp -> unexpected resp)
 
 let health t =
-  let* resp = rpc t Wire.Health in
-  match resp with
-  | Wire.Health_list hs -> Ok hs
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t Wire.Health) (function Wire.Health_list hs -> Ok hs | resp -> unexpected resp)
 
 let fingerprints t =
-  let* resp = rpc t Wire.Fingerprints in
-  match resp with
-  | Wire.Fingerprint_list fps -> Ok fps
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t Wire.Fingerprints) (function
+    | Wire.Fingerprint_list fps -> Ok fps
+    | resp -> unexpected resp)
 
 let heal t =
-  let* resp = rpc t Wire.Heal in
-  match resp with
-  | Wire.Healed names -> Ok names
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t Wire.Heal) (function Wire.Healed names -> Ok names | resp -> unexpected resp)
 
 let checkpoint t =
-  let* resp = rpc t Wire.Checkpoint in
-  match resp with
-  | Wire.Checkpointed { wal_offset } -> Ok wal_offset
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t Wire.Checkpoint) (function
+    | Wire.Checkpointed { wal_offset } -> Ok wal_offset
+    | resp -> unexpected resp)
 
-let shutdown t =
-  let* resp = rpc t Wire.Shutdown in
-  match resp with
-  | Wire.Bye -> Ok ()
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+let shutdown t = answered (rpc t Wire.Shutdown) (function Wire.Bye -> Ok () | resp -> unexpected resp)
 
 let barrier t =
-  let* resp = rpc t Wire.Barrier in
-  match resp with
-  | Wire.Barrier_done { epoch } -> Ok epoch
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t Wire.Barrier) (function
+    | Wire.Barrier_done { epoch } -> Ok epoch
+    | resp -> unexpected resp)
 
 let sql t text =
-  let* resp = rpc t (Wire.Sql text) in
-  match resp with
-  | Wire.Text s -> Ok s
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t (Wire.Sql text)) (function Wire.Text s -> Ok s | resp -> unexpected resp)
 
 let ingest_rw t updates =
-  let* resp = rpc t (Wire.Ingest_rw updates) in
-  match resp with
-  | Wire.Ack_token { admitted; dropped; token } -> Ok (admitted, dropped, token)
-  | Wire.Err msg -> Error (Wire.Remote msg)
-  | resp -> unexpected resp
+  answered (rpc t (Wire.Ingest_rw updates)) (function
+    | Wire.Ack_token { admitted; dropped; token } -> Ok (admitted, dropped, token)
+    | resp -> unexpected resp)
 
 (* Read-your-writes sessions: the token of the last acknowledged write
    rides every read, and the server's reported watermark is re-checked

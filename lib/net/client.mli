@@ -8,7 +8,9 @@
 type t
 
 val connect : ?host:string -> ?timeout:float -> port:int -> unit -> (t, Wire.error) result
-(** Default host is loopback. [timeout] (seconds) sets [SO_RCVTIMEO]
+(** Default host is loopback; a host name is resolved with
+    {!Wire.address}, and one that does not resolve is [Error (Io _)].
+    The socket is closed on every error. [timeout] (seconds) sets [SO_RCVTIMEO]
     and [SO_SNDTIMEO] before connecting, so the connect itself and
     every subsequent call is bounded — an expired deadline surfaces as
     [Error Timeout] instead of hanging on a dead peer. Omit it to block

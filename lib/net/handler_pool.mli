@@ -1,16 +1,19 @@
 (** The connection-handler pool of {!Server}: a fixed set of worker
-    domains draining one queue of fire-and-forget tasks. *)
+    domains running one function over a queue of submitted items (the
+    server's connections). *)
 
-type t
+type 'a t
 
-val create : workers:int -> t
-(** Spawn [workers] domains. *)
+val create : workers:int -> ('a -> unit) -> 'a t
+(** Spawn [workers] domains, each running the function on submitted
+    items. *)
 
-val submit : t -> (unit -> unit) -> unit
-(** Queue one task and return immediately. At most [workers] tasks run
-    at once. An exception escaping a task is swallowed: the task owns
-    its error handling. *)
+val submit : 'a t -> 'a -> unit
+(** Queue one item and return immediately. At most [workers] items are
+    run at once. An exception escaping the function is swallowed: it
+    owns its error handling. Allocates nothing once the queue has grown
+    to the largest backlog. *)
 
-val destroy : t -> unit
-(** Run the tasks already submitted, then join the workers. The pool
+val destroy : 'a t -> unit
+(** Run the items already submitted, then join the workers. The pool
     must not be used after. *)

@@ -40,8 +40,6 @@ module Failpoint = Ivm_fault.Failpoint
    mid-write must cost us an [EPIPE], not the process. *)
 let () = try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
 
-type conn = { fd : Unix.file_descr; write_mutex : Mutex.t }
-
 (* One materialized view answer. [answer] holds the entries sorted
    and already sliced into complete length-prefixed, CRC-stamped chunk
    frames, built at cache-fill time: serving a cache hit is a single
@@ -119,7 +117,17 @@ let make_keyed ~chunk_size answer =
    output delta, or from one it re-enumerated. *)
 type source = Cached | Stale | Revalidated | Patched | Rebuilt
 
-type t = {
+(* A connection knows its server, so the handler pool runs connections
+   themselves; [watch] is the one-fd list of the readability probe,
+   built once. *)
+type conn = {
+  fd : Unix.file_descr;
+  write_mutex : Mutex.t;
+  watch : Unix.file_descr list;
+  server : t;
+}
+
+and t = {
   listen_fd : Unix.file_descr;
   port : int;
   nonce : int;
@@ -140,7 +148,7 @@ type t = {
   sql : (string -> (string, string) result) option;
   barrier : (unit -> (int, string) result) option;
   on_shutdown : (unit -> unit) option;
-  pool : Handler_pool.t;
+  pool : conn Handler_pool.t;
   (* Snapshot cache: view name -> materialized answer stamped with the
      view's change stamp at materialization (exact: the refresh runs
      under the shared lock). A bump of that view's stamp marks it
@@ -167,8 +175,13 @@ type t = {
      requests — the fixed-size pool would be trivially DoS-able. *)
   park_mutex : Mutex.t;
   mutable parked : conn list;
+  mutable parked_fds : Unix.file_descr list;
+      (* the fds of [parked], in the same order, then [wake_r]: the
+         poller's select set, kept beside the parked set so a wake
+         builds no list *)
   wake_r : Unix.file_descr; (* self-pipe: park/stop wake the poller's select *)
   wake_w : Unix.file_descr;
+  drain : Bytes.t; (* the poller's buffer for emptying the self-pipe *)
   mutable poller_domain : unit Domain.t option;
 }
 
@@ -188,23 +201,42 @@ let version t at = t.nonce lxor at
 
 let connections t = Mutex.protect t.mutex (fun () -> List.length t.conns)
 let subscriber_count t = Mutex.protect t.mutex (fun () -> List.length t.subscribers)
-let stopping t = Mutex.protect t.mutex (fun () -> t.stopping)
+
+(* The request path takes its locks without [Mutex.protect], whose
+   thunk would be a closure per call; nothing between lock and unlock
+   raises. *)
+let stopping t =
+  Mutex.lock t.mutex;
+  let s = t.stopping in
+  Mutex.unlock t.mutex;
+  s
 
 (* Every socket write on a connection holds its write mutex: request
    responses (handler domain) and pushed deltas (scheduler domain)
    interleave only at frame boundaries. *)
 let send conn resp =
-  Mutex.protect conn.write_mutex (fun () ->
-      Wire.write_frame conn.fd (Wire.encode_response resp))
+  Mutex.lock conn.write_mutex;
+  let r = Wire.write_response conn.fd resp in
+  Mutex.unlock conn.write_mutex;
+  r
 
-(* The zero-copy send: the whole answer's prebuilt frames go out under
-   one hold of the write mutex (frames of one answer must not
-   interleave with pushed deltas), each as a single write loop. *)
-let send_frames conn frames =
-  Mutex.protect conn.write_mutex (fun () ->
-      List.fold_left
-        (fun acc f -> Result.bind acc (fun () -> Wire.write_prebuilt conn.fd f))
-        (Ok ()) frames)
+let rec write_frames fd = function
+  | [] -> Ok ()
+  | f :: rest -> (
+      match Wire.write_prebuilt fd f with Ok () -> write_frames fd rest | Error e -> Error e)
+
+(* A [Lookup] answer: its [Token] frame, staged, then the prebuilt
+   chunk frames, all under one hold of the write mutex (frames of one
+   answer must not interleave with pushed deltas). *)
+let send_answer conn mark chunks =
+  Mutex.lock conn.write_mutex;
+  let r =
+    match Wire.write_response conn.fd mark with
+    | Ok () -> write_frames conn.fd chunks
+    | Error e -> Error e
+  in
+  Mutex.unlock conn.write_mutex;
+  r
 
 let drop_conn t conn =
   Mutex.protect t.mutex (fun () ->
@@ -232,86 +264,87 @@ let note t source =
     | Patched -> m.Metrics.cache_patches
     | Rebuilt -> m.Metrics.cache_rebuilds)
 
+(* Refresh [view]'s snapshot under the shared lock, where the stamp
+   read is exact for the view's state: patch [stale] when the registry
+   has folded every output change since it was built, keeping the
+   canonical delta for readers of the stale one; otherwise (a first
+   read, or the delta was dropped) re-enumerate. Either way the
+   consumer's pending delta restarts at this stamp. [owner]: this read
+   claimed the view in [refreshing], and releases it. *)
+let refresh t view ~stale ~owner =
+  Fun.protect
+    ~finally:(fun () ->
+      if owner then Mutex.protect t.cache_mutex (fun () -> Hashtbl.remove t.refreshing view))
+    (fun () ->
+      Registry.read t.registry (fun () ->
+          match Registry.find t.registry view with
+          | exception Invalid_argument msg -> Error msg
+          | m ->
+              let stamp = Registry.stamp t.registry view in
+              (* Read the watermark before enumerating, inside the
+                 shared lock: [apply_front] needs the exclusive side,
+                 so no batch lands mid-enumeration and the stamp is
+                 conservative (never claims visibility the entries do
+                 not have). *)
+              let watermark = match t.served with Some f -> f () | None -> 0 in
+              let rebuild () =
+                (Chunked.build ~chunk_size:t.chunk_size (m.M.enumerate ()), Rebuilt, -1, [||])
+              in
+              let answer, source, base, delta =
+                match stale with
+                | None -> rebuild ()
+                | Some old -> (
+                    match Registry.pending_delta t.registry view ~since:old.at with
+                    | Some d ->
+                        let answer, delta = Chunked.patch old.answer d in
+                        (answer, Patched, old.at, delta)
+                    | None -> rebuild ())
+              in
+              Registry.track t.registry view ~size:(Chunked.size answer);
+              let snap =
+                {
+                  stamp;
+                  at = Registry.stamp_value stamp;
+                  watermark = Atomic.make watermark;
+                  answer;
+                  base;
+                  delta;
+                  keyed = Atomic.make None;
+                  key_mutex = Mutex.create ();
+                }
+              in
+              Mutex.protect t.cache_mutex (fun () -> Hashtbl.replace t.cache view snap);
+              Ok (snap, source)))
+
+(* Lock-free hit check: the view's stamp is read racily, but it is a
+   monotonic counter bumped under the exclusive lock, so any observed
+   value at worst declares a still-warm snapshot stale or serves one
+   that a concurrent epoch is just now superseding — both fine under
+   latest-completed-epoch semantics. The point is that cache hits and
+   stale serves never touch the registry lock: under a continuous
+   producer the writer-preferring lock would otherwise queue every read
+   behind a full epoch apply. A stale snapshot is served while another
+   read refreshes it; the first read of a stale view owns its refresh,
+   and a first-ever read with nothing stale to serve refreshes even
+   while racing one. *)
 let snapshot t view : (snapshot * source, string) result =
-  (* Lock-free hit check: the view's stamp is read racily, but it is a
-     monotonic counter bumped under the exclusive lock, so any observed
-     value at worst declares a still-warm snapshot stale or serves one
-     that a concurrent epoch is just now superseding — both fine under
-     latest-completed-epoch semantics. The point is that cache hits and
-     stale serves never touch the registry lock: under a continuous
-     producer the writer-preferring lock would otherwise queue every
-     read behind a full epoch apply. *)
-  let fresh, stale, owner =
-    Mutex.protect t.cache_mutex (fun () ->
-        match Hashtbl.find_opt t.cache view with
-        | Some snap when current snap -> (Some snap, None, false)
-        | stale ->
-            if Hashtbl.mem t.refreshing view then (None, stale, false)
-            else (
-              Hashtbl.replace t.refreshing view ();
-              (None, stale, true)))
-  in
-  match (fresh, stale, owner) with
-  | Some snap, _, _ -> Ok (snap, Cached)
-  | None, Some snap, false -> Ok (snap, Stale)
-  | None, stale, _ ->
-      (* Owner of the refresh, or first-ever enumeration racing one
-         (nothing stale to serve): refresh under the shared lock, where
-         the stamp read is exact for the view's state. *)
-      Fun.protect
-        ~finally:(fun () ->
-          if owner then
-            Mutex.protect t.cache_mutex (fun () ->
-                Hashtbl.remove t.refreshing view))
-        (fun () ->
-          Registry.read t.registry (fun () ->
-              match Registry.find t.registry view with
-              | exception Invalid_argument msg -> Error msg
-              | m ->
-                  let stamp = Registry.stamp t.registry view in
-                  (* Read the watermark before enumerating, inside the
-                     shared lock: [apply_front] needs the exclusive
-                     side, so no batch lands mid-enumeration and the
-                     stamp is conservative (never claims visibility the
-                     entries do not have). *)
-                  let watermark =
-                    match t.served with Some f -> f () | None -> 0
-                  in
-                  (* Patch the stale snapshot when the registry has
-                     folded every output change since it was built,
-                     keeping the canonical delta for readers of the
-                     stale one; otherwise (a first read, or the delta
-                     was dropped) re-enumerate. Either way the
-                     consumer's pending delta restarts at this stamp. *)
-                  let rebuild () =
-                    (Chunked.build ~chunk_size:t.chunk_size (m.M.enumerate ()), Rebuilt, -1, [||])
-                  in
-                  let answer, source, base, delta =
-                    match stale with
-                    | None -> rebuild ()
-                    | Some old -> (
-                        match Registry.pending_delta t.registry view ~since:old.at with
-                        | Some d ->
-                            let answer, delta = Chunked.patch old.answer d in
-                            (answer, Patched, old.at, delta)
-                        | None -> rebuild ())
-                  in
-                  Registry.track t.registry view ~size:(Chunked.size answer);
-                  let snap =
-                    {
-                      stamp;
-                      at = Registry.stamp_value stamp;
-                      watermark = Atomic.make watermark;
-                      answer;
-                      base;
-                      delta;
-                      keyed = Atomic.make None;
-                      key_mutex = Mutex.create ();
-                    }
-                  in
-                  Mutex.protect t.cache_mutex (fun () ->
-                      Hashtbl.replace t.cache view snap);
-                  Ok (snap, source)))
+  Mutex.lock t.cache_mutex;
+  match Hashtbl.find t.cache view with
+  | snap when current snap ->
+      Mutex.unlock t.cache_mutex;
+      Ok (snap, Cached)
+  | snap when Hashtbl.mem t.refreshing view ->
+      Mutex.unlock t.cache_mutex;
+      Ok (snap, Stale)
+  | snap ->
+      Hashtbl.replace t.refreshing view ();
+      Mutex.unlock t.cache_mutex;
+      refresh t view ~stale:(Some snap) ~owner:true
+  | exception Not_found ->
+      let owner = not (Hashtbl.mem t.refreshing view) in
+      if owner then Hashtbl.replace t.refreshing view ();
+      Mutex.unlock t.cache_mutex;
+      refresh t view ~stale:None ~owner
 
 (* The read-your-writes fast path: a snapshot whose view has not
    changed since it was materialized reflects every update applied so
@@ -352,19 +385,24 @@ type outcome = Continue | Close | Shutdown_server
 
 (* --- idle parking ------------------------------------------------------ *)
 
-let wake_poller t =
-  try ignore (Unix.write t.wake_w (Bytes.make 1 '!') 0 1) with Unix.Unix_error _ -> ()
+(* Only ever read, so one byte serves every server and domain. *)
+let wake_byte = Bytes.make 1 '!'
+
+let wake_poller t = try ignore (Unix.write t.wake_w wake_byte 0 1) with Unix.Unix_error _ -> ()
 
 let park t conn =
-  Mutex.protect t.park_mutex (fun () -> t.parked <- conn :: t.parked);
+  Mutex.lock t.park_mutex;
+  t.parked <- conn :: t.parked;
+  t.parked_fds <- conn.fd :: t.parked_fds;
+  Mutex.unlock t.park_mutex;
   wake_poller t
 
 (* Zero-timeout readability probe: deciding whether to keep serving a
    connection inline (burst in progress) or hand it back to the poller.
    On any select error, claim readable — the next read surfaces the
    real failure and drops the connection. *)
-let readable_now fd =
-  match Unix.select [ fd ] [] [] 0. with
+let readable_now conn =
+  match Unix.select conn.watch [] [] 0. with
   | [], _, _ -> false
   | _ -> true
   | exception Unix.Unix_error _ -> true
@@ -434,23 +472,27 @@ let read_snapshot t view ~token ~timeout_ms =
         if wait () then fetch ()
         else Error "read-your-writes deadline: served watermark behind token"
 
-(* The [Token] and chunk frames a [Lookup] answers from a snapshot. A
-   whole-view read whose [since] is the snapshot's own version gets the
-   shared empty terminator, one whose [since] is the version it was
-   patched from gets the kept delta; any other read gets the whole
-   answer ([base = 0]). *)
+(* What a [Lookup] is answered with from a snapshot. A whole-view
+   read whose [since] is the snapshot's own version gets the shared
+   empty terminator, one whose [since] is the version it was patched
+   from gets the kept delta — both with [base = since]; any other read
+   gets the whole answer ([base = 0]). *)
+let answer_base t snap ~prefix ~since =
+  if since = 0 || Tuple.arity prefix > 0 then 0
+  else if since = version t snap.at || (snap.base >= 0 && since = version t snap.base) then since
+  else 0
+
+let answer_chunks t snap ~prefix ~base =
+  if base = 0 then prefix_frames t snap prefix
+  else if base = version t snap.at || Array.length snap.delta = 0 then empty_answer
+  else Chunked.frames (Chunked.of_canonical ~chunk_size:t.chunk_size snap.delta)
+
+let token t snap ~base =
+  Wire.Token { watermark = Atomic.get snap.watermark; version = version t snap.at; base }
+
 let lookup_answer t snap ~prefix ~since =
-  let served = version t snap.at in
-  let base, chunks =
-    if since = 0 || Tuple.arity prefix > 0 then (0, prefix_frames t snap prefix)
-    else if since = served then (since, empty_answer)
-    else if snap.base >= 0 && since = version t snap.base then
-      ( since,
-        if Array.length snap.delta = 0 then empty_answer
-        else Chunked.frames (Chunked.of_canonical ~chunk_size:t.chunk_size snap.delta) )
-    else (0, frames snap)
-  in
-  (Wire.Token { watermark = Atomic.get snap.watermark; version = served; base }, chunks)
+  let base = answer_base t snap ~prefix ~since in
+  (token t snap ~base, answer_chunks t snap ~prefix ~base)
 
 (* Test seams for the zero-copy property: the exact prebuilt buffers
    an answer writes. Physical identity of these across requests while
@@ -472,37 +514,36 @@ let lookup_frames t view key =
       key_frames t snap key)
     (snapshot t view)
 
+let respond conn resp = match send conn resp with Ok () -> Continue | Error _ -> Close
+
 let handle t conn (req : Wire.request) : outcome =
-  let respond resp = match send conn resp with Ok () -> Continue | Error _ -> Close in
   match req with
-  | Wire.Ping -> respond Wire.Pong
-  | Wire.Lookup { view; prefix; token; timeout_ms; since } -> (
-      match read_snapshot t view ~token ~timeout_ms with
-      | Error msg -> respond (Wire.Err msg)
+  | Wire.Ping -> respond conn Wire.Pong
+  | Wire.Lookup { view; prefix; token = tok; timeout_ms; since } -> (
+      match read_snapshot t view ~token:tok ~timeout_ms with
+      | Error msg -> respond conn (Wire.Err msg)
       | Ok (snap, source) -> (
           note t source;
-          (* The token frame and the chunks go out under one hold of
-             the write mutex, after the lock is released. *)
-          let mark, chunks = lookup_answer t snap ~prefix ~since in
-          match send_frames conn (Wire.frame_bytes (Wire.encode_response mark) :: chunks) with
+          let base = answer_base t snap ~prefix ~since in
+          match send_answer conn (token t snap ~base) (answer_chunks t snap ~prefix ~base) with
           | Ok () -> Continue
           | Error _ -> Close))
   | Wire.Ingest updates -> (
-      if stopping t then respond (Wire.Err "server is shutting down")
+      if stopping t then respond conn (Wire.Err "server is shutting down")
       else
         match t.ingest with
-        | None -> respond (Wire.Err "server is read-only")
+        | None -> respond conn (Wire.Err "server is read-only")
         | Some ingest ->
             let admitted, dropped = ingest updates in
-            respond (Wire.Ack { admitted; dropped }))
+            respond conn (Wire.Ack { admitted; dropped }))
   | Wire.Ingest_rw updates -> (
-      if stopping t then respond (Wire.Err "server is shutting down")
+      if stopping t then respond conn (Wire.Err "server is shutting down")
       else
         match t.ingest_rw with
-        | None -> respond (Wire.Err "server has no epoch-token ingest")
+        | None -> respond conn (Wire.Err "server has no epoch-token ingest")
         | Some ingest ->
             let admitted, dropped, token = ingest updates in
-            respond (Wire.Ack_token { admitted; dropped; token }))
+            respond conn (Wire.Ack_token { admitted; dropped; token }))
   | Wire.Subscribe -> (
       (* Registered before the ack, under the connection's write mutex:
          a delta published meanwhile waits for the ack, so the first
@@ -513,11 +554,11 @@ let handle t conn (req : Wire.request) : outcome =
             Mutex.protect t.mutex (fun () ->
                 if not (List.memq conn t.subscribers) then
                   t.subscribers <- conn :: t.subscribers);
-            Wire.write_frame conn.fd (Wire.encode_response Wire.Subscribed))
+            Wire.write_response conn.fd Wire.Subscribed)
       with
       | Error _ -> Close
       | Ok () -> Continue)
-  | Wire.Stats -> respond (Wire.Text (Metrics.render t.metrics))
+  | Wire.Stats -> respond conn (Wire.Text (Metrics.render t.metrics))
   | Wire.Health ->
       let hs =
         Registry.read t.registry (fun () ->
@@ -526,34 +567,34 @@ let handle t conn (req : Wire.request) : outcome =
                 (name, Registry.health_name h, Registry.last_error t.registry name))
               (Registry.statuses t.registry))
       in
-      respond (Wire.Health_list hs)
+      respond conn (Wire.Health_list hs)
   | Wire.Fingerprints ->
       let fps = Registry.read t.registry (fun () -> Registry.fingerprints t.registry) in
-      respond (Wire.Fingerprint_list fps)
-  | Wire.Heal -> respond (Wire.Healed (Registry.heal t.registry))
+      respond conn (Wire.Fingerprint_list fps)
+  | Wire.Heal -> respond conn (Wire.Healed (Registry.heal t.registry))
   | Wire.Checkpoint -> (
       match t.checkpoint with
-      | None -> respond (Wire.Err "server has no checkpoint store")
+      | None -> respond conn (Wire.Err "server has no checkpoint store")
       | Some ck -> (
           match ck () with
-          | Ok wal_offset -> respond (Wire.Checkpointed { wal_offset })
-          | Error msg -> respond (Wire.Err msg)))
+          | Ok wal_offset -> respond conn (Wire.Checkpointed { wal_offset })
+          | Error msg -> respond conn (Wire.Err msg)))
   | Wire.Barrier -> (
       match t.barrier with
-      | None -> respond (Wire.Err "server has no scheduler to fence")
+      | None -> respond conn (Wire.Err "server has no scheduler to fence")
       | Some fence -> (
           match fence () with
-          | Ok epoch -> respond (Wire.Barrier_done { epoch })
-          | Error msg -> respond (Wire.Err msg)))
+          | Ok epoch -> respond conn (Wire.Barrier_done { epoch })
+          | Error msg -> respond conn (Wire.Err msg)))
   | Wire.Sql text -> (
-      if stopping t then respond (Wire.Err "server is shutting down")
+      if stopping t then respond conn (Wire.Err "server is shutting down")
       else
         match t.sql with
-        | None -> respond (Wire.Err "server has no SQL session")
+        | None -> respond conn (Wire.Err "server has no SQL session")
         | Some f -> (
             match f text with
-            | Ok out -> respond (Wire.Text out)
-            | Error msg -> respond (Wire.Err msg)))
+            | Ok out -> respond conn (Wire.Text out)
+            | Error msg -> respond conn (Wire.Err msg)))
   | Wire.Shutdown ->
       (* Ack first: the client's [shutdown] call deserves its [Bye] even
          though the server starts tearing down immediately after. *)
@@ -588,9 +629,11 @@ let initiate_shutdown t =
    then hand it back to the poller. A handler domain is occupied only
    for requests in flight, never for a connection that is merely open —
    [continue] is the seam that makes the fixed-size pool immune to idle
-   connections. *)
+   connections. A request allocates what it decodes and what it
+   answers, but no closure: the request count, the clock and the
+   metrics take no thunk, and the elapsed time reaches {!Metrics} as
+   integer nanoseconds, not a boxed float. *)
 let rec serve_conn t conn =
-  let continue () = if readable_now conn.fd then serve_conn t conn else park t conn in
   match Wire.read_frame conn.fd with
   | Error (Wire.Eof | Wire.Truncated | Wire.Io _ | Wire.Timeout | Wire.Closed) ->
       drop_conn t conn
@@ -602,47 +645,88 @@ let rec serve_conn t conn =
   | Error e ->
       (* Checksum or opcode/body trouble inside one complete frame: the
          boundary is intact, answer with the error and keep serving. *)
-      (match send conn (Wire.Err (Wire.error_to_string e)) with
-      | Ok () -> continue ()
-      | Error _ -> drop_conn t conn)
+      refuse t conn e
   | Ok body -> (
       match Wire.decode_request body with
-      | Error e -> (
-          match send conn (Wire.Err (Wire.error_to_string e)) with
-          | Ok () -> continue ()
-          | Error _ -> drop_conn t conn)
+      | Error e -> refuse t conn e
       | Ok req -> (
           let t0 = Unix.gettimeofday () in
-          Mutex.protect t.mutex (fun () -> t.active <- t.active + 1);
+          Mutex.lock t.mutex;
+          t.active <- t.active + 1;
+          Mutex.unlock t.mutex;
           let outcome =
-            Fun.protect
-              ~finally:(fun () ->
-                Mutex.protect t.mutex (fun () -> t.active <- t.active - 1))
-              (fun () -> handle t conn req)
+            match handle t conn req with
+            | o ->
+                leave t;
+                o
+            | exception e ->
+                leave t;
+                raise e
           in
-          let dt = Unix.gettimeofday () -. t0 in
-          Metrics.record_op t.metrics (Wire.request_name req) dt;
+          let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
+          Metrics.record_op t.metrics (Wire.request_name req) ns;
           (* View-addressed ops also feed the per-tenant (view, op)
              series, so one tenant's tail is visible on its own. *)
           (match req with
           | Wire.Lookup { view; _ } ->
-              Metrics.record_view_op t.metrics ~view ~op:(Wire.request_name req) dt
+              Metrics.record_view_op t.metrics ~view ~op:(Wire.request_name req) ns
           | _ -> ());
           match outcome with
-          | Continue -> continue ()
+          | Continue -> continue t conn
           | Close -> drop_conn t conn
           | Shutdown_server ->
               drop_conn t conn;
               initiate_shutdown t))
 
+and continue t conn = if readable_now conn then serve_conn t conn else park t conn
+
+and refuse t conn e =
+  match send conn (Wire.Err (Wire.error_to_string e)) with
+  | Ok () -> continue t conn
+  | Error _ -> drop_conn t conn
+
+and leave t =
+  Mutex.lock t.mutex;
+  t.active <- t.active - 1;
+  Mutex.unlock t.mutex
+
+(* [conns] without the readable ones, each submitted to the handler
+   pool; [fds] likewise, never dropping the self-pipe [keep]. Both
+   share the longest unchanged tail, so a wake allocates only for the
+   parked entries ahead of a readable one — and recently parked
+   connections, the likeliest to speak next, sit at the front. *)
+let rec unpark pool readable conns =
+  match conns with
+  | [] -> conns
+  | c :: rest ->
+      let rest' = unpark pool readable rest in
+      if List.memq c.fd readable then begin
+        Handler_pool.submit pool c;
+        rest'
+      end
+      else if rest' == rest then conns
+      else c :: rest'
+
+let rec unpark_fds ~keep readable fds =
+  match fds with
+  | [] -> fds
+  | fd :: rest ->
+      let rest' = unpark_fds ~keep readable rest in
+      if fd != keep && List.memq fd readable then rest'
+      else if rest' == rest then fds
+      else fd :: rest'
+
 (* The poller: select over every parked connection plus the self-pipe,
    dispatch the readable ones to the handler pool. The 250 ms select
-   timeout bounds shutdown latency even if a wake byte is lost. *)
+   timeout bounds shutdown latency even if a wake byte is lost. A wake
+   allocates what [Unix.select] returns and the list cells
+   [unpark] rebuilds, nothing else. *)
 let rec poll_loop t =
   if stopping t then ()
   else begin
-    let parked = Mutex.protect t.park_mutex (fun () -> t.parked) in
-    let fds = t.wake_r :: List.map (fun c -> c.fd) parked in
+    Mutex.lock t.park_mutex;
+    let fds = t.parked_fds in
+    Mutex.unlock t.park_mutex;
     match Unix.select fds [] [] 0.25 with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> poll_loop t
     | exception Unix.Unix_error (Unix.EBADF, _, _) ->
@@ -655,23 +739,21 @@ let rec poll_loop t =
                   match Unix.fstat c.fd with
                   | (_ : Unix.stats) -> true
                   | exception Unix.Unix_error _ -> false)
-                t.parked);
+                t.parked;
+            t.parked_fds <- List.map (fun c -> c.fd) t.parked @ [ t.wake_r ]);
         poll_loop t
     | readable, _, _ ->
         (if List.memq t.wake_r readable then
-           let buf = Bytes.create 64 in
-           try ignore (Unix.read t.wake_r buf 0 64) with Unix.Unix_error _ -> ());
-        let ready =
-          Mutex.protect t.park_mutex (fun () ->
-              let ready, rest =
-                List.partition (fun c -> List.memq c.fd readable) t.parked
-              in
-              t.parked <- rest;
-              ready)
-        in
-        List.iter
-          (fun conn -> Handler_pool.submit t.pool (fun () -> serve_conn t conn))
-          ready;
+           try ignore (Unix.read t.wake_r t.drain 0 (Bytes.length t.drain))
+           with Unix.Unix_error _ -> ());
+        (match readable with
+        | [ fd ] when fd == t.wake_r -> ()
+        | [] -> ()
+        | _ ->
+            Mutex.lock t.park_mutex;
+            t.parked <- unpark t.pool readable t.parked;
+            t.parked_fds <- unpark_fds ~keep:t.wake_r readable t.parked_fds;
+            Mutex.unlock t.park_mutex);
         poll_loop t
   end
 
@@ -684,12 +766,12 @@ let publish_delta t ~epoch front =
        only here, once per epoch, instead of each producer re-deriving
        shapes from a flat batch. *)
     let updates = List.concat_map snd front in
-    let body = Wire.encode_response (Wire.Delta { epoch; updates }) in
+    let frame = Wire.frame_bytes (Wire.encode_response (Wire.Delta { epoch; updates })) in
     List.iter
       (fun conn ->
         let ok =
           Mutex.protect conn.write_mutex (fun () ->
-              match Wire.write_frame conn.fd body with Ok () -> true | Error _ -> false)
+              match Wire.write_prebuilt conn.fd frame with Ok () -> true | Error _ -> false)
         in
         (* Slow-consumer policy: a send that fails or times out leaves a
            half-written frame we cannot resynchronize — disconnect. The
@@ -741,7 +823,7 @@ let rec accept_loop t =
         (if t.snd_timeout > 0. then
            try Unix.setsockopt_float fd Unix.SO_SNDTIMEO t.snd_timeout
            with Unix.Unix_error _ -> ());
-        let conn = { fd; write_mutex = Mutex.create () } in
+        let conn = { fd; write_mutex = Mutex.create (); watch = [ fd ]; server = t } in
         Mutex.protect t.mutex (fun () -> t.conns <- conn :: t.conns);
         (* Straight to the poller: a freshly accepted connection has no
            request yet, so it must not occupy a handler. *)
@@ -749,17 +831,23 @@ let rec accept_loop t =
         accept_loop t
       end
 
+(* What the handler pool runs. *)
+let serve conn = serve_conn conn.server conn
+
 let start ?(host = "127.0.0.1") ~port ?(chunk_size = 512) ?(snd_timeout = 5.0)
     ?(handlers = 4) ?ingest ?ingest_rw ?served ?checkpoint ?sql ?barrier
     ?on_shutdown ~registry ~metrics () =
   if chunk_size < 1 then invalid_arg "Server.start: chunk_size < 1";
   if handlers < 1 then invalid_arg "Server.start: handlers < 1";
+  match Wire.address host port with
+  | Error e -> Error e
+  | Ok addr -> (
   match Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 with
   | exception Unix.Unix_error (e, _, _) -> Error (Wire.Io (Unix.error_message e))
   | listen_fd -> (
       try
         Unix.setsockopt listen_fd Unix.SO_REUSEADDR true;
-        Unix.bind listen_fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
+        Unix.bind listen_fd addr;
         Unix.listen listen_fd 128;
         let port =
           match Unix.getsockname listen_fd with
@@ -785,7 +873,7 @@ let start ?(host = "127.0.0.1") ~port ?(chunk_size = 512) ?(snd_timeout = 5.0)
             on_shutdown;
             (* The accept loop lives on its own domain and only ever
                submits, never executes. *)
-            pool = Handler_pool.create ~workers:handlers;
+            pool = Handler_pool.create ~workers:handlers serve;
             cache_mutex = Mutex.create ();
             cache = Hashtbl.create 8;
             refreshing = Hashtbl.create 8;
@@ -797,17 +885,21 @@ let start ?(host = "127.0.0.1") ~port ?(chunk_size = 512) ?(snd_timeout = 5.0)
             accept_domain = None;
             park_mutex = Mutex.create ();
             parked = [];
+            parked_fds = [ wake_r ];
             wake_r;
             wake_w;
+            drain = Bytes.create 64;
             poller_domain = None;
           }
         in
         t.accept_domain <- Some (Domain.spawn (fun () -> accept_loop t));
         t.poller_domain <- Some (Domain.spawn (fun () -> poll_loop t));
         Ok t
-      with Unix.Unix_error (e, _, _) ->
+      with e -> (
         (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-        Error (Wire.Io (Unix.error_message e)))
+        match e with
+        | Unix.Unix_error (e, _, _) -> Error (Wire.Io (Unix.error_message e))
+        | e -> raise e)))
 
 let stop ?(grace = 1.0) t =
   Mutex.protect t.mutex (fun () -> t.stopping <- true);

@@ -14,8 +14,9 @@
     bodies are values, never exceptions — the property harness in
     [test/test_net.ml] feeds this module bit-flipped and cut-off bytes
     and asserts exactly that. The pure {!decode_frame} is the testing
-    seam; {!read_frame}/{!write_frame} wrap it around blocking socket
-    I/O with partial read/write loops. *)
+    seam; {!read_frame} and the staged writers {!write_request} and
+    {!write_response} do the same framing over blocking socket I/O
+    with partial read/write loops, allocating only the bodies read. *)
 
 module Codec = Ivm_data.Codec
 module Tuple = Ivm_data.Tuple
@@ -23,7 +24,6 @@ module Update = Ivm_data.Update
 
 let header_len = Codec.frame_header
 let max_body = 16 * 1024 * 1024
-
 
 type error =
   | Eof  (** peer closed cleanly at a frame boundary *)
@@ -52,17 +52,15 @@ let error_to_string = function
 
 let pp_error ppf e = Format.pp_print_string ppf (error_to_string e)
 
-let ( let* ) = Result.bind
-
 (* --- framing ---------------------------------------------------------- *)
 
 let check_body len = if len > max_body then invalid_arg "Wire.frame: body too large"
 
-(* A complete frame (header, CRC, body) preserialized into one buffer:
-   the zero-copy currency of the server's snapshot cache. Building it
-   once at cache-fill time makes serving a cache hit a single [write]
-   of these bytes — no per-request encoding, no per-request CRC. The
-   header and CRC go straight into the one exact-size allocation. *)
+(* A complete frame (header, CRC, body) preserialized into one buffer,
+   for bytes written more than once — a delta fanned out to every
+   subscriber; the snapshot cache's chunks are built the same way by
+   {!chunk_frame}. The header and CRC go straight into the one
+   exact-size allocation. *)
 let frame_bytes body =
   let len = String.length body in
   check_body len;
@@ -91,65 +89,96 @@ let decode_frame buf ~pos =
 
 (* --- blocking socket I/O ---------------------------------------------- *)
 
-let rec really_write fd s pos len =
+(* A dotted quad is taken as is; anything else is a host name, resolved
+   to its first IPv4 address. *)
+let address host port =
+  match Unix.inet_addr_of_string host with
+  | addr -> Ok (Unix.ADDR_INET (addr, port))
+  | exception Failure _ -> (
+      match
+        Unix.getaddrinfo host (string_of_int port)
+          [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
+      with
+      | { Unix.ai_addr; _ } :: _ -> Ok ai_addr
+      | [] -> Error (Io (Printf.sprintf "cannot resolve host %S" host)))
+
+(* Write [b.[pos .. pos + len)] fully, looping over partial writes. *)
+let rec write_all fd b pos len =
   if len = 0 then Ok ()
   else
-    match Unix.write_substring fd s pos len with
+    match Unix.write fd b pos len with
     | 0 -> Error (Io "write returned 0")
-    | n -> really_write fd s (pos + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> really_write fd s pos len
+    | n -> write_all fd b (pos + n) (len - n)
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b pos len
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
         Error Timeout
     | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
 
-let write_frame fd body =
-  let s = frame body in
-  really_write fd s 0 (String.length s)
+(* The zero-copy send: one write loop straight out of a prebuilt
+   frame, no staging buffer. *)
+let write_prebuilt fd b = write_all fd b 0 (Bytes.length b)
 
-(* The zero-copy send: one partial-write loop straight out of a
-   prebuilt frame, no staging buffer. *)
-let write_prebuilt fd b =
-  let len = Bytes.length b in
-  let rec go pos len =
-    if len = 0 then Ok ()
-    else
-      match Unix.write fd b pos len with
-      | 0 -> Error (Io "write returned 0")
-      | n -> go (pos + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go pos len
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Error Timeout
-      | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
-  in
-  go 0 len
+(* Fill [b.[pos .. n)] from [fd]. Zero bytes at the very start is a
+   clean EOF when [clean_eof]; an EOF anywhere else is a truncated
+   frame. *)
+let rec fill fd b pos n ~clean_eof =
+  if pos = n then Ok ()
+  else
+    match Unix.read fd b pos (n - pos) with
+    | 0 -> if pos = 0 && clean_eof then Error Eof else Error Truncated
+    | k -> fill fd b (pos + k) n ~clean_eof
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> fill fd b pos n ~clean_eof
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> Error Timeout
+    | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
 
-(* Read exactly [n] bytes. Zero bytes at the very start is a clean EOF
-   when [clean_eof]; an EOF anywhere else is a truncated frame. *)
-let read_exact fd n ~clean_eof =
-  let buf = Bytes.create n in
-  let rec loop pos =
-    if pos = n then Ok (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf pos (n - pos) with
-      | 0 -> if pos = 0 && clean_eof then Error Eof else Error Truncated
-      | k -> loop (pos + k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop pos
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-          Error Timeout
-      | exception Unix.Unix_error (e, _, _) -> Error (Io (Unix.error_message e))
-  in
-  loop 0
+let get_u32 b pos = Bytes.get_uint16_le b pos lor (Bytes.get_uint16_le b (pos + 2) lsl 16)
+
+(* The header lands in per-domain scratch; only the body, which the
+   caller keeps, is allocated, at its exact size. *)
+let header = Domain.DLS.new_key (fun () -> Bytes.create header_len)
 
 let read_frame fd =
-  let* header = read_exact fd header_len ~clean_eof:true in
-  let cur = ref 0 in
-  let len = Codec.u32 header cur in
-  let crc = Codec.u32 header cur in
-  if len > max_body then Error (Too_large len)
-  else
-    let* body = read_exact fd len ~clean_eof:false in
-    let actual = Codec.crc32 body ~pos:0 ~len in
-    if actual <> crc then Error (Crc_mismatch { expected = crc; actual }) else Ok body
+  let h = Domain.DLS.get header in
+  match fill fd h 0 header_len ~clean_eof:true with
+  | Error e -> Error e
+  | Ok () -> (
+      let len = get_u32 h 0 and crc = get_u32 h 4 in
+      if len > max_body then Error (Too_large len)
+      else
+        let body = Bytes.create len in
+        match fill fd body 0 len ~clean_eof:false with
+        | Error e -> Error e
+        | Ok () ->
+            let body = Bytes.unsafe_to_string body in
+            let actual = Codec.crc32 body ~pos:0 ~len in
+            if actual <> crc then Error (Crc_mismatch { expected = crc; actual }) else Ok body)
+
+(* Outgoing messages are staged per domain: the body is encoded into a
+   reused buffer, copied behind the header of a reused frame, sealed in
+   place and written by one loop, so a send allocates nothing once the
+   stage has grown to the domain's largest message. *)
+type stage = { body : Buffer.t; mutable frame : Bytes.t }
+
+let stage = Domain.DLS.new_key (fun () -> { body = Buffer.create 256; frame = Bytes.empty })
+
+let staged fd add v =
+  let st = Domain.DLS.get stage in
+  Buffer.clear st.body;
+  add st.body v;
+  let len = Buffer.length st.body in
+  let r =
+    if len > max_body then Error (Too_large len)
+    else begin
+      st.frame <- Codec.frame ~into:st.frame st.body;
+      write_all fd st.frame 0 (header_len + len)
+    end
+  in
+  (* A huge message must not pin its stage for the domain's life. *)
+  if len > 1 lsl 20 then begin
+    Buffer.reset st.body;
+    st.frame <- Bytes.empty
+  end;
+  r
 
 (* --- messages --------------------------------------------------------- *)
 
@@ -259,18 +288,21 @@ let entry s cur =
   let p = Codec.i64 s cur in
   (tp, p)
 
+let rec entries_onto s cur k acc =
+  if k = 0 then acc else entries_onto s cur (k - 1) (entry s cur :: acc)
+
 (* A [Chunk] body after its tag: the last flag, then the entries, each
    pushed onto [acc] — so [acc] comes back with this chunk's entries in
    reverse order in front. The one chunk decoder: {!decode_response}
    and {!decode_chunk} both run it. *)
 let chunk_body s cur acc =
   let last = Codec.u8 s cur <> 0 in
-  let rec go k acc = if k = 0 then acc else go (k - 1) (entry s cur :: acc) in
-  (last, go (Codec.u32 s cur) acc)
+  (last, entries_onto s cur (Codec.u32 s cur) acc)
 
-let encode_request (r : request) : string =
-  let buf = Buffer.create 64 in
-  (match r with
+(* The one request encoder: every request body is written here, into
+   the caller's buffer. *)
+let add_request buf (r : request) =
+  match r with
   | Ping -> Codec.add_u8 buf 0x01
   | Lookup { view; prefix; token; timeout_ms; since } ->
       Codec.add_u8 buf 0x02;
@@ -295,8 +327,7 @@ let encode_request (r : request) : string =
   | Barrier -> Codec.add_u8 buf 0x0F
   | Ingest_rw updates ->
       Codec.add_u8 buf 0x10;
-      add_list Codec.add_update buf updates);
-  Buffer.contents buf
+      add_list Codec.add_update buf updates
 
 (* The body of a [Chunk] response: its tag, the last flag, then
    [count] entries, each handed to [add] by [iter]. *)
@@ -306,12 +337,10 @@ let add_chunk_body buf ~last ~count iter =
   Codec.add_u32 buf count;
   iter (add_entry buf)
 
-(* Chunk bodies are encoded into a per-domain scratch buffer, then
-   copied once into their exact-size frame. *)
-let scratch = Domain.DLS.new_key (fun () -> Buffer.create 4096)
-
+(* Chunk bodies are encoded into the domain's stage, then copied once
+   into their exact-size frame. *)
 let chunk_frame ~last (entries : (Tuple.t * int) array) ~off ~len =
-  let buf = Domain.DLS.get scratch in
+  let buf = (Domain.DLS.get stage).body in
   Buffer.clear buf;
   add_chunk_body buf ~last ~count:len (fun add ->
       for i = off to off + len - 1 do
@@ -323,9 +352,9 @@ let chunk_frame ~last (entries : (Tuple.t * int) array) ~off ~len =
   if Buffer.length buf > 1 lsl 20 then Buffer.reset buf;
   b
 
-let encode_response (r : response) : string =
-  let buf = Buffer.create 64 in
-  (match r with
+(* The one response encoder, like {!add_request}. *)
+let add_response buf (r : response) =
+  match r with
   | Pong -> Codec.add_u8 buf 0x81
   | Chunk { last; entries } ->
       add_chunk_body buf ~last ~count:(List.length entries) (fun add -> List.iter add entries)
@@ -382,112 +411,113 @@ let encode_response (r : response) : string =
       Codec.add_u8 buf 0x90;
       Codec.add_i64 buf watermark;
       Codec.add_i64 buf version;
-      Codec.add_i64 buf base);
+      Codec.add_i64 buf base
+
+let encoded add v =
+  let buf = Buffer.create 64 in
+  add buf v;
   Buffer.contents buf
 
-(* Run a codec reader over a whole body: every [Codec.Corrupt] becomes a
-   [Decode] error, and trailing bytes are rejected — a frame is exactly
-   one message. *)
-let decoding body f =
-  let cur = ref 0 in
-  match f body cur with
-  | v -> if !cur = String.length body then Ok v else Error (Decode "trailing bytes")
-  | exception Codec.Corrupt msg -> Error (Decode msg)
+let encode_request r = encoded add_request r
+let encode_response r = encoded add_response r
+let write_request fd r = staged fd add_request r
+let write_response fd r = staged fd add_response r
 
-let decode_request body : (request, error) result =
+(* A request body after its opcode byte. An unknown opcode raises
+   [Exit]. *)
+let request_body body cur op =
+  match op with
+  | 0x01 -> Ping
+  | 0x02 ->
+      let view = Codec.str body cur in
+      let prefix = Codec.tuple body cur in
+      let token = Codec.i64 body cur in
+      let timeout_ms = Codec.u32 body cur in
+      let since = Codec.i64 body cur in
+      Lookup { view; prefix; token; timeout_ms; since }
+  | 0x04 -> Ingest (read_list Codec.update body cur)
+  | 0x05 -> Subscribe
+  | 0x06 -> Stats
+  | 0x07 -> Health
+  | 0x08 -> Fingerprints
+  | 0x09 -> Heal
+  | 0x0A -> Checkpoint
+  | 0x0B -> Shutdown
+  | 0x0D -> Sql (Codec.str body cur)
+  | 0x0F -> Barrier
+  | 0x10 -> Ingest_rw (read_list Codec.update body cur)
+  | _ -> raise Exit
+
+let health_entry body cur =
+  let name = Codec.str body cur in
+  let health = Codec.str body cur in
+  let err = if Codec.u8 body cur = 0 then None else Some (Codec.str body cur) in
+  (name, health, err)
+
+let fingerprint_entry body cur =
+  let name = Codec.str body cur in
+  let fp = Codec.i64 body cur in
+  (name, fp)
+
+(* A response body after its opcode byte, like {!request_body}. *)
+let response_body body cur op =
+  match op with
+  | 0x81 -> Pong
+  | 0x82 ->
+      let last, rev = chunk_body body cur [] in
+      Chunk { last; entries = List.rev rev }
+  | 0x83 ->
+      let admitted = Codec.u32 body cur in
+      let dropped = Codec.u32 body cur in
+      Ack { admitted; dropped }
+  | 0x84 -> Text (Codec.str body cur)
+  | 0x85 -> Health_list (read_list health_entry body cur)
+  | 0x86 -> Fingerprint_list (read_list fingerprint_entry body cur)
+  | 0x87 -> Healed (read_list Codec.str body cur)
+  | 0x88 -> Checkpointed { wal_offset = Codec.i64 body cur }
+  | 0x89 ->
+      let epoch = Codec.i64 body cur in
+      let updates = read_list Codec.update body cur in
+      Delta { epoch; updates }
+  | 0x8A -> Err (Codec.str body cur)
+  | 0x8B -> Bye
+  | 0x8C -> Subscribed
+  | 0x8E -> Barrier_done { epoch = Codec.i64 body cur }
+  | 0x8F ->
+      let admitted = Codec.u32 body cur in
+      let dropped = Codec.u32 body cur in
+      let token = Codec.i64 body cur in
+      Ack_token { admitted; dropped; token }
+  | 0x90 ->
+      let watermark = Codec.i64 body cur in
+      let version = Codec.i64 body cur in
+      let base = Codec.i64 body cur in
+      Token { watermark; version; base }
+  | _ -> raise Exit
+
+(* Run a body reader over a whole body after its opcode byte: every
+   [Codec.Corrupt] becomes a [Decode] error, an unknown opcode a
+   [Bad_op], and trailing bytes are rejected — a frame is exactly one
+   message. *)
+let decoding read body =
   if body = "" then Error (Decode "empty body")
   else
-    let op = Char.code body.[0] in
-    let read body cur =
-      Codec.u8 body cur |> ignore;
-      match op with
-      | 0x01 -> Ping
-      | 0x02 ->
-          let view = Codec.str body cur in
-          let prefix = Codec.tuple body cur in
-          let token = Codec.i64 body cur in
-          let timeout_ms = Codec.u32 body cur in
-          let since = Codec.i64 body cur in
-          Lookup { view; prefix; token; timeout_ms; since }
-      | 0x04 -> Ingest (read_list Codec.update body cur)
-      | 0x05 -> Subscribe
-      | 0x06 -> Stats
-      | 0x07 -> Health
-      | 0x08 -> Fingerprints
-      | 0x09 -> Heal
-      | 0x0A -> Checkpoint
-      | 0x0B -> Shutdown
-      | 0x0D -> Sql (Codec.str body cur)
-      | 0x0F -> Barrier
-      | 0x10 -> Ingest_rw (read_list Codec.update body cur)
-      | _ -> raise Exit
-    in
-    match decoding body read with exception Exit -> Error (Bad_op op) | r -> r
+    let op = Char.code (String.unsafe_get body 0) in
+    let cur = ref 1 in
+    match read body cur op with
+    | v -> if !cur = String.length body then Ok v else Error (Decode "trailing bytes")
+    | exception Codec.Corrupt msg -> Error (Decode msg)
+    | exception Exit -> Error (Bad_op op)
 
-let decode_response body : (response, error) result =
-  if body = "" then Error (Decode "empty body")
-  else
-    let op = Char.code body.[0] in
-    let read body cur =
-      Codec.u8 body cur |> ignore;
-      match op with
-      | 0x81 -> Pong
-      | 0x82 ->
-          let last, rev = chunk_body body cur [] in
-          Chunk { last; entries = List.rev rev }
-      | 0x83 ->
-          let admitted = Codec.u32 body cur in
-          let dropped = Codec.u32 body cur in
-          Ack { admitted; dropped }
-      | 0x84 -> Text (Codec.str body cur)
-      | 0x85 ->
-          Health_list
-            (read_list
-               (fun body cur ->
-                 let name = Codec.str body cur in
-                 let health = Codec.str body cur in
-                 let err =
-                   if Codec.u8 body cur = 0 then None else Some (Codec.str body cur)
-                 in
-                 (name, health, err))
-               body cur)
-      | 0x86 ->
-          Fingerprint_list
-            (read_list
-               (fun body cur ->
-                 let name = Codec.str body cur in
-                 let fp = Codec.i64 body cur in
-                 (name, fp))
-               body cur)
-      | 0x87 -> Healed (read_list Codec.str body cur)
-      | 0x88 -> Checkpointed { wal_offset = Codec.i64 body cur }
-      | 0x89 ->
-          let epoch = Codec.i64 body cur in
-          let updates = read_list Codec.update body cur in
-          Delta { epoch; updates }
-      | 0x8A -> Err (Codec.str body cur)
-      | 0x8B -> Bye
-      | 0x8C -> Subscribed
-      | 0x8E -> Barrier_done { epoch = Codec.i64 body cur }
-      | 0x8F ->
-          let admitted = Codec.u32 body cur in
-          let dropped = Codec.u32 body cur in
-          let token = Codec.i64 body cur in
-          Ack_token { admitted; dropped; token }
-      | 0x90 ->
-          let watermark = Codec.i64 body cur in
-          let version = Codec.i64 body cur in
-          let base = Codec.i64 body cur in
-          Token { watermark; version; base }
-      | _ -> raise Exit
-    in
-    match decoding body read with exception Exit -> Error (Bad_op op) | r -> r
+let decode_request body : (request, error) result = decoding request_body body
+let decode_response body : (response, error) result = decoding response_body body
 
 let decode_chunk body acc =
-  if body <> "" && Char.code body.[0] = 0x82 then
-    decoding body (fun body cur ->
-        Codec.u8 body cur |> ignore;
-        chunk_body body cur acc)
+  if body <> "" && Char.code (String.unsafe_get body 0) = 0x82 then (
+    let cur = ref 1 in
+    match chunk_body body cur acc with
+    | v -> if !cur = String.length body then Ok v else Error (Decode "trailing bytes")
+    | exception Codec.Corrupt msg -> Error (Decode msg))
   else
     match decode_response body with
     | Ok (Err msg) -> Error (Remote msg)

@@ -39,22 +39,23 @@ val pp_error : Format.formatter -> error -> unit
 (** {1 Framing} *)
 
 val frame : string -> string
-(** Wrap a body into a complete frame.
+(** Wrap a body into a complete frame — the reference layout the
+    staged writers ({!write_request}, {!write_response}) produce.
     @raise Invalid_argument over {!max_body}. *)
 
 val frame_bytes : string -> Bytes.t
-(** A complete frame (header, CRC, body) preserialized into one buffer
-    — the zero-copy currency of the server's snapshot cache: build once
-    at cache-fill time, serve with {!write_prebuilt}. Treat the result
-    as immutable.
+(** A complete frame (header, CRC, body) preserialized into one buffer,
+    for bytes written more than once: the snapshot cache's chunks (see
+    {!chunk_frame}) and a delta fanned out to every subscriber. Serve
+    it with {!write_prebuilt}. Treat the result as immutable.
     @raise Invalid_argument over {!max_body}. *)
 
 val chunk_frame :
   last:bool -> (Ivm_data.Tuple.t * int) array -> off:int -> len:int -> Bytes.t
 (** The {!frame_bytes} of a [Chunk { last; entries }] response whose
     entries are [entries.(off) .. entries.(off + len - 1)] — the same
-    bytes, built in one exact-size allocation (the body is staged in a
-    per-domain scratch buffer). *)
+    bytes, built in one exact-size allocation (the body is staged in
+    the per-domain buffer {!write_request} uses). *)
 
 val decode_frame : string -> pos:int -> (string * int, error) result
 (** Parse one frame starting at [pos] of a byte buffer, returning the
@@ -63,18 +64,21 @@ val decode_frame : string -> pos:int -> (string * int, error) result
     ends mid-frame. Pure — the property-testing seam under
     {!read_frame}. *)
 
-val write_frame : Unix.file_descr -> string -> (unit, error) result
-(** Frame a body and write it fully, looping over partial writes. A
-    socket send timeout ([SO_SNDTIMEO]) surfaces as [Error Timeout]. *)
+val address : string -> int -> (Unix.sockaddr, error) result
+(** [address host port]: the IPv4 socket address of [host] (a dotted
+    quad, or a name resolved with [getaddrinfo]) and [port];
+    [Error (Io _)] when the name does not resolve. *)
 
 val write_prebuilt : Unix.file_descr -> Bytes.t -> (unit, error) result
 (** Write a {!frame_bytes}-prebuilt frame fully, looping over partial
-    writes — no staging buffer, no re-encoding, no re-CRC. *)
+    writes — no staging buffer, no re-encoding, no re-CRC. A socket
+    send timeout ([SO_SNDTIMEO]) surfaces as [Error Timeout]. *)
 
 val read_frame : Unix.file_descr -> (string, error) result
 (** Read exactly one frame, looping over partial reads, and verify its
-    checksum. After a [Crc_mismatch] the stream is still aligned on a
-    frame boundary — the connection can keep serving. *)
+    checksum. The header is read into per-domain scratch; the body is
+    the one allocation. After a [Crc_mismatch] the stream is still
+    aligned on a frame boundary — the connection can keep serving. *)
 
 (** {1 Messages} *)
 
@@ -157,7 +161,19 @@ val request_name : request -> string
 
 val response_name : response -> string
 
+val write_request : Unix.file_descr -> request -> (unit, error) result
+(** Frame a request and write it fully. The body is encoded into a
+    per-domain stage and sealed behind its header in place, so a send
+    allocates nothing once the stage has grown to the domain's largest
+    message. A body over {!max_body} is [Error (Too_large _)], nothing
+    written; a socket send timeout ([SO_SNDTIMEO]) is [Error Timeout]. *)
+
+val write_response : Unix.file_descr -> response -> (unit, error) result
+(** {!write_request} for a response. *)
+
 val encode_request : request -> string
+(** A request's frame body, as {!write_request} frames it. *)
+
 val decode_request : string -> (request, error) result
 val encode_response : response -> string
 val decode_response : string -> (response, error) result

@@ -23,6 +23,7 @@ module Hist = struct
   let bucket_of dt =
     if dt <= floor_ns then 0
     else min (buckets - 1) (1 + int_of_float (log (dt /. floor_ns) /. log_ratio))
+  [@@inline]
 
   (* The representative value of a bucket: its upper edge, so quantiles
      are conservative (never under-reported). *)
@@ -34,6 +35,11 @@ module Hist = struct
     t.n <- t.n + 1;
     t.f.sum <- t.f.sum +. dt;
     if dt > t.f.max then t.f.max <- dt
+  [@@inline]
+
+  (* A sample in integer nanoseconds: with [add] inlined no float
+     crosses a call, so nothing is boxed. *)
+  let add_ns t ns = add t (float_of_int ns *. 1e-9)
 
   let count t = t.n
   let mean t = if t.n = 0 then 0. else t.f.sum /. float_of_int t.n
@@ -98,10 +104,11 @@ type t = {
   mutable coalesced : int; (* updates after per-epoch coalescing *)
   views : (string, view) Hashtbl.t;
   ops : (string, Hist.t) Hashtbl.t; (* per-op-class service latency *)
-  view_ops : (string * string, Hist.t) Hashtbl.t;
-      (* (view, op) service latency: the per-tenant series a multi-view
-         server exposes so one tenant's tail is not averaged away in
-         the per-process histogram *)
+  view_ops : (string, (string, Hist.t) Hashtbl.t) Hashtbl.t;
+      (* view -> op -> service latency: the per-tenant series a
+         multi-view server exposes so one tenant's tail is not averaged
+         away in the per-process histogram. Two string-keyed levels, so
+         a sample builds no [(view, op)] key. *)
   ops_mutex : Mutex.t; (* ops are recorded from concurrent handler domains *)
   (* Network snapshot-cache outcomes, counted from concurrent handler
      domains, hence atomic. *)
@@ -152,60 +159,51 @@ let view t name =
 let view_names t =
   List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.views [])
 
+(* The histogram under [key], created on first use. *)
+let find_or_add tbl key make =
+  match Hashtbl.find tbl key with
+  | h -> h
+  | exception Not_found ->
+      let h = make () in
+      Hashtbl.add tbl key h;
+      h
+
 let op t name =
   Mutex.lock t.ops_mutex;
-  let h =
-    match Hashtbl.find_opt t.ops name with
-    | Some h -> h
-    | None ->
-        let h = Hist.create () in
-        Hashtbl.add t.ops name h;
-        h
-  in
+  let h = find_or_add t.ops name Hist.create in
   Mutex.unlock t.ops_mutex;
   h
 
 (* Op histograms are written from concurrent handler domains, so the
    record path takes the mutex; view/latency histograms keep their
    lock-free single-writer discipline (only the scheduler domain). *)
-let record_op t name dt =
+let record_op t name ns =
   Mutex.lock t.ops_mutex;
-  (match Hashtbl.find_opt t.ops name with
-  | Some h -> Hist.add h dt
-  | None ->
-      let h = Hist.create () in
-      Hist.add h dt;
-      Hashtbl.add t.ops name h);
+  Hist.add_ns (find_or_add t.ops name Hist.create) ns;
   Mutex.unlock t.ops_mutex
 
+let view_op_table () = Hashtbl.create 4
+
 (* Same discipline as {!record_op}: concurrent handler domains, so the
-   table and histograms live behind the ops mutex. *)
-let record_view_op t ~view ~op dt =
+   tables and histograms live behind the ops mutex. *)
+let record_view_op t ~view ~op ns =
   Mutex.lock t.ops_mutex;
-  (match Hashtbl.find_opt t.view_ops (view, op) with
-  | Some h -> Hist.add h dt
-  | None ->
-      let h = Hist.create () in
-      Hist.add h dt;
-      Hashtbl.add t.view_ops (view, op) h);
+  Hist.add_ns (find_or_add (find_or_add t.view_ops view view_op_table) op Hist.create) ns;
   Mutex.unlock t.ops_mutex
 
 let view_op_series t =
   Mutex.lock t.ops_mutex;
-  let keys = Hashtbl.fold (fun k _ acc -> k :: acc) t.view_ops [] in
+  let keys =
+    Hashtbl.fold
+      (fun view ops acc -> Hashtbl.fold (fun op _ acc -> (view, op) :: acc) ops acc)
+      t.view_ops []
+  in
   Mutex.unlock t.ops_mutex;
   List.sort compare keys
 
 let view_op t ~view ~op =
   Mutex.lock t.ops_mutex;
-  let h =
-    match Hashtbl.find_opt t.view_ops (view, op) with
-    | Some h -> h
-    | None ->
-        let h = Hist.create () in
-        Hashtbl.add t.view_ops (view, op) h;
-        h
-  in
+  let h = find_or_add (find_or_add t.view_ops view view_op_table) op Hist.create in
   Mutex.unlock t.ops_mutex;
   h
 

@@ -7,6 +7,10 @@ module Hist : sig
 
   val create : unit -> t
   val add : t -> float -> unit
+
+  val add_ns : t -> int -> unit
+  (** [add] of a sample given in nanoseconds; allocates nothing. *)
+
   val count : t -> int
   val mean : t -> float
   val max_value : t -> float
@@ -43,9 +47,9 @@ type t = {
   views : (string, view) Hashtbl.t;
   ops : (string, Hist.t) Hashtbl.t;
       (** per-op-class service latency (network lookups, ingest, ...) *)
-  view_ops : (string * string, Hist.t) Hashtbl.t;
-      (** [(view, op)]-labelled service latency — the per-tenant series
-          of a multi-view server, so one tenant's tail latency is not
+  view_ops : (string, (string, Hist.t) Hashtbl.t) Hashtbl.t;
+      (** view → op → service latency — the per-tenant series of a
+          multi-view server, so one tenant's tail latency is not
           averaged away in the per-process histogram *)
   ops_mutex : Mutex.t;
   cache_hits : int Atomic.t;
@@ -80,15 +84,17 @@ val view_names : t -> string list
 val op : t -> string -> Hist.t
 (** The named op class's latency histogram, created on first use. *)
 
-val record_op : t -> string -> float -> unit
-(** Record one service-latency sample for an op class. Safe to call
+val record_op : t -> string -> int -> unit
+(** Record one service-latency sample, in nanoseconds, for an op
+    class; allocates nothing once the class exists. Safe to call
     from concurrent handler domains (serialized on [ops_mutex]); the
     view and latency histograms stay single-writer. *)
 
 val op_names : t -> string list
 
-val record_view_op : t -> view:string -> op:string -> float -> unit
-(** Record one service-latency sample for an op on a specific view —
+val record_view_op : t -> view:string -> op:string -> int -> unit
+(** Record one service-latency sample, in nanoseconds, for an op on a
+    specific view, allocating nothing once the pair exists —
     the per-tenant label pair of the [ivm_view_op_seconds] exposition.
     Same concurrency contract as {!record_op}. *)
 

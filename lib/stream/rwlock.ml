@@ -29,6 +29,15 @@ let create () =
     waiting_writers = 0;
   }
 
+let leave_read t =
+  Mutex.lock t.mutex;
+  t.readers <- t.readers - 1;
+  if t.readers = 0 then Condition.broadcast t.ok_write;
+  Mutex.unlock t.mutex
+
+(* Readers run per request, so unlike [write] (once per epoch) the
+   release needs no [Fun.protect] closures: a read of a hot lock
+   allocates nothing of its own. *)
 let read t f =
   Mutex.lock t.mutex;
   while t.writing || t.waiting_writers > 0 do
@@ -36,13 +45,14 @@ let read t f =
   done;
   t.readers <- t.readers + 1;
   Mutex.unlock t.mutex;
-  let finally () =
-    Mutex.lock t.mutex;
-    t.readers <- t.readers - 1;
-    if t.readers = 0 then Condition.broadcast t.ok_write;
-    Mutex.unlock t.mutex
-  in
-  Fun.protect ~finally f
+  match f () with
+  | v ->
+      leave_read t;
+      v
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      leave_read t;
+      Printexc.raise_with_backtrace e bt
 
 let write t f =
   Mutex.lock t.mutex;

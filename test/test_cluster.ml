@@ -292,7 +292,7 @@ let test_router_read_alloc () =
    unchanged scattered view, whose merged answer the router holds: each
    shard answers with an empty delta, whatever the view's size. Exact
    for this fixture; the gate fails past 1.25x it at both sizes. *)
-let router_repeat_read_words_baseline = 549.0
+let router_repeat_read_words_baseline = 148.0
 
 let test_router_repeat_read_alloc () =
   let router = start_router ~label:"repeat_read_alloc" () in

@@ -471,8 +471,8 @@ let metrics_render () =
   Metrics.Hist.add m.Metrics.latency 0.004;
   m.Metrics.epochs <- 3;
   m.Metrics.ingested <- 40;
-  List.iter (fun v -> Metrics.record_op m "lookup" v) [ 0.001; 0.002; 0.25 ];
-  Metrics.record_op m "ingest" 0.01;
+  List.iter (fun v -> Metrics.record_op m "lookup" v) [ 1_000_000; 2_000_000; 250_000_000 ];
+  Metrics.record_op m "ingest" 10_000_000;
   ignore (Metrics.view m "tri");
   Atomic.incr m.Metrics.cache_hits;
   Atomic.incr m.Metrics.cache_hits;
@@ -862,7 +862,7 @@ let e2e_corrupt_frame_keeps_serving () =
               | Error e -> Alcotest.failf "reply decode: %s" (Wire.error_to_string e))
           | Error e -> Alcotest.failf "no reply to corrupt frame: %s" (Wire.error_to_string e));
           (* The stream is still aligned: a clean Ping works. *)
-          ok_wire (Wire.write_frame fd (Wire.encode_request Wire.Ping));
+          ok_wire (Wire.write_request fd Wire.Ping);
           match Wire.read_frame fd with
           | Ok reply -> (
               match Wire.decode_response reply with
@@ -927,8 +927,7 @@ let e2e_zero_copy_snapshot () =
             ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
             (fun () ->
               Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-              ok_wire
-                (Wire.write_frame fd (Wire.encode_request (lookup "paths-rs" D.Tuple.unit)));
+              ok_wire (Wire.write_request fd (lookup "paths-rs" D.Tuple.unit));
               (match Result.bind (Wire.read_frame fd) Wire.decode_response with
               | Ok (Wire.Token { watermark = 0; base = 0; _ }) -> ()
               | Ok r -> Alcotest.failf "expected Token 0 first, got %s" (Wire.response_name r)
@@ -2155,6 +2154,109 @@ let unchanged_reads_share_terminator () =
       Alcotest.(check bool) "previous + delta = now" true
         (zset (before @ d) = zset (served ~chunk_size:8 (snd (answer 0)))))
 
+(* --- round-trip allocation ------------------------------------------- *)
+
+(* Words one warm round trip allocates: on the calling domain for a
+   [Client.ping] and for a [Client.lookup ~since] of an unchanged view
+   (a Token frame and the empty terminator back), and process-wide
+   (client, handler and poller domains) for the two together, read
+   after a full major collection so every domain's counter is in. The
+   calling-domain readings are exact for this fixture, the process-wide
+   one within ~2 % (lower on a busy machine, where fewer connections
+   park between requests); the gate fails past 1.25x each. *)
+let round_trip_words_baseline = (8.0, 43.0, 141.0)
+
+let process_words () =
+  Gc.full_major ();
+  let s = Gc.quick_stat () in
+  s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+
+let warm_round_trip_alloc () =
+  let reg = Registry.create (make_triangle_db ()) in
+  register_views reg;
+  Registry.apply_batch reg (edge_stream 200);
+  let srv =
+    ok_wire (Server.start ~port:0 ~handlers:1 ~registry:reg ~metrics:(Metrics.create ()) ())
+  in
+  let c = ok_wire (Client.connect ~port:(Server.port srv) ()) in
+  Fun.protect
+    ~finally:(fun () ->
+      Client.close c;
+      Server.stop ~grace:0. srv)
+    (fun () ->
+      let since =
+        (ok_wire (Client.lookup c ~view:"paths-rs" ~prefix:D.Tuple.unit)).Client.version
+      in
+      let ping () = ok_wire (Client.ping c) in
+      let lookup () =
+        let a = ok_wire (Client.lookup ~since c ~view:"paths-rs" ~prefix:D.Tuple.unit) in
+        if not a.Client.delta || a.Client.entries <> [] then
+          Alcotest.fail "an unchanged view must answer with an empty delta"
+      in
+      let n = 500 in
+      let words f =
+        for _ = 1 to 50 do
+          f ()
+        done;
+        let w0 = Gc.minor_words () in
+        for _ = 1 to n do
+          f ()
+        done;
+        (Gc.minor_words () -. w0) /. float_of_int n
+      in
+      let at_ping = words ping and at_lookup = words lookup in
+      let p0 = process_words () in
+      for _ = 1 to n do
+        ping ();
+        lookup ()
+      done;
+      let process = (process_words () -. p0) /. float_of_int n in
+      let base_ping, base_lookup, base_process = round_trip_words_baseline in
+      Printf.printf
+        "warm round trip allocation: ping %.1f words (baseline %.1f), unchanged lookup %.1f \
+         (baseline %.1f), process-wide ping + lookup %.1f (baseline %.1f); limit 1.25x\n"
+        at_ping base_ping at_lookup base_lookup process base_process;
+      List.iter
+        (fun (what, measured, base) ->
+          if measured > 1.25 *. base then
+            Alcotest.failf "%s: %.1f words per round trip exceeds the budget of %.1f" what
+              measured (1.25 *. base))
+        [
+          ("ping", at_ping, base_ping);
+          ("unchanged lookup", at_lookup, base_lookup);
+          ("process-wide", process, base_process);
+        ])
+
+(* A host name resolves: [localhost] connects like the dotted quad, and
+   a name that does not resolve is an [Error], not an exception. *)
+let host_names_resolve () =
+  let reg = Registry.create (make_triangle_db ()) in
+  let srv =
+    ok_wire
+      (Server.start ~host:"localhost" ~port:0 ~handlers:1 ~registry:reg
+         ~metrics:(Metrics.create ()) ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Server.stop ~grace:0. srv)
+    (fun () ->
+      let c = ok_wire (Client.connect ~host:"localhost" ~port:(Server.port srv) ()) in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () -> ok_wire (Client.ping c));
+      (match Client.connect ~host:"no.such.host.invalid" ~port:(Server.port srv) () with
+      | Error (Wire.Io _) -> ()
+      | Error e -> Alcotest.failf "expected an io error, got %s" (Wire.error_to_string e)
+      | Ok c ->
+          Client.close c;
+          Alcotest.fail "an unresolvable host connected");
+      match
+        Server.start ~host:"no.such.host.invalid" ~port:0 ~registry:reg
+          ~metrics:(Metrics.create ()) ()
+      with
+      | Error (Wire.Io _) -> ()
+      | Error e -> Alcotest.failf "expected an io error, got %s" (Wire.error_to_string e)
+      | Ok s ->
+          Server.stop ~grace:0. s;
+          Alcotest.fail "a server bound an unresolvable host")
+
 let () =
   Alcotest.run ~and_exit:false "net"
     [
@@ -2206,6 +2308,8 @@ let () =
           Alcotest.test_case "corrupt frame keeps serving" `Quick
             e2e_corrupt_frame_keeps_serving;
           Alcotest.test_case "shutdown acks once, drains in-flight" `Quick e2e_shutdown;
+          Alcotest.test_case "warm round trip allocation" `Quick warm_round_trip_alloc;
+          Alcotest.test_case "host names resolve" `Quick host_names_resolve;
         ] );
       ( "snapshot patching",
         [

@@ -400,10 +400,10 @@ let metrics_percentiles () =
    into another's exposition line. *)
 let metrics_view_labels () =
   let m = Metrics.create () in
-  Metrics.record_view_op m ~view:"t0j" ~op:"lookup" 1e-3;
-  Metrics.record_view_op m ~view:"t0j" ~op:"lookup" 2e-3;
-  Metrics.record_view_op m ~view:"t1e" ~op:"lookup" 5e-3;
-  Metrics.record_view_op m ~view:"t1e" ~op:"snapshot" 7e-3;
+  Metrics.record_view_op m ~view:"t0j" ~op:"lookup" 1_000_000;
+  Metrics.record_view_op m ~view:"t0j" ~op:"lookup" 2_000_000;
+  Metrics.record_view_op m ~view:"t1e" ~op:"lookup" 5_000_000;
+  Metrics.record_view_op m ~view:"t1e" ~op:"snapshot" 7_000_000;
   Alcotest.(check (list (pair string string)))
     "series enumerate sorted and disjoint"
     [ ("t0j", "lookup"); ("t1e", "lookup"); ("t1e", "snapshot") ]
